@@ -1,11 +1,12 @@
 """The assembled network: four conv branches, attention fusion, TCNs, head.
 
 Each branch pairs one temporal kernel scale with its own spatial feature
-extractor (temporal conv -> depthwise channel conv -> pooled
-spatial-refinement conv). Branch outputs are fused by attention (the
-first branch attends to itself densely; the others run sparse
-cross-attention), passed through per-branch temporal convolutional
-networks, and classified from the concatenated readouts.
+extractor (temporal conv -> batch norm -> depthwise channel conv, run
+spatial-first as one op, then a pooled spatial-refinement conv). Branch
+outputs are fused by attention (the first branch attends to itself
+densely; the others run sparse cross-attention), passed through
+per-branch temporal convolutional networks, and classified from the
+concatenated readouts.
 """
 
 import dataclasses
@@ -54,7 +55,25 @@ class TcnStack(Layer):
 
 
 class Branch(Layer):
-    """One temporal-scale pipeline plus its fusion/TCN parameters."""
+    """One temporal-scale pipeline plus its fusion/TCN parameters.
+
+    The stem (temporal conv -> bn_temporal -> depthwise channel conv) runs
+    as one op, ops.branch_stem, spatial-first: each depthwise output
+    channel first projects the C input channels, then correlates its
+    filter's K temporal taps. This is exact, not an approximation: the
+    temporal conv and the depthwise conv are linear maps per filter that
+    act on different axes (time, channels), so they commute, and batch
+    norm is an affine map per filter (a_f * h + c_f) whose training-mode
+    statistics follow from moments of the raw input. The layers
+    temporal_conv, bn_temporal and depthwise_conv hold the parameters and
+    buffers, so names, checkpoints and the init draw order are unchanged.
+
+    bn_temporal.beta is dead in training: its per-filter shift reaches the
+    depthwise output as a per-channel constant, which bn_depthwise's
+    training-mode mean subtraction removes, so its gradient is exactly 0
+    and Adam never moves it. It stays because eval mode reads it (the
+    shift c_f = beta_f - a_f * running_mean_f) and it is a checkpoint blob.
+    """
 
     def __init__(self, cfg: ModelConfig, index, rng):
         super().__init__()
@@ -84,9 +103,19 @@ class Branch(Layer):
 
     def __call__(self, x, training, rng=None):
         p1, p2 = self.pools
-        h = self.temporal_out(x)
-        h = self.bn_temporal(h, training)
-        h = self.depthwise_conv(h)  # valid over channels: (B, width, 1, T)
+        bn = self.bn_temporal
+        h = ops.branch_stem(
+            x,
+            self.temporal_conv.weight,
+            bn.gamma,
+            bn.beta,
+            bn.running_mean,
+            bn.running_var,
+            self.depthwise_conv.weight,
+            training,
+            momentum=bn.momentum,
+            eps=bn.eps,
+        )  # (B, width, 1, T)
         h = ops.elu(self.bn_depthwise(h, training))
         h = ops.avg_pool2d(h, kernel=(1, p1), stride=(1, p1))
         h = ops.dropout(h, self.p_drop, training, rng)

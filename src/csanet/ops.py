@@ -3,7 +3,10 @@
 Convolutions and pooling are im2col/col2im over BLAS matmuls; everything
 here is deterministic given its inputs (dropout takes an explicit
 Generator). All convs in the network use stride 1; pooling carries the
-stride.
+stride. branch_stem fuses a branch's temporal conv, batch norm and
+depthwise channel conv into one op that projects channels first and
+correlates time after, with banded matmuls over tiles of the time axis
+and batch statistics from float64 window moments of the input.
 """
 
 import numpy as np
@@ -19,6 +22,13 @@ def _pair(v):
             raise ConfigurationError(f"expected a pair, got {v!r}")
         return int(v[0]), int(v[1])
     return int(v), int(v)
+
+
+def _pad_hw(a, ph, pw):
+    """Zero-pad the last two axes symmetrically; no copy when there is no padding."""
+    if ph == 0 and pw == 0:
+        return a
+    return np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
 
 
 def _windows(xp, kh, kw, sh, sw):
@@ -60,7 +70,7 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
     wo = (W + 2 * pw - kw) // sw + 1
     coutg = cout // groups
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = _pad_hw(x.data, ph, pw)
     w2 = weight.data.reshape(groups, coutg, cing * kh * kw)
     out = np.empty((B, cout, ho, wo), dtype=x.dtype)
     for g in range(groups):
@@ -117,7 +127,7 @@ def avg_pool2d(x, kernel, stride=None, padding=(0, 0), include_pad=True):
     ho = (H + 2 * ph - kh) // sh + 1
     wo = (W + 2 * pw - kw) // sw + 1
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = _pad_hw(x.data, ph, pw)
     winsum = _windows(xp, kh, kw, sh, sw).sum(axis=(-2, -1))
     if include_pad:
         div = np.array(kh * kw, dtype=x.dtype)
@@ -154,6 +164,15 @@ def linear(x, weight, bias=None):
     return out
 
 
+def _update_running(running_mean, running_var, mean, var, n, momentum):
+    """Momentum update of batch-norm buffers, in place; the running
+    variance takes the unbiased estimate of n samples."""
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean
+    running_var *= 1.0 - momentum
+    running_var += momentum * var * (n / (n - 1.0))
+
+
 def batch_norm(x, gamma, beta, running_mean, running_var, training, momentum=0.1, eps=1e-5):
     """Per-channel normalization over axis 1.
 
@@ -177,10 +196,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training, momentum=0.1
             raise ConfigurationError("batch_norm in training mode needs a batch of at least 2")
         mean = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * (n / (n - 1.0))
+        _update_running(running_mean, running_var, mean, var, n, momentum)
     else:
         mean = running_mean.astype(x.dtype)
         var = running_var.astype(x.dtype)
@@ -205,6 +221,155 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training, momentum=0.1
             _accumulate(x, gs * gout)
 
     return _make(out, (x, gamma, beta), backward)
+
+
+_TILE = 32  # outputs per banded matmul in branch_stem's K-tap correlation
+
+
+def _banded(w, tile):
+    """(F, tile + K - 1, tile) matrices with w[f] down column i from row i.
+
+    A run of `tile` outputs of a K-tap correlation is then one matmul of
+    the tile + K - 1 inputs it reads with this matrix.
+    """
+    F, K = w.shape
+    band = np.zeros((F, tile + K - 1, tile), dtype=w.dtype)
+    i = np.arange(tile)
+    band[:, i + np.arange(K)[:, None], i] = w[:, :, None]
+    return band
+
+
+def _window_moments(x, K, left):
+    """float64 mean (K,) and second moment (K, K) of the K-sample windows
+    of each row of x (..., T), zero-padded by `left` on the left and
+    K - 1 - left on the right, without forming the windows.
+
+    Entry k of the window at t is x[t + k - left]. Each lag d = |k - l| of
+    S is one pass of row products x[v] * x[v + d]; a window entry pair
+    sums those products over a shifted range of v, read off prefix sums.
+    """
+    T = x.shape[-1]
+    rows = x.reshape(-1, T).astype(np.float64)
+    n = rows.size
+    sums = np.zeros(T + 1)  # prefix sums of the column sums
+    np.cumsum(rows.sum(axis=0), out=sums[1:])
+    prods = np.zeros((K, T + 1))  # per lag d, prefix sums of x[v] * x[v + d]
+    for d in range(min(K, T)):
+        prods[d, 1 : T + 1 - d] = np.einsum("nv,nv->v", rows[:, : T - d], rows[:, d:])
+    np.cumsum(prods, axis=1, out=prods)
+    start = np.arange(K) - left  # where window entry k sits relative to t
+    mean = (sums[np.clip(start + T, 0, T)] - sums[np.clip(start, 0, T)]) / n
+    first = np.minimum.outer(start, start)
+    lag = np.abs(start[:, None] - start[None, :])
+    second = (prods[lag, np.clip(first + T, 0, T)] - prods[lag, np.clip(first, 0, T)]) / n
+    return mean, second
+
+
+def branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, training, momentum=0.1, eps=1e-5):
+    """One branch's temporal conv -> batch norm -> depthwise channel conv.
+
+    x: (B, 1, C, T); weight: (F, 1, 1, K), applied with same_pad_time's
+    padding; gamma, beta, running_mean, running_var: (F,); depthwise:
+    (F*D, 1, C, 1), output channel j reading filter j // D. Returns the
+    (B, F*D, 1, T) output of
+    conv2d(batch_norm(conv2d(same_pad_time(x, K), weight)), depthwise, groups=F).
+
+    All three stages are linear per filter, and batch norm is an affine map
+    a_f * h + c_f per filter, so the op runs spatial-first: it projects the
+    C channels onto each output channel (P = depthwise . x), correlates
+    filter f's K taps along time (Q), and returns a_f * Q + c_f * s_j with
+    s_j the sum of depthwise row j. The (B, F, C, T) intermediate is never
+    built. Training-mode statistics are exact: mean_f = w_f . m and
+    var_f = w_f' S w_f - mean_f^2, from float64 moments m, S of the padded
+    input's windows; the running buffers update as batch_norm updates them
+    (n = B*C*T). Eval mode reads a_f, c_f off the running buffers. x gets
+    no gradient.
+    """
+    x, weight, gamma, beta, depthwise = (_wrap(t) for t in (x, weight, gamma, beta, depthwise))
+    if x.ndim != 4 or x.shape[1] != 1:
+        raise DimensionError(f"branch_stem expects a (B, 1, C, T) input, got {x.shape}")
+    B, _, C, T = x.shape
+    F, K = weight.shape[0], weight.shape[-1]
+    if weight.shape != (F, 1, 1, K):
+        raise DimensionError(f"temporal weight must be (F, 1, 1, K), got {weight.shape}")
+    if gamma.shape != (F,) or beta.shape != (F,):
+        raise DimensionError("gamma/beta must have one entry per temporal filter")
+    if depthwise.shape[1:] != (1, C, 1) or depthwise.shape[0] % F:
+        raise DimensionError(f"depthwise weight must be (F*D, 1, {C}, 1), got {depthwise.shape}")
+    if x.requires_grad:
+        raise ConfigurationError("branch_stem does not propagate a gradient to its input")
+    if training and B < 2:
+        raise ConfigurationError("batch_norm in training mode needs a batch of at least 2")
+    D = depthwise.shape[0] // F
+    left = (K - 1) // 2
+    dtype = x.dtype
+    tiles = -(-T // _TILE)
+    span = _TILE + K - 1
+    w = weight.data.reshape(F, K)
+    dw = depthwise.data.reshape(F, D, C)
+
+    # P[f, d, b]: trial b projected by depthwise row (f, d), zero-padded in
+    # time as the temporal conv pads; cut into overlapping tiles of span samples.
+    xt = x.data[:, 0].transpose(1, 0, 2).reshape(C, B * T)
+    p = np.zeros((F, D * B, tiles * _TILE + K - 1), dtype=dtype)
+    p[:, :, left : left + T] = (dw.reshape(F * D, C) @ xt).reshape(F, D * B, T)
+    cols = sliding_window_view(p, span, axis=-1)[:, :, ::_TILE].reshape(F, D * B * tiles, span)
+    band = _banded(w, _TILE)
+    q = (cols @ band).reshape(F, D, B, tiles * _TILE)[..., :T]
+
+    if training:
+        m, S = _window_moments(x.data, K, left)
+        w64 = w.astype(np.float64)
+        mean = w64 @ m
+        var = np.maximum(np.einsum("fk,kl,fl->f", w64, S, w64) - mean * mean, 0.0)
+        _update_running(running_mean, running_var, mean, var, B * C * T, momentum)
+    else:
+        mean = running_mean.astype(np.float64)
+        var = running_var.astype(np.float64)
+    inv = 1.0 / np.sqrt(var + eps)
+    a = gamma.data * inv
+    c = beta.data - a * mean
+    s = dw.sum(axis=2)
+
+    out = np.empty((B, F, D, T), dtype=dtype)
+    np.multiply(q.transpose(2, 0, 1, 3), a.astype(dtype)[:, None, None], out=out)
+    out += (c[:, None] * s).astype(dtype)[:, :, None]
+
+    def backward(gout):
+        g = np.zeros((F, D, B, tiles * _TILE), dtype=dtype)
+        g[..., :T] = gout.reshape(B, F, D, T).transpose(1, 2, 0, 3)
+        gtiles = g.reshape(F, D * B * tiles, _TILE)
+        gsum = g.sum(axis=(2, 3))  # (F, D)
+        g_shift = (gsum * s).sum(axis=1)  # dL/dc_f
+        # taps[f, k] = sum of g[t] * P[t + k]: dL/dw_f through Q, per unit a_f.
+        corr = cols.transpose(0, 2, 1) @ gtiles
+        taps = corr[:, np.arange(_TILE) + np.arange(K)[:, None], np.arange(_TILE)].sum(axis=-1)
+        g_scale = (w * taps).sum(axis=1) - mean * g_shift  # dL/da_f, with c_f = beta_f - a_f mean_f
+        if gamma.requires_grad:
+            _accumulate(gamma, (g_scale * inv).astype(gamma.dtype))
+        if beta.requires_grad:
+            _accumulate(beta, g_shift.astype(beta.dtype))
+        if weight.requires_grad:
+            gw = a[:, None] * taps
+            if training:
+                g_mean = -a * g_shift
+                g_var = -0.5 * g_scale * a * inv * inv
+                gw = gw + (g_mean - 2.0 * mean * g_var)[:, None] * m + 2.0 * g_var[:, None] * (w64 @ S)
+            _accumulate(weight, gw.reshape(F, 1, 1, K).astype(weight.dtype))
+        if depthwise.requires_grad:
+            # Transposed correlation back onto P's samples, tile by tile.
+            pieces = -(-span // _TILE)
+            gtile_p = (gtiles @ band.transpose(0, 2, 1)).reshape(F, D * B, tiles, span)
+            gp_full = np.zeros((F, D * B, tiles + pieces, _TILE), dtype=dtype)
+            for i in range(pieces):
+                width = min(_TILE, span - i * _TILE)
+                gp_full[:, :, i : i + tiles, :width] += gtile_p[..., i * _TILE : i * _TILE + width]
+            g_p = gp_full.reshape(F, D * B, -1)[:, :, left : left + T].reshape(F * D, B * T)
+            gd = a.astype(dtype)[:, None, None] * (g_p @ xt.T).reshape(F, D, C)
+            gd += (c[:, None] * gsum)[:, :, None]
+            _accumulate(depthwise, gd.reshape(F * D, 1, C, 1).astype(depthwise.dtype))
+
+    return _make(out.reshape(B, F * D, 1, T), (x, weight, gamma, beta, depthwise), backward)
 
 
 def elu(x):

@@ -162,6 +162,35 @@ def _check_tcn():
     )
 
 
+def _check_stem():
+    """branch_stem in training and eval mode, at an even and an odd kernel."""
+    rng = _rng(16)
+    x = Tensor(rng.standard_normal((3, 1, 3, 10)))
+    params, buffers, labels = [], [], []
+    for k in (4, 5):
+        params += [
+            Tensor(rng.standard_normal((2, 1, 1, k)) * 0.5),
+            Tensor(1.0 + 0.1 * rng.standard_normal(2)),
+            Tensor(rng.standard_normal(2)),
+            Tensor(rng.standard_normal((4, 1, 3, 1)) * 0.5),
+        ]
+        buffers.append((0.1 * rng.standard_normal(2), 1.0 + rng.random(2)))
+        labels += [f"k{k}.{name}" for name in ("weight", "gamma", "beta", "depthwise")]
+
+    def closure(*p):
+        losses = []
+        for i, (rm, rv) in enumerate(buffers):
+            w, g, b, dw = p[4 * i : 4 * i + 4]
+            for training in (True, False):
+                out = ops.branch_stem(x, w, g, b, rm.copy(), rv.copy(), dw, training)
+                losses.append(_proj_loss(out, _rng(111 + 2 * i + training)))
+        return sum(losses[1:], losses[0])
+
+    report = grad_check(closure, params)
+    report.labels = labels
+    return report
+
+
 def _check_model_mini():
     cfg = mini_model_config()
     with precision("float64"):
@@ -192,6 +221,7 @@ GRADCHECK_SCOPES = {
     "multiscale_pool": _check_multiscale_pool,
     "msca": _check_msca,
     "tcn": _check_tcn,
+    "stem": _check_stem,
     "model-mini": _check_model_mini,
 }
 

@@ -1,12 +1,17 @@
 """Independent naive-loop reference implementations for oracle tests.
 
 Deliberately written as plain nested loops over numpy scalars so they
-share no code path with the package's im2col/BLAS implementations.
+share no code path with the package's im2col/BLAS implementations. The
+one exception is oracle_branch_stem, the three-op composition that
+ops.branch_stem replaced, built from the package's general ops (which the
+naive loops here pin).
 """
 
 import math
 
 import numpy as np
+
+from csanet import ops
 
 
 def naive_conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0), groups=1):
@@ -118,3 +123,15 @@ def naive_multihead_attention(x, y, wq, wk, wv, heads):
                 for d in range(dk):
                     out[bi, h * dk + d, ti] = sum(weights[tj] * vs[tj, d] for tj in range(T))
     return out
+
+
+def oracle_branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, training, momentum=0.1, eps=1e-5):
+    """Temporal conv -> batch norm -> depthwise channel conv, in that order.
+
+    Same signature and result as ops.branch_stem, through the
+    (B, F, C, T) intermediate the factorised op never builds.
+    """
+    kernel = weight.shape[-1]
+    h = ops.conv2d(ops.same_pad_time(x, kernel), weight)
+    h = ops.batch_norm(h, gamma, beta, running_mean, running_var, training, momentum=momentum, eps=eps)
+    return ops.conv2d(h, depthwise, groups=weight.shape[0])

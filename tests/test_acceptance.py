@@ -40,14 +40,16 @@ def report_pass(number, text):
     print(f"ACCEPTANCE {number:02d} PASS: {text}")
 
 
-def test_criterion_01_gradient_suite():
+def test_criterion_01_gradient_suite(model_mini_check):
+    # The session's model-mini check is reused; its seconds count here.
+    mini_report, mini_seconds = model_mini_check
     start = time.time()
     worst = {}
     for scope in GRADCHECK_SCOPES:
-        report = run_scope(scope)
+        report = mini_report if scope == "model-mini" else run_scope(scope)
         worst[scope] = report.max_rel_error
         assert report.passed(1e-3), f"{scope}: {report.max_rel_error:.3e} > 1e-3"
-    elapsed = time.time() - start
+    elapsed = time.time() - start + mini_seconds
     assert elapsed < 120.0, f"gradient suite took {elapsed:.0f}s"
     overall = max(worst.values())
     report_pass(1, f"all {len(worst)} gradcheck scopes ≤ 1e-3 (worst {overall:.2e}, {elapsed:.0f}s)")

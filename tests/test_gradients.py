@@ -27,19 +27,14 @@ MODEL_MINI_STRUCTURALLY_ZERO = {
 }
 
 
-@pytest.fixture(scope="module")
-def model_mini_report():
-    return run_scope("model-mini")
-
-
 @pytest.mark.parametrize("scope", OP_SCOPES)
 def test_op_scope_passes(scope):
     report = run_scope(scope)
     assert report.passed(TOL), f"{scope}: max relative error {report.max_rel_error:.3e}"
 
 
-def test_model_mini_structurally_zero_set_is_what_the_architecture_implies(model_mini_report):
-    report = model_mini_report
+def test_model_mini_structurally_zero_set_is_what_the_architecture_implies(model_mini_check):
+    report, _ = model_mini_check
     assert sorted(report.structurally_zero_names()) == sorted(MODEL_MINI_STRUCTURALLY_ZERO)
     assert report.passed(TOL), f"model-mini: max relative error {report.max_rel_error:.3e}"
 

@@ -50,6 +50,30 @@ class TestConv2d:
             ops.conv2d(x, w)
 
 
+def closure_cell(out, name):
+    fn = out._backward
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+class TestZeroPadding:
+    """With no padding, conv2d and avg_pool2d read and keep x.data itself."""
+
+    def test_conv2d_keeps_the_input_not_a_copy(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 1, 2)), requires_grad=True)
+        out = ops.conv2d(x, w)
+        assert closure_cell(out, "xp") is x.data
+        out.sum().backward()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+    def test_avg_pool2d_keeps_the_input_not_a_copy(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 4, 6)), requires_grad=True)
+        out = ops.avg_pool2d(x, kernel=(1, 2))
+        assert closure_cell(out, "xp") is x.data
+        out.sum().backward()
+        np.testing.assert_array_equal(x.grad, np.full(x.shape, 0.5))
+
+
 class TestAvgPool:
     def test_simple_halving(self):
         x = Tensor(np.array([[[[1.0, 2.0, 3.0, 4.0]]]]))
