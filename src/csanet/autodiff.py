@@ -57,10 +57,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled():
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """N-d float array with an optional gradient buffer.
 
@@ -404,12 +400,3 @@ def pad(x, pad_width):
 
     return _make(out_data, (x,), backward)
 
-
-def assert_finite(array, what="value"):
-    """Raise NumericalError when an array holds NaN or Inf."""
-    from .errors import NumericalError
-
-    arr = array.data if isinstance(array, Tensor) else np.asarray(array)
-    if not np.all(np.isfinite(arr)):
-        raise NumericalError(f"non-finite {what} detected")
-    return array

@@ -73,6 +73,11 @@ class Branch(Layer):
     training-mode mean subtraction removes, so its gradient is exactly 0
     and Adam never moves it. It stays because eval mode reads it (the
     shift c_f = beta_f - a_f * running_mean_f) and it is a checkpoint blob.
+
+    The pooled spatial-refinement conv spa_conv runs through
+    ops.conv1d_dilated on the (B, width, T/p1) map, its (Cout, width, 1, K)
+    weight read as (Cout, width, K), after same_pad_time's padding; the
+    Conv2d layer holds the parameter, so its name and shape are unchanged.
     """
 
     def __init__(self, cfg: ModelConfig, index, rng):
@@ -119,8 +124,11 @@ class Branch(Layer):
         h = ops.elu(self.bn_depthwise(h, training))
         h = ops.avg_pool2d(h, kernel=(1, p1), stride=(1, p1))
         h = ops.dropout(h, self.p_drop, training, rng)
-        h = self.spa_conv(ops.same_pad_time(h, self.spa_kernel))
-        h = ops.elu(self.bn_spa(h, training))
+        b, width, _, t1 = h.shape
+        cout = self.spa_conv.weight.shape[0]
+        w3 = self.spa_conv.weight.reshape((cout, width, self.spa_kernel))
+        h = ops.conv1d_dilated(ops.same_pad_time(h.reshape((b, width, t1)), self.spa_kernel), w3)
+        h = ops.elu(self.bn_spa(h.reshape((b, cout, 1, t1)), training))
         h = ops.avg_pool2d(h, kernel=(1, p2), stride=(1, p2))
         h = ops.dropout(h, self.p_drop, training, rng)
         b, u, _, t0 = h.shape

@@ -2,9 +2,11 @@
 
 Deliberately written as plain nested loops over numpy scalars so they
 share no code path with the package's im2col/BLAS implementations. The
-one exception is oracle_branch_stem, the three-op composition that
-ops.branch_stem replaced, built from the package's general ops (which the
-naive loops here pin).
+exceptions are the paths the model ran before a faster op replaced them,
+built from the package's general ops (which the naive loops here pin):
+oracle_branch_stem, the three-op composition that ops.branch_stem
+replaced, and oracle_branch_call, a branch whose spatial-refinement conv
+runs through conv2d as it did before conv1d_dilated took it over.
 """
 
 import math
@@ -40,6 +42,35 @@ def naive_conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0), groups=1):
                                 )
                     out[bi, oc, i, j] = acc + (b[oc] if b is not None else 0.0)
     return out
+
+
+def naive_conv1d(x, w, b=None, dilation=1, left_pad=0, gout=None):
+    """Dilated 1-d cross-correlation with left zero padding, one tap at a time.
+
+    Returns the output; with gout (the output's gradient) also returns the
+    gradients of x, w and b, accumulated in the same loop.
+    """
+    B, cin, T = x.shape
+    cout, _, K = w.shape
+    to = T + left_pad - (K - 1) * dilation
+    out = np.zeros((B, cout, to), dtype=np.float64)
+    gx, gw = np.zeros(x.shape), np.zeros(w.shape)
+    for bi in range(B):
+        for oc in range(cout):
+            for t in range(to):
+                acc = b[oc] if b is not None else 0.0
+                for ic in range(cin):
+                    for k in range(K):
+                        s = t + k * dilation - left_pad
+                        if 0 <= s < T:
+                            acc += x[bi, ic, s] * w[oc, ic, k]
+                            if gout is not None:
+                                gx[bi, ic, s] += gout[bi, oc, t] * w[oc, ic, k]
+                                gw[oc, ic, k] += gout[bi, oc, t] * x[bi, ic, s]
+                out[bi, oc, t] = acc
+    if gout is None:
+        return out
+    return out, gx, gw, gout.sum(axis=(0, 2))
 
 
 def naive_avg_pool(x, kernel, stride, padding=(0, 0), include_pad=True):
@@ -135,3 +166,35 @@ def oracle_branch_stem(x, weight, gamma, beta, running_mean, running_var, depthw
     h = ops.conv2d(ops.same_pad_time(x, kernel), weight)
     h = ops.batch_norm(h, gamma, beta, running_mean, running_var, training, momentum=momentum, eps=eps)
     return ops.conv2d(h, depthwise, groups=weight.shape[0])
+
+
+def oracle_spa_conv(h, weight):
+    """The spatial-refinement conv on a (B, U, 1, T) map, through conv2d."""
+    return ops.conv2d(ops.same_pad_time(h, weight.shape[-1]), weight)
+
+
+def oracle_branch_call(branch, x, training, rng=None):
+    """model.Branch.__call__ with spa_conv run by oracle_spa_conv."""
+    p1, p2 = branch.pools
+    bn = branch.bn_temporal
+    h = ops.branch_stem(
+        x,
+        branch.temporal_conv.weight,
+        bn.gamma,
+        bn.beta,
+        bn.running_mean,
+        bn.running_var,
+        branch.depthwise_conv.weight,
+        training,
+        momentum=bn.momentum,
+        eps=bn.eps,
+    )
+    h = ops.elu(branch.bn_depthwise(h, training))
+    h = ops.avg_pool2d(h, kernel=(1, p1), stride=(1, p1))
+    h = ops.dropout(h, branch.p_drop, training, rng)
+    h = oracle_spa_conv(h, branch.spa_conv.weight)
+    h = ops.elu(branch.bn_spa(h, training))
+    h = ops.avg_pool2d(h, kernel=(1, p2), stride=(1, p2))
+    h = ops.dropout(h, branch.p_drop, training, rng)
+    b, u, _, t0 = h.shape
+    return h.reshape((b, u, t0))

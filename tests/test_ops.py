@@ -7,7 +7,7 @@ from csanet import ops
 from csanet.autodiff import Tensor
 from csanet.errors import ConfigurationError, DataError, DimensionError
 
-from oracles import naive_avg_pool, naive_conv2d, naive_linear
+from oracles import naive_avg_pool, naive_conv1d, naive_conv2d, naive_linear
 
 
 class TestConv2d:
@@ -239,3 +239,35 @@ class TestConv1dDilated:
             "oi,bit->bot", w[:, :, 1], xp[:, :, 3:11]
         )
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("case", range(120))
+    def test_forward_and_gradients_match_naive_oracle(self, f64, case):
+        # Dilation 1-3, left padding 0 .. span - 1, inputs from exactly one
+        # kernel span (a single output) to ten samples past it.
+        rng = np.random.Generator(np.random.PCG64(500 + case))
+        B, cin, cout, K, dilation = (int(v) for v in rng.integers((1, 1, 1, 1, 1), (3, 4, 4, 6, 4)))
+        span = (K - 1) * dilation + 1
+        left_pad = int(rng.integers(0, span))
+        T = int(rng.integers(max(1, span - left_pad), span - left_pad + 11))
+        x = Tensor(rng.standard_normal((B, cin, T)), requires_grad=True)
+        w = Tensor(rng.standard_normal((cout, cin, K)), requires_grad=True)
+        b = Tensor(rng.standard_normal(cout), requires_grad=True) if case % 2 else None
+        out = ops.conv1d_dilated(x, w, b, dilation=dilation, left_pad=left_pad)
+        gout = rng.standard_normal(out.shape)
+        (out * Tensor(gout)).sum().backward()
+        want = naive_conv1d(x.data, w.data, None if b is None else b.data, dilation, left_pad, gout)
+        got = (out.data, x.grad, w.grad) + (() if b is None else (b.grad,))
+        for name, g, e in zip(("output", "input grad", "weight grad", "bias grad"), got, want):
+            assert g.shape == e.shape, name
+            np.testing.assert_allclose(g, e, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_no_padding_keeps_no_copy_of_the_input(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 9)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 3)), requires_grad=True)
+        out = ops.conv1d_dilated(x, w, dilation=2)
+        assert ops._pad_left(x.data, 0) is x.data
+        # The tape keeps the parents, not a padded copy or a window matrix.
+        kept = [cell.cell_contents for cell in out._backward.__closure__]
+        assert not any(isinstance(v, np.ndarray) for v in kept)
+        out.sum().backward()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
