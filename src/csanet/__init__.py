@@ -16,7 +16,7 @@ from .config import (
     TcnConfig,
     TrainConfig,
 )
-from .data import EEGTrial, TrialSet, read_eegd, split, synth_generate, write_eegd
+from .data import TrialSet, read_eegd, split, synth_generate, write_eegd
 from .gradcheck import grad_check
 from .layers import Parameter
 from .model import CsanetModel, count_parameters
@@ -26,7 +26,6 @@ __all__ = [
     "AdamState",
     "AttentionConfig",
     "CsanetModel",
-    "EEGTrial",
     "ModelConfig",
     "Parameter",
     "RunConfig",

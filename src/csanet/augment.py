@@ -8,13 +8,15 @@ segments never cross classes. The output is the original batch followed
 by the synthetic trials, so the batch size exactly doubles.
 
 Draw order is part of the contract: anchors are visited in batch order,
-and one donor index is drawn per segment slot, slots left to right.
+and one donor index is drawn per segment slot, slots left to right. The
+draws come first; then each slot is filled for all anchors by one gather
+from the batch's (N, C, T) samples.
 """
 
 import numpy as np
 
 from .config import SrConfig
-from .data import EEGTrial, TrialSet
+from .data import TrialSet
 from .errors import ConfigurationError
 
 
@@ -43,27 +45,20 @@ def sr_augment(batch: TrialSet, cfg: SrConfig, rng: np.random.Generator) -> Tria
     if not cfg.enabled:
         return batch
     bounds = segment_bounds(batch.time_steps, cfg.segments)
-    by_class = {}
-    for idx, trial in enumerate(batch.trials):
-        by_class.setdefault(trial.label, []).append(idx)
-
-    synthetic = []
-    for anchor in batch.trials:
-        donors = by_class[anchor.label]
-        samples = np.empty_like(anchor.samples)
-        for start, stop in bounds:
-            donor = batch.trials[donors[int(rng.integers(0, len(donors)))]]
-            samples[:, start:stop] = donor.samples[:, start:stop]
-        synthetic.append(
-            EEGTrial(
-                samples=samples,
-                label=anchor.label,
-                subject_id=anchor.subject_id,
-                session_id=anchor.session_id,
-            )
-        )
+    n = len(batch)
+    by_class = {label: np.flatnonzero(batch.labels == label) for label in np.unique(batch.labels)}
+    donors = np.empty((n, len(bounds)), dtype=np.intp)
+    for i, label in enumerate(batch.labels):
+        same_class = by_class[label]
+        donors[i] = [same_class[rng.integers(0, len(same_class))] for _ in bounds]
+    x = np.empty((2 * n,) + batch.x.shape[1:], dtype=batch.x.dtype)
+    x[:n] = batch.x
+    for s, (start, stop) in enumerate(bounds):
+        x[n:, :, start:stop] = batch.x[donors[:, s], :, start:stop]
     return TrialSet(
-        trials=list(batch.trials) + synthetic,
+        x=x,
+        labels=np.tile(batch.labels, 2),
         n_classes=batch.n_classes,
-        class_names=batch.class_names,
+        subject_ids=np.tile(batch.subject_ids, 2),
+        session_ids=np.tile(batch.session_ids, 2),
     )

@@ -103,12 +103,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    def item(self):
-        return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 

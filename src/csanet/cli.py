@@ -152,7 +152,7 @@ def _cmd_augment(args):
     os.makedirs(run.out_dir, exist_ok=True)
     path = os.path.join(run.out_dir, "augmented.eegd")
     write_eegd(out, path)
-    print(f"wrote {len(out.trials)} trials ({len(data.trials)} original): {path}")
+    print(f"wrote {len(out)} trials ({len(data)} original): {path}")
     return EXIT_OK
 
 
@@ -165,9 +165,9 @@ def _cmd_psd(args):
 
         model = CsanetModel(run.model, rng=rngs.substream(run.seed, rngs.STREAM_INIT))
     data = load_run_data(run)
-    if not 0 <= args.trial < len(data.trials):
-        raise DataError(f"trial index {args.trial} out of range [0, {len(data.trials)})")
-    before, afters = branch_psd_report(model, data.trials[args.trial], args.branch, fs=args.fs)
+    if not 0 <= args.trial < len(data):
+        raise DataError(f"trial index {args.trial} out of range [0, {len(data)})")
+    before, afters = branch_psd_report(model, data.x[args.trial], args.branch, fs=args.fs)
     series = [("raw_channel_mean", before)]
     series += [(f"branch{args.branch + 1}.filter{i}", est) for i, est in enumerate(afters)]
     os.makedirs(run.out_dir, exist_ok=True)
@@ -212,7 +212,7 @@ def _cmd_synth(args):
     os.makedirs(run.out_dir, exist_ok=True)
     path = os.path.join(run.out_dir, "synth.eegd")
     write_eegd(data, path)
-    print(f"wrote {len(data.trials)} trials: {path}")
+    print(f"wrote {len(data)} trials: {path}")
     return EXIT_OK
 
 

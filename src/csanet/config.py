@@ -97,10 +97,6 @@ class ModelConfig:
     def msca_pool_enabled(self, v):
         self.attention.multiscale_pool_enabled = v
 
-    @property
-    def n_branches(self):
-        return len(self.temporal_kernels)
-
     def branch_width(self, i):
         """Feature width of branch i: filters x depth multiplier."""
         return self.temporal_filters[i] * self.depth_multiplier

@@ -1,4 +1,8 @@
-"""Trial containers, the EEGD file format, synthetic data, and splits.
+"""Trial sets as arrays, the EEGD file format, synthetic data, and splits.
+
+A TrialSet holds N trials of one shape: samples x (N, C, T) plus int64
+labels, subject_ids and session_ids (N,). Subsets, splits, z-scoring,
+augmentation and batching index these arrays.
 
 EEGD layout (all integers little-endian u32, samples little-endian f32,
 row-major C x T per trial):
@@ -10,6 +14,7 @@ Round-trips are bit-exact. Real-dataset ingestion is out of scope; export
 from your own preprocessing by writing this layout (see `write_eegd`).
 """
 
+import dataclasses
 import struct
 from dataclasses import dataclass
 
@@ -26,88 +31,82 @@ EEGD_VERSION = 1
 SYNTH_CLASS_FREQS = (6.0, 10.0, 20.0, 35.0)
 SYNTH_SAMPLE_RATE = 250.0
 
-
-@dataclass
-class EEGTrial:
-    """One labeled recording: a C x T sample matrix plus provenance tags."""
-
-    samples: np.ndarray
-    label: int
-    subject_id: int = 0
-    session_id: int = 0
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples)
-        if self.samples.ndim != 2:
-            raise DataError("trial samples must be a C x T matrix")
-        if not np.all(np.isfinite(self.samples)):
-            raise DataError("trial samples must be finite")
+# A TrialSet's per-trial integer arrays, in EEGD record order.
+TRIAL_IDS = ("labels", "subject_ids", "session_ids")
 
 
 @dataclass
 class TrialSet:
-    """Ordered trials with homogeneous dimensions."""
+    """Ordered trials of one shape: x (N, C, T) and per-trial int64 labels,
+    subject_ids and session_ids (N,); ids default to 0."""
 
-    trials: list
+    x: np.ndarray
+    labels: np.ndarray
     n_classes: int
-    class_names: list = None
+    subject_ids: np.ndarray = None
+    session_ids: np.ndarray = None
 
     def __post_init__(self):
-        if self.trials:
-            c, t = self.trials[0].samples.shape
-            for i, tr in enumerate(self.trials):
-                if tr.samples.shape != (c, t):
-                    raise DataError(f"trial {i} has shape {tr.samples.shape}, expected {(c, t)}")
-                if not 0 <= tr.label < self.n_classes:
-                    raise DataError(f"trial {i} label {tr.label} out of range [0, {self.n_classes})")
+        self.x = np.ascontiguousarray(self.x)
+        if self.x.ndim != 3:
+            raise DataError(f"trial samples must be an (N, C, T) array, got shape {self.x.shape}")
+        n = len(self.x)
+        for name in TRIAL_IDS:
+            value = getattr(self, name)
+            value = np.zeros(n, dtype=np.int64) if value is None else np.asarray(value, dtype=np.int64)
+            if value.shape != (n,):
+                raise DataError(f"{name} must have shape ({n},), got {value.shape}")
+            if n and not 0 <= value.min() <= value.max() < 2**32:  # EEGD stores them as u32
+                raise DataError(f"{name} must lie in [0, 2**32), got [{value.min()}, {value.max()}]")
+            setattr(self, name, value)
+        if not np.all(np.isfinite(self.x)):
+            raise DataError("trial samples must be finite")
+        bad = np.flatnonzero(self.labels >= self.n_classes)
+        if bad.size:
+            i = int(bad[0])
+            raise DataError(f"trial {i} label {self.labels[i]} out of range [0, {self.n_classes})")
 
     def __len__(self):
-        return len(self.trials)
+        return len(self.x)
 
     @property
     def channels(self):
-        return self.trials[0].samples.shape[0] if self.trials else 0
+        return self.x.shape[1]
 
     @property
     def time_steps(self):
-        return self.trials[0].samples.shape[1] if self.trials else 0
-
-    def subjects(self):
-        return sorted({t.subject_id for t in self.trials})
-
-    def sessions(self):
-        return sorted({t.session_id for t in self.trials})
+        return self.x.shape[2]
 
     def subset(self, indices):
-        return TrialSet(
-            trials=[self.trials[i] for i in indices],
-            n_classes=self.n_classes,
-            class_names=self.class_names,
-        )
+        idx = np.asarray(indices, dtype=np.intp)
+        ids = {name: getattr(self, name)[idx] for name in TRIAL_IDS}
+        return TrialSet(x=self.x[idx], n_classes=self.n_classes, **ids)
 
 
-def trials_to_arrays(batch, dtype=np.float32):
-    """Stack a TrialSet (or trial list) into (B, 1, C, T) inputs and labels."""
-    trials = batch.trials if isinstance(batch, TrialSet) else list(batch)
-    x = np.stack([t.samples for t in trials]).astype(dtype)[:, None, :, :]
-    y = np.array([t.label for t in trials], dtype=np.int64)
-    return x, y
+def trials_to_arrays(batch: TrialSet, dtype=np.float32):
+    """(B, 1, C, T) model inputs and the labels; no copy when x has `dtype`."""
+    return batch.x[:, None].astype(dtype, copy=False), batch.labels
 
 
 # -- EEGD serialization ----------------------------------------------------
 
 
+def _record_dtype(c, t):
+    """One EEGD trial record: label, subject_id, session_id, C x T samples."""
+    return np.dtype([(name, "<u4") for name in TRIAL_IDS] + [("x", "<f4", (c, t))])
+
+
 def write_eegd(trial_set: TrialSet, path):
     if trial_set.n_classes < 1:
         raise DataError("cannot serialize a set with n_classes < 1")
-    c = trial_set.channels
-    t = trial_set.time_steps
+    n, c, t = trial_set.x.shape
+    records = np.empty(n, dtype=_record_dtype(c, t))
+    for name in records.dtype.names:
+        records[name] = getattr(trial_set, name)
     with open(path, "wb") as fh:
         fh.write(EEGD_MAGIC)
-        fh.write(struct.pack("<IIIII", EEGD_VERSION, len(trial_set.trials), c, t, trial_set.n_classes))
-        for trial in trial_set.trials:
-            fh.write(struct.pack("<III", trial.label, trial.subject_id, trial.session_id))
-            fh.write(np.ascontiguousarray(trial.samples, dtype="<f4").tobytes())
+        fh.write(struct.pack("<IIIII", EEGD_VERSION, n, c, t, trial_set.n_classes))
+        fh.write(records.tobytes())
 
 
 def read_eegd(path) -> TrialSet:
@@ -120,21 +119,18 @@ def read_eegd(path) -> TrialSet:
     version, n_trials, c, t, n_classes = struct.unpack_from("<IIIII", blob, 4)
     if version != EEGD_VERSION:
         raise FormatError(f"unsupported version {version}", offset=4)
-    offset = 24
     trial_bytes = 12 + 4 * c * t
-    trials = []
-    for i in range(n_trials):
-        if len(blob) < offset + trial_bytes:
-            raise FormatError(f"truncated payload in trial {i}", offset=len(blob))
-        label, subject_id, session_id = struct.unpack_from("<III", blob, offset)
-        samples = np.frombuffer(blob, dtype="<f4", count=c * t, offset=offset + 12).reshape(c, t)
-        trials.append(
-            EEGTrial(samples=samples.copy(), label=label, subject_id=subject_id, session_id=session_id)
-        )
-        offset += trial_bytes
-    if len(blob) != offset:
-        raise FormatError("trailing bytes after final trial", offset=offset)
-    return TrialSet(trials=trials, n_classes=n_classes)
+    end = 24 + n_trials * trial_bytes
+    if len(blob) < end:
+        i = (len(blob) - 24) // trial_bytes
+        raise FormatError(f"truncated payload in trial {i}", offset=len(blob))
+    if len(blob) > end:
+        raise FormatError("trailing bytes after final trial", offset=end)
+    if max(c, t, trial_bytes) > np.iinfo(np.intc).max:  # numpy's limits on one record
+        raise FormatError(f"trial of {c} x {t} samples is too large", offset=12)
+    records = np.frombuffer(blob, dtype=_record_dtype(c, t), count=n_trials, offset=24)
+    ids = {name: records[name] for name in TRIAL_IDS}
+    return TrialSet(x=records["x"].copy(), n_classes=n_classes, **ids)
 
 
 # -- synthetic data ---------------------------------------------------------
@@ -147,7 +143,8 @@ def synth_generate(n_per_class, channels, time_steps, n_classes, snr, seed, subj
     trial, shared across channels) on its own contiguous channel block,
     over unit-variance Gaussian noise everywhere. The sinusoid amplitude
     on active channels is sqrt(2*snr), i.e. per-channel signal power is
-    snr times the noise power.
+    snr times the noise power. Trial i is of subject 1 + i % subjects and
+    session 1 + (i // subjects) % sessions.
     """
     if n_classes < 1 or n_classes > len(SYNTH_CLASS_FREQS):
         raise ConfigurationError(f"n_classes must be in [1, {len(SYNTH_CLASS_FREQS)}]")
@@ -161,69 +158,58 @@ def synth_generate(n_per_class, channels, time_steps, n_classes, snr, seed, subj
     rng = np.random.Generator(np.random.PCG64(seed))
     amp = np.sqrt(2.0 * snr)
     ticks = np.arange(time_steps) / SYNTH_SAMPLE_RATE
-    trials = []
-    index = 0
-    for label in range(n_classes):
+    labels = np.repeat(np.arange(n_classes), n_per_class)
+    x = np.empty((labels.size, channels, time_steps), dtype=np.float32)
+    for i, label in enumerate(labels):
         lo = label * channels // n_classes
         hi = (label + 1) * channels // n_classes
-        freq = SYNTH_CLASS_FREQS[label]
-        for _ in range(n_per_class):
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            noise = rng.standard_normal((channels, time_steps))
-            samples = noise.astype(np.float32)
-            wave = (amp * np.sin(2.0 * np.pi * freq * ticks + phase)).astype(np.float32)
-            samples[lo:hi] += wave
-            trials.append(
-                EEGTrial(
-                    samples=samples,
-                    label=label,
-                    subject_id=1 + index % subjects,
-                    session_id=1 + (index // subjects) % sessions,
-                )
-            )
-            index += 1
-    return TrialSet(trials=trials, n_classes=n_classes)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        x[i] = rng.standard_normal((channels, time_steps))
+        x[i, lo:hi] += (amp * np.sin(2.0 * np.pi * SYNTH_CLASS_FREQS[label] * ticks + phase)).astype(np.float32)
+    index = np.arange(labels.size)
+    return TrialSet(
+        x=x,
+        labels=labels,
+        n_classes=n_classes,
+        subject_ids=1 + index % subjects,
+        session_ids=1 + (index // subjects) % sessions,
+    )
 
 
 # -- splits ------------------------------------------------------------------
 
 
 def split(trial_set: TrialSet, spec):
-    """Partition a set into (train, test) per the split spec."""
+    """Partition a set into (train, test) per the split spec; both sides
+    keep the set's trial order."""
     spec.validate()
-    n = len(trial_set.trials)
+    n = len(trial_set)
     if spec.strategy == "none":
-        return trial_set.subset(range(n)), trial_set.subset([])
+        return trial_set, trial_set.subset([])
     if spec.strategy == "loso":
-        subjects = set(trial_set.subjects())
+        subjects = np.unique(trial_set.subject_ids).tolist()
         if spec.held_out_subject not in subjects:
-            raise DataError(f"unknown subject {spec.held_out_subject}; have {sorted(subjects)}")
-        test_idx = [i for i, t in enumerate(trial_set.trials) if t.subject_id == spec.held_out_subject]
-        train_idx = [i for i, t in enumerate(trial_set.trials) if t.subject_id != spec.held_out_subject]
-        return trial_set.subset(train_idx), trial_set.subset(test_idx)
-    if spec.strategy == "session_holdout":
-        sessions = set(trial_set.sessions())
-        wanted = set(spec.train_sessions) | set(spec.test_sessions)
-        missing = wanted - sessions
+            raise DataError(f"unknown subject {spec.held_out_subject}; have {subjects}")
+        test = trial_set.subject_ids == spec.held_out_subject
+        train = ~test
+    elif spec.strategy == "session_holdout":
+        sessions = np.unique(trial_set.session_ids).tolist()
+        missing = (set(spec.train_sessions) | set(spec.test_sessions)) - set(sessions)
         if missing:
-            raise DataError(f"unknown sessions {sorted(missing)}; have {sorted(sessions)}")
-        train_idx = [i for i, t in enumerate(trial_set.trials) if t.session_id in spec.train_sessions]
-        test_idx = [i for i, t in enumerate(trial_set.trials) if t.session_id in spec.test_sessions]
-        return trial_set.subset(train_idx), trial_set.subset(test_idx)
-    # kfold: seeded shuffle, then contiguous folds with sizes differing by <= 1.
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    perm = rng.permutation(n)
-    base, extra = divmod(n, spec.n_folds)
-    start = 0
-    folds = []
-    for f in range(spec.n_folds):
+            raise DataError(f"unknown sessions {sorted(missing)}; have {sessions}")
+        train = np.isin(trial_set.session_ids, spec.train_sessions)
+        test = np.isin(trial_set.session_ids, spec.test_sessions)
+    else:
+        # kfold: seeded shuffle, then contiguous folds with sizes differing by <= 1.
+        perm = np.random.Generator(np.random.PCG64(spec.seed)).permutation(n)
+        base, extra = divmod(n, spec.n_folds)
+        f = spec.fold_index
+        start = f * base + min(f, extra)
         stop = start + base + (1 if f < extra else 0)
-        folds.append(perm[start:stop])
-        start = stop
-    test_idx = sorted(int(i) for i in folds[spec.fold_index])
-    test_set = set(test_idx)
-    train_idx = [i for i in range(n) if i not in test_set]
-    return trial_set.subset(train_idx), trial_set.subset(test_idx)
+        test = np.zeros(n, dtype=bool)
+        test[perm[start:stop]] = True
+        train = ~test
+    return trial_set.subset(np.flatnonzero(train)), trial_set.subset(np.flatnonzero(test))
 
 
 # -- fatigue labeling ---------------------------------------------------------
@@ -258,23 +244,13 @@ class ChannelStats:
 
 def zscore_fit(train: TrialSet) -> ChannelStats:
     """Per-channel mean/std over the train split only."""
-    if not train.trials:
+    if not len(train):
         raise DataError("cannot fit normalization on an empty set")
-    stacked = np.stack([t.samples for t in train.trials])  # (N, C, T)
-    mean = stacked.mean(axis=(0, 2))
-    std = stacked.std(axis=(0, 2))
+    mean = train.x.mean(axis=(0, 2))
+    std = train.x.std(axis=(0, 2))
     std = np.where(std < 1e-8, 1.0, std)
     return ChannelStats(mean=mean.astype(np.float32), std=std.astype(np.float32))
 
 
 def zscore_apply(trial_set: TrialSet, stats: ChannelStats) -> TrialSet:
-    normalized = [
-        EEGTrial(
-            samples=(t.samples - stats.mean[:, None]) / stats.std[:, None],
-            label=t.label,
-            subject_id=t.subject_id,
-            session_id=t.session_id,
-        )
-        for t in trial_set.trials
-    ]
-    return TrialSet(trials=normalized, n_classes=trial_set.n_classes, class_names=trial_set.class_names)
+    return dataclasses.replace(trial_set, x=(trial_set.x - stats.mean[:, None]) / stats.std[:, None])

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import no_grad
+from .autodiff import default_dtype, no_grad
 from .data import TrialSet, trials_to_arrays
 from .errors import ConfigurationError, DataError, NumericalError
 
@@ -38,8 +38,7 @@ class ConfusionMatrix:
 
 def confusion_from_labels(y_true, y_pred, n_classes) -> ConfusionMatrix:
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(np.asarray(y_true), np.asarray(y_pred)):
-        counts[int(t), int(p)] += 1
+    np.add.at(counts, (np.asarray(y_true, dtype=np.intp), np.asarray(y_pred, dtype=np.intp)), 1)
     return ConfusionMatrix(counts)
 
 
@@ -114,17 +113,12 @@ def evaluate(model, test: TrialSet, cfg, batch_size=64) -> EvalReport:
         )
     if test.n_classes != cfg.n_classes:
         raise ConfigurationError("class count mismatch between set and model")
+    x, y = trials_to_arrays(test, dtype=default_dtype())
     preds = np.empty(len(test), dtype=np.int64)
-    trues = np.empty(len(test), dtype=np.int64)
-    from .autodiff import default_dtype
-
     with no_grad():
         for start in range(0, len(test), batch_size):
-            chunk = test.subset(range(start, min(start + batch_size, len(test))))
-            x, y = trials_to_arrays(chunk, dtype=default_dtype())
-            preds[start : start + len(chunk)] = model.predict(x)
-            trues[start : start + len(chunk)] = y
-    return report_from_predictions(trues, preds, cfg.n_classes, subjects=[t.subject_id for t in test.trials])
+            preds[start : start + batch_size] = model.predict(x[start : start + batch_size])
+    return report_from_predictions(y, preds, cfg.n_classes, subjects=test.subject_ids)
 
 
 def report_from_predictions(y_true, y_pred, n_classes, subjects=None) -> EvalReport:
@@ -136,17 +130,12 @@ def report_from_predictions(y_true, y_pred, n_classes, subjects=None) -> EvalRep
         per_class_recall=per_class_recall(cm),
     )
     if subjects is not None:
-        ids = sorted(set(subjects))
+        subjects = np.asarray(subjects)
+        ids = np.unique(subjects)
         if len(ids) >= 2:
-            subjects = np.asarray(subjects)
-            y_true = np.asarray(y_true)
-            y_pred = np.asarray(y_pred)
-            accs = {}
-            for sid in ids:
-                mask = subjects == sid
-                accs[int(sid)] = float((y_true[mask] == y_pred[mask]).mean())
-            report.subject_accs = accs
-            report.std = std_across(list(accs.values()))
+            correct = np.asarray(y_true) == np.asarray(y_pred)
+            report.subject_accs = {int(sid): float(correct[subjects == sid].mean()) for sid in ids}
+            report.std = std_across(report.subject_accs.values())
     return report
 
 

@@ -12,7 +12,6 @@ import numpy as np
 from scipy import signal as _signal
 
 from .autodiff import Tensor, no_grad
-from .data import EEGTrial
 from .errors import DataError
 
 
@@ -55,19 +54,19 @@ def welch_psd(samples, fs, segment_len=None, overlap=0.5, window="hann") -> PsdE
     return PsdEstimate(freqs=freqs, power=power)
 
 
-def branch_psd_report(model, trial: EEGTrial, branch_index, fs=250.0, segment_len=None, overlap=0.5):
+def branch_psd_report(model, samples, branch_index, fs=250.0, segment_len=None, overlap=0.5):
     """PSD of the raw channel average and of each temporal-conv feature map.
 
-    Returns (before, afters): one PsdEstimate for the channel-averaged raw
-    trial and one per temporal filter of the chosen branch (each feature
-    map averaged over channels).
+    `samples` is one trial's (C, T) array. Returns (before, afters): one
+    PsdEstimate for the channel-averaged raw trial and one per temporal
+    filter of the chosen branch (each feature map averaged over channels).
     """
     if not 0 <= branch_index < 4:
         raise DataError(f"branch index {branch_index} out of range [0, 4)")
     branch = model.branches[branch_index]
-    raw = trial.samples.mean(axis=0)
+    raw = samples.mean(axis=0)
     before = welch_psd(raw, fs, segment_len=segment_len, overlap=overlap)
-    x = Tensor(trial.samples[None, None, :, :].astype(np.float64))
+    x = Tensor(samples[None, None].astype(np.float64))
     with no_grad():
         feature_maps = branch.temporal_out(x).data[0]  # (F, C, T)
     afters = [

@@ -65,6 +65,20 @@ def _check_dims(run: RunConfig, trial_set):
         )
 
 
+def _load_split(run: RunConfig):
+    """The run's (train, test) sets: loaded, checked against the model,
+    split, and z-scored with the train set's statistics when asked."""
+    full = load_run_data(run)
+    _check_dims(run, full)
+    train_set, test_set = split(full, run.split)
+    if not len(train_set):
+        raise ConfigurationError("train split is empty")
+    if run.train.normalize:
+        stats = zscore_fit(train_set)
+        train_set, test_set = zscore_apply(train_set, stats), zscore_apply(test_set, stats)
+    return train_set, test_set
+
+
 def train_run(run: RunConfig, stop_at_train_acc=None, on_epoch=None) -> TrainResult:
     """Run training per the config; returns the final model and artifacts.
 
@@ -73,16 +87,7 @@ def train_run(run: RunConfig, stop_at_train_acc=None, on_epoch=None) -> TrainRes
     set, is called with (epoch, train_loss, train_acc) after each epoch.
     """
     run.validate()
-    full = load_run_data(run)
-    _check_dims(run, full)
-    train_set, test_set = split(full, run.split)
-    if not train_set.trials:
-        raise ConfigurationError("train split is empty")
-    if run.train.normalize:
-        stats = zscore_fit(train_set)
-        train_set = zscore_apply(train_set, stats)
-        if test_set.trials:
-            test_set = zscore_apply(test_set, stats)
+    train_set, test_set = _load_split(run)
 
     model = CsanetModel(run.model, rng=rngs.substream(run.seed, rngs.STREAM_INIT))
     optimizer = AdamState(lr=run.train.lr)
@@ -99,7 +104,7 @@ def train_run(run: RunConfig, stop_at_train_acc=None, on_epoch=None) -> TrainRes
     write_config(run, os.path.join(run.out_dir, "run.cfg"))
 
     params = list(model.parameters())
-    n = len(train_set.trials)
+    n = len(train_set)
     batch = run.train.batch_size
     losses = []
     final_acc = float("nan")
@@ -119,7 +124,7 @@ def train_run(run: RunConfig, stop_at_train_acc=None, on_epoch=None) -> TrainRes
             epoch_loss = 0.0
             steps = 0
             for start in range(0, n, batch):
-                chunk = train_set.subset(order[start : start + batch].tolist())
+                chunk = train_set.subset(order[start : start + batch])
                 chunk = sr_augment(chunk, sr_effective, augment_rng)
                 x, y = trials_to_arrays(chunk, dtype=default_dtype())
                 logits = model(Tensor(x), training=True, rng=dropout_rng)
@@ -138,11 +143,11 @@ def train_run(run: RunConfig, stop_at_train_acc=None, on_epoch=None) -> TrainRes
                 epoch_loss += loss_value
                 steps += 1
             mean_loss = epoch_loss / steps
-            train_acc = _eval_accuracy(model, train_set, run.model)
+            train_acc = evaluate(model, train_set, run.model).acc
             row = f"{epoch},{mean_loss!r},{train_acc!r}"
             if run.train.eval_every > 0:
-                if test_set.trials and epoch % run.train.eval_every == 0:
-                    row += f",{_eval_accuracy(model, test_set, run.model)!r}"
+                if len(test_set) and epoch % run.train.eval_every == 0:
+                    row += f",{evaluate(model, test_set, run.model).acc!r}"
                 else:
                     row += ","
             log.write(row + "\n")
@@ -167,20 +172,7 @@ def train_run(run: RunConfig, stop_at_train_acc=None, on_epoch=None) -> TrainRes
     )
 
 
-def _eval_accuracy(model, trial_set, model_cfg):
-    # Batch 64 keeps the im2col working set modest at realistic C and T.
-    report = evaluate(model, trial_set, model_cfg, batch_size=64)
-    return report.acc
-
-
 def eval_run(run: RunConfig, model) -> "EvalReport":
     """Evaluate a model on the run's test split (train split when empty)."""
-    full = load_run_data(run)
-    _check_dims(run, full)
-    train_set, test_set = split(full, run.split)
-    if run.train.normalize:
-        stats = zscore_fit(train_set)
-        test_set = zscore_apply(test_set, stats) if test_set.trials else test_set
-        train_set = zscore_apply(train_set, stats)
-    target = test_set if test_set.trials else train_set
-    return evaluate(model, target, run.model)
+    train_set, test_set = _load_split(run)
+    return evaluate(model, test_set if len(test_set) else train_set, run.model)

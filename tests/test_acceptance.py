@@ -26,7 +26,7 @@ from csanet.config import (
     TcnConfig,
     TrainConfig,
 )
-from csanet.data import EEGTrial, TrialSet, read_eegd, write_eegd
+from csanet.data import TrialSet, read_eegd, write_eegd
 from csanet.metrics import ConfusionMatrix, accuracy, kappa, std_across
 from csanet.model import CsanetModel, count_parameters
 from csanet.psd import welch_psd
@@ -165,23 +165,25 @@ def test_criterion_05_sr_contract():
     rng = np.random.Generator(np.random.PCG64(505))
     C, T, S = 2, 16, 4
     bounds = segment_bounds(T, S)
-    pool = [
-        EEGTrial(samples=rng.standard_normal((C, T)).astype(np.float32), label=int(rng.integers(0, 3)))
-        for _ in range(24)
-    ]
+    pool_x = np.empty((24, C, T), dtype=np.float32)
+    pool_labels = np.empty(24, dtype=np.int64)
+    for j in range(24):  # per trial: samples, then label
+        pool_x[j] = rng.standard_normal((C, T))
+        pool_labels[j] = rng.integers(0, 3)
     for batch_seed in range(1000):
         batch_rng = np.random.Generator(np.random.PCG64(batch_seed))
-        idx = batch_rng.choice(len(pool), size=6, replace=False)
-        batch = TrialSet(trials=[pool[i] for i in idx], n_classes=3)
+        idx = batch_rng.choice(len(pool_x), size=6, replace=False)
+        batch = TrialSet(x=pool_x[idx], labels=pool_labels[idx], n_classes=3)
         out = sr_augment(batch, SrConfig(segments=S), batch_rng)
-        assert len(out.trials) == 2 * len(batch.trials)
-        for i, synth in enumerate(out.trials[len(batch.trials) :]):
-            assert synth.label == batch.trials[i].label
-            donors = [t for t in batch.trials if t.label == synth.label]
+        assert len(out) == 2 * len(batch)
+        for i, synth in enumerate(out.x[len(batch) :]):
+            label = out.labels[len(batch) + i]
+            assert label == batch.labels[i]
+            donors = batch.x[batch.labels == label]
             for start_s, stop_s in bounds:
-                seg = synth.samples[:, start_s:stop_s].tobytes()
+                seg = synth[:, start_s:stop_s].tobytes()
                 assert any(
-                    d.samples[:, start_s:stop_s].tobytes() == seg for d in donors
+                    d[:, start_s:stop_s].tobytes() == seg for d in donors
                 ), "synthetic segment must be bit-identical to a same-slot donor segment"
     elapsed = time.time() - start
     assert elapsed < 30.0, f"S&R contract suite took {elapsed:.0f}s"
@@ -320,16 +322,12 @@ def test_criterion_12_roundtrip_fuzzing(tmp_path):
         n = int(rng.integers(0, 5))
         c = int(rng.integers(1, 4))
         t = int(rng.integers(1, 8))
-        trials = [
-            EEGTrial(
-                samples=rng.standard_normal((c, t)).astype(np.float32),
-                label=int(rng.integers(0, 3)),
-                subject_id=int(rng.integers(0, 5)),
-                session_id=int(rng.integers(0, 4)),
-            )
-            for _ in range(n)
-        ]
-        original = TrialSet(trials=trials, n_classes=3)
+        x = np.empty((n, c, t), dtype=np.float32)
+        ids = np.empty((3, n), dtype=np.int64)
+        for j in range(n):  # per trial: samples, label, subject, session
+            x[j] = rng.standard_normal((c, t))
+            ids[:, j] = rng.integers(0, 3), rng.integers(0, 5), rng.integers(0, 4)
+        original = TrialSet(x=x, labels=ids[0], n_classes=3, subject_ids=ids[1], session_ids=ids[2])
         path = tmp_path / "fuzz.eegd"
         write_eegd(original, path)
         first = path.read_bytes()

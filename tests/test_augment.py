@@ -7,17 +7,14 @@ from hypothesis import strategies as st
 
 from csanet.augment import segment_bounds, sr_augment
 from csanet.config import SrConfig
-from csanet.data import EEGTrial, TrialSet
+from csanet.data import TrialSet
 from csanet.errors import ConfigurationError
 
 
 def make_set(labels, C=2, T=16, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
-    trials = [
-        EEGTrial(samples=rng.standard_normal((C, T)).astype(np.float32), label=lab)
-        for lab in labels
-    ]
-    return TrialSet(trials=trials, n_classes=max(labels) + 1)
+    x = np.stack([rng.standard_normal((C, T)).astype(np.float32) for _ in labels])
+    return TrialSet(x=x, labels=labels, n_classes=max(labels) + 1)
 
 
 class TestSegmentBounds:
@@ -43,8 +40,8 @@ class TestSrAugment:
     def test_output_doubles_batch(self):
         batch = make_set([0, 0, 1, 1])
         out = sr_augment(batch, SrConfig(segments=8), np.random.default_rng(0))
-        assert len(out.trials) == 8
-        assert [t.label for t in out.trials[:4]] == [t.label for t in batch.trials]
+        assert len(out) == 8
+        assert out.labels[:4].tolist() == batch.labels.tolist()
 
     def test_disabled_is_identity(self):
         batch = make_set([0, 1])
@@ -54,9 +51,8 @@ class TestSrAugment:
     def test_single_donor_per_class_reproduces_source(self):
         batch = make_set([0, 1, 2])
         out = sr_augment(batch, SrConfig(segments=4), np.random.default_rng(7))
-        for orig, synth in zip(batch.trials, out.trials[3:]):
-            assert synth.label == orig.label
-            np.testing.assert_array_equal(synth.samples, orig.samples)
+        np.testing.assert_array_equal(out.labels[3:], batch.labels)
+        np.testing.assert_array_equal(out.x[3:], batch.x)
 
     def test_seeded_replay_matches_documented_draw_order(self):
         # Reconstruct the expected synthetic trials by replaying the
@@ -69,28 +65,26 @@ class TestSrAugment:
 
         replay = np.random.Generator(np.random.PCG64(seed))
         by_class = {}
-        for idx, t in enumerate(batch.trials):
-            by_class.setdefault(t.label, []).append(idx)
+        for idx, label in enumerate(batch.labels):
+            by_class.setdefault(label, []).append(idx)
         bounds = segment_bounds(13, 2)
-        for anchor_i, anchor in enumerate(batch.trials):
-            expected = np.empty_like(anchor.samples)
+        for anchor_i, label in enumerate(batch.labels):
+            expected = np.empty_like(batch.x[anchor_i])
             for start, stop in bounds:
-                donors = by_class[anchor.label]
+                donors = by_class[label]
                 pick = donors[int(replay.integers(0, len(donors)))]
-                expected[:, start:stop] = batch.trials[pick].samples[:, start:stop]
-            np.testing.assert_array_equal(out.trials[len(batch.trials) + anchor_i].samples, expected)
+                expected[:, start:stop] = batch.x[pick, :, start:stop]
+            np.testing.assert_array_equal(out.x[len(batch) + anchor_i], expected)
 
     def test_two_trial_recombination_is_slotwise(self):
-        a = EEGTrial(samples=np.tile([[1.0], [10.0]], (1, 8)).astype(np.float32), label=0)
-        b = EEGTrial(samples=np.tile([[2.0], [20.0]], (1, 8)).astype(np.float32), label=0)
-        batch = TrialSet(trials=[a, b], n_classes=1)
+        a = np.tile([[1.0], [10.0]], (1, 8)).astype(np.float32)
+        b = np.tile([[2.0], [20.0]], (1, 8)).astype(np.float32)
+        batch = TrialSet(x=np.stack([a, b]), labels=[0, 0], n_classes=1)
         out = sr_augment(batch, SrConfig(segments=2), np.random.default_rng(5))
-        for synth in out.trials[2:]:
+        for synth in out.x[2:]:
             for start, stop in segment_bounds(8, 2):
-                seg = synth.samples[:, start:stop]
-                assert np.array_equal(seg, a.samples[:, start:stop]) or np.array_equal(
-                    seg, b.samples[:, start:stop]
-                )
+                seg = synth[:, start:stop]
+                assert np.array_equal(seg, a[:, start:stop]) or np.array_equal(seg, b[:, start:stop])
 
     @given(
         labels=st.lists(st.integers(0, 2), min_size=1, max_size=10),
@@ -101,20 +95,20 @@ class TestSrAugment:
     def test_membership_and_purity_properties(self, labels, segments, seed):
         batch = make_set(labels, C=2, T=16, seed=1)
         out = sr_augment(batch, SrConfig(segments=segments), np.random.Generator(np.random.PCG64(seed)))
-        assert len(out.trials) == 2 * len(labels)
+        assert len(out) == 2 * len(labels)
         bounds = segment_bounds(16, segments)
-        for i, synth in enumerate(out.trials[len(labels) :]):
-            assert synth.label == labels[i]
-            same_class = [t for t in batch.trials if t.label == synth.label]
+        for i, (synth, label) in enumerate(zip(out.x[len(labels) :], out.labels[len(labels) :])):
+            assert label == labels[i]
+            same_class = batch.x[batch.labels == label]
             for start, stop in bounds:
-                seg = synth.samples[:, start:stop]
+                seg = synth[:, start:stop]
                 assert any(
-                    np.array_equal(seg, donor.samples[:, start:stop]) for donor in same_class
+                    np.array_equal(seg, donor[:, start:stop]) for donor in same_class
                 ), "segment must be bit-identical to a same-class donor at the same slot"
 
     def test_determinism_per_seed(self):
         batch = make_set([0, 1, 0, 1])
         out1 = sr_augment(batch, SrConfig(), np.random.Generator(np.random.PCG64(4)))
         out2 = sr_augment(batch, SrConfig(), np.random.Generator(np.random.PCG64(4)))
-        for t1, t2 in zip(out1.trials, out2.trials):
-            assert t1.samples.tobytes() == t2.samples.tobytes()
+        for t1, t2 in zip(out1.x, out2.x):
+            assert t1.tobytes() == t2.tobytes()

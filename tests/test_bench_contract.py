@@ -1,4 +1,5 @@
-"""Every name the benchmark's tracer binds by name still resolves in csanet.
+"""Every name the benchmark's tracer binds by name still resolves in csanet,
+and the program still calls what the benchmark hooks the way it hooks it.
 
 perfbench/trace.py wraps ops, calls and methods it looks up with getattr;
 a rename or deletion in csanet would crash the traced benchmark run. This
@@ -9,6 +10,7 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -33,3 +35,48 @@ def test_ops_and_calls_resolve(module, function, span):
 def test_methods_resolve(module, cls, method, span):
     # The tracer rebinds the method found in the class's own __dict__.
     assert callable(getattr(csanet_module(module), cls).__dict__[method]), span
+
+
+def counting(fn, calls):
+    def wrapper(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_step_clock_hooks_are_called_once_per_step(tmp_path, monkeypatch):
+    # PaperTrain.load times a step from train.sr_augment to train.adam_step
+    # by rebinding both names in csanet.train; train_run must call them
+    # through those globals, once per step.
+    from csanet import augment, optim, train
+    from test_train import tiny_run
+
+    calls = []
+    monkeypatch.setattr(train, "sr_augment", counting(augment.sr_augment, calls))
+    monkeypatch.setattr(train, "adam_step", counting(optim.adam_step, calls))
+    run = tiny_run(tmp_path / "run", epochs=1)
+    run.train.batch_size = 12  # all 12 trials in one step
+    assert train.train_run(run).epochs_run == 1
+    assert calls == ["sr_augment", "adam_step"]
+
+
+def test_evaluate_accepts_read_eegd_result(tmp_path):
+    # PaperEval passes read_eegd's result of a file written by the
+    # benchmark's own EEGD writer straight to metrics.evaluate.
+    from csanet import data, metrics
+    from csanet.model import CsanetModel
+    from csanet.verification import mini_model_config
+
+    inputs = importlib.import_module("perfbench.inputs")
+    cfg = mini_model_config()
+    cfg.n_classes = len(inputs.CLASS_BANDS)
+    x, y = inputs.make_trials(7, "heldout", 3, cfg.channels, cfg.time_steps)
+    path = tmp_path / "heldout.eegd"
+    inputs.write_eegd(path, x, y)
+    test = data.read_eegd(path)
+    assert len(test) == len(y)
+    model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(0)))
+    report = metrics.evaluate(model, test, cfg, batch_size=5)
+    assert report.confusion.total == len(y)
+    np.testing.assert_array_equal(report.confusion.counts.sum(axis=1), np.bincount(y, minlength=cfg.n_classes))

@@ -37,12 +37,12 @@ def test_synth_and_augment_roundtrip(run_cfg_path, tmp_path):
     out = str(tmp_path / "synth_out")
     assert main(["synth", "--config", run_cfg_path, "--out", out]) == 0
     data = read_eegd(os.path.join(out, "synth.eegd"))
-    assert len(data.trials) == 6
+    assert len(data) == 6
 
     aug_out = str(tmp_path / "aug_out")
     assert main(["augment", "--config", run_cfg_path, "--out", aug_out]) == 0
     augmented = read_eegd(os.path.join(aug_out, "augmented.eegd"))
-    assert len(augmented.trials) == 12
+    assert len(augmented) == 12
 
 
 def test_train_then_eval_reports_are_byte_identical(run_cfg_path, tmp_path, capsys):

@@ -147,7 +147,7 @@ class TestReports:
 
 class TestEvaluate:
     def test_dim_mismatch_is_config_error(self):
-        from csanet.data import EEGTrial, TrialSet
+        from csanet.data import TrialSet
         from csanet.errors import ConfigurationError
         from csanet.metrics import evaluate
         from csanet.model import CsanetModel
@@ -155,9 +155,6 @@ class TestEvaluate:
 
         cfg = mini_model_config()
         model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(0)))
-        wrong = TrialSet(
-            trials=[EEGTrial(samples=np.zeros((5, 64), dtype=np.float32), label=0)],
-            n_classes=cfg.n_classes,
-        )
+        wrong = TrialSet(x=np.zeros((1, 5, 64), dtype=np.float32), labels=[0], n_classes=cfg.n_classes)
         with pytest.raises(ConfigurationError):
             evaluate(model, wrong, cfg)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from csanet.data import EEGTrial, synth_generate
+from csanet.data import synth_generate
 from csanet.errors import DataError
 from csanet.model import CsanetModel
 from csanet.psd import branch_psd_report, psd_series_to_csv, welch_psd
@@ -63,7 +63,7 @@ class TestBranchReport:
         w[:, 0, 0, (k - 1) // 2] = 1.0  # centered single-tap kernel = identity
         branch.temporal_conv.weight.data = w
         rng = np.random.Generator(np.random.PCG64(3))
-        trial = EEGTrial(samples=rng.standard_normal((3, 64)).astype(np.float32), label=0)
+        trial = rng.standard_normal((3, 64)).astype(np.float32)
         before, afters = branch_psd_report(model, trial, 0, fs=250.0, segment_len=64)
         for after in afters:
             mask = before.power > before.power.max() * 1e-3
@@ -75,7 +75,7 @@ class TestBranchReport:
         model.branch2.temporal_conv.weight.data = np.zeros_like(
             model.branch2.temporal_conv.weight.data
         )
-        trial = EEGTrial(samples=np.ones((3, 64), dtype=np.float32), label=0)
+        trial = np.ones((3, 64), dtype=np.float32)
         _, afters = branch_psd_report(model, trial, 1, fs=250.0, segment_len=64)
         for after in afters:
             np.testing.assert_array_equal(after.power, 0.0)
@@ -99,10 +99,10 @@ class TestBranchReport:
             ),
             rng=np.random.Generator(np.random.PCG64(0)),
         )
-        for trial in data.trials:
+        for trial, label in zip(data.x, data.labels):
             before, _ = branch_psd_report(model, trial, 0, fs=SYNTH_SAMPLE_RATE, segment_len=256)
             bin_width = before.freqs[1] - before.freqs[0]
-            assert abs(before.peak_hz() - SYNTH_CLASS_FREQS[trial.label]) <= bin_width
+            assert abs(before.peak_hz() - SYNTH_CLASS_FREQS[label]) <= bin_width
 
     def test_csv_layout(self):
         est = welch_psd(np.ones(32), fs=10.0, segment_len=16)

@@ -117,3 +117,16 @@ def test_non_finite_loss_aborts_with_diagnostic(tmp_path):
     run.train.lr = 1e20  # guaranteed divergence
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="non-finite training loss"):
         train_run(run)
+
+
+def test_empty_train_split_is_config_error_for_train_and_eval(tmp_path):
+    from csanet.errors import ConfigurationError
+    from csanet.train import eval_run
+
+    run = tiny_run(tmp_path / "empty", epochs=1)
+    model = CsanetModel(run.model, rng=substream(run.seed, "init"))
+    run.split = SplitSpec(strategy="loso", held_out_subject=1)  # the only subject
+    with pytest.raises(ConfigurationError, match="train split is empty"):
+        train_run(run)
+    with pytest.raises(ConfigurationError, match="train split is empty"):
+        eval_run(run, model)
