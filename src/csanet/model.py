@@ -2,9 +2,10 @@
 
 Each branch pairs one temporal kernel scale with its own spatial feature
 extractor (temporal conv -> batch norm -> depthwise channel conv, run
-spatial-first as one op, then a pooled spatial-refinement conv). Branch
-outputs are fused by attention (the first branch attends to itself
-densely; the others run sparse cross-attention), passed through
+spatial-first as one op, then a pooled spatial-refinement conv; each of
+the two stages ends in one fused batch norm -> ELU -> pool -> dropout
+op). Branch outputs are fused by attention (the first branch attends to
+itself densely; the others run sparse cross-attention), passed through
 per-branch temporal convolutional networks, and classified from the
 concatenated readouts.
 """
@@ -78,6 +79,15 @@ class Branch(Layer):
     ops.conv1d_dilated on the (B, width, T/p1) map, its (Cout, width, 1, K)
     weight read as (Cout, width, K), after same_pad_time's padding; the
     Conv2d layer holds the parameter, so its name and shape are unchanged.
+
+    The stem and spa_conv are each followed by the same tail, batch norm ->
+    ELU -> (1, p) mean pool -> dropout, run as one op, ops.bn_elu_pool
+    (pools p1 and p2). It is bitwise equal to the four ops composed; the
+    BatchNorm layers bn_depthwise and bn_spa hold its parameters and
+    running buffers.
+
+    In training, lags is the model's lag_prefixes table of the input,
+    shared by the four stems; without it the stem builds its own.
     """
 
     def __init__(self, cfg: ModelConfig, index, rng):
@@ -106,7 +116,7 @@ class Branch(Layer):
         """Temporal conv output alone (used by the PSD inspection report)."""
         return self.temporal_conv(ops.same_pad_time(x, self.temporal_kernel))
 
-    def __call__(self, x, training, rng=None):
+    def __call__(self, x, training, rng=None, lags=None):
         p1, p2 = self.pools
         bn = self.bn_temporal
         h = ops.branch_stem(
@@ -120,19 +130,31 @@ class Branch(Layer):
             training,
             momentum=bn.momentum,
             eps=bn.eps,
+            lags=lags,
         )  # (B, width, 1, T)
-        h = ops.elu(self.bn_depthwise(h, training))
-        h = ops.avg_pool2d(h, kernel=(1, p1), stride=(1, p1))
-        h = ops.dropout(h, self.p_drop, training, rng)
+        h = self._tail(self.bn_depthwise, h, p1, training, rng)
         b, width, _, t1 = h.shape
         cout = self.spa_conv.weight.shape[0]
         w3 = self.spa_conv.weight.reshape((cout, width, self.spa_kernel))
         h = ops.conv1d_dilated(ops.same_pad_time(h.reshape((b, width, t1)), self.spa_kernel), w3)
-        h = ops.elu(self.bn_spa(h.reshape((b, cout, 1, t1)), training))
-        h = ops.avg_pool2d(h, kernel=(1, p2), stride=(1, p2))
-        h = ops.dropout(h, self.p_drop, training, rng)
+        h = self._tail(self.bn_spa, h.reshape((b, cout, 1, t1)), p2, training, rng)
         b, u, _, t0 = h.shape
         return h.reshape((b, u, t0))
+
+    def _tail(self, bn, h, pool, training, rng):
+        return ops.bn_elu_pool(
+            h,
+            bn.gamma,
+            bn.beta,
+            bn.running_mean,
+            bn.running_var,
+            training,
+            pool,
+            self.p_drop,
+            rng,
+            momentum=bn.momentum,
+            eps=bn.eps,
+        )
 
 
 class CsanetModel(Layer):
@@ -203,7 +225,9 @@ class CsanetModel(Layer):
             raise DimensionError(
                 f"expected input (B, 1, {cfg.channels}, {cfg.time_steps}), got {x.shape}"
             )
-        zs = [branch(x, training, rng) for branch in self.branches]
+        # One lag table at the longest kernel serves every branch's statistics.
+        lags = ops.lag_prefixes(x.data, max(cfg.temporal_kernels)) if training else None
+        zs = [branch(x, training, rng, lags) for branch in self.branches]
         ms = self.fuse_branches(zs, training)
         feats = concat(
             [self.tcn_forward(m, branch, training, rng) for m, branch in zip(ms, self.branches)],

@@ -13,9 +13,23 @@ along its taps, so no pass loops over taps. branch_stem fuses a branch's
 temporal conv, batch norm and depthwise channel conv into one op that
 projects channels first and correlates time after, with banded matmuls
 over tiles of the time axis and batch statistics from float64 window
-moments of the input. conv2d and avg_pool2d are general grouped, strided
-im2col/col2im ops; in the model only the pools and the PSD report's
-temporal conv still run them.
+moments of the input; the four branches of one training forward read
+those moments off one lag_prefixes table built at the longest kernel.
+
+bn_elu_pool fuses the tail that follows each branch's stem and its
+spatial-refinement conv (batch norm -> ELU -> (1, p) mean pool ->
+dropout) into one op with a hand-written backward. It is bitwise equal
+to the four ops composed, in float32 and float64, training and eval: it
+takes the same arithmetic steps in the same order on arrays of the same
+memory layout, and draws the dropout mask at the same point of the rng
+stream. Its tape keeps the normalised map, the ELU's negative part and
+the dropout mask; the composition kept four full-size maps and a mask. elu and
+bn_elu_pool share one branch-free ELU kernel (_elu_parts).
+
+conv2d and avg_pool2d are general grouped, strided im2col/col2im ops; in
+the model only multiscale_pool still runs avg_pool2d, and only the PSD
+report's temporal conv runs conv2d. batch_norm, elu and dropout remain
+for the TCN.
 """
 
 import numpy as np
@@ -248,24 +262,40 @@ def _banded(w, tile):
     return band
 
 
-def _window_moments(x, K, left):
+def lag_prefixes(x, max_kernel):
+    """Prefix-sum table behind the window moments of every kernel up to
+    max_kernel over the rows of x (..., T): (n, sums, prods), with n the
+    number of entries of x, sums (T + 1,) the float64 prefix sums of the
+    column sums and prods (max_kernel, T + 1) the prefix sums, per lag d,
+    of the row products x[v] * x[v + d].
+
+    A kernel K <= max_kernel reads its K lags off the same table: each
+    lag's row is the same einsum whichever K asks for it, so a table built
+    once at the largest kernel serves every branch exactly.
+    """
+    T = x.shape[-1]
+    rows = x.reshape(-1, T).astype(np.float64)
+    sums = np.zeros(T + 1)
+    np.cumsum(rows.sum(axis=0), out=sums[1:])
+    prods = np.zeros((max_kernel, T + 1))
+    for d in range(min(max_kernel, T)):
+        prods[d, 1 : T + 1 - d] = np.einsum("nv,nv->v", rows[:, : T - d], rows[:, d:])
+    np.cumsum(prods, axis=1, out=prods)
+    return rows.size, sums, prods
+
+
+def _window_moments(lags, K, left):
     """float64 mean (K,) and second moment (K, K) of the K-sample windows
     of each row of x (..., T), zero-padded by `left` on the left and
-    K - 1 - left on the right, without forming the windows.
+    K - 1 - left on the right, read off x's lag_prefixes table without
+    forming the windows.
 
     Entry k of the window at t is x[t + k - left]. Each lag d = |k - l| of
     S is one pass of row products x[v] * x[v + d]; a window entry pair
     sums those products over a shifted range of v, read off prefix sums.
     """
-    T = x.shape[-1]
-    rows = x.reshape(-1, T).astype(np.float64)
-    n = rows.size
-    sums = np.zeros(T + 1)  # prefix sums of the column sums
-    np.cumsum(rows.sum(axis=0), out=sums[1:])
-    prods = np.zeros((K, T + 1))  # per lag d, prefix sums of x[v] * x[v + d]
-    for d in range(min(K, T)):
-        prods[d, 1 : T + 1 - d] = np.einsum("nv,nv->v", rows[:, : T - d], rows[:, d:])
-    np.cumsum(prods, axis=1, out=prods)
+    n, sums, prods = lags
+    T = sums.size - 1
     start = np.arange(K) - left  # where window entry k sits relative to t
     mean = (sums[np.clip(start + T, 0, T)] - sums[np.clip(start, 0, T)]) / n
     first = np.minimum.outer(start, start)
@@ -274,7 +304,9 @@ def _window_moments(x, K, left):
     return mean, second
 
 
-def branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, training, momentum=0.1, eps=1e-5):
+def branch_stem(
+    x, weight, gamma, beta, running_mean, running_var, depthwise, training, momentum=0.1, eps=1e-5, lags=None
+):
     """One branch's temporal conv -> batch norm -> depthwise channel conv.
 
     x: (B, 1, C, T); weight: (F, 1, 1, K), applied with same_pad_time's
@@ -292,7 +324,9 @@ def branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, tr
     var_f = w_f' S w_f - mean_f^2, from float64 moments m, S of the padded
     input's windows; the running buffers update as batch_norm updates them
     (n = B*C*T). Eval mode reads a_f, c_f off the running buffers. x gets
-    no gradient.
+    no gradient. lags, when given, is lag_prefixes(x.data, K') for some
+    K' >= K, shared by the branches of one forward; without it, training
+    mode builds its own at K.
     """
     x, weight, gamma, beta, depthwise = (_wrap(t) for t in (x, weight, gamma, beta, depthwise))
     if x.ndim != 4 or x.shape[1] != 1:
@@ -327,7 +361,11 @@ def branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, tr
     q = (cols @ band).reshape(F, D, B, tiles * _TILE)[..., :T]
 
     if training:
-        m, S = _window_moments(x.data, K, left)
+        if lags is None:
+            lags = lag_prefixes(x.data, K)
+        elif lags[2].shape[0] < K or lags[1].shape != (T + 1,):
+            raise DimensionError(f"lag table of shape {lags[2].shape} does not cover K={K}, T={T}")
+        m, S = _window_moments(lags, K, left)
         w64 = w.astype(np.float64)
         mean = w64 @ m
         var = np.maximum(np.einsum("fk,kl,fl->f", w64, S, w64) - mean * mean, 0.0)
@@ -381,30 +419,51 @@ def branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, tr
     return _make(out.reshape(B, F * D, 1, T), (x, weight, gamma, beta, depthwise), backward)
 
 
+def _elu_parts(y, out=None):
+    """(neg, ELU(y)) with neg = expm1(min(y, 0)), without a branch on y's sign.
+
+    neg is exactly 0 where y > 0, so neg + max(y, 0) is the ELU (equal to
+    where(y > 0, y, neg) but for the sign of a zero at y = -0.0) and
+    neg + 1 its derivative. np.where under a sign-random mask costs about
+    as much as the rest of the op from branch misprediction. `out` may be
+    y itself.
+    """
+    neg = np.expm1(np.minimum(y, 0.0))
+    pos = np.maximum(y, 0.0, out=out)
+    pos += neg
+    return neg, pos
+
+
 def elu(x):
     """x for x > 0, exp(x) - 1 otherwise."""
     x = _wrap(x)
-    neg = np.expm1(np.minimum(x.data, 0.0))
-    pos_mask = x.data > 0
-    out = np.where(pos_mask, x.data, neg)
+    neg, out = _elu_parts(x.data)
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, g * np.where(pos_mask, np.ones((), dtype=x.dtype), neg + 1.0))
+            _accumulate(x, g * (neg + 1.0))
 
     return _make(out, (x,), backward)
+
+
+def _dropout_keep(shape, p, training, rng, dtype):
+    """Per-entry dropout scale, 0 or 1/(1-p), drawn as rng.random(shape);
+    None (and no draw) when nothing is dropped."""
+    if not 0.0 <= p < 1.0:
+        raise ConfigurationError(f"dropout probability must lie in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return None
+    if rng is None:
+        raise ConfigurationError("dropout in training mode needs an explicit rng stream")
+    return (rng.random(shape) >= p).astype(dtype) / np.asarray(1.0 - p, dtype=dtype)
 
 
 def dropout(x, p, training, rng=None):
     """Zero entries with probability p and rescale survivors by 1/(1-p)."""
     x = _wrap(x)
-    if not 0.0 <= p < 1.0:
-        raise ConfigurationError(f"dropout probability must lie in [0, 1), got {p}")
-    if not training or p == 0.0:
+    keep = _dropout_keep(x.shape, p, training, rng, x.dtype)
+    if keep is None:
         return x
-    if rng is None:
-        raise ConfigurationError("dropout in training mode needs an explicit rng stream")
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / np.asarray(1.0 - p, dtype=x.dtype)
     out = x.data * keep
 
     def backward(g):
@@ -412,6 +471,82 @@ def dropout(x, p, training, rng=None):
             _accumulate(x, g * keep)
 
     return _make(out, (x,), backward)
+
+
+def bn_elu_pool(x, gamma, beta, running_mean, running_var, training, pool, p_drop, rng=None, momentum=0.1, eps=1e-5):
+    """A branch's tail on a (B, C, 1, T) map as one op: batch norm -> ELU ->
+    mean pool over (1, pool) windows at stride pool -> dropout(p_drop).
+
+    Bitwise equal to batch_norm, elu, avg_pool2d(kernel=(1, pool)) and
+    dropout composed, in the output, the gradients of x, gamma and beta and
+    the running buffers, in training and eval mode:
+    - statistics take np.mean's and np.var's own steps (mean, one centring
+      x - mean reused for the normalised map, squares summed, divided by n);
+    - the pool sums a reshape of the first (T // pool) * pool samples and
+      drops the rest, as the pool does, and its backward is a repeat;
+    - the dropout mask is drawn as dropout draws it, before anything else
+      is computed, so the rng stream is unchanged;
+    - every array takes the composition's memory layout (the full-size
+      backward arrays x's own), so each sum here and downstream runs in the
+      composition's order; spa_conv hands in a transposed view.
+    The tape keeps the normalised map, the ELU's negative part and the
+    dropout mask, not the batch-norm, ELU or pool outputs.
+    """
+    x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
+    if x.ndim != 4 or x.shape[2] != 1:
+        raise DimensionError(f"bn_elu_pool expects a (B, C, 1, T) input, got {x.shape}")
+    B, C, _, T = x.shape
+    if gamma.shape != (C,) or beta.shape != (C,):
+        raise DimensionError("gamma/beta must have one entry per channel")
+    if pool < 1:
+        raise ConfigurationError("pooling kernel extents must be positive")
+    if T < pool:
+        raise DimensionError("pooling window larger than padded input")
+    if training and B < 2:
+        raise ConfigurationError("batch_norm in training mode needs a batch of at least 2")
+    wo = T // pool
+    keep = _dropout_keep((B, C, 1, wo), p_drop, training, rng, x.dtype)
+    axes, shape, n = (0, 2, 3), (1, C, 1, 1), B * T
+
+    if training:
+        mean = x.data.mean(axis=axes)
+        xc = x.data - mean.reshape(shape)
+        var = np.square(xc).sum(axis=axes) / n
+        _update_running(running_mean, running_var, mean, var, n, momentum)
+    else:
+        xc = x.data - running_mean.astype(x.dtype).reshape(shape)
+        var = running_var.astype(x.dtype)
+    inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype).reshape(shape)
+    xhat = np.multiply(xc, inv, out=xc)
+    y = gamma.data.reshape(shape) * xhat
+    y += beta.data.reshape(shape)
+    neg, y = _elu_parts(y, out=y)
+    div = np.array(pool, dtype=y.dtype)
+    out = y[..., : wo * pool].reshape(B, C, 1, wo, pool).sum(axis=-1) / div
+    if keep is not None:
+        out = out * keep  # a new array, C-contiguous like dropout's, not in place
+
+    def backward(gout):
+        gpool = gout * keep if keep is not None else gout
+        gy = np.zeros_like(x.data)
+        gy[..., : wo * pool] += np.repeat(gpool / div, pool, axis=-1)
+        gy *= neg + 1.0
+        prod = gy * xhat
+        gsum, psum = gy.sum(axis=axes), prod.sum(axis=axes)
+        if gamma.requires_grad:
+            _accumulate(gamma, psum)
+        if beta.requires_grad:
+            _accumulate(beta, gsum)
+        if not x.requires_grad:
+            return
+        gs = gamma.data.reshape(shape) * inv
+        if training:
+            gy -= (gsum / n).reshape(shape)
+            gy -= np.multiply(xhat, (psum / n).reshape(shape), out=prod)
+        gy *= gs
+        _accumulate(x, gy)
+
+    return _make(out, (x, gamma, beta), backward)
 
 
 def softmax(x, axis=-1):

@@ -191,6 +191,29 @@ def _check_stem():
     return report
 
 
+def _check_tail():
+    """bn_elu_pool in training mode, its dropout mask replayed from a fixed
+    seed on every call, and in eval mode, with T % pool != 0."""
+    rng = _rng(17)
+    params = [
+        Tensor(rng.standard_normal((3, 2, 1, 11))),
+        Tensor(1.0 + 0.1 * rng.standard_normal(2)),
+        Tensor(0.5 * rng.standard_normal(2)),
+    ]
+    rm, rv = 0.1 * rng.standard_normal(2), 1.0 + rng.random(2)
+
+    def closure(x_, g_, b_):
+        losses = []
+        for training in (True, False):
+            out = ops.bn_elu_pool(x_, g_, b_, rm.copy(), rv.copy(), training, 3, 0.5, _rng(112))
+            losses.append(_proj_loss(out, _rng(113 + training)))
+        return losses[0] + losses[1]
+
+    report = grad_check(closure, params)
+    report.labels = ["x", "gamma", "beta"]
+    return report
+
+
 def _check_model_mini():
     cfg = mini_model_config()
     with precision("float64"):
@@ -222,6 +245,7 @@ GRADCHECK_SCOPES = {
     "msca": _check_msca,
     "tcn": _check_tcn,
     "stem": _check_stem,
+    "tail": _check_tail,
     "model-mini": _check_model_mini,
 }
 

@@ -5,6 +5,7 @@ share no code path with the package's im2col/BLAS implementations. The
 exceptions are the paths the model ran before a faster op replaced them,
 built from the package's general ops (which the naive loops here pin):
 oracle_branch_stem, the three-op composition that ops.branch_stem
+replaced, oracle_tail, the four-op composition that ops.bn_elu_pool
 replaced, and oracle_branch_call, a branch whose spatial-refinement conv
 runs through conv2d as it did before conv1d_dilated took it over.
 """
@@ -156,11 +157,14 @@ def naive_multihead_attention(x, y, wq, wk, wv, heads):
     return out
 
 
-def oracle_branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, training, momentum=0.1, eps=1e-5):
+def oracle_branch_stem(
+    x, weight, gamma, beta, running_mean, running_var, depthwise, training, momentum=0.1, eps=1e-5, lags=None
+):
     """Temporal conv -> batch norm -> depthwise channel conv, in that order.
 
     Same signature and result as ops.branch_stem, through the
-    (B, F, C, T) intermediate the factorised op never builds.
+    (B, F, C, T) intermediate the factorised op never builds; batch norm
+    takes its statistics from that intermediate, so lags goes unread.
     """
     kernel = weight.shape[-1]
     h = ops.conv2d(ops.same_pad_time(x, kernel), weight)
@@ -173,7 +177,17 @@ def oracle_spa_conv(h, weight):
     return ops.conv2d(ops.same_pad_time(h, weight.shape[-1]), weight)
 
 
-def oracle_branch_call(branch, x, training, rng=None):
+def oracle_tail(x, gamma, beta, running_mean, running_var, training, pool, p_drop, rng=None, momentum=0.1, eps=1e-5):
+    """Batch norm -> ELU -> (1, pool) mean pool -> dropout, four ops.
+
+    Same signature and result as ops.bn_elu_pool.
+    """
+    h = ops.batch_norm(x, gamma, beta, running_mean, running_var, training, momentum=momentum, eps=eps)
+    h = ops.avg_pool2d(ops.elu(h), kernel=(1, pool), stride=(1, pool))
+    return ops.dropout(h, p_drop, training, rng)
+
+
+def oracle_branch_call(branch, x, training, rng=None, lags=None):
     """model.Branch.__call__ with spa_conv run by oracle_spa_conv."""
     p1, p2 = branch.pools
     bn = branch.bn_temporal
@@ -188,13 +202,10 @@ def oracle_branch_call(branch, x, training, rng=None):
         training,
         momentum=bn.momentum,
         eps=bn.eps,
+        lags=lags,
     )
-    h = ops.elu(branch.bn_depthwise(h, training))
-    h = ops.avg_pool2d(h, kernel=(1, p1), stride=(1, p1))
-    h = ops.dropout(h, branch.p_drop, training, rng)
+    h = branch._tail(branch.bn_depthwise, h, p1, training, rng)
     h = oracle_spa_conv(h, branch.spa_conv.weight)
-    h = ops.elu(branch.bn_spa(h, training))
-    h = ops.avg_pool2d(h, kernel=(1, p2), stride=(1, p2))
-    h = ops.dropout(h, branch.p_drop, training, rng)
+    h = branch._tail(branch.bn_spa, h, p2, training, rng)
     b, u, _, t0 = h.shape
     return h.reshape((b, u, t0))

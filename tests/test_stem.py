@@ -8,8 +8,8 @@ from csanet import ops
 from csanet.autodiff import Tensor, no_grad, precision
 from csanet.checkpoint import load_checkpoint, save_checkpoint
 from csanet.config import ModelConfig
-from csanet.errors import ConfigurationError
-from csanet.model import CsanetModel
+from csanet.errors import ConfigurationError, DimensionError
+from csanet.model import Branch, CsanetModel
 from csanet.verification import mini_model_config
 
 from oracles import oracle_branch_stem
@@ -185,3 +185,64 @@ def test_zero_temporal_weights_give_zero_variance_and_finite_outputs():
     np.testing.assert_array_equal(rm, 0.0)
     np.testing.assert_allclose(rv, 0.9, rtol=0, atol=1e-15)  # (1 - momentum) * 1 + momentum * 0
     assert_close(out, run_stem(oracle_branch_stem, arrays, training=True)[0], "output")
+
+
+def stem_with_lags(arrays, K, lags, dtype):
+    """Training-mode stem output, grads and running buffers, with a given
+    lag table (None: the op builds its own at K)."""
+    with precision(dtype):
+        params = [Tensor(arrays[k].astype(dtype), requires_grad=True) for k in ("weight", "gamma", "beta", "depthwise")]
+        rm, rv = arrays["running_mean"].astype(dtype), arrays["running_var"].astype(dtype)
+        w, g, b, dw = params
+        out = ops.branch_stem(Tensor(arrays["x"].astype(dtype)), w, g, b, rm, rv, dw, True, lags=lags)
+        (out * Tensor(arrays["proj"].astype(dtype))).sum().backward()
+    return [out.data] + [p.grad for p in params] + [rm, rv]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("config", ["mini", "paper"])
+def test_shared_lag_table_is_bitwise_the_per_branch_one(config, dtype):
+    cfg = mini_model_config() if config == "mini" else ModelConfig()
+    x = stem_arrays(73, 2, cfg.channels, cfg.time_steps, 1, 1, 1)["x"]
+    lags = ops.lag_prefixes(x.astype(dtype), max(cfg.temporal_kernels))
+    for index, K in enumerate(cfg.temporal_kernels):
+        arrays = stem_arrays(74 + index, 2, cfg.channels, cfg.time_steps, cfg.temporal_filters[index], cfg.depth_multiplier, K)
+        arrays["x"] = x
+        shared, own = (stem_with_lags(arrays, K, table, dtype) for table in (lags, None))
+        for got, want in zip(shared, own):
+            assert np.array_equal(got, want), f"K={K}"
+
+
+@pytest.mark.parametrize("config", ["mini", "paper"])
+def test_model_forward_shares_one_lag_table_exactly(config, monkeypatch):
+    """A training forward builds one table at the longest kernel; each
+    branch building its own gives the same logits, grads and buffers."""
+    cfg = mini_model_config() if config == "mini" else ModelConfig()
+    built = []
+    lag_prefixes = ops.lag_prefixes
+
+    def spy(x, max_kernel):
+        built.append(max_kernel)
+        return lag_prefixes(x, max_kernel)
+
+    monkeypatch.setattr(ops, "lag_prefixes", spy)
+    shared = model_step(cfg, 41, True, monkeypatch, ops.branch_stem)
+    assert built == [max(cfg.temporal_kernels)]
+    call = Branch.__call__
+    monkeypatch.setattr(Branch, "__call__", lambda self, x, training, rng=None, lags=None: call(self, x, training, rng))
+    own = model_step(cfg, 41, True, monkeypatch, ops.branch_stem)
+    assert sorted(built[2:]) == sorted(cfg.temporal_kernels)  # after the model's own, unread
+    assert np.array_equal(shared[0], own[0])
+    for name, grad in own[1].items():
+        assert (grad is None and shared[1][name] is None) or np.array_equal(shared[1][name], grad), name
+    for name, buf in own[2].items():
+        assert np.array_equal(shared[2][name], buf), name
+
+
+def test_lag_table_shorter_than_the_kernel_is_rejected():
+    arrays = stem_arrays(75, 2, 3, 16, 2, 2, 5)
+    (x, w, g, b), dw = stem_tensors(arrays)
+    with pytest.raises(DimensionError, match="lag table"):
+        ops.branch_stem(
+            x, w, g, b, arrays["running_mean"], arrays["running_var"], dw, True, lags=ops.lag_prefixes(x.data, 4)
+        )

@@ -1,0 +1,164 @@
+"""ops.bn_elu_pool against the batch norm -> ELU -> pool -> dropout
+composition it replaced (oracles.oracle_tail): bitwise, in float32 and
+float64, training and eval."""
+
+import numpy as np
+import pytest
+
+from csanet import ops
+from csanet.autodiff import Tensor, precision
+from csanet.config import ModelConfig
+from csanet.errors import ConfigurationError, DimensionError
+from csanet.model import CsanetModel
+from csanet.train import train_run
+from csanet.verification import mini_model_config
+
+from oracles import oracle_tail
+from test_train import tiny_run
+
+TAILS = (ops.bn_elu_pool, oracle_tail)
+
+# (B, C, T, pool): the default config's two pools (1000/8, then 125/7),
+# the mini config's (64/4, then 16/4), and a small odd one.
+SHAPES = [(2, 32, 1000, 8), (2, 32, 125, 7), (2, 4, 64, 4), (2, 4, 16, 4), (3, 3, 11, 3)]
+
+
+def tail_input(seed, B, C, T, layout, dtype):
+    """A (B, C, 1, T) map, C-contiguous or in the transposed layout that
+    conv1d_dilated returns ((B, T, C) memory read as (B, C, T))."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if layout == "contiguous":
+        x = rng.standard_normal((B, C, 1, T)) + 0.3
+    else:
+        x = (rng.standard_normal((B, T, C)) + 0.3).transpose(0, 2, 1).reshape(B, C, 1, T)
+    return x.astype(dtype)
+
+
+def run_tail(tail, x, dtype, training, pool, p_drop, seed=5):
+    """Forward, backward of a fixed projection: output, grads of x, gamma
+    and beta, both running buffers and the dropout stream's next draw."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    C = x.shape[1]
+    with precision(dtype):
+        xt = Tensor(x, requires_grad=True)
+        gamma = Tensor((1.0 + 0.1 * rng.standard_normal(C)).astype(dtype), requires_grad=True)
+        beta = Tensor((0.2 * rng.standard_normal(C)).astype(dtype), requires_grad=True)
+        rm = (0.1 * rng.standard_normal(C)).astype(dtype)
+        rv = (1.0 + rng.random(C)).astype(dtype)
+        drop_rng = np.random.Generator(np.random.PCG64(seed + 1))
+        out = tail(xt, gamma, beta, rm, rv, training, pool, p_drop, drop_rng)
+        proj = rng.standard_normal(out.shape).astype(dtype)
+        (out * Tensor(proj)).sum().backward()
+    return [out.data, xt.grad, gamma.grad, beta.grad, rm, rv, np.asarray(drop_rng.random())]
+
+
+@pytest.mark.parametrize("p_drop", [0.0, 0.5])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shape", SHAPES, ids=[f"T{s[2]}p{s[3]}" for s in SHAPES])
+def test_tail_is_bitwise_the_composition(shape, dtype, layout, training, p_drop):
+    B, C, T, pool = shape
+    x = tail_input(T, B, C, T, layout, dtype)
+    got, want = (run_tail(tail, x, dtype, training, pool, p_drop) for tail in TAILS)
+    names = ("output", "x grad", "gamma grad", "beta grad", "running mean", "running var", "next rng draw")
+    for name, g, w in zip(names, got, want):
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), f"{name} differs"
+        # Downstream sums run in memory order, so the layout must match too.
+        assert g.strides == w.strides, f"{name} layout differs"
+    assert got[0].shape == (B, C, 1, T // pool)
+
+
+def model_step(cfg, dtype, training, monkeypatch, tail):
+    """Logits, named grads and named buffers of one forward/backward at B=2."""
+    monkeypatch.setattr(ops, "bn_elu_pool", tail)
+    with precision(dtype):
+        model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(60)))
+        rng = np.random.Generator(np.random.PCG64(61))
+        x = Tensor(rng.standard_normal((2, 1, cfg.channels, cfg.time_steps)).astype(dtype))
+        logits = model(x, training=training, rng=np.random.Generator(np.random.PCG64(62)))
+        ops.cross_entropy(logits, np.array([0, 1])).backward()
+    grads = {name: p.grad for name, p in model.named_parameters()}
+    return logits.data, grads, dict(model.named_buffers())
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("config", ["mini", "default"])
+def test_model_is_bitwise_the_oracle_tail_model(config, dtype, training, monkeypatch):
+    cfg = mini_model_config() if config == "mini" else ModelConfig()
+    if config == "mini":
+        cfg.conv_dropout = 0.5  # mini turns dropout off; exercise the mask
+    got, want = (model_step(cfg, dtype, training, monkeypatch, tail) for tail in TAILS)
+    assert np.array_equal(got[0], want[0]), "logits"
+    assert got[1].keys() == want[1].keys()
+    for name, grad in want[1].items():
+        if grad is None:
+            assert got[1][name] is None, name
+        else:
+            assert np.array_equal(got[1][name], grad), name
+    for name, buf in want[2].items():
+        assert np.array_equal(got[2][name], buf), name
+
+
+def test_training_step_runs_the_four_ops_only_outside_the_branches(tmp_path, monkeypatch):
+    """The TCN and multiscale_pool still call elu, batch_norm, dropout and
+    avg_pool2d; no branch map of length T or T/p1 reaches them."""
+    run = tiny_run(tmp_path / "run", epochs=1)
+    run.train.batch_size = 12  # all 12 trials: one step, plus the epoch's train-set eval
+    cfg = run.model
+    names = ("elu", "batch_norm", "dropout", "avg_pool2d")
+    calls = {name: [] for name in names}
+    for name in names:
+        def spy(x, *args, _op=getattr(ops, name), _name=name, **kwargs):
+            calls[_name].append(x.shape)
+            return _op(x, *args, **kwargs)
+
+        monkeypatch.setattr(ops, name, spy)
+    forwards = []
+    model_call = CsanetModel.__call__
+
+    def count_forward(self, x, training=False, rng=None):
+        forwards.append(x.shape[0])
+        return model_call(self, x, training, rng)
+
+    monkeypatch.setattr(CsanetModel, "__call__", count_forward)
+    result = train_run(run)
+    assert result.epochs_run == 1
+    assert forwards  # the step and the train-set eval
+    n_tcn = 4 * 2 * len(cfg.tcn.dilations)  # per forward: 4 branches, 2 convs per block
+    n_pool = 4 * len(cfg.attention.pool_kernels)  # per forward: each branch's keys/values
+    for name, per_forward in (("elu", n_tcn), ("batch_norm", n_tcn), ("dropout", n_tcn), ("avg_pool2d", n_pool)):
+        assert len(calls[name]) == per_forward * len(forwards), name
+        for b, shape in zip(np.repeat(forwards, per_forward), calls[name]):
+            expected = (b, cfg.tcn.filters, cfg.t0) if name != "avg_pool2d" else (b, cfg.attention.embed_dim, 1, cfg.t0)
+            assert shape == expected, name
+
+
+def test_tape_keeps_two_full_size_arrays():
+    B, C, T, pool = 4, 8, 64, 4
+    x = Tensor(tail_input(1, B, C, T, "contiguous", "float64"), requires_grad=True)
+    gamma, beta = Tensor(np.ones(C)), Tensor(np.zeros(C))
+    out = ops.bn_elu_pool(x, gamma, beta, np.zeros(C), np.ones(C), True, pool, 0.5, np.random.default_rng(0))
+    held = [c.cell_contents for c in out._backward.__closure__]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    assert sorted(a.size for a in arrays if a.size >= B * C * T // pool) == [B * C * T // pool, B * C * T, B * C * T]
+
+
+def test_errors_match_the_composition():
+    x = Tensor(tail_input(2, 1, 3, 8, "contiguous", "float64"))
+    gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
+    for tail in TAILS:
+        with pytest.raises(ConfigurationError, match="batch of at least 2"):
+            tail(x, gamma, beta, np.zeros(3), np.ones(3), True, 2, 0.0)
+    x2 = Tensor(tail_input(2, 2, 3, 8, "contiguous", "float64"))
+    for tail in TAILS:
+        with pytest.raises(ConfigurationError, match="explicit rng"):
+            tail(x2, gamma, beta, np.zeros(3), np.ones(3), True, 2, 0.5)
+        with pytest.raises(ConfigurationError, match="dropout probability"):
+            tail(x2, gamma, beta, np.zeros(3), np.ones(3), False, 2, 1.0)
+    with pytest.raises(DimensionError):
+        ops.bn_elu_pool(x2, gamma, beta, np.zeros(3), np.ones(3), False, 9, 0.0)
+    with pytest.raises(DimensionError):
+        ops.bn_elu_pool(Tensor(np.zeros((2, 3, 2, 8))), gamma, beta, np.zeros(3), np.ones(3), False, 2, 0.0)
