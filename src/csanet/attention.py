@@ -75,7 +75,7 @@ def multiscale_pool(y: Tensor, cfg: AttentionConfig) -> Tensor:
     for k, p in zip(cfg.pool_kernels, cfg.pool_pads):
         if 2 * p != k - 1:
             raise ConfigurationError(f"pool kernel {k} with pad {p} changes the pooled length")
-        pooled = ops.avg_pool2d(y4, kernel=(1, k), stride=(1, 1), padding=(0, p), include_pad=True)
+        pooled = ops.avg_pool2d(y4, k, stride=1, padding=p)
         total = pooled if total is None else total + pooled
     return total.reshape((b, u, t0))
 

@@ -16,9 +16,9 @@ from . import rng as rngs
 from .augment import sr_augment
 from .autodiff import set_default_dtype
 from .checkpoint import load_checkpoint
-from .config import RunConfig, read_config
+from .config import RunConfig, apply_flat, read_config
 from .data import write_eegd
-from .errors import ConfigurationError, CsanetError, DataError, DimensionError, FormatError, NumericalError
+from .errors import ConfigurationError, CsanetError, DataError, NumericalError
 from .metrics import report_to_csv, report_to_json
 from .psd import branch_psd_report, psd_series_to_csv
 from .train import eval_run, load_run_data, train_run
@@ -29,15 +29,16 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# Table of ablation variants: which toggles each one switches off.
+# Table of ablation variants: which model config toggles (dotted keys)
+# each one switches off.
 ABLATION_NETS = {
     "net1": (),
     "net2": ("sr_enabled",),
     "net3": ("tcn_enabled",),
     "net4": ("residual_enabled",),
-    "net5": ("topk_enabled", "msca_pool_enabled"),
-    "net6": ("msca_pool_enabled",),
-    "net7": ("topk_enabled",),
+    "net5": ("attention.topk_enabled", "attention.multiscale_pool_enabled"),
+    "net6": ("attention.multiscale_pool_enabled",),
+    "net7": ("attention.topk_enabled",),
 }
 
 
@@ -185,7 +186,7 @@ def apply_ablation(run: RunConfig, net: str) -> RunConfig:
         raise KeyError(net)
     out = copy.deepcopy(run)
     for toggle in ABLATION_NETS[key]:
-        setattr(out.model, toggle, False)
+        apply_flat(out.model, toggle, "false")
     return out
 
 
@@ -240,9 +241,6 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigurationError, DataError, DimensionError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except CsanetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

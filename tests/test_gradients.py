@@ -7,7 +7,9 @@ from csanet import ops
 from csanet.autodiff import Tensor
 from csanet.errors import NumericalError
 from csanet.gradcheck import grad_check
-from csanet.verification import GRADCHECK_SCOPES, run_scope
+from csanet.verification import GRADCHECK_SCOPES, _proj_loss, _rng, run_scope
+
+from oracles import oracle_conv2d
 
 TOL = 1e-3
 
@@ -37,6 +39,25 @@ def test_model_mini_structurally_zero_set_is_what_the_architecture_implies(model
     report, _ = model_mini_check
     assert sorted(report.structurally_zero_names()) == sorted(MODEL_MINI_STRUCTURALLY_ZERO)
     assert report.passed(TOL), f"model-mini: max relative error {report.max_rel_error:.3e}"
+
+
+def test_oracle_conv2d_padded_with_bias():
+    # A padded 3x3 conv with a bias: the general conv the oracles run.
+    rng = _rng(1)
+    x = Tensor(rng.standard_normal((2, 3, 5, 6)))
+    w = Tensor(rng.standard_normal((4, 3, 3, 3)) * 0.5)
+    b = Tensor(rng.standard_normal(4))
+    report = grad_check(lambda x_, w_, b_: _proj_loss(oracle_conv2d(x_, w_, b_, padding=(1, 1)), _rng(100)), [x, w, b])
+    assert report.passed(TOL), f"max relative error {report.max_rel_error:.3e}"
+
+
+def test_oracle_conv2d_depthwise():
+    # A padded depthwise (groups = Cin) 3x3 conv, as oracle_branch_stem runs one.
+    rng = _rng(2)
+    x = Tensor(rng.standard_normal((2, 4, 5, 6)))
+    w = Tensor(rng.standard_normal((8, 1, 3, 3)) * 0.5)
+    report = grad_check(lambda x_, w_: _proj_loss(oracle_conv2d(x_, w_, groups=4, padding=(1, 1)), _rng(101)), [x, w])
+    assert report.passed(TOL), f"max relative error {report.max_rel_error:.3e}"
 
 
 def test_shift_cancelled_by_batch_norm_is_structurally_zero():

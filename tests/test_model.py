@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from csanet.augment import sr_augment
-from csanet.autodiff import Tensor, no_grad
+from csanet import ops
+from csanet.autodiff import Tensor, _reverse_topo, no_grad, precision
 from csanet.config import AttentionConfig, ModelConfig, SrConfig, TcnConfig
 from csanet.data import synth_generate, trials_to_arrays
 from csanet.errors import ConfigurationError
@@ -93,7 +94,7 @@ class TestFusion:
 
     def test_identical_inputs_tied_params_give_identical_auxiliaries(self):
         cfg = mini_model_config()
-        cfg.topk_enabled = False
+        cfg.attention.topk_enabled = False
         model = make_model(cfg)
         for branch in model.branches[2:]:
             for src, dst in zip(
@@ -170,6 +171,19 @@ class TestDeterminism:
         for (n1, p1), (n2, p2) in zip(m1.named_parameters(), m2.named_parameters()):
             assert n1 == n2
             assert p1.data.tobytes() == p2.data.tobytes()
+
+
+class TestTape:
+    def test_mini_training_loss_tape_node_count_is_pinned(self):
+        # Per-op Python overhead scales with the tape (B=1 decoding, the
+        # gradient check). 343 is the count from when conv2d and avg_pool2d
+        # were general 2-D ops; their narrowing added no node.
+        cfg = mini_model_config()
+        with precision("float64"):
+            model = make_model(cfg, seed=14)
+            x = Tensor(np.random.default_rng(15).standard_normal((2, 1, cfg.channels, cfg.time_steps)))
+            loss = ops.cross_entropy(model(x, training=True), np.array([0, 1]))
+        assert len(_reverse_topo(loss)) == 343
 
 
 class TestParameterCounting:

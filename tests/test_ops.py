@@ -7,10 +7,13 @@ from csanet import ops
 from csanet.autodiff import Tensor
 from csanet.errors import ConfigurationError, DataError, DimensionError
 
-from oracles import naive_avg_pool, naive_conv1d, naive_conv2d, naive_linear
+from oracles import _col2im_add, _pad_hw, _windows, naive_avg_pool, naive_conv1d, naive_conv2d, naive_linear, oracle_conv2d
 
 
 class TestConv2d:
+    """ops.conv2d is the (1, K) time conv; oracle_conv2d the general 2-d conv
+    it narrowed from, pinned here against the naive loops."""
+
     def test_moving_sum(self):
         x = Tensor(np.array([[[[1.0, 2.0, 3.0, 4.0]]]]))
         w = Tensor(np.array([[[[1.0, 1.0]]]]))
@@ -23,16 +26,37 @@ class TestConv2d:
         out = ops.conv2d(x, w)
         np.testing.assert_allclose(out.data.ravel(), [11.0, 22.0, 33.0])
 
+    @pytest.mark.parametrize("height", [1, 3])
+    def test_time_conv_matches_naive_oracle_and_oracle_conv2d_gradients(self, f64, rng, height):
+        x = Tensor(rng.standard_normal((2, 3, height, 9)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 1, 4)), requires_grad=True)
+        out = ops.conv2d(x, w)
+        np.testing.assert_allclose(out.data, naive_conv2d(x.data, w.data), atol=1e-12)
+        gout = Tensor(rng.standard_normal(out.shape))
+        (out * gout).sum().backward()
+        got = (x.grad, w.grad)
+        x.zero_grad()
+        w.zero_grad()
+        (oracle_conv2d(x, w) * gout).sum().backward()
+        for g, e in zip(got, (x.grad, w.grad)):
+            np.testing.assert_allclose(g, e, rtol=0, atol=1e-12)
+
+    def test_kernel_height_above_one_is_dimension_error(self):
+        x = Tensor(np.zeros((1, 1, 4, 4)))
+        w = Tensor(np.zeros((1, 1, 2, 2)))
+        with pytest.raises(DimensionError):
+            ops.conv2d(x, w)
+
     def test_matches_naive_oracle(self, f64, rng):
         x = rng.standard_normal((2, 3, 4, 5))
         w = rng.standard_normal((6, 3, 3, 3))
-        out = ops.conv2d(Tensor(x), Tensor(w), padding=(1, 1))
+        out = oracle_conv2d(Tensor(x), Tensor(w), padding=(1, 1))
         np.testing.assert_allclose(out.data, naive_conv2d(x, w, padding=(1, 1)), atol=1e-6)
 
     def test_grouped_matches_naive_oracle(self, f64, rng):
         x = rng.standard_normal((2, 4, 5, 5))
         w = rng.standard_normal((8, 2, 2, 2))
-        out = ops.conv2d(Tensor(x), Tensor(w), groups=2, stride=(2, 1))
+        out = oracle_conv2d(Tensor(x), Tensor(w), groups=2, stride=(2, 1))
         np.testing.assert_allclose(
             out.data, naive_conv2d(x, w, stride=(2, 1), groups=2), atol=1e-6
         )
@@ -41,11 +65,11 @@ class TestConv2d:
         x = Tensor(np.zeros((1, 3, 4, 4)))
         w = Tensor(np.zeros((4, 1, 2, 2)))
         with pytest.raises(ConfigurationError):
-            ops.conv2d(x, w, groups=2)
+            oracle_conv2d(x, w, groups=2)
 
     def test_kernel_too_large_is_dimension_error(self):
-        x = Tensor(np.zeros((1, 1, 2, 2)))
-        w = Tensor(np.zeros((1, 1, 3, 3)))
+        x = Tensor(np.zeros((1, 1, 1, 2)))
+        w = Tensor(np.zeros((1, 1, 1, 3)))
         with pytest.raises(DimensionError):
             ops.conv2d(x, w)
 
@@ -56,62 +80,100 @@ def closure_cell(out, name):
 
 
 class TestZeroPadding:
-    """With no padding, conv2d and avg_pool2d read and keep x.data itself."""
+    """With no padding, oracle_conv2d and avg_pool2d read and keep x.data itself."""
 
     def test_conv2d_keeps_the_input_not_a_copy(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 3, 1, 2)), requires_grad=True)
-        out = ops.conv2d(x, w)
+        out = oracle_conv2d(x, w)
         assert closure_cell(out, "xp") is x.data
         out.sum().backward()
         assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
     def test_avg_pool2d_keeps_the_input_not_a_copy(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 4, 6)), requires_grad=True)
-        out = ops.avg_pool2d(x, kernel=(1, 2))
+        x = Tensor(rng.standard_normal((2, 3, 1, 6)), requires_grad=True)
+        out = ops.avg_pool2d(x, 2)
         assert closure_cell(out, "xp") is x.data
         out.sum().backward()
         np.testing.assert_array_equal(x.grad, np.full(x.shape, 0.5))
 
 
+def window_sum_pool(x, kernel, stride, padding):
+    """The (1, kernel) pool as a 2-d window sum, forward and backward, with
+    the 2-d helpers oracle_conv2d kept (the pool's earlier formula)."""
+    xp = _pad_hw(x.data, 0, padding)
+    div = np.array(kernel, dtype=x.dtype)
+    out = _windows(xp, 1, kernel, 1, stride).sum(axis=(-2, -1)) / div
+    gout = np.random.Generator(np.random.PCG64(3)).standard_normal(out.shape).astype(x.dtype)
+    gxp = np.zeros_like(xp)
+    gpatch = np.broadcast_to((gout / div)[..., None, None], out.shape + (1, kernel))
+    _col2im_add(gxp, gpatch, 1, stride)
+    return out, gout, gxp[..., padding : padding + x.shape[-1]]
+
+
 class TestAvgPool:
     def test_simple_halving(self):
         x = Tensor(np.array([[[[1.0, 2.0, 3.0, 4.0]]]]))
-        out = ops.avg_pool2d(x, kernel=(1, 2), stride=(1, 2))
+        out = ops.avg_pool2d(x, 2)
         np.testing.assert_allclose(out.data.ravel(), [1.5, 3.5])
 
     def test_zero_padded_mean_counts_pad(self):
         x = Tensor(np.ones((1, 1, 1, 3)))
-        out = ops.avg_pool2d(x, kernel=(1, 3), stride=(1, 1), padding=(0, 1), include_pad=True)
+        out = ops.avg_pool2d(x, 3, stride=1, padding=1)
         np.testing.assert_allclose(out.data.ravel(), [2.0 / 3.0, 1.0, 2.0 / 3.0])
-
-    def test_excluding_pad_divides_by_valid_count(self):
-        x = Tensor(np.ones((1, 1, 1, 3)))
-        out = ops.avg_pool2d(x, kernel=(1, 3), stride=(1, 1), padding=(0, 1), include_pad=False)
-        np.testing.assert_allclose(out.data.ravel(), [1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("kernel,padding", [(3, 1), (5, 2), (7, 3)])
     def test_length_preserving_shapes(self, rng, kernel, padding):
         x = Tensor(rng.standard_normal((1, 1, 1, 17)))
-        out = ops.avg_pool2d(x, kernel=(1, kernel), stride=(1, 1), padding=(0, padding))
+        out = ops.avg_pool2d(x, kernel, stride=1, padding=padding)
         assert out.shape == (1, 1, 1, 17)
 
     def test_matches_naive_oracle(self, f64, rng):
-        x = rng.standard_normal((2, 3, 6, 7))
-        out = ops.avg_pool2d(Tensor(x), kernel=(2, 3), stride=(2, 2), padding=(1, 1))
-        np.testing.assert_allclose(
-            out.data, naive_avg_pool(x, (2, 3), (2, 2), (1, 1), include_pad=True), atol=1e-6
-        )
+        x = rng.standard_normal((2, 3, 1, 10))  # 10 % 3 and 10 % 4 leave a remainder
+        for kernel, stride, padding in [(3, 3, 0), (3, 1, 1), (4, 4, 2), (2, 1, 0)]:
+            out = ops.avg_pool2d(Tensor(x), kernel, stride=stride, padding=padding)
+            np.testing.assert_allclose(
+                out.data, naive_avg_pool(x, (1, kernel), (1, stride), (0, padding)), atol=1e-6
+            )
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", range(3, 9))
+    @pytest.mark.parametrize("stride", ["one", "kernel"])
+    def test_is_bitwise_the_window_sum(self, rng, kernel, stride, dtype, layout):
+        stride, padding = (1, (kernel - 1) // 2) if stride == "one" else (kernel, 0)
+        if layout == "contiguous":
+            data = rng.standard_normal((2, 5, 1, 41)).astype(dtype)
+        else:  # the (B, T, C) memory that conv1d_dilated returns, read as (B, C, 1, T)
+            data = rng.standard_normal((2, 41, 5)).astype(dtype).transpose(0, 2, 1)[:, :, None]
+        x = Tensor(data, requires_grad=True)
+        out = ops.avg_pool2d(x, kernel, stride=stride, padding=padding)
+        want, gout, gx = window_sum_pool(x, kernel, stride, padding)
+        out.backward(gout)
+        for got, expected in ((out.data, want), (x.grad, gx)):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+            assert got.strides == expected.strides
+
+    def test_two_d_pool_is_dimension_error(self):
+        x = Tensor(np.zeros((1, 1, 2, 4)))
+        with pytest.raises(DimensionError):
+            ops.avg_pool2d(x, 2)
+
+    def test_stride_other_than_one_or_kernel_is_config_error(self):
+        x = Tensor(np.zeros((1, 1, 1, 8)))
+        with pytest.raises(ConfigurationError):
+            ops.avg_pool2d(x, 3, stride=2)
 
     def test_window_larger_than_input_is_dimension_error(self):
         x = Tensor(np.zeros((1, 1, 1, 3)))
         with pytest.raises(DimensionError):
-            ops.avg_pool2d(x, kernel=(1, 5), stride=(1, 1))
+            ops.avg_pool2d(x, 5, stride=1)
 
     def test_padding_not_below_kernel_is_config_error(self):
         x = Tensor(np.zeros((1, 1, 1, 3)))
         with pytest.raises(ConfigurationError):
-            ops.avg_pool2d(x, kernel=(1, 2), stride=(1, 1), padding=(0, 2))
+            ops.avg_pool2d(x, 2, stride=1, padding=2)
 
 
 class TestLinear:

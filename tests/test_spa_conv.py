@@ -1,5 +1,7 @@
-"""The branch's spatial-refinement conv (spa_conv), run by conv1d_dilated,
-against the conv2d path it replaced (oracles.oracle_branch_call), in float64."""
+"""The branch's spatial-refinement conv (spa_conv), a (1, K) time conv run
+by conv1d_dilated: against the im2col conv2d path it replaced
+(oracles.oracle_branch_call) in float64, and bitwise against the inline
+conv1d_dilated call it ran as before Conv2d.__call__ took it over."""
 
 from pathlib import Path
 
@@ -7,14 +9,14 @@ import numpy as np
 import pytest
 
 from csanet import ops
-from csanet.autodiff import Tensor, no_grad, precision
+from csanet.autodiff import Tensor, _reverse_topo, no_grad, precision
 from csanet.checkpoint import load_checkpoint, save_checkpoint
 from csanet.config import ModelConfig
 from csanet.model import Branch, CsanetModel
 from csanet.train import train_run
 from csanet.verification import mini_model_config
 
-from oracles import oracle_branch_call
+from oracles import oracle_branch_call, oracle_conv2d
 from test_stem import assert_close
 from test_train import tiny_run
 
@@ -90,19 +92,99 @@ def test_checkpoint_from_before_the_change_predicts_identically():
     assert shapes[0] == shapes[1]
 
 
-def test_training_step_calls_no_conv2d(tmp_path, monkeypatch):
-    calls = []
-    conv2d = ops.conv2d
+def inline_spa_conv(h, weight):
+    """spa_conv as Branch.__call__ ran it inline: conv1d_dilated on the
+    (B, width, T) map, the (Cout, width, 1, K) weight read as (Cout, width, K)."""
+    b, width, _, t1 = h.shape
+    cout, _, _, K = weight.shape
+    w3 = weight.reshape((cout, width, K))
+    h = ops.conv1d_dilated(ops.same_pad_time(h.reshape((b, width, t1)), K), w3)
+    return h.reshape((b, cout, 1, t1))
 
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape)
-        return conv2d(*args, **kwargs)
+
+def inline_branch_call(branch, x, training, rng=None, lags=None):
+    return oracle_branch_call(branch, x, training, rng, lags, spa_conv=inline_spa_conv)
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("config", ["mini", "paper"])
+def test_spa_conv_layer_is_bitwise_the_inline_conv1d_dilated(config, dtype, training, monkeypatch):
+    cfg = mini_model_config() if config == "mini" else ModelConfig()
+    if config == "mini":
+        cfg.conv_dropout = 0.5  # mini turns dropout off; exercise the mask
+    results = []
+    for branch_call in (Branch.__call__, inline_branch_call):
+        monkeypatch.setattr(Branch, "__call__", branch_call)
+        with precision(dtype):
+            model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(31)))
+            rng = np.random.Generator(np.random.PCG64(32))
+            x = Tensor(rng.standard_normal((2, 1, cfg.channels, cfg.time_steps)).astype(dtype))
+            logits = model(x, training=training, rng=np.random.Generator(np.random.PCG64(33)))
+            loss = ops.cross_entropy(logits, np.array([0, 1]))
+            loss.backward()
+        arrays = [("logits", logits.data)]
+        arrays += [(f"{n} grad", p.grad) for n, p in model.named_parameters() if p.grad is not None]
+        arrays += list(model.named_buffers())
+        results.append((len(_reverse_topo(loss)), arrays))
+    (got_nodes, got), (want_nodes, want) = results
+    assert got_nodes == want_nodes
+    assert [n for n, _ in got] == [n for n, _ in want]
+    for (name, g), (_, w) in zip(got, want):
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), f"{name} differs"
+        assert g.strides == w.strides, f"{name} layout differs"
+
+
+def test_training_step_runs_conv2d_only_as_time_convs(tmp_path, monkeypatch):
+    """Every ops.conv2d call in a one-step train_run has a height-1 kernel
+    and runs through conv1d_dilated."""
+    calls, inner = [], []
+    conv2d, conv1d = ops.conv2d, ops.conv1d_dilated
+
+    def spy(x, weight):
+        inner.clear()
+        out = conv2d(x, weight)
+        calls.append((weight.shape, len(inner)))
+        return out
+
+    def conv1d_spy(*args, **kwargs):
+        inner.append(args[1].shape)
+        return conv1d(*args, **kwargs)
 
     monkeypatch.setattr(ops, "conv2d", spy)
+    monkeypatch.setattr(ops, "conv1d_dilated", conv1d_spy)
     run = tiny_run(tmp_path / "run", epochs=1)
     run.train.batch_size = 12  # all 12 trials: one step, plus the epoch's train-set eval
     result = train_run(run)
     assert result.epochs_run == 1
-    assert calls == []
-    result.model.branch1.temporal_out(Tensor(np.zeros((1, 1, 6, 64), dtype=np.float32)))
-    assert len(calls) == 1  # the spy does see a conv2d call
+    cfg = run.model
+    # 4 branches per forward: the training step and the train-set eval.
+    assert len(calls) == 8
+    for shape, n_conv1d in calls:
+        assert shape[2] == 1 and shape[0] == cfg.spa_filters, shape
+        assert n_conv1d == 1
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_temporal_out_matches_oracle_conv2d(index):
+    # The PSD report's temporal conv: a height-1 kernel over the C rows of
+    # a trial, which conv2d moves into the batch; im2col sums in another order.
+    cfg = mini_model_config()
+    with precision("float64"):
+        model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(40 + index)))
+    branch = model.branches[index]
+    weight = branch.temporal_conv.weight
+    rng = np.random.Generator(np.random.PCG64(50 + index))
+    x = rng.standard_normal((2, 1, cfg.channels, cfg.time_steps))
+    convs = (branch.temporal_out, lambda h: oracle_conv2d(ops.same_pad_time(h, branch.temporal_kernel), weight))
+    results = []
+    for conv in convs:
+        weight.zero_grad()
+        xt = Tensor(x, requires_grad=True)
+        out = conv(xt)
+        (out * Tensor(np.random.Generator(np.random.PCG64(9)).standard_normal(out.shape))).sum().backward()
+        results.append((out.data, xt.grad, weight.grad))
+    for name, g, w in zip(("output", "input grad", "weight grad"), *results):
+        assert g.shape == w.shape, name
+        assert float(np.abs(g - w).max()) <= 1e-12 * float(np.abs(w).max()), name
