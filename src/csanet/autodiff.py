@@ -72,7 +72,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
 
     def __init__(self, data, requires_grad=False):
-        if isinstance(data, (bool, int, float)) and not isinstance(data, np.generic):
+        if type(data) is np.ndarray and data.dtype.kind == "f":
+            arr = data  # the common case, an op's float result: kept as is
+        elif isinstance(data, (bool, int, float)) and not isinstance(data, np.generic):
             arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
         else:
             arr = np.asarray(data)
@@ -379,13 +381,29 @@ def narrow(x, axis, start, length):
     return _make(out_data, (x,), backward)
 
 
+def _zero_pad(a, pad_width):
+    """np.pad(a, pad_width) with zeros: one np.zeros and a slice assignment.
+
+    pad_width is a (before, after) pair of non-negative ints per axis. The
+    result takes np.pad's memory order, F for an input that is
+    F-contiguous and not C-contiguous, C otherwise, since layout decides
+    the order of later sums. Always a new array.
+    """
+    shape = tuple(b + n + e for n, (b, e) in zip(a.shape, pad_width))
+    out = np.zeros(shape, dtype=a.dtype, order="F" if a.flags.fnc else "C")
+    out[tuple(slice(b, b + n) for n, (b, _) in zip(a.shape, pad_width))] = a
+    return out
+
+
 def pad(x, pad_width):
     """Zero-pad; pad_width is a ((before, after), ...) pair per axis."""
     x = _wrap(x)
     pad_width = tuple((int(b), int(a)) for b, a in pad_width)
     if len(pad_width) != x.ndim:
         raise DimensionError("pad_width must list every axis")
-    out_data = np.pad(x.data, pad_width)
+    if any(b < 0 or a < 0 for b, a in pad_width):
+        raise DimensionError("pad widths must be non-negative")
+    out_data = _zero_pad(x.data, pad_width)
     idx = tuple(slice(b, b + n) for (b, _), n in zip(pad_width, x.data.shape))
 
     def backward(g):

@@ -9,6 +9,7 @@ import argparse
 import copy
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -133,9 +134,11 @@ def _cmd_gradcheck(args):
         return EXIT_USAGE
     failed = False
     for name in names:
+        start = time.perf_counter()
         report = run_scope(name)
+        seconds = time.perf_counter() - start
         ok = report.passed(args.tolerance)
-        print(f"{name:<16} max_rel_err={report.max_rel_error:.3e}  {'pass' if ok else 'FAIL'}")
+        print(f"{name:<16} max_rel_err={report.max_rel_error:.3e}  {'pass' if ok else 'FAIL'}  seconds={seconds:.2f}")
         if report.structurally_zero:
             print(f"    structurally zero: {', '.join(report.structurally_zero_names())}")
         if not ok:

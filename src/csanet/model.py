@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ops
 from .attention import AttentionParams, msca_forward, residual_fuse
-from .autodiff import Tensor, concat, narrow
+from .autodiff import Tensor, concat, narrow, no_grad
 from .config import ModelConfig
 from .errors import DimensionError
 from .layers import BatchNorm, Conv1dDilated, Conv2d, Layer, LayerList, Linear
@@ -234,8 +234,6 @@ class CsanetModel(Layer):
 
     def predict(self, x):
         """Class indices for a (B, 1, C, T) array, eval mode, no tape."""
-        from .autodiff import no_grad
-
         with no_grad():
             logits = self(x, training=False)
         return np.argmax(logits.data, axis=1)

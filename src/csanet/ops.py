@@ -32,12 +32,20 @@ report's temporal conv on a (1, 1, C, T) trial), composed of reshapes
 around conv1d_dilated with no backward of its own. avg_pool2d is the
 (1, k) time pool that multiscale_pool runs at stride 1. batch_norm, elu
 and dropout remain for the TCN.
+
+Two raw-array helpers carry all padding and windowing, since at the small
+shapes of a gradient check each op's bookkeeping outweighs its
+arithmetic: autodiff._zero_pad pads by one np.zeros and a slice
+assignment in np.pad's memory order (it backs autodiff.pad, _pad_left,
+conv1d_dilated's input gradient and avg_pool2d's padding), and
+_window_view builds the strided window views of conv1d_dilated,
+branch_stem's time tiles and avg_pool2d with one as_strided call.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
-from .autodiff import Tensor, _accumulate, _make, _wrap, matmul, transpose, pad
+from .autodiff import Tensor, _accumulate, _make, _wrap, _zero_pad, matmul, transpose, pad
 from .errors import ConfigurationError, DataError, DimensionError
 
 
@@ -226,7 +234,7 @@ def branch_stem(
     xt = x.data[:, 0].transpose(1, 0, 2).reshape(C, B * T)
     p = np.zeros((F, D * B, tiles * _TILE + K - 1), dtype=dtype)
     p[:, :, left : left + T] = (dw.reshape(F * D, C) @ xt).reshape(F, D * B, T)
-    cols = sliding_window_view(p, span, axis=-1)[:, :, ::_TILE].reshape(F, D * B * tiles, span)
+    cols = _window_view(p, tiles, span, step=_TILE).reshape(F, D * B * tiles, span)
     band = _banded(w, _TILE)
     q = (cols @ band).reshape(F, D, B, tiles * _TILE)[..., :T]
 
@@ -483,17 +491,28 @@ def cross_entropy(logits, targets):
     return _make(out, (logits,), backward)
 
 
-def _tap_windows(a, span, dilation, start, count):
-    """View (B, C, count, K) of the K dilated taps of a (B, C, L) at
-    positions start .. start + count - 1."""
-    return sliding_window_view(a, span, axis=2)[:, :, start : start + count, ::dilation]
+def _window_view(a, count, taps, step=1, dilation=1, start=0):
+    """Read-only view (..., count, taps) of windows along a's last axis.
+
+    Entry [..., i, k] is a[..., start + i * step + k * dilation]. Shape,
+    strides and values are those of sliding_window_view's windows of span
+    (taps - 1) * dilation + 1 from start on, every step-th window and
+    every dilation-th tap kept, but one as_strided call builds the view
+    without sliding_window_view's argument normalisation.
+    """
+    if start < 0 or start + (count - 1) * step + (taps - 1) * dilation >= a.shape[-1]:
+        raise DimensionError(f"{count} windows of {taps} taps from {start} overrun an axis of {a.shape[-1]}")
+    s = a.strides[-1]
+    return as_strided(
+        a[..., start:], a.shape[:-1] + (count, taps), a.strides[:-1] + (s * step, s * dilation), writeable=False
+    )
 
 
 def _pad_left(a, left):
     """Zero-pad the time axis of (B, C, T) on the left; no copy when left is 0."""
     if left == 0:
         return a
-    return np.pad(a, ((0, 0), (0, 0), (left, 0)))
+    return _zero_pad(a, ((0, 0), (0, 0), (left, 0)))
 
 
 def conv1d_dilated(x, weight, bias=None, dilation=1, left_pad=0):
@@ -524,7 +543,7 @@ def conv1d_dilated(x, weight, bias=None, dilation=1, left_pad=0):
         raise DimensionError("dilated kernel span exceeds padded input")
     to = T + left_pad - span + 1
 
-    cols = _tap_windows(_pad_left(x.data, left_pad), span, dilation, 0, to).transpose(0, 2, 1, 3)
+    cols = _window_view(_pad_left(x.data, left_pad), to, K, dilation=dilation).transpose(0, 2, 1, 3)
     out = cols.reshape(B * to, cin * K) @ weight.data.reshape(cout, cin * K).T
     out = out.reshape(B, to, cout).transpose(0, 2, 1)
     if bias is not None:
@@ -539,14 +558,14 @@ def conv1d_dilated(x, weight, bias=None, dilation=1, left_pad=0):
         if weight.requires_grad:
             # Windows gathered tap-major, (Cin*K, B*To): this matmul ran about
             # twice as fast as against the transpose of the forward's matrix.
-            xwin = _tap_windows(_pad_left(x.data, left_pad), span, dilation, 0, to)
+            xwin = _window_view(_pad_left(x.data, left_pad), to, K, dilation=dilation)
             g2 = gout.transpose(0, 2, 1).reshape(B * to, cout)
             gw = xwin.transpose(1, 3, 0, 2).reshape(cin * K, B * to) @ g2
             _accumulate(weight, gw.T.reshape(cout, cin, K))
         if x.requires_grad:
-            gp = np.pad(gout, ((0, 0), (0, 0), (span - 1, span - 1)))
+            gp = _zero_pad(gout, ((0, 0), (0, 0), (span - 1, span - 1)))
             flipped = weight.data[:, :, ::-1].transpose(0, 2, 1).reshape(cout * K, cin)
-            gwin = _tap_windows(gp, span, dilation, left_pad, T)
+            gwin = _window_view(gp, T, K, dilation=dilation, start=left_pad)
             gx = gwin.transpose(0, 2, 1, 3).reshape(B * T, cout * K) @ flipped
             _accumulate(x, gx.reshape(B, T, cin).transpose(0, 2, 1))
         if bias is not None and bias.requires_grad:
@@ -599,9 +618,9 @@ def avg_pool2d(x, kernel, stride=None, padding=0):
         raise DimensionError("pooling window larger than padded input")
     wo = (T + 2 * padding - kernel) // stride + 1
 
-    xp = x.data if padding == 0 else np.pad(x.data, ((0, 0), (0, 0), (0, 0), (padding, padding)))
+    xp = x.data if padding == 0 else _zero_pad(x.data, ((0, 0), (0, 0), (0, 0), (padding, padding)))
     div = np.array(kernel, dtype=x.dtype)
-    out = sliding_window_view(xp, kernel, axis=-1)[..., ::stride, :].sum(axis=-1) / div
+    out = _window_view(xp, wo, kernel, step=stride).sum(axis=-1) / div
 
     def backward(gout):
         if not x.requires_grad:

@@ -7,9 +7,11 @@ oracle_conv2d, the general grouped, strided, padded im2col/col2im conv
 that csanet.ops carried until its conv2d narrowed to the (1, K) time conv
 (pinned here against naive_conv2d); oracle_branch_stem, the three-op
 composition that ops.branch_stem replaced, through oracle_conv2d;
-oracle_tail, the four-op composition that ops.bn_elu_pool replaced; and
+oracle_tail, the four-op composition that ops.bn_elu_pool replaced;
 oracle_branch_call, a branch whose spatial-refinement conv runs through
-oracle_conv2d as it did before conv1d_dilated took it over.
+oracle_conv2d as it did before conv1d_dilated took it over; and
+oracle_grad_check, csanet.gradcheck.grad_check as it was when every
+perturbed evaluation still recorded a tape.
 """
 
 import math
@@ -18,8 +20,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from csanet import ops
-from csanet.autodiff import _accumulate, _make, _wrap
-from csanet.errors import ConfigurationError, DimensionError
+from csanet.autodiff import Tensor, _accumulate, _make, _wrap
+from csanet.errors import ConfigurationError, DimensionError, NumericalError
+from csanet.gradcheck import ZERO_ANALYTIC, ZERO_NUMERIC, GradCheckReport
 
 
 def naive_conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0), groups=1):
@@ -306,3 +309,62 @@ def oracle_branch_call(branch, x, training, rng=None, lags=None, spa_conv=oracle
     h = branch._tail(branch.bn_spa, h, p2, training, rng)
     b, u, _, t0 = h.shape
     return h.reshape((b, u, t0))
+
+
+def oracle_grad_check(fn, inputs, h=1e-4):
+    """grad_check with a tape recorded on every evaluation, perturbed or not.
+
+    Same signature, rules and report as csanet.gradcheck.grad_check, whose
+    perturbed evaluations now run under no_grad.
+    """
+    inputs = list(inputs)
+    for t in inputs:
+        if not isinstance(t, Tensor):
+            raise TypeError("grad_check inputs must be Tensors")
+        t.requires_grad = True
+        t.zero_grad()
+        if t.data.dtype != np.float64:
+            raise NumericalError("grad_check requires float64 inputs")
+        t.data = np.ascontiguousarray(t.data)  # reshape(-1) below must be a view
+
+    out = fn(*inputs)
+    if out.data.size != 1:
+        raise NumericalError("grad_check closure must return a scalar")
+    if not np.isfinite(out.data):
+        raise NumericalError("closure produced a non-finite value")
+    out.backward()
+    analytic = [np.zeros_like(t.data) if t.grad is None else np.array(t.grad, dtype=np.float64) for t in inputs]
+
+    per_input = []
+    structurally_zero = []
+    worst = 0.0
+    for index, (t, ana) in enumerate(zip(inputs, analytic)):
+        if not np.all(np.isfinite(ana)):
+            raise NumericalError("non-finite analytic gradient")
+        num = np.zeros_like(t.data)
+        flat = t.data.reshape(-1)
+        nflat = num.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = float(fn(*inputs).data)
+            flat[i] = orig - h
+            dn = float(fn(*inputs).data)
+            flat[i] = orig
+            nflat[i] = (up - dn) / (2.0 * h)
+        if not np.all(np.isfinite(num)):
+            raise NumericalError("non-finite numeric gradient")
+        ana_max = float(np.abs(ana).max(initial=0.0))
+        num_max = float(np.abs(num).max(initial=0.0))
+        scale = max(ana_max, num_max)
+        if ana_max <= ZERO_ANALYTIC and num_max <= ZERO_NUMERIC:
+            err = 0.0
+            structurally_zero.append(index)
+        elif scale < 1e-12:
+            err = float(np.abs(ana - num).max(initial=0.0))
+        else:
+            err = float(np.abs(ana - num).max(initial=0.0) / scale)
+        per_input.append(err)
+        worst = max(worst, err)
+        t.zero_grad()
+    return GradCheckReport(per_input=per_input, max_rel_error=worst, structurally_zero=structurally_zero)

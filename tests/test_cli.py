@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, artifact files."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,7 +78,9 @@ def test_eval_missing_checkpoint_exits_2_without_partial_files(run_cfg_path, tmp
 
 def test_gradcheck_scope_passes(capsys):
     assert main(["gradcheck", "--scope", "topk_softmax"]) == 0
-    assert "pass" in capsys.readouterr().out
+    line = capsys.readouterr().out.splitlines()[0]
+    assert "pass" in line
+    assert re.search(r"  seconds=\d+\.\d\d$", line), line
 
 
 def test_gradcheck_avg_pool_scope_passes(capsys):
