@@ -157,9 +157,6 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, *shape):
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
 
@@ -314,12 +311,6 @@ def tsum(x, axis=None, keepdims=False):
         _accumulate(x, np.broadcast_to(gg, x.data.shape).copy())
 
     return _make(out_data, (x,), backward)
-
-
-def tmean(x, axis=None, keepdims=False):
-    x = _wrap(x)
-    count = x.data.size if axis is None else np.prod([x.data.shape[a] for a in np.atleast_1d(axis)])
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / float(count))
 
 
 def reshape(x, shape):

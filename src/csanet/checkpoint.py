@@ -11,12 +11,12 @@ Blobs cover every named parameter followed by every named buffer
 bit-exact at the stored 32-bit precision.
 """
 
+import math
 import os
 import struct
 
 import numpy as np
 
-from .autodiff import default_dtype
 from .config import ModelConfig, config_from_text, config_to_text
 from .errors import FormatError
 from .model import CsanetModel
@@ -56,8 +56,20 @@ def save_checkpoint(model, path):
     os.replace(tmp, path)
 
 
+def _text(blob, offset, length, what):
+    """UTF-8 text of blob[offset : offset + length]."""
+    try:
+        return blob[offset : offset + length].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not UTF-8", offset=offset + exc.start) from exc
+
+
 def load_checkpoint(path):
-    """Read a checkpoint; returns (ModelConfig, CsanetModel)."""
+    """Read a checkpoint; returns (ModelConfig, CsanetModel).
+
+    A malformed file raises FormatError with the byte offset of the fault;
+    a well-formed config that fails validation raises ConfigurationError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -70,14 +82,14 @@ def load_checkpoint(path):
     offset = 12
     if len(blob) < offset + cfg_len + 4:
         raise FormatError("truncated config block", offset=len(blob))
-    cfg = config_from_text(blob[offset : offset + cfg_len].decode("utf-8"), cls=ModelConfig)
+    cfg = config_from_text(_text(blob, offset, cfg_len, "config text"), cls=ModelConfig)
     offset += cfg_len
     (n_blobs,) = struct.unpack_from("<I", blob, offset)
     offset += 4
 
     model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(0)))
-    params = dict(model.named_parameters())
-    buffers = dict(model.named_buffers())
+    targets = {name: p.data for name, p in model.named_parameters()}
+    targets.update(model.named_buffers())
     seen = set()
     for _ in range(n_blobs):
         if len(blob) < offset + 4:
@@ -86,34 +98,27 @@ def load_checkpoint(path):
         offset += 4
         if len(blob) < offset + name_len + 4:
             raise FormatError("truncated blob name", offset=len(blob))
-        name = blob[offset : offset + name_len].decode("utf-8")
+        name = _text(blob, offset, name_len, "blob name")
+        if name not in targets:
+            raise FormatError(f"unknown blob name {name!r}", offset=offset)
+        target = targets[name]
         offset += name_len
         (ndim,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        if len(blob) < offset + 4 * ndim:
+        if len(blob) < offset + 4 + 4 * ndim:
             raise FormatError(f"truncated shape for blob {name!r}", offset=len(blob))
-        dims = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
+        dims = struct.unpack_from(f"<{ndim}I", blob, offset + 4)
+        if dims != target.shape:
+            raise FormatError(f"blob {name!r} shape {dims} != expected {target.shape}", offset=offset)
+        offset += 4 + 4 * ndim
+        count = math.prod(dims)
         if len(blob) < offset + 4 * count:
             raise FormatError(f"truncated values for blob {name!r}", offset=len(blob))
-        values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(dims)
+        target[...] = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(dims)
         offset += 4 * count
-        if name in params:
-            target = params[name]
-            if target.data.shape != values.shape:
-                raise FormatError(f"blob {name!r} shape {values.shape} != expected {target.data.shape}")
-            target.data = values.astype(default_dtype())
-        elif name in buffers:
-            if buffers[name].shape != values.shape:
-                raise FormatError(f"blob {name!r} shape {values.shape} != expected {buffers[name].shape}")
-            buffers[name][...] = values.astype(buffers[name].dtype)
-        else:
-            raise FormatError(f"unknown blob name {name!r}")
         seen.add(name)
     if len(blob) != offset:
         raise FormatError("trailing bytes after final blob", offset=offset)
-    missing = (set(params) | set(buffers)) - seen
+    missing = set(targets) - seen
     if missing:
-        raise FormatError(f"checkpoint is missing blobs: {sorted(missing)}")
+        raise FormatError(f"checkpoint is missing blobs: {sorted(missing)}", offset=offset)
     return cfg, model

@@ -21,6 +21,7 @@ from .config import RunConfig, apply_flat, read_config
 from .data import write_eegd
 from .errors import ConfigurationError, CsanetError, DataError, NumericalError
 from .metrics import report_to_csv, report_to_json
+from .model import CsanetModel
 from .psd import branch_psd_report, psd_series_to_csv
 from .train import eval_run, load_run_data, train_run
 from .verification import GRADCHECK_SCOPES, run_scope
@@ -165,8 +166,6 @@ def _cmd_psd(args):
     if args.checkpoint is not None:
         _, model = load_checkpoint(args.checkpoint)
     else:
-        from .model import CsanetModel
-
         model = CsanetModel(run.model, rng=rngs.substream(run.seed, rngs.STREAM_INIT))
     data = load_run_data(run)
     if not 0 <= args.trial < len(data):

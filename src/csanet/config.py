@@ -7,10 +7,18 @@ comma-separated entries.
 """
 
 import dataclasses
-import typing
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
+
+
+def _check_ints(name, values, least=1, count=None):
+    """An integer tuple field holds ints >= least (exactly count of them, when given)."""
+    if count is not None and len(values) != count:
+        raise ConfigurationError(f"{name} must hold {count} entries, got {values!r}")
+    if not all(isinstance(v, numbers.Integral) and v >= least for v in values):
+        raise ConfigurationError(f"{name} entries must be integers >= {least}, got {values!r}")
 
 
 @dataclass
@@ -31,6 +39,9 @@ class AttentionConfig:
             raise ConfigurationError(
                 f"attention.embed_dim={self.embed_dim} not divisible by heads={self.heads}"
             )
+        _check_ints("attention.pool_kernels", self.pool_kernels)
+        _check_ints("attention.pool_pads", self.pool_pads, least=0)
+        _check_ints("attention.keep_denominators", self.keep_denominators, count=2)
         if len(self.pool_kernels) != len(self.pool_pads):
             raise ConfigurationError("attention.pool_kernels and pool_pads must align")
         for k, p in zip(self.pool_kernels, self.pool_pads):
@@ -40,8 +51,6 @@ class AttentionConfig:
                 )
         if self.topk_mode not in ("ratio", "count"):
             raise ConfigurationError(f"attention.topk_mode must be ratio|count, got {self.topk_mode!r}")
-        if any(k < 1 for k in self.keep_denominators):
-            raise ConfigurationError("attention.keep_denominators entries must be >= 1")
 
 
 @dataclass
@@ -95,8 +104,11 @@ class ModelConfig:
             raise ConfigurationError("model dims must be positive (and n_classes >= 2)")
         if len(self.temporal_kernels) != 4 or len(self.temporal_filters) != 4:
             raise ConfigurationError("the architecture uses exactly four branches")
+        _check_ints("temporal_kernels", self.temporal_kernels)
+        _check_ints("temporal_filters", self.temporal_filters)
+        _check_ints("pools", self.pools, count=2)
         p1, p2 = self.pools
-        if p1 < 1 or p2 < 1 or self.time_steps < p1 * p2:
+        if self.time_steps < p1 * p2:
             raise ConfigurationError(f"time_steps={self.time_steps} too short for pools {self.pools}")
         if self.depth_multiplier < 1 or self.spa_filters < 1 or self.spa_kernel < 1:
             raise ConfigurationError("filter/kernel counts must be positive")
@@ -120,6 +132,9 @@ class ModelConfig:
             raise ConfigurationError(
                 "tcn.filters must equal spa_filters (identity skip connections)"
             )
+        _check_ints("tcn.dilations", self.tcn.dilations)
+        if self.tcn.kernel < 1:
+            raise ConfigurationError(f"tcn.kernel must be >= 1, got {self.tcn.kernel}")
         if not 0.0 <= self.tcn.dropout < 1.0:
             raise ConfigurationError("tcn.dropout must lie in [0, 1)")
         self.attention.validate()
@@ -232,21 +247,12 @@ def _parse_value(text, ftype):
         return float(text)
     if ftype is str:
         return text
-    if ftype is tuple or typing.get_origin(ftype) is tuple:
+    if ftype is tuple:
         if text == "":
             return ()
-        parts = text.split(",")
-        # Untyped tuples hold ints throughout the config schema.
-        return tuple(int(p) if _is_intlike(p) else float(p) for p in parts)
+        # Tuples hold ints throughout the config schema.
+        return tuple(int(p) for p in text.split(","))
     raise ConfigurationError(f"unsupported config field type {ftype!r}")
-
-
-def _is_intlike(text):
-    try:
-        int(text)
-        return True
-    except ValueError:
-        return False
 
 
 def flatten_config(cfg, prefix=""):
@@ -313,5 +319,9 @@ def write_config(cfg, path):
 
 
 def read_config(path, cls=RunConfig):
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_text(fh.read(), cls=cls)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return config_from_text(raw.decode("utf-8"), cls=cls)
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not UTF-8 text (byte {exc.start})") from exc

@@ -148,12 +148,11 @@ class Linear(Layer):
 
 
 class BatchNorm(Layer):
-    """Per-channel batch normalization with running statistics."""
+    """Per-channel batch normalization with running statistics, under the
+    one policy of ops.BN_MOMENTUM and ops.BN_EPS."""
 
-    def __init__(self, channels, momentum=0.1, eps=1e-5):
+    def __init__(self, channels):
         super().__init__()
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Parameter(np.ones(channels, dtype=default_dtype()))
         self.beta = Parameter(np.zeros(channels, dtype=default_dtype()))
         self.register_buffer("running_mean", np.zeros(channels, dtype=default_dtype()))
@@ -167,6 +166,4 @@ class BatchNorm(Layer):
             self.running_mean,
             self.running_var,
             training,
-            momentum=self.momentum,
-            eps=self.eps,
         )

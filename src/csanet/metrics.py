@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import default_dtype, no_grad
+from .autodiff import default_dtype
 from .data import TrialSet, trials_to_arrays
 from .errors import ConfigurationError, DataError, NumericalError
 
@@ -91,18 +91,6 @@ class EvalReport:
     subject_accs: dict = None  # subject_id -> accuracy, when >= 2 subjects
     std: float = None
 
-    def __eq__(self, other):
-        if not isinstance(other, EvalReport):
-            return NotImplemented
-        return (
-            np.array_equal(self.confusion.counts, other.confusion.counts)
-            and self.acc == other.acc
-            and self.kappa == other.kappa
-            and self.per_class_recall == other.per_class_recall
-            and self.subject_accs == other.subject_accs
-            and self.std == other.std
-        )
-
 
 def evaluate(model, test: TrialSet, cfg, batch_size=64) -> EvalReport:
     """Deterministic eval-mode pass over a set; no dropout, no augmentation."""
@@ -115,9 +103,8 @@ def evaluate(model, test: TrialSet, cfg, batch_size=64) -> EvalReport:
         raise ConfigurationError("class count mismatch between set and model")
     x, y = trials_to_arrays(test, dtype=default_dtype())
     preds = np.empty(len(test), dtype=np.int64)
-    with no_grad():
-        for start in range(0, len(test), batch_size):
-            preds[start : start + batch_size] = model.predict(x[start : start + batch_size])
+    for start in range(0, len(test), batch_size):
+        preds[start : start + batch_size] = model.predict(x[start : start + batch_size])
     return report_from_predictions(y, preds, cfg.n_classes, subjects=test.subject_ids)
 
 
@@ -157,40 +144,6 @@ def report_to_csv(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_from_csv(text: str) -> EvalReport:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "metric,value":
-        raise DataError("missing metric,value header")
-    fields = {}
-    confusion_rows = []
-    i = 1
-    n_classes = None
-    while i < len(lines):
-        key, _, value = lines[i].partition(",")
-        if key == "confusion":
-            n_classes = int(value)
-            for row in lines[i + 1 : i + 1 + n_classes]:
-                confusion_rows.append([int(v) for v in row.split(",")])
-            i += 1 + n_classes
-            continue
-        fields[key] = float(value)
-        i += 1
-    if n_classes is None:
-        raise DataError("missing confusion block")
-    recalls = [fields[f"per_class_recall_{k}"] for k in range(n_classes)]
-    subject_accs = {
-        int(k.split("_")[-1]): v for k, v in fields.items() if k.startswith("subject_acc_")
-    } or None
-    return EvalReport(
-        confusion=ConfusionMatrix(np.array(confusion_rows)),
-        acc=fields["acc"],
-        kappa=fields["kappa"],
-        per_class_recall=recalls,
-        subject_accs=subject_accs,
-        std=fields.get("std"),
-    )
-
-
 def report_to_json(report: EvalReport) -> str:
     payload = {
         "acc": report.acc,
@@ -203,18 +156,3 @@ def report_to_json(report: EvalReport) -> str:
         "confusion": report.confusion.counts.tolist(),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def report_from_json(text: str) -> EvalReport:
-    payload = json.loads(text)
-    subject_accs = payload.get("subject_accs")
-    if subject_accs is not None:
-        subject_accs = {int(k): v for k, v in subject_accs.items()}
-    return EvalReport(
-        confusion=ConfusionMatrix(np.array(payload["confusion"])),
-        acc=payload["acc"],
-        kappa=payload["kappa"],
-        per_class_recall=payload["per_class_recall"],
-        subject_accs=subject_accs,
-        std=payload.get("std"),
-    )

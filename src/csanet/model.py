@@ -128,8 +128,6 @@ class Branch(Layer):
             bn.running_var,
             self.depthwise_conv.weight,
             training,
-            momentum=bn.momentum,
-            eps=bn.eps,
             lags=lags,
         )  # (B, width, 1, T)
         h = self._tail(self.bn_depthwise, h, p1, training, rng)
@@ -149,8 +147,6 @@ class Branch(Layer):
             pool,
             self.p_drop,
             rng,
-            momentum=bn.momentum,
-            eps=bn.eps,
         )
 
 

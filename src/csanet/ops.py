@@ -26,6 +26,11 @@ stream. Its tape keeps the normalised map, the ELU's negative part and
 the dropout mask; the composition kept four full-size maps and a mask. elu and
 bn_elu_pool share one branch-free ELU kernel (_elu_parts).
 
+Batch norm has one home: the constants BN_MOMENTUM and BN_EPS, and the
+kernels _bn_normalise (statistics, buffer update, eval-mode buffers, the
+B >= 2 check) and _bn_backward, which batch_norm and bn_elu_pool share.
+branch_stem shares the constants and the buffer update.
+
 The network convolves only along time. conv2d is the (1, K) time conv
 of a Conv2d layer (each branch's spatial-refinement conv, and the PSD
 report's temporal conv on a (1, 1, C, T) trial), composed of reshapes
@@ -41,6 +46,8 @@ conv1d_dilated's input gradient and avg_pool2d's padding), and
 _window_view builds the strided window views of conv1d_dilated,
 branch_stem's time tiles and avg_pool2d with one as_strided call.
 """
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -65,61 +72,93 @@ def linear(x, weight, bias=None):
     return out
 
 
-def _update_running(running_mean, running_var, mean, var, n, momentum):
-    """Momentum update of batch-norm buffers, in place; the running
-    variance takes the unbiased estimate of n samples."""
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mean
-    running_var *= 1.0 - momentum
-    running_var += momentum * var * (n / (n - 1.0))
+BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-buffer update
+BN_EPS = 1e-5  # added to the variance under the square root
 
 
-def batch_norm(x, gamma, beta, running_mean, running_var, training, momentum=0.1, eps=1e-5):
-    """Per-channel normalization over axis 1.
+def _update_running(running_mean, running_var, mean, var, n):
+    """Exponential-average update of batch-norm buffers, in place; the
+    running variance takes the unbiased estimate of n samples."""
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mean
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * var * (n / (n - 1.0))
 
-    Training mode normalizes by biased batch statistics and updates the
-    running buffers in place (running variance uses the unbiased
-    estimate); eval mode normalizes by the running buffers. B >= 2 is
-    required in training mode.
+
+def _bn_layout(a):
+    """Reduction axes, per-channel broadcast shape and sample count of
+    batch norm over axis 1 of the array a (B, C, ...)."""
+    axes = (0,) + tuple(range(2, a.ndim))
+    return axes, (1, a.shape[1]) + (1,) * (a.ndim - 2), math.prod(a.shape[i] for i in axes)
+
+
+def _bn_normalise(x, running_mean, running_var, training):
+    """(xhat, inv): batch norm's normalised map of the raw array x over axis
+    1, and 1 / sqrt(var + BN_EPS) in the per-channel broadcast shape.
+
+    Training mode (B >= 2) takes the biased batch statistics in np.var's
+    own steps and updates the running buffers; eval mode reads them.
     """
+    axes, shape, n = _bn_layout(x)
+    if training:
+        if x.shape[0] < 2:
+            raise ConfigurationError("batch_norm in training mode needs a batch of at least 2")
+        mean = x.mean(axis=axes)
+        xc = x - mean.reshape(shape)
+        var = np.square(xc).sum(axis=axes) / n
+        _update_running(running_mean, running_var, mean, var, n)
+    else:
+        xc = x - running_mean.astype(x.dtype).reshape(shape)
+        var = running_var.astype(x.dtype)
+    inv = (1.0 / np.sqrt(var + BN_EPS)).astype(x.dtype).reshape(shape)
+    return np.multiply(xc, inv, out=xc), inv
+
+
+def _bn_backward(gy, xhat, inv, x, gamma, beta, training):
+    """Batch norm's backward from gy, the gradient at its output gamma *
+    xhat + beta, into the gradients of x, gamma and beta.
+
+    x's gradient is gamma * inv * (gy - mean(gy) - xhat * mean(gy * xhat))
+    in training mode, whose first step runs in place in gy, and gamma *
+    inv * gy in eval mode. The other steps take the memory layout numpy
+    gives them, so each sum here and downstream runs in that order.
+    """
+    axes, shape, n = _bn_layout(gy)
+    prod = gy * xhat
+    gsum, psum = gy.sum(axis=axes), prod.sum(axis=axes)
+    if gamma.requires_grad:
+        _accumulate(gamma, psum)
+    if beta.requires_grad:
+        _accumulate(beta, gsum)
+    if not x.requires_grad:
+        return
+    gs = gamma.data.reshape(shape) * inv
+    if not training:
+        _accumulate(x, gs * gy)
+        return
+    gy -= (gsum / n).reshape(shape)
+    gx = np.subtract(gy, np.multiply(xhat, (psum / n).reshape(shape), out=prod), out=prod)
+    gx *= gs
+    _accumulate(x, gx)
+
+
+def batch_norm(x, gamma, beta, running_mean, running_var, training):
+    """Per-channel normalization over axis 1 (the TCN's batch norm), by
+    _bn_normalise and _bn_backward."""
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     if x.ndim < 2:
         raise DimensionError("batch_norm expects at least a 2-d input (B, C, ...)")
     C = x.shape[1]
     if gamma.shape != (C,) or beta.shape != (C,):
         raise DimensionError("gamma/beta must have one entry per channel")
-    axes = (0,) + tuple(range(2, x.ndim))
-    shape = (1, C) + (1,) * (x.ndim - 2)
-    n = int(np.prod([x.shape[a] for a in axes]))
-
-    if training:
-        if x.shape[0] < 2:
-            raise ConfigurationError("batch_norm in training mode needs a batch of at least 2")
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        _update_running(running_mean, running_var, mean, var, n, momentum)
-    else:
-        mean = running_mean.astype(x.dtype)
-        var = running_var.astype(x.dtype)
-
-    inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype).reshape(shape)
-    xhat = (x.data - mean.astype(x.dtype).reshape(shape)) * inv
+    xhat, inv = _bn_normalise(x.data, running_mean, running_var, training)
+    shape = inv.shape
     out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
 
     def backward(gout):
-        if gamma.requires_grad:
-            _accumulate(gamma, (gout * xhat).sum(axis=axes))
-        if beta.requires_grad:
-            _accumulate(beta, gout.sum(axis=axes))
-        if not x.requires_grad:
-            return
-        gs = gamma.data.reshape(shape) * inv
-        if training:
-            gm = gout.mean(axis=axes).reshape(shape)
-            gxm = (gout * xhat).mean(axis=axes).reshape(shape)
-            _accumulate(x, gs * (gout - gm - xhat * gxm))
-        else:
-            _accumulate(x, gs * gout)
+        # Gradient buffers are never written in place: the kernel gets a
+        # copy, in gout's memory order so its sums keep their order.
+        _bn_backward(gout.copy(order="K"), xhat, inv, x, gamma, beta, training)
 
     return _make(out, (x, gamma, beta), backward)
 
@@ -182,9 +221,7 @@ def _window_moments(lags, K, left):
     return mean, second
 
 
-def branch_stem(
-    x, weight, gamma, beta, running_mean, running_var, depthwise, training, momentum=0.1, eps=1e-5, lags=None
-):
+def branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, training, lags=None):
     """One branch's temporal conv -> batch norm -> depthwise channel conv.
 
     x: (B, 1, C, T); weight: (F, 1, 1, K), applied with same_pad_time's
@@ -247,11 +284,11 @@ def branch_stem(
         w64 = w.astype(np.float64)
         mean = w64 @ m
         var = np.maximum(np.einsum("fk,kl,fl->f", w64, S, w64) - mean * mean, 0.0)
-        _update_running(running_mean, running_var, mean, var, B * C * T, momentum)
+        _update_running(running_mean, running_var, mean, var, B * C * T)
     else:
         mean = running_mean.astype(np.float64)
         var = running_var.astype(np.float64)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     a = gamma.data * inv
     c = beta.data - a * mean
     s = dw.sum(axis=2)
@@ -351,15 +388,15 @@ def dropout(x, p, training, rng=None):
     return _make(out, (x,), backward)
 
 
-def bn_elu_pool(x, gamma, beta, running_mean, running_var, training, pool, p_drop, rng=None, momentum=0.1, eps=1e-5):
+def bn_elu_pool(x, gamma, beta, running_mean, running_var, training, pool, p_drop, rng=None):
     """A branch's tail on a (B, C, 1, T) map as one op: batch norm -> ELU ->
     mean pool over (1, pool) windows at stride pool -> dropout(p_drop).
 
     Bitwise equal to batch_norm, elu, avg_pool2d(kernel=(1, pool)) and
     dropout composed, in the output, the gradients of x, gamma and beta and
     the running buffers, in training and eval mode:
-    - statistics take np.mean's and np.var's own steps (mean, one centring
-      x - mean reused for the normalised map, squares summed, divided by n);
+    - batch norm runs the kernels batch_norm runs, _bn_normalise forward
+      and _bn_backward backward;
     - the pool sums a reshape of the first (T // pool) * pool samples and
       drops the rest, as the pool does, and its backward is a repeat;
     - the dropout mask is drawn as dropout draws it, before anything else
@@ -380,24 +417,11 @@ def bn_elu_pool(x, gamma, beta, running_mean, running_var, training, pool, p_dro
         raise ConfigurationError("pooling kernel extents must be positive")
     if T < pool:
         raise DimensionError("pooling window larger than padded input")
-    if training and B < 2:
-        raise ConfigurationError("batch_norm in training mode needs a batch of at least 2")
     wo = T // pool
     keep = _dropout_keep((B, C, 1, wo), p_drop, training, rng, x.dtype)
-    axes, shape, n = (0, 2, 3), (1, C, 1, 1), B * T
-
-    if training:
-        mean = x.data.mean(axis=axes)
-        xc = x.data - mean.reshape(shape)
-        var = np.square(xc).sum(axis=axes) / n
-        _update_running(running_mean, running_var, mean, var, n, momentum)
-    else:
-        xc = x.data - running_mean.astype(x.dtype).reshape(shape)
-        var = running_var.astype(x.dtype)
-    inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype).reshape(shape)
-    xhat = np.multiply(xc, inv, out=xc)
-    y = gamma.data.reshape(shape) * xhat
-    y += beta.data.reshape(shape)
+    xhat, inv = _bn_normalise(x.data, running_mean, running_var, training)
+    y = gamma.data.reshape(inv.shape) * xhat
+    y += beta.data.reshape(inv.shape)
     neg, y = _elu_parts(y, out=y)
     div = np.array(pool, dtype=y.dtype)
     out = y[..., : wo * pool].reshape(B, C, 1, wo, pool).sum(axis=-1) / div
@@ -409,20 +433,7 @@ def bn_elu_pool(x, gamma, beta, running_mean, running_var, training, pool, p_dro
         gy = np.zeros_like(x.data)
         gy[..., : wo * pool] += np.repeat(gpool / div, pool, axis=-1)
         gy *= neg + 1.0
-        prod = gy * xhat
-        gsum, psum = gy.sum(axis=axes), prod.sum(axis=axes)
-        if gamma.requires_grad:
-            _accumulate(gamma, psum)
-        if beta.requires_grad:
-            _accumulate(beta, gsum)
-        if not x.requires_grad:
-            return
-        gs = gamma.data.reshape(shape) * inv
-        if training:
-            gy -= (gsum / n).reshape(shape)
-            gy -= np.multiply(xhat, (psum / n).reshape(shape), out=prod)
-        gy *= gs
-        _accumulate(x, gy)
+        _bn_backward(gy, xhat, inv, x, gamma, beta, training)
 
     return _make(out, (x, gamma, beta), backward)
 
@@ -515,8 +526,8 @@ def _pad_left(a, left):
     return _zero_pad(a, ((0, 0), (0, 0), (left, 0)))
 
 
-def conv1d_dilated(x, weight, bias=None, dilation=1, left_pad=0):
-    """1-d dilated cross-correlation over (B, C, T) with left-only padding.
+def conv1d_dilated(x, weight, dilation=1, left_pad=0):
+    """Bias-free 1-d dilated cross-correlation over (B, C, T) with left-only padding.
 
     x: (B, Cin, T); weight: (Cout, Cin, K). Output t reads input
     t - left_pad + k * dilation for each tap k; its length is
@@ -546,13 +557,6 @@ def conv1d_dilated(x, weight, bias=None, dilation=1, left_pad=0):
     cols = _window_view(_pad_left(x.data, left_pad), to, K, dilation=dilation).transpose(0, 2, 1, 3)
     out = cols.reshape(B * to, cin * K) @ weight.data.reshape(cout, cin * K).T
     out = out.reshape(B, to, cout).transpose(0, 2, 1)
-    if bias is not None:
-        bias = _wrap(bias)
-        if bias.shape != (cout,):
-            raise DimensionError(f"bias must have shape ({cout},)")
-        out = out + bias.data.reshape(1, cout, 1)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(gout):
         if weight.requires_grad:
@@ -568,10 +572,8 @@ def conv1d_dilated(x, weight, bias=None, dilation=1, left_pad=0):
             gwin = _window_view(gp, T, K, dilation=dilation, start=left_pad)
             gx = gwin.transpose(0, 2, 1, 3).reshape(B * T, cout * K) @ flipped
             _accumulate(x, gx.reshape(B, T, cin).transpose(0, 2, 1))
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, gout.sum(axis=(0, 2)))
 
-    return _make(out, parents, backward)
+    return _make(out, (x, weight), backward)
 
 
 def conv2d(x, weight):

@@ -27,14 +27,14 @@ class AdamState:
 def adam_step(state: AdamState, params) -> None:
     """One Adam update over `params` (iterable of named Parameters).
 
-    Every parameter must carry a gradient of matching shape; gradients are
-    left untouched (the caller zeroes them). A zero gradient leaves the
+    A parameter without a gradient (outside this step's graph) is skipped:
+    it gets no moment buffers and stays bitwise unchanged. Every other
+    gradient must match its parameter's shape; gradients are left
+    untouched (the caller zeroes them). A zero gradient leaves the
     parameter bitwise unchanged.
     """
-    params = list(params)
+    params = [p for p in params if p.grad is not None]
     for p in params:
-        if p.grad is None:
-            raise StateError(f"parameter {p.name!r} has no gradient")
         if p.grad.shape != p.data.shape:
             raise StateError(f"parameter {p.name!r} gradient shape {p.grad.shape} != {p.data.shape}")
     state.step += 1

@@ -134,11 +134,7 @@ def train_run(run: RunConfig, stop_at_train_acc=None, on_epoch=None) -> TrainRes
                     raise NumericalError(f"non-finite training loss at epoch {epoch}: {loss_value}")
                 model.zero_grad()
                 loss.backward()
-                # Params outside this step's graph (e.g. the dense main
-                # branch's sparsity scalars) get an explicit zero gradient.
-                for p in params:
-                    if p.grad is None:
-                        p.grad = np.zeros_like(p.data)
+                # adam_step skips params outside the graph (branch1's alpha/beta).
                 adam_step(optimizer, params)
                 epoch_loss += loss_value
                 steps += 1

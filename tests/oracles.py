@@ -5,12 +5,14 @@ share no code path with the package's im2col/BLAS implementations. The
 exceptions are the paths the model ran before a faster op replaced them:
 oracle_conv2d, the general grouped, strided, padded im2col/col2im conv
 that csanet.ops carried until its conv2d narrowed to the (1, K) time conv
-(pinned here against naive_conv2d); oracle_branch_stem, the three-op
-composition that ops.branch_stem replaced, through oracle_conv2d;
-oracle_tail, the four-op composition that ops.bn_elu_pool replaced;
-oracle_branch_call, a branch whose spatial-refinement conv runs through
-oracle_conv2d as it did before conv1d_dilated took it over; and
-oracle_grad_check, csanet.gradcheck.grad_check as it was when every
+(pinned here against naive_conv2d); oracle_batch_norm, ops.batch_norm as
+it was before batch norm moved into one pair of kernels in csanet.ops;
+oracle_branch_stem, the three-op composition that ops.branch_stem
+replaced, through oracle_conv2d and oracle_batch_norm; oracle_tail, the
+four-op composition that ops.bn_elu_pool replaced, through
+oracle_batch_norm; oracle_branch_call, a branch whose spatial-refinement
+conv runs through oracle_conv2d as it did before conv1d_dilated took it
+over; and oracle_grad_check, csanet.gradcheck.grad_check as it was when every
 perturbed evaluation still recorded a tape.
 """
 
@@ -53,11 +55,11 @@ def naive_conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0), groups=1):
     return out
 
 
-def naive_conv1d(x, w, b=None, dilation=1, left_pad=0, gout=None):
+def naive_conv1d(x, w, dilation=1, left_pad=0, gout=None):
     """Dilated 1-d cross-correlation with left zero padding, one tap at a time.
 
     Returns the output; with gout (the output's gradient) also returns the
-    gradients of x, w and b, accumulated in the same loop.
+    gradients of x and w, accumulated in the same loop.
     """
     B, cin, T = x.shape
     cout, _, K = w.shape
@@ -67,7 +69,7 @@ def naive_conv1d(x, w, b=None, dilation=1, left_pad=0, gout=None):
     for bi in range(B):
         for oc in range(cout):
             for t in range(to):
-                acc = b[oc] if b is not None else 0.0
+                acc = 0.0
                 for ic in range(cin):
                     for k in range(K):
                         s = t + k * dilation - left_pad
@@ -79,7 +81,7 @@ def naive_conv1d(x, w, b=None, dilation=1, left_pad=0, gout=None):
                 out[bi, oc, t] = acc
     if gout is None:
         return out
-    return out, gx, gw, gout.sum(axis=(0, 2))
+    return out, gx, gw
 
 
 def naive_avg_pool(x, kernel, stride, padding=(0, 0)):
@@ -257,9 +259,60 @@ def oracle_conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1)
     return _make(out, parents, backward)
 
 
-def oracle_branch_stem(
-    x, weight, gamma, beta, running_mean, running_var, depthwise, training, momentum=0.1, eps=1e-5, lags=None
-):
+def oracle_batch_norm(x, gamma, beta, running_mean, running_var, training):
+    """Per-channel normalization over axis 1, as ops.batch_norm computed it
+    before batch norm moved into ops._bn_normalise and ops._bn_backward:
+    statistics from np.mean and np.var, and the backward's sums over the
+    upstream gradient itself.
+
+    Same signature and result as ops.batch_norm.
+    """
+    x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
+    if x.ndim < 2:
+        raise DimensionError("batch_norm expects at least a 2-d input (B, C, ...)")
+    C = x.shape[1]
+    if gamma.shape != (C,) or beta.shape != (C,):
+        raise DimensionError("gamma/beta must have one entry per channel")
+    axes = (0,) + tuple(range(2, x.ndim))
+    shape = (1, C) + (1,) * (x.ndim - 2)
+    n = int(np.prod([x.shape[a] for a in axes]))
+
+    if training:
+        if x.shape[0] < 2:
+            raise ConfigurationError("batch_norm in training mode needs a batch of at least 2")
+        mean = x.data.mean(axis=axes)
+        var = x.data.var(axis=axes)
+        running_mean *= 1.0 - ops.BN_MOMENTUM
+        running_mean += ops.BN_MOMENTUM * mean
+        running_var *= 1.0 - ops.BN_MOMENTUM
+        running_var += ops.BN_MOMENTUM * var * (n / (n - 1.0))
+    else:
+        mean = running_mean.astype(x.dtype)
+        var = running_var.astype(x.dtype)
+
+    inv = (1.0 / np.sqrt(var + ops.BN_EPS)).astype(x.dtype).reshape(shape)
+    xhat = (x.data - mean.astype(x.dtype).reshape(shape)) * inv
+    out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
+
+    def backward(gout):
+        if gamma.requires_grad:
+            _accumulate(gamma, (gout * xhat).sum(axis=axes))
+        if beta.requires_grad:
+            _accumulate(beta, gout.sum(axis=axes))
+        if not x.requires_grad:
+            return
+        gs = gamma.data.reshape(shape) * inv
+        if training:
+            gm = gout.mean(axis=axes).reshape(shape)
+            gxm = (gout * xhat).mean(axis=axes).reshape(shape)
+            _accumulate(x, gs * (gout - gm - xhat * gxm))
+        else:
+            _accumulate(x, gs * gout)
+
+    return _make(out, (x, gamma, beta), backward)
+
+
+def oracle_branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, training, lags=None):
     """Temporal conv -> batch norm -> depthwise channel conv, in that order.
 
     Same signature and result as ops.branch_stem, through the
@@ -268,7 +321,7 @@ def oracle_branch_stem(
     """
     kernel = weight.shape[-1]
     h = oracle_conv2d(ops.same_pad_time(x, kernel), weight)
-    h = ops.batch_norm(h, gamma, beta, running_mean, running_var, training, momentum=momentum, eps=eps)
+    h = oracle_batch_norm(h, gamma, beta, running_mean, running_var, training)
     return oracle_conv2d(h, depthwise, groups=weight.shape[0])
 
 
@@ -277,12 +330,12 @@ def oracle_spa_conv(h, weight):
     return oracle_conv2d(ops.same_pad_time(h, weight.shape[-1]), weight)
 
 
-def oracle_tail(x, gamma, beta, running_mean, running_var, training, pool, p_drop, rng=None, momentum=0.1, eps=1e-5):
+def oracle_tail(x, gamma, beta, running_mean, running_var, training, pool, p_drop, rng=None):
     """Batch norm -> ELU -> (1, pool) mean pool -> dropout, four ops.
 
     Same signature and result as ops.bn_elu_pool.
     """
-    h = ops.batch_norm(x, gamma, beta, running_mean, running_var, training, momentum=momentum, eps=eps)
+    h = oracle_batch_norm(x, gamma, beta, running_mean, running_var, training)
     h = ops.avg_pool2d(ops.elu(h), pool)
     return ops.dropout(h, p_drop, training, rng)
 
@@ -300,8 +353,6 @@ def oracle_branch_call(branch, x, training, rng=None, lags=None, spa_conv=oracle
         bn.running_var,
         branch.depthwise_conv.weight,
         training,
-        momentum=bn.momentum,
-        eps=bn.eps,
         lags=lags,
     )
     h = branch._tail(branch.bn_depthwise, h, p1, training, rng)

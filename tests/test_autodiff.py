@@ -107,7 +107,7 @@ def test_reductions_and_loss_keep_graph_dtype_under_float32_default(dtype):
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((4, 3)).astype(dtype), requires_grad=True)
     targets = np.array([0, 2, 1, 2])
-    for out in (x.sum(), x.mean(), (x * 0.5).sum(), ops.cross_entropy(x, targets)):
+    for out in (x.sum(), (x * 0.5).sum(), ops.cross_entropy(x, targets)):
         assert out.dtype == dtype
         x.zero_grad()
         out.backward()

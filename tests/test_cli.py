@@ -76,6 +76,49 @@ def test_eval_missing_checkpoint_exits_2_without_partial_files(run_cfg_path, tmp
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 
+def test_eval_corrupted_checkpoint_exits_2(run_cfg_path, tmp_path, capsys):
+    out = str(tmp_path / "train_out")
+    assert main(["train", "--config", run_cfg_path, "--out", out]) == 0
+    checkpoint = tmp_path / "model.csan"
+    blob = bytearray(open(os.path.join(out, "model.csan"), "rb").read())
+    blob[20] = 0xFF  # inside the config text: not UTF-8
+    checkpoint.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["eval", "--config", run_cfg_path, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "ev")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "offset 20" in err[0]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "model.pools=8",
+        "model.attention.keep_denominators=",
+        "model.temporal_kernels=1.5,2,3,4",
+        "model.attention.pool_kernels=3.0",
+        "model.attention.pool_kernels=3,5.0,7",
+        "model.tcn.kernel=0",
+        "model.tcn.dilations=0",
+    ],
+)
+def test_malformed_config_value_exits_2(run_cfg_path, tmp_path, capsys, line):
+    key = line.split("=")[0] + "="
+    text = [row for row in open(run_cfg_path).read().splitlines() if not row.startswith(key)]
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(text + [line]) + "\n")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed=5\nout_dir=\xff\xfe\n")
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "UTF-8" in err[0]
+
+
 def test_gradcheck_scope_passes(capsys):
     assert main(["gradcheck", "--scope", "topk_softmax"]) == 0
     line = capsys.readouterr().out.splitlines()[0]

@@ -273,3 +273,18 @@ def test_sources_call_neither_np_pad_nor_sliding_window_view():
             assert ident != "sliding_window_view", name
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 assert (node.value.id, node.attr) != ("np", "pad"), f"{name}:{node.lineno}"
+
+
+def test_ops_signatures_take_no_batch_norm_policy_and_no_conv_bias():
+    # Batch norm's momentum and eps are ops.BN_MOMENTUM and ops.BN_EPS, and
+    # no conv in the network carries a bias.
+    with open(os.path.join(SRC, "ops.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    signatures = {node.name: node.args for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"batch_norm", "bn_elu_pool", "branch_stem", "conv1d_dilated"} <= signatures.keys()
+    for name, args in signatures.items():
+        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        assert not params & {"momentum", "eps"}, name
+    conv = signatures["conv1d_dilated"]
+    assert "bias" not in {a.arg for a in conv.args + conv.kwonlyargs}
+    assert (ops.BN_MOMENTUM, ops.BN_EPS) == (0.1, 1e-5)

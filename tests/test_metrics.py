@@ -1,4 +1,6 @@
-"""Metric closed forms, invariants, and report round-trips."""
+"""Metric closed forms, invariants, and the report files."""
+
+import json
 
 import numpy as np
 import pytest
@@ -13,8 +15,6 @@ from csanet.metrics import (
     confusion_from_labels,
     kappa,
     per_class_recall,
-    report_from_csv,
-    report_from_json,
     report_from_predictions,
     report_to_csv,
     report_to_json,
@@ -118,13 +118,29 @@ class TestReports:
         subjects = [1, 1, 1, 2, 2, 2, 3, 3]
         return report_from_predictions(y_true, y_pred, 3, subjects=subjects)
 
-    def test_csv_roundtrip_equal(self):
+    def test_csv_lists_every_field_exactly(self):
         report = self.make_report()
-        assert report_from_csv(report_to_csv(report)) == report
+        rows = report_to_csv(report).splitlines()
+        assert rows[0] == "metric,value"
+        fields = dict(row.split(",", 1) for row in rows[1:-4])
+        want = {"acc": report.acc, "kappa": report.kappa, "std": report.std}
+        want.update({f"per_class_recall_{k}": r for k, r in enumerate(report.per_class_recall)})
+        want.update({f"subject_acc_{sid}": a for sid, a in report.subject_accs.items()})
+        assert {key: float(value) for key, value in fields.items()} == want  # repr round-trips exactly
+        assert rows[-4] == "confusion,3"
+        assert [[int(v) for v in row.split(",")] for row in rows[-3:]] == report.confusion.counts.tolist()
 
-    def test_json_roundtrip_equal(self):
+    def test_json_lists_every_field_exactly(self):
         report = self.make_report()
-        assert report_from_json(report_to_json(report)) == report
+        payload = json.loads(report_to_json(report))
+        assert payload == {
+            "acc": report.acc,
+            "kappa": report.kappa,
+            "per_class_recall": report.per_class_recall,
+            "subject_accs": {str(sid): a for sid, a in report.subject_accs.items()},
+            "std": report.std,
+            "confusion": report.confusion.counts.tolist(),
+        }
 
     def test_per_class_recall_values(self):
         report = self.make_report()

@@ -7,7 +7,17 @@ from csanet import ops
 from csanet.autodiff import Tensor
 from csanet.errors import ConfigurationError, DataError, DimensionError
 
-from oracles import _col2im_add, _pad_hw, _windows, naive_avg_pool, naive_conv1d, naive_conv2d, naive_linear, oracle_conv2d
+from oracles import (
+    _col2im_add,
+    _pad_hw,
+    _windows,
+    naive_avg_pool,
+    naive_conv1d,
+    naive_conv2d,
+    naive_linear,
+    oracle_batch_norm,
+    oracle_conv2d,
+)
 
 
 class TestConv2d:
@@ -222,9 +232,8 @@ class TestBatchNorm:
             np.zeros(2),
             np.ones(2),
             training=False,
-            eps=0.0,
         )
-        np.testing.assert_allclose(out.data, 2.0 * x.data + 3.0, rtol=1e-6)
+        np.testing.assert_allclose(out.data, 2.0 * x.data / np.sqrt(1.0 + ops.BN_EPS) + 3.0, rtol=1e-6)
 
     def test_batch_of_one_is_config_error(self):
         x = Tensor(np.zeros((1, 2, 4)))
@@ -234,9 +243,58 @@ class TestBatchNorm:
     def test_running_stats_update(self):
         rm, rv = np.zeros(1), np.ones(1)
         x = Tensor(np.array([[[0.0, 2.0]], [[4.0, 6.0]]]))  # mean 3, biased var 5
-        ops.batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), rm, rv, training=True, momentum=0.5)
-        assert rm[0] == pytest.approx(1.5)
-        assert rv[0] == pytest.approx(0.5 + 0.5 * 5.0 * 4 / 3)
+        ops.batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), rm, rv, training=True)
+        assert ops.BN_MOMENTUM == 0.1
+        assert rm[0] == pytest.approx(0.1 * 3.0)
+        assert rv[0] == pytest.approx(0.9 + 0.1 * 5.0 * 4 / 3)
+
+
+def _bn_array(rng, shape, layout, dtype):
+    """A (B, C, ...) array, C-contiguous, channels-last in memory (as
+    conv1d_dilated returns its output) or with every axis reversed."""
+    if layout == "contiguous":
+        a = rng.standard_normal(shape) + 0.3
+    elif layout == "channels_last":
+        a = np.moveaxis(rng.standard_normal((shape[0],) + shape[2:] + (shape[1],)) + 0.3, -1, 1)
+    else:
+        a = (rng.standard_normal(shape[::-1]) + 0.3).T
+    return a.astype(dtype, copy=False)
+
+
+def _bn_run(bn, shape, dtype, training, x_layout, grad_layout):
+    """Output, grads of x, gamma and beta and both running buffers after
+    one forward and a backward from an upstream gradient of a given layout."""
+    rng = np.random.Generator(np.random.PCG64(77))
+    C = shape[1]
+    x = Tensor(_bn_array(rng, shape, x_layout, dtype), requires_grad=True)
+    gamma = Tensor((1.0 + 0.1 * rng.standard_normal(C)).astype(dtype), requires_grad=True)
+    beta = Tensor((0.2 * rng.standard_normal(C)).astype(dtype), requires_grad=True)
+    rm = (0.1 * rng.standard_normal(C)).astype(dtype)
+    rv = (1.0 + rng.random(C)).astype(dtype)
+    out = bn(x, gamma, beta, rm, rv, training)
+    out.backward(_bn_array(rng, shape, grad_layout, dtype))
+    return [out.data, x.grad, gamma.grad, beta.grad, rm, rv]
+
+
+# (B, C, T) maps of the TCN at the default and mini configs, a small odd
+# one, and a (B, C, 1, T) branch map.
+BN_SHAPES = [(2, 32, 17), (2, 4, 4), (5, 3, 7), (3, 4, 1, 11)]
+
+
+@pytest.mark.parametrize("grad_layout", ["contiguous", "reversed"])
+@pytest.mark.parametrize("x_layout", ["contiguous", "channels_last"])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", BN_SHAPES, ids=["x".join(map(str, s)) for s in BN_SHAPES])
+def test_batch_norm_is_bitwise_the_oracle(shape, dtype, training, x_layout, grad_layout):
+    bns = (ops.batch_norm, oracle_batch_norm)
+    got, want = (_bn_run(bn, shape, dtype, training, x_layout, grad_layout) for bn in bns)
+    names = ("output", "x grad", "gamma grad", "beta grad", "running mean", "running var")
+    for name, g, w in zip(names, got, want):
+        assert g.dtype == w.dtype == np.dtype(dtype), name
+        assert np.array_equal(g, w), f"{name} differs"
+        # Downstream sums run in memory order, so the layout must match too.
+        assert g.strides == w.strides, f"{name} layout differs"
 
 
 class TestPointwise:
@@ -313,13 +371,11 @@ class TestConv1dDilated:
         T = int(rng.integers(max(1, span - left_pad), span - left_pad + 11))
         x = Tensor(rng.standard_normal((B, cin, T)), requires_grad=True)
         w = Tensor(rng.standard_normal((cout, cin, K)), requires_grad=True)
-        b = Tensor(rng.standard_normal(cout), requires_grad=True) if case % 2 else None
-        out = ops.conv1d_dilated(x, w, b, dilation=dilation, left_pad=left_pad)
+        out = ops.conv1d_dilated(x, w, dilation=dilation, left_pad=left_pad)
         gout = rng.standard_normal(out.shape)
         (out * Tensor(gout)).sum().backward()
-        want = naive_conv1d(x.data, w.data, None if b is None else b.data, dilation, left_pad, gout)
-        got = (out.data, x.grad, w.grad) + (() if b is None else (b.grad,))
-        for name, g, e in zip(("output", "input grad", "weight grad", "bias grad"), got, want):
+        want = naive_conv1d(x.data, w.data, dilation, left_pad, gout)
+        for name, g, e in zip(("output", "input grad", "weight grad"), (out.data, x.grad, w.grad), want):
             assert g.shape == e.shape, name
             np.testing.assert_allclose(g, e, rtol=0, atol=1e-12, err_msg=name)
 

@@ -56,8 +56,24 @@ def test_matches_textbook_recurrence():
     np.testing.assert_allclose(p.data, ref, rtol=1e-12)
 
 
-def test_missing_gradient_is_state_error():
+def test_parameter_without_gradient_is_skipped_bitwise():
+    values = np.array([1.5, -2.25, 0.0, -0.0], dtype=np.float32)
+    idle = Parameter(values.copy(), name="idle")
+    live = Parameter(np.zeros(2), name="live")
+    state = AdamState()
+    for expected in (1, 2, 3):
+        live.grad = np.ones(2)
+        adam_step(state, [idle, live])
+        assert state.step == expected
+    assert idle.grad is None
+    assert idle.data.tobytes() == values.tobytes()
+    assert "idle" not in state.m and "idle" not in state.v
+    assert (live.data < 0).all()
+
+
+def test_gradient_shape_mismatch_is_state_error():
     p = Parameter(np.zeros(3), name="w")
+    p.grad = np.zeros(4)
     with pytest.raises(StateError):
         adam_step(AdamState(), [p])
 
