@@ -64,11 +64,46 @@ def _text(blob, offset, length, what):
         raise FormatError(f"{what} is not UTF-8", offset=offset + exc.start) from exc
 
 
+def _blob_table(blob, offset):
+    """The blob table from offset to the end of blob, checked against the
+    file before anything is built: [(name, name offset, dims, dims offset,
+    values offset)]. Every length, name, shape and value extent must fit,
+    and nothing may follow the last blob; otherwise FormatError."""
+    (n_blobs,) = struct.unpack_from("<I", blob, offset)
+    offset += 4
+    table = []
+    for _ in range(n_blobs):
+        if len(blob) < offset + 4:
+            raise FormatError("truncated blob header", offset=len(blob))
+        (name_len,) = struct.unpack_from("<I", blob, offset)
+        offset += 4
+        if len(blob) < offset + name_len + 4:
+            raise FormatError("truncated blob name", offset=len(blob))
+        name = _text(blob, offset, name_len, "blob name")
+        name_at = offset
+        offset += name_len
+        (ndim,) = struct.unpack_from("<I", blob, offset)
+        if len(blob) < offset + 4 + 4 * ndim:
+            raise FormatError(f"truncated shape for blob {name!r}", offset=len(blob))
+        dims = struct.unpack_from(f"<{ndim}I", blob, offset + 4)
+        dims_at = offset
+        offset += 4 + 4 * ndim
+        if len(blob) < offset + 4 * math.prod(dims):
+            raise FormatError(f"truncated values for blob {name!r}", offset=len(blob))
+        table.append((name, name_at, dims, dims_at, offset))
+        offset += 4 * math.prod(dims)
+    if len(blob) != offset:
+        raise FormatError("trailing bytes after final blob", offset=offset)
+    return table
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (ModelConfig, CsanetModel).
 
     A malformed file raises FormatError with the byte offset of the fault;
     a well-formed config that fails validation raises ConfigurationError.
+    The whole file is parsed and checked before the model is built; blob
+    names and shapes are then checked against the model.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -83,42 +118,19 @@ def load_checkpoint(path):
     if len(blob) < offset + cfg_len + 4:
         raise FormatError("truncated config block", offset=len(blob))
     cfg = config_from_text(_text(blob, offset, cfg_len, "config text"), cls=ModelConfig)
-    offset += cfg_len
-    (n_blobs,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    table = _blob_table(blob, offset + cfg_len)
 
     model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(0)))
     targets = {name: p.data for name, p in model.named_parameters()}
     targets.update(model.named_buffers())
-    seen = set()
-    for _ in range(n_blobs):
-        if len(blob) < offset + 4:
-            raise FormatError("truncated blob header", offset=len(blob))
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        if len(blob) < offset + name_len + 4:
-            raise FormatError("truncated blob name", offset=len(blob))
-        name = _text(blob, offset, name_len, "blob name")
+    for name, name_at, dims, dims_at, values_at in table:
         if name not in targets:
-            raise FormatError(f"unknown blob name {name!r}", offset=offset)
+            raise FormatError(f"unknown blob name {name!r}", offset=name_at)
         target = targets[name]
-        offset += name_len
-        (ndim,) = struct.unpack_from("<I", blob, offset)
-        if len(blob) < offset + 4 + 4 * ndim:
-            raise FormatError(f"truncated shape for blob {name!r}", offset=len(blob))
-        dims = struct.unpack_from(f"<{ndim}I", blob, offset + 4)
         if dims != target.shape:
-            raise FormatError(f"blob {name!r} shape {dims} != expected {target.shape}", offset=offset)
-        offset += 4 + 4 * ndim
-        count = math.prod(dims)
-        if len(blob) < offset + 4 * count:
-            raise FormatError(f"truncated values for blob {name!r}", offset=len(blob))
-        target[...] = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(dims)
-        offset += 4 * count
-        seen.add(name)
-    if len(blob) != offset:
-        raise FormatError("trailing bytes after final blob", offset=offset)
-    missing = set(targets) - seen
+            raise FormatError(f"blob {name!r} shape {dims} != expected {target.shape}", offset=dims_at)
+        target[...] = np.frombuffer(blob, dtype="<f4", count=math.prod(dims), offset=values_at).reshape(dims)
+    missing = set(targets) - {entry[0] for entry in table}
     if missing:
-        raise FormatError(f"checkpoint is missing blobs: {sorted(missing)}", offset=offset)
+        raise FormatError(f"checkpoint is missing blobs: {sorted(missing)}", offset=len(blob))
     return cfg, model

@@ -133,6 +133,8 @@ class ModelConfig:
                 "tcn.filters must equal spa_filters (identity skip connections)"
             )
         _check_ints("tcn.dilations", self.tcn.dilations)
+        if self.tcn_enabled and not self.tcn.dilations:
+            raise ConfigurationError("tcn.dilations must hold at least one dilation when tcn_enabled is true")
         if self.tcn.kernel < 1:
             raise ConfigurationError(f"tcn.kernel must be >= 1, got {self.tcn.kernel}")
         if not 0.0 <= self.tcn.dropout < 1.0:

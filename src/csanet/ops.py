@@ -5,11 +5,19 @@ explicit Generator). All convs in the network use stride 1 and run along
 the time axis; pooling carries the stride.
 
 conv1d_dilated is the network's one time-axis conv (each branch's
-spatial-refinement conv and the TCN's causal convs): its forward, weight
-gradient and input gradient are one matmul each over a window matrix
-gathered from a strided view, the input gradient being the transposed
-correlation of the zero-padded output gradient with the kernel flipped
-along its taps, so no pass loops over taps. branch_stem fuses a branch's
+spatial-refinement conv and the TCN's causal convs), with one path per
+shape class. Long unpadded kernels over a batch (spa_conv, K = 32, at
+training and eval batch sizes) run as FFT correlations: forward, weight
+gradient and input gradient are each rfft -> one matmul per frequency ->
+irfft, at a 5-smooth length where nothing wraps around. The rest run
+direct (the TCN's causal K = 4 convs, which an FFT's rounding noise would
+make inexactly causal, small configs' short kernels, and B = 1 decoding,
+where the transforms' fixed cost dominates): forward, weight gradient and
+input gradient are one matmul each over a window matrix gathered from a
+strided view, the input gradient being the transposed correlation of the
+zero-padded output gradient with the kernel flipped along its taps, so no
+pass loops over taps. FFT_MIN_TAPS and FFT_MIN_WORK draw the line between
+the classes. branch_stem fuses a branch's
 temporal conv, batch norm and depthwise channel conv into one op that
 projects channels first and correlates time after, with banded matmuls
 over tiles of the time axis and batch statistics from float64 window
@@ -526,6 +534,69 @@ def _pad_left(a, left):
     return _zero_pad(a, ((0, 0), (0, 0), (left, 0)))
 
 
+# conv1d_dilated's FFT path takes unpadded, undilated calls of at least
+# FFT_MIN_TAPS taps with B * T_out * K >= FFT_MIN_WORK. Below that the
+# transforms' fixed cost, most of it the weight's rfft, outweighs the
+# window matmul. Measured on a 2-core x86 host, one BLAS thread, float32,
+# 32 -> 32 channels, forward + backward: at K = 32, T_out = 125 (spa_conv
+# at the paper config) B = 8 (32,000) is a tie, B = 10 runs 5.2 -> 4.1 ms
+# and B = 16 7.1 -> 4.6 ms, while B = 1 runs its forward in 0.14 ms
+# direct against 1.2 ms by FFT; at K = 64 the tie falls near B = 5 (40,000),
+# and at K = 16 the direct path still wins at B = 16 (32,000).
+FFT_MIN_TAPS = 16
+FFT_MIN_WORK = 32768
+
+
+def _smooth_length(n):
+    """The smallest 2^a 3^b 5^c >= n, a length numpy's FFT transforms fast."""
+    best = 2 * n
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            f = f35
+            while f < n:
+                f *= 2
+            best = min(best, f)
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
+def _conv1d_fft(x, weight, to):
+    """conv1d_dilated at dilation 1 without padding, by FFT correlation.
+
+    At n >= T nothing wraps around: each output, input-gradient and
+    weight-gradient sample is an exact circular correlation or
+    convolution of length n. Every pass is rfft -> one matmul per
+    frequency -> irfft: the forward takes X @ conj(W) over Cin, the weight
+    gradient conj(G) @ X over the batch (taps 0..K-1 of the result) and
+    the input gradient G @ W over Cout. Real inputs of a dtype give that
+    dtype's complex spectra and the same real dtype back. The tape keeps
+    no spectrum: the backward recomputes rfft(x) and rfft(w).
+    """
+    B, cin, T = x.shape
+    cout, _, K = weight.shape
+    n = _smooth_length(T)
+
+    def spectrum(a):  # (rows, cols, T) -> (F, rows, cols)
+        return np.fft.rfft(a, n).transpose(2, 0, 1)
+
+    def signal(s, length):  # (F, rows, cols) -> (rows, cols, length), a compact copy
+        return np.fft.irfft(s, n, axis=0)[:length].copy().transpose(1, 2, 0)
+
+    out = signal(spectrum(x.data) @ spectrum(weight.data).transpose(0, 2, 1).conj(), to)
+
+    def backward(gout):
+        g = spectrum(gout)  # (F, B, Cout)
+        if weight.requires_grad:
+            _accumulate(weight, signal(g.transpose(0, 2, 1).conj() @ spectrum(x.data), K))
+        if x.requires_grad:
+            _accumulate(x, signal(g @ spectrum(weight.data), T))
+
+    return _make(out, (x, weight), backward)
+
+
 def conv1d_dilated(x, weight, dilation=1, left_pad=0):
     """Bias-free 1-d dilated cross-correlation over (B, C, T) with left-only padding.
 
@@ -535,12 +606,19 @@ def conv1d_dilated(x, weight, dilation=1, left_pad=0):
     op is causal and length-preserving: output t sees inputs t, t-d, ...,
     t-(K-1)*d only.
 
-    Each pass is one matmul over a window matrix gathered from a strided
-    view: the forward and the weight gradient over the windows of the
-    padded input (rebuilt in the backward, not kept), the input gradient
-    over the windows of the output gradient, zero-padded by the kernel
-    span less one on both sides, with the kernel flipped along its taps
-    (the transposed correlation), at the T positions that map back onto x.
+    Each shape class has one path. Unpadded, undilated calls with at least
+    FFT_MIN_TAPS taps and B * T_out * K >= FFT_MIN_WORK (spa_conv at
+    training and eval batch sizes) run by FFT correlation, _conv1d_fft.
+    Every other call runs direct: the TCN's causal convs,
+    whose exact causality an FFT would blur with rounding noise; the short
+    kernels of small configs; and B = 1 decoding, where the weight's rfft
+    alone costs more than the window matmul. On the direct path each pass
+    is one matmul over a window matrix gathered from a strided view: the
+    forward and the weight gradient over the windows of the padded input
+    (rebuilt in the backward, not kept), the input gradient over the
+    windows of the output gradient, zero-padded by the kernel span less
+    one on both sides, with the kernel flipped along its taps (the
+    transposed correlation), at the T positions that map back onto x.
     """
     x, weight = _wrap(x), _wrap(weight)
     if x.ndim != 3 or weight.ndim != 3:
@@ -553,8 +631,10 @@ def conv1d_dilated(x, weight, dilation=1, left_pad=0):
     if T + left_pad < span:
         raise DimensionError("dilated kernel span exceeds padded input")
     to = T + left_pad - span + 1
+    if dilation == 1 and left_pad == 0 and K >= FFT_MIN_TAPS and B * to * K >= FFT_MIN_WORK:
+        return _conv1d_fft(x, weight, to)
 
-    cols = _window_view(_pad_left(x.data, left_pad), to, K, dilation=dilation).transpose(0, 2, 1, 3)
+    cols =_window_view(_pad_left(x.data, left_pad), to, K, dilation=dilation).transpose(0, 2, 1, 3)
     out = cols.reshape(B * to, cin * K) @ weight.data.reshape(cout, cin * K).T
     out = out.reshape(B, to, cout).transpose(0, 2, 1)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from csanet import checkpoint
 from csanet.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from csanet.errors import FormatError
 from csanet.model import CsanetModel
@@ -58,6 +59,27 @@ def test_truncated_payload_is_format_error(tmp_path):
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", ["values", "header", "trailing"])
+def test_malformed_blob_table_fails_before_the_model_is_built(tmp_path, monkeypatch, cut):
+    blob = checkpoint_bytes(make_model())
+    bad = {"values": blob[:-1], "header": blob[: len(blob) // 2], "trailing": blob + b"junk"}[cut]
+    path = tmp_path / "bad.csan"
+    path.write_bytes(bad)
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return CsanetModel(*args, **kwargs)
+
+    monkeypatch.setattr(checkpoint, "CsanetModel", spy)
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+    assert built == []
+    path.write_bytes(blob)
+    load_checkpoint(path)
+    assert len(built) == 1
 
 
 def test_trailing_garbage_is_format_error(tmp_path):

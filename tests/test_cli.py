@@ -99,6 +99,7 @@ def test_eval_corrupted_checkpoint_exits_2(run_cfg_path, tmp_path, capsys):
         "model.attention.pool_kernels=3,5.0,7",
         "model.tcn.kernel=0",
         "model.tcn.dilations=0",
+        "model.tcn.dilations=",  # with tcn_enabled: would build an identity TCN
     ],
 )
 def test_malformed_config_value_exits_2(run_cfg_path, tmp_path, capsys, line):
