@@ -536,15 +536,15 @@ def _pad_left(a, left):
 
 # conv1d_dilated's FFT path takes unpadded, undilated calls of at least
 # FFT_MIN_TAPS taps with B * T_out * K >= FFT_MIN_WORK. Below that the
-# transforms' fixed cost, most of it the weight's rfft, outweighs the
-# window matmul. Measured on a 2-core x86 host, one BLAS thread, float32,
-# 32 -> 32 channels, forward + backward: at K = 32, T_out = 125 (spa_conv
-# at the paper config) B = 8 (32,000) is a tie, B = 10 runs 5.2 -> 4.1 ms
-# and B = 16 7.1 -> 4.6 ms, while B = 1 runs its forward in 0.14 ms
-# direct against 1.2 ms by FFT; at K = 64 the tie falls near B = 5 (40,000),
-# and at K = 16 the direct path still wins at B = 16 (32,000).
+# transforms' fixed cost outweighs the window matmul. Measured on a 2-core
+# x86 host, one BLAS thread, float32, 32 -> 32 channels, T_out = 125
+# (spa_conv at the paper config is K = 32), direct -> FFT, forward +
+# backward: the two tie near B * T_out * K = 20,000 at K = 16 (B = 10),
+# K = 32 (B = 5, 1.8 -> 1.6 ms) and K = 64 (B = 3); at K = 32, B = 16 runs
+# 5.9 -> 2.9 ms, while B = 1 runs its forward in 0.13 ms direct against
+# 0.40 ms by FFT.
 FFT_MIN_TAPS = 16
-FFT_MIN_WORK = 32768
+FFT_MIN_WORK = 20000
 
 
 def _smooth_length(n):
@@ -568,12 +568,14 @@ def _conv1d_fft(x, weight, to):
 
     At n >= T nothing wraps around: each output, input-gradient and
     weight-gradient sample is an exact circular correlation or
-    convolution of length n. Every pass is rfft -> one matmul per
+    convolution of length n. Every pass is a transform -> one matmul per
     frequency -> irfft: the forward takes X @ conj(W) over Cin, the weight
     gradient conj(G) @ X over the batch (taps 0..K-1 of the result) and
-    the input gradient G @ W over Cout. Real inputs of a dtype give that
-    dtype's complex spectra and the same real dtype back. The tape keeps
-    no spectrum: the backward recomputes rfft(x) and rfft(w).
+    the input gradient G @ W over Cout. X and G are rffts; W, the spectrum
+    of only K taps, is one matmul of the weight with the DFT's cos/sin
+    table, which cost a sixth of rfft(w, n) at spa_conv's shape. Real
+    inputs of a dtype give that dtype's complex spectra and the same real
+    dtype back. The tape keeps no spectrum: the backward recomputes X and W.
     """
     B, cin, T = x.shape
     cout, _, K = weight.shape
@@ -582,17 +584,25 @@ def _conv1d_fft(x, weight, to):
     def spectrum(a):  # (rows, cols, T) -> (F, rows, cols)
         return np.fft.rfft(a, n).transpose(2, 0, 1)
 
-    def signal(s, length):  # (F, rows, cols) -> (rows, cols, length), a compact copy
-        return np.fft.irfft(s, n, axis=0)[:length].copy().transpose(1, 2, 0)
+    def tap_spectrum(w):  # spectrum(w) for the (Cout, Cin, K) weight
+        angle = (-2.0 * np.pi / n) * (np.outer(np.arange(K), np.arange(n // 2 + 1)) % n)
+        table = np.stack([np.cos(angle), np.sin(angle)], axis=-1).reshape(K, -1).astype(w.dtype)
+        s = (w.reshape(-1, K) @ table).view(np.result_type(w.dtype, np.complex64))
+        return s.reshape(cout, cin, -1).transpose(2, 0, 1)
 
-    out = signal(spectrum(x.data) @ spectrum(weight.data).transpose(0, 2, 1).conj(), to)
+    # (F, rows, cols) -> a C-contiguous copy (rows, cols, length): the
+    # output's gradient then comes back in the layout rfft reads fastest.
+    def signal(s, length):
+        return np.fft.irfft(s, n, axis=0)[:length].transpose(1, 2, 0).copy()
+
+    out = signal(spectrum(x.data) @ tap_spectrum(weight.data).transpose(0, 2, 1).conj(), to)
 
     def backward(gout):
         g = spectrum(gout)  # (F, B, Cout)
         if weight.requires_grad:
             _accumulate(weight, signal(g.transpose(0, 2, 1).conj() @ spectrum(x.data), K))
         if x.requires_grad:
-            _accumulate(x, signal(g @ spectrum(weight.data), T))
+            _accumulate(x, signal(g @ tap_spectrum(weight.data), T))
 
     return _make(out, (x, weight), backward)
 
@@ -611,8 +621,8 @@ def conv1d_dilated(x, weight, dilation=1, left_pad=0):
     training and eval batch sizes) run by FFT correlation, _conv1d_fft.
     Every other call runs direct: the TCN's causal convs,
     whose exact causality an FFT would blur with rounding noise; the short
-    kernels of small configs; and B = 1 decoding, where the weight's rfft
-    alone costs more than the window matmul. On the direct path each pass
+    kernels of small configs; and B = 1 decoding, where the transforms'
+    fixed cost is three times the window matmul. On the direct path each pass
     is one matmul over a window matrix gathered from a strided view: the
     forward and the weight gradient over the windows of the padded input
     (rebuilt in the backward, not kept), the input gradient over the
