@@ -88,10 +88,11 @@ def _blob_table(blob, offset):
         dims = struct.unpack_from(f"<{ndim}I", blob, offset + 4)
         dims_at = offset
         offset += 4 + 4 * ndim
-        if len(blob) < offset + 4 * math.prod(dims):
+        nbytes = 4 * math.prod(dims)
+        if len(blob) < offset + nbytes:
             raise FormatError(f"truncated values for blob {name!r}", offset=len(blob))
         table.append((name, name_at, dims, dims_at, offset))
-        offset += 4 * math.prod(dims)
+        offset += nbytes
     if len(blob) != offset:
         raise FormatError("trailing bytes after final blob", offset=offset)
     return table

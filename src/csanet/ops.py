@@ -16,13 +16,15 @@ where the transforms' fixed cost dominates): forward, weight gradient and
 input gradient are one matmul each over a window matrix gathered from a
 strided view, the input gradient being the transposed correlation of the
 zero-padded output gradient with the kernel flipped along its taps, so no
-pass loops over taps. FFT_MIN_TAPS and FFT_MIN_WORK draw the line between
-the classes. branch_stem fuses a branch's
-temporal conv, batch norm and depthwise channel conv into one op that
-projects channels first and correlates time after, with banded matmuls
-over tiles of the time axis and batch statistics from float64 window
-moments of the input; the four branches of one training forward read
-those moments off one lag_prefixes table built at the longest kernel.
+pass loops over taps. FFT_MIN_TAPS and FFT_MIN_WORK draw the line
+between the classes.
+
+branch_stem fuses a branch's temporal conv, batch norm and depthwise
+channel conv into one op that projects channels first and correlates time
+after, with banded matmuls over tiles of the time axis and batch
+statistics from float64 window moments of the input; the four branches of
+one training forward read those moments off one lag_prefixes table built
+at the longest kernel.
 
 bn_elu_pool fuses the tail that follows each branch's stem and its
 spatial-refinement conv (batch norm -> ELU -> (1, p) mean pool ->
@@ -549,18 +551,14 @@ FFT_MIN_WORK = 20000
 
 def _smooth_length(n):
     """The smallest 2^a 3^b 5^c >= n, a length numpy's FFT transforms fast."""
-    best = 2 * n
-    f5 = 1
-    while f5 < best:
-        f35 = f5
-        while f35 < best:
-            f = f35
-            while f < n:
-                f *= 2
-            best = min(best, f)
-            f35 *= 3
-        f5 *= 5
-    return best
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def _conv1d_fft(x, weight, to):
@@ -573,7 +571,7 @@ def _conv1d_fft(x, weight, to):
     gradient conj(G) @ X over the batch (taps 0..K-1 of the result) and
     the input gradient G @ W over Cout. X and G are rffts; W, the spectrum
     of only K taps, is one matmul of the weight with the DFT's cos/sin
-    table, which cost a sixth of rfft(w, n) at spa_conv's shape. Real
+    table, a quarter of rfft(w, n)'s time in a spa_conv training step. Real
     inputs of a dtype give that dtype's complex spectra and the same real
     dtype back. The tape keeps no spectrum: the backward recomputes X and W.
     """
@@ -619,16 +617,16 @@ def conv1d_dilated(x, weight, dilation=1, left_pad=0):
     Each shape class has one path. Unpadded, undilated calls with at least
     FFT_MIN_TAPS taps and B * T_out * K >= FFT_MIN_WORK (spa_conv at
     training and eval batch sizes) run by FFT correlation, _conv1d_fft.
-    Every other call runs direct: the TCN's causal convs,
-    whose exact causality an FFT would blur with rounding noise; the short
-    kernels of small configs; and B = 1 decoding, where the transforms'
-    fixed cost is three times the window matmul. On the direct path each pass
-    is one matmul over a window matrix gathered from a strided view: the
-    forward and the weight gradient over the windows of the padded input
-    (rebuilt in the backward, not kept), the input gradient over the
-    windows of the output gradient, zero-padded by the kernel span less
-    one on both sides, with the kernel flipped along its taps (the
-    transposed correlation), at the T positions that map back onto x.
+    Every other call runs direct: the TCN's causal convs, whose exact
+    causality an FFT would blur with rounding noise; the short kernels of
+    small configs; and B = 1 decoding, where the transforms' fixed cost is
+    three times the window matmul. On the direct path each pass is one
+    matmul over a window matrix gathered from a strided view: the forward
+    and the weight gradient over the windows of the padded input (rebuilt
+    in the backward, not kept), the input gradient over the windows of the
+    output gradient, zero-padded by the kernel span less one on both
+    sides, with the kernel flipped along its taps (the transposed
+    correlation), at the T positions that map back onto x.
     """
     x, weight = _wrap(x), _wrap(weight)
     if x.ndim != 3 or weight.ndim != 3:
@@ -644,7 +642,7 @@ def conv1d_dilated(x, weight, dilation=1, left_pad=0):
     if dilation == 1 and left_pad == 0 and K >= FFT_MIN_TAPS and B * to * K >= FFT_MIN_WORK:
         return _conv1d_fft(x, weight, to)
 
-    cols =_window_view(_pad_left(x.data, left_pad), to, K, dilation=dilation).transpose(0, 2, 1, 3)
+    cols = _window_view(_pad_left(x.data, left_pad), to, K, dilation=dilation).transpose(0, 2, 1, 3)
     out = cols.reshape(B * to, cin * K) @ weight.data.reshape(cout, cin * K).T
     out = out.reshape(B, to, cout).transpose(0, 2, 1)
 

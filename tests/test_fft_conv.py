@@ -126,16 +126,17 @@ def test_routing_rule(fft_calls):
     to = 32
     B = -(-ops.FFT_MIN_WORK // (to * K))  # the smallest batch that qualifies
 
-    def conv(B, K, to, **kwargs):
-        T = to + K - 1 - kwargs.get("left_pad", 0)
-        ops.conv1d_dilated(Tensor(np.zeros((B, 1, T))), Tensor(np.zeros((1, 1, K))), **kwargs)
+    def conv(B, K, dilation=1, left_pad=0):  # T_out = to
+        T = to + (K - 1) * dilation - left_pad
+        out = ops.conv1d_dilated(Tensor(np.zeros((B, 1, T))), Tensor(np.zeros((1, 1, K))), dilation, left_pad)
+        assert out.shape == (B, 1, to)
 
-    conv(B, K, to)
+    conv(B, K)
     assert len(fft_calls) == 1
-    conv(B - 1, K, to)  # too little work
-    conv(B * 2, K - 1, to)  # too few taps
-    conv(B, K, to, left_pad=1)  # padded
-    conv(B, K, to - K + 1, dilation=2)  # dilated: same output length, span 2K - 1
+    conv(B - 1, K)  # too little work
+    conv(B * 2, K - 1)  # too few taps
+    conv(B, K, left_pad=1)
+    conv(B, K, dilation=2)
     assert len(fft_calls) == 1
 
 
@@ -186,7 +187,7 @@ def fft_batch(cfg):
     return -(-ops.FFT_MIN_WORK // ((cfg.time_steps // cfg.pools[0]) * cfg.spa_kernel))
 
 
-def paper_step(B, monkeypatch):
+def paper_step(B):
     """Logits, named grads and named buffers of one float64 training step."""
     cfg = ModelConfig()
     with precision("float64"):
@@ -202,10 +203,10 @@ def paper_step(B, monkeypatch):
 
 def test_paper_training_step_matches_the_direct_path(monkeypatch, fft_calls):
     B = fft_batch(ModelConfig())
-    got = paper_step(B, monkeypatch)
+    got = paper_step(B)
     assert len(fft_calls) == 4
     monkeypatch.setattr(ops, "FFT_MIN_WORK", math.inf)
-    want = paper_step(B, monkeypatch)
+    want = paper_step(B)
     assert len(fft_calls) == 4
     assert got.keys() == want.keys()
     zero = {f"{n} grad" for n in MODEL_MINI_STRUCTURALLY_ZERO}
@@ -225,19 +226,21 @@ def test_float32_paper_logits_within_256_eps_of_float64_oracle(training, monkeyp
     B = fft_batch(cfg)
     x = np.random.Generator(np.random.PCG64(51)).standard_normal((B, 1, cfg.channels, cfg.time_steps))
     x = x.astype(np.float32)
-    logits = []
-    for dtype in ("float32", "float64"):
-        with precision(dtype):
-            model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(50)))
-            if dtype == "float64":  # the float32 model's values, exactly
-                for (_, p), (_, p32) in zip(model.named_parameters(), f32_model.named_parameters()):
-                    p.data = p32.data.astype(np.float64)
-                monkeypatch.setattr(Branch, "__call__", oracle_branch_call)
-            with no_grad():
-                out = model(Tensor(x.astype(dtype)), training=training, rng=np.random.Generator(np.random.PCG64(52)))
-            logits.append(out.data)
-            f32_model = model
-    got, want = logits
+
+    def logits(model, dtype):
+        with no_grad():
+            return model(Tensor(x.astype(dtype)), training, np.random.Generator(np.random.PCG64(52))).data
+
+    with precision("float32"):
+        model32 = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(50)))
+        got = logits(model32, np.float32)
     assert len(fft_calls) == 4 and got.dtype == np.float32
+    with precision("float64"):
+        model64 = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(50)))
+        for (_, p64), (_, p32) in zip(model64.named_parameters(), model32.named_parameters()):
+            p64.data = p32.data.astype(np.float64)  # the float32 model's values, exactly
+        monkeypatch.setattr(Branch, "__call__", oracle_branch_call)
+        want = logits(model64, np.float64)
+    assert want.dtype == np.float64
     err = float(np.abs(got - want).max()) / max(1.0, float(np.abs(want).max()))
     assert err <= 256 * EPS32
