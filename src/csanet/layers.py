@@ -107,8 +107,8 @@ class LayerList:
 
 class Conv2d(Layer):
     """A (kh, kw) conv's weight, (out, in/groups, kh, kw). Calling the layer
-    runs ops.conv2d, the stride-1 (1, kw) time conv; ops.branch_stem reads
-    the stem's temporal and depthwise weights directly."""
+    runs ops.conv2d, the stride-1 (1, kw) time conv; ops.branch_stem,
+    ops.stem_elu_pool and the eval-mode spa_conv read the weights directly."""
 
     def __init__(self, in_channels, out_channels, kernel, rng, groups=1):
         super().__init__()

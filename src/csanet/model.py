@@ -4,13 +4,15 @@ Each branch pairs one temporal kernel scale with its own spatial feature
 extractor (temporal conv -> batch norm -> depthwise channel conv, run
 spatial-first as one op, then a pooled spatial-refinement conv; each of
 the two stages ends in one fused batch norm -> ELU -> pool -> dropout
-op). Branch outputs are fused by attention (the first branch attends to
-itself densely; the others run sparse cross-attention), passed through
-per-branch temporal convolutional networks, and classified from the
-concatenated readouts.
+op; eval mode folds each batch norm into the conv before it and runs
+the branch as one tape-free pass). Branch outputs are fused by attention
+(the first branch attends to itself densely; the others run sparse
+cross-attention), passed through per-branch temporal convolutional
+networks, and classified from the concatenated readouts.
 """
 
 import dataclasses
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from . import ops
 from .attention import AttentionParams, msca_forward, residual_fuse
 from .autodiff import Tensor, concat, narrow, no_grad
 from .config import ModelConfig
-from .errors import DimensionError
+from .errors import DataError, DimensionError
 from .layers import BatchNorm, Conv1dDilated, Conv2d, Layer, LayerList, Linear
 
 
@@ -58,22 +60,24 @@ class TcnStack(Layer):
 class Branch(Layer):
     """One temporal-scale pipeline plus its fusion/TCN parameters.
 
-    The stem (temporal conv -> bn_temporal -> depthwise channel conv) runs
-    as one op, ops.branch_stem, spatial-first: each depthwise output
-    channel first projects the C input channels, then correlates its
-    filter's K temporal taps. This is exact, not an approximation: the
-    temporal conv and the depthwise conv are linear maps per filter that
-    act on different axes (time, channels), so they commute, and batch
-    norm is an affine map per filter (a_f * h + c_f) whose training-mode
-    statistics follow from moments of the raw input. The layers
-    temporal_conv, bn_temporal and depthwise_conv hold the parameters and
-    buffers, so names, checkpoints and the init draw order are unchanged.
+    In training, the stem (temporal conv -> bn_temporal -> depthwise
+    channel conv) runs as one op, ops.branch_stem, spatial-first: each
+    depthwise output channel first projects the C input channels, then
+    correlates its filter's K temporal taps. This is exact, not an
+    approximation: the temporal conv and the depthwise conv are linear maps
+    per filter that act on different axes (time, channels), so they
+    commute, and batch norm is an affine map per filter (a_f * h + c_f)
+    whose training-mode statistics follow from moments of the raw input.
+    The layers temporal_conv, bn_temporal and depthwise_conv hold the
+    parameters and buffers, so names, checkpoints and the init draw order
+    are unchanged.
 
     bn_temporal.beta is dead in training: its per-filter shift reaches the
     depthwise output as a per-channel constant, which bn_depthwise's
     training-mode mean subtraction removes, so its gradient is exactly 0
-    and Adam never moves it. It stays because eval mode reads it (the
-    shift c_f = beta_f - a_f * running_mean_f) and it is a checkpoint blob.
+    and Adam never moves it. It stays because eval mode reads it (in the
+    folded shift, through c_f = beta_f - a_f * running_mean_f) and it is a
+    checkpoint blob.
 
     The pooled spatial-refinement conv spa_conv is a (1, K) time conv on
     the (B, width, 1, T/p1) map after same_pad_time's padding: its Conv2d
@@ -88,6 +92,15 @@ class Branch(Layer):
 
     In training, lags is the model's lag_prefixes table of the input,
     shared by the four stems; without it the stem builds its own.
+
+    Eval mode (_infer) runs none of these ops and records no tape. Each
+    batch norm is then a fixed affine map, folded into the linear map
+    before it: bn_temporal and bn_depthwise into the depthwise projection
+    rows and one per-channel constant (ops.stem_elu_pool, over blocks of
+    trials), bn_spa into spa_conv's weight and a shift that ops.elu_pool
+    adds before the ELU. The result equals the ops' eval semantics in real
+    arithmetic and is held to the numerics contract
+    (tests/test_numerics_contract.py) in floating point.
     """
 
     def __init__(self, cfg: ModelConfig, index, rng):
@@ -117,6 +130,8 @@ class Branch(Layer):
         return self.temporal_conv(ops.same_pad_time(x, self.temporal_kernel))
 
     def __call__(self, x, training, rng=None, lags=None):
+        if not training:
+            return Tensor(self._infer(x.data))
         p1, p2 = self.pools
         bn = self.bn_temporal
         h = ops.branch_stem(
@@ -127,27 +142,42 @@ class Branch(Layer):
             bn.running_mean,
             bn.running_var,
             self.depthwise_conv.weight,
-            training,
             lags=lags,
         )  # (B, width, 1, T)
-        h = self._tail(self.bn_depthwise, h, p1, training, rng)
+        h = self._tail(self.bn_depthwise, h, p1, rng)
         h = self.spa_conv(ops.same_pad_time(h, self.spa_kernel))
-        h = self._tail(self.bn_spa, h, p2, training, rng)
+        h = self._tail(self.bn_spa, h, p2, rng)
         b, u, _, t0 = h.shape
         return h.reshape((b, u, t0))
 
-    def _tail(self, bn, h, pool, training, rng):
-        return ops.bn_elu_pool(
-            h,
-            bn.gamma,
-            bn.beta,
-            bn.running_mean,
-            bn.running_var,
-            training,
-            pool,
-            self.p_drop,
-            rng,
-        )
+    def _tail(self, bn, h, pool, rng):
+        return ops.bn_elu_pool(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, pool, self.p_drop, rng)
+
+    def _infer(self, x):
+        """Eval-mode branch on the raw (B, 1, C, T) array x, with no tape:
+        the folded stem and first tail (ops.stem_elu_pool), then spa_conv
+        with bn_spa folded into its weight and ops.elu_pool adding the
+        folded shift. The folded weights are computed per call, because
+        training moves the parameters between evaluations."""
+        p1, p2 = self.pools
+        h = ops.stem_elu_pool(
+            x,
+            self.temporal_conv.weight.data,
+            self.depthwise_conv.weight.data,
+            _affine(self.bn_temporal),
+            _affine(self.bn_depthwise),
+            p1,
+        )  # (B, width, T / p1)
+        scale, shift = _affine(self.bn_spa)
+        weight = self.spa_conv.weight.data[:, :, 0]  # (U, width, K)
+        weight = (scale[:, None, None] * weight).astype(x.dtype)
+        h = ops.conv1d_dilated(ops.same_pad_time(h, self.spa_kernel), weight).data
+        return ops.elu_pool(h, shift.astype(x.dtype)[:, None], p2)
+
+
+def _affine(bn):
+    """A BatchNorm layer's eval-mode map, ops.bn_affine of its arrays."""
+    return ops.bn_affine(bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var)
 
 
 class CsanetModel(Layer):
@@ -212,27 +242,34 @@ class CsanetModel(Layer):
         return h.reshape((b, u * t0))
 
     def __call__(self, x, training=False, rng=None):
+        """Logits (B, L) for a (B, 1, C, T) input of the parameters' dtype.
+
+        Eval mode records no tape: the branches run their folded inference
+        pass, and fusion, TCNs and classifier run under no_grad.
+        """
         cfg = self.config
         x = x if isinstance(x, Tensor) else Tensor(x)
         if x.ndim != 4 or x.shape[1] != 1 or x.shape[2] != cfg.channels or x.shape[3] != cfg.time_steps:
             raise DimensionError(
                 f"expected input (B, 1, {cfg.channels}, {cfg.time_steps}), got {x.shape}"
             )
-        # One lag table at the longest kernel serves every branch's statistics.
-        lags = ops.lag_prefixes(x.data, max(cfg.temporal_kernels)) if training else None
-        zs = [branch(x, training, rng, lags) for branch in self.branches]
-        ms = self.fuse_branches(zs, training)
-        feats = concat(
-            [self.tcn_forward(m, branch, training, rng) for m, branch in zip(ms, self.branches)],
-            axis=1,
-        )
-        return self.classifier(feats)
+        dtype = self.classifier.weight.dtype
+        if x.dtype != dtype:
+            raise DataError(f"input dtype {x.dtype} does not match the model's parameter dtype {dtype}")
+        with nullcontext() if training else no_grad():
+            # One lag table at the longest kernel serves every branch's statistics.
+            lags = ops.lag_prefixes(x.data, max(cfg.temporal_kernels)) if training else None
+            zs = [branch(x, training, rng, lags) for branch in self.branches]
+            ms = self.fuse_branches(zs, training)
+            feats = concat(
+                [self.tcn_forward(m, branch, training, rng) for m, branch in zip(ms, self.branches)],
+                axis=1,
+            )
+            return self.classifier(feats)
 
     def predict(self, x):
         """Class indices for a (B, 1, C, T) array, eval mode, no tape."""
-        with no_grad():
-            logits = self(x, training=False)
-        return np.argmax(logits.data, axis=1)
+        return np.argmax(self(x, training=False).data, axis=1)
 
 
 def count_parameters(cfg: ModelConfig):

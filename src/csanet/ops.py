@@ -19,27 +19,40 @@ zero-padded output gradient with the kernel flipped along its taps, so no
 pass loops over taps. FFT_MIN_TAPS and FFT_MIN_WORK draw the line
 between the classes.
 
-branch_stem fuses a branch's temporal conv, batch norm and depthwise
-channel conv into one op that projects channels first and correlates time
-after, with banded matmuls over tiles of the time axis and batch
-statistics from float64 window moments of the input; the four branches of
-one training forward read those moments off one lag_prefixes table built
-at the longest kernel.
+branch_stem fuses a branch's training-mode temporal conv, batch norm and
+depthwise channel conv into one op that projects channels first and
+correlates time after (_stem_correlation), with banded matmuls over tiles
+of the time axis and batch statistics from float64 window moments of the
+input; the four branches of one training forward read those moments off
+one lag_prefixes table built at the longest kernel.
 
-bn_elu_pool fuses the tail that follows each branch's stem and its
-spatial-refinement conv (batch norm -> ELU -> (1, p) mean pool ->
+bn_elu_pool fuses the training-mode tail that follows each branch's stem
+and its spatial-refinement conv (batch norm -> ELU -> (1, p) mean pool ->
 dropout) into one op with a hand-written backward. It is bitwise equal
-to the four ops composed, in float32 and float64, training and eval: it
-takes the same arithmetic steps in the same order on arrays of the same
-memory layout, and draws the dropout mask at the same point of the rng
-stream. Its tape keeps the normalised map, the ELU's negative part and
-the dropout mask; the composition kept four full-size maps and a mask. elu and
-bn_elu_pool share one branch-free ELU kernel (_elu_parts).
+to the four ops composed, in float32 and float64: it takes the same
+arithmetic steps in the same order on arrays of the same memory layout,
+and draws the dropout mask at the same point of the rng stream. Its tape
+keeps the normalised map, the ELU's negative part and the dropout mask;
+the composition kept four full-size maps and a mask. elu, bn_elu_pool and
+elu_pool share one branch-free ELU kernel (_elu_parts).
+
+Eval mode has no tape and no batch statistics, so each batch norm is a
+fixed affine map (bn_affine) that folds into the linear map before it.
+stem_elu_pool runs a branch's stem and first tail on raw arrays: both
+batch norms fold into the depthwise projection rows and one per-channel
+constant, the correlation is _stem_correlation's, and elu_pool adds the
+constant, applies the ELU in place and pools by one matmul, over blocks of
+STEM_BLOCK trials whose temporaries stay small enough to be reused from
+the heap. The model folds the third batch norm into spa_conv's weight and
+runs elu_pool after it. These folds are exact in real arithmetic, not in
+floating point; they are held to the numerics contract in
+tests/test_numerics_contract.py.
 
 Batch norm has one home: the constants BN_MOMENTUM and BN_EPS, and the
 kernels _bn_normalise (statistics, buffer update, eval-mode buffers, the
 B >= 2 check) and _bn_backward, which batch_norm and bn_elu_pool share.
-branch_stem shares the constants and the buffer update.
+branch_stem shares the constants and the buffer update, bn_affine the
+constants.
 
 The network convolves only along time. conv2d is the (1, K) time conv
 of a Conv2d layer (each branch's spatial-refinement conv, and the PSD
@@ -53,8 +66,9 @@ shapes of a gradient check each op's bookkeeping outweighs its
 arithmetic: autodiff._zero_pad pads by one np.zeros and a slice
 assignment in np.pad's memory order (it backs autodiff.pad, _pad_left,
 conv1d_dilated's input gradient and avg_pool2d's padding), and
-_window_view builds the strided window views of conv1d_dilated,
-branch_stem's time tiles and avg_pool2d with one as_strided call.
+_window_view builds the strided window views of conv1d_dilated, the
+stem's time tiles (_stem_correlation) and avg_pool2d with one as_strided
+call.
 """
 
 import math
@@ -231,27 +245,51 @@ def _window_moments(lags, K, left):
     return mean, second
 
 
-def branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, training, lags=None):
-    """One branch's temporal conv -> batch norm -> depthwise channel conv.
+def _stem_correlation(x, w, rows):
+    """The stem's spatial-first correlation on the raw (B, 1, C, T) array x:
+    Q[f, d, b] = w[f] correlated along time with rows[f, d] . x[b], the
+    temporal conv's same padding applied to the projection.
 
-    x: (B, 1, C, T); weight: (F, 1, 1, K), applied with same_pad_time's
-    padding; gamma, beta, running_mean, running_var: (F,); depthwise:
-    (F*D, 1, C, 1), output channel j reading filter j // D. Returns the
-    (B, F*D, 1, T) output of
+    w: (F, K) taps; rows: (F, D, C) projection rows. Returns (xt, cols,
+    band, q): x as (C, B*T), the (F, D*B*tiles, span) tile windows of the
+    padded projection, _banded(w, _TILE), and q (F, D, B, tiles * _TILE),
+    C-contiguous, whose first T samples per row are the correlation.
+    """
+    B, _, C, T = x.shape
+    F, D, _ = rows.shape
+    K = w.shape[1]
+    left = (K - 1) // 2
+    tiles = -(-T // _TILE)
+    span = _TILE + K - 1
+    xt = x[:, 0].transpose(1, 0, 2).reshape(C, B * T)
+    p = np.zeros((F, D * B, tiles * _TILE + K - 1), dtype=x.dtype)
+    p[:, :, left : left + T] = (rows.reshape(F * D, C) @ xt).reshape(F, D * B, T)
+    cols = _window_view(p, tiles, span, step=_TILE).reshape(F, D * B * tiles, span)
+    band = _banded(w, _TILE)
+    return xt, cols, band, (cols @ band).reshape(F, D, B, tiles * _TILE)
+
+
+def branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, lags=None):
+    """One branch's temporal conv -> batch norm -> depthwise channel conv, in
+    training mode (eval mode runs stem_elu_pool).
+
+    x: (B, 1, C, T) with B >= 2; weight: (F, 1, 1, K), applied with
+    same_pad_time's padding; gamma, beta, running_mean, running_var: (F,);
+    depthwise: (F*D, 1, C, 1), output channel j reading filter j // D.
+    Returns the (B, F*D, 1, T) output of
     conv2d(batch_norm(conv2d(same_pad_time(x, K), weight)), depthwise, groups=F).
 
     All three stages are linear per filter, and batch norm is an affine map
     a_f * h + c_f per filter, so the op runs spatial-first: it projects the
     C channels onto each output channel (P = depthwise . x), correlates
-    filter f's K taps along time (Q), and returns a_f * Q + c_f * s_j with
-    s_j the sum of depthwise row j. The (B, F, C, T) intermediate is never
-    built. Training-mode statistics are exact: mean_f = w_f . m and
-    var_f = w_f' S w_f - mean_f^2, from float64 moments m, S of the padded
-    input's windows; the running buffers update as batch_norm updates them
-    (n = B*C*T). Eval mode reads a_f, c_f off the running buffers. x gets
-    no gradient. lags, when given, is lag_prefixes(x.data, K') for some
-    K' >= K, shared by the branches of one forward; without it, training
-    mode builds its own at K.
+    filter f's K taps along time (Q, _stem_correlation), and returns
+    a_f * Q + c_f * s_j with s_j the sum of depthwise row j. The
+    (B, F, C, T) intermediate is never built. The batch statistics are
+    exact: mean_f = w_f . m and var_f = w_f' S w_f - mean_f^2, from float64
+    moments m, S of the padded input's windows; the running buffers update
+    as batch_norm updates them (n = B*C*T). x gets no gradient. lags, when
+    given, is lag_prefixes(x.data, K') for some K' >= K, shared by the
+    branches of one forward; without it the op builds its own at K.
     """
     x, weight, gamma, beta, depthwise = (_wrap(t) for t in (x, weight, gamma, beta, depthwise))
     if x.ndim != 4 or x.shape[1] != 1:
@@ -266,7 +304,7 @@ def branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, tr
         raise DimensionError(f"depthwise weight must be (F*D, 1, {C}, 1), got {depthwise.shape}")
     if x.requires_grad:
         raise ConfigurationError("branch_stem does not propagate a gradient to its input")
-    if training and B < 2:
+    if B < 2:
         raise ConfigurationError("batch_norm in training mode needs a batch of at least 2")
     D = depthwise.shape[0] // F
     left = (K - 1) // 2
@@ -275,29 +313,18 @@ def branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, tr
     span = _TILE + K - 1
     w = weight.data.reshape(F, K)
     dw = depthwise.data.reshape(F, D, C)
+    xt, cols, band, q = _stem_correlation(x.data, w, dw)
+    q = q[..., :T]
 
-    # P[f, d, b]: trial b projected by depthwise row (f, d), zero-padded in
-    # time as the temporal conv pads; cut into overlapping tiles of span samples.
-    xt = x.data[:, 0].transpose(1, 0, 2).reshape(C, B * T)
-    p = np.zeros((F, D * B, tiles * _TILE + K - 1), dtype=dtype)
-    p[:, :, left : left + T] = (dw.reshape(F * D, C) @ xt).reshape(F, D * B, T)
-    cols = _window_view(p, tiles, span, step=_TILE).reshape(F, D * B * tiles, span)
-    band = _banded(w, _TILE)
-    q = (cols @ band).reshape(F, D, B, tiles * _TILE)[..., :T]
-
-    if training:
-        if lags is None:
-            lags = lag_prefixes(x.data, K)
-        elif lags[2].shape[0] < K or lags[1].shape != (T + 1,):
-            raise DimensionError(f"lag table of shape {lags[2].shape} does not cover K={K}, T={T}")
-        m, S = _window_moments(lags, K, left)
-        w64 = w.astype(np.float64)
-        mean = w64 @ m
-        var = np.maximum(np.einsum("fk,kl,fl->f", w64, S, w64) - mean * mean, 0.0)
-        _update_running(running_mean, running_var, mean, var, B * C * T)
-    else:
-        mean = running_mean.astype(np.float64)
-        var = running_var.astype(np.float64)
+    if lags is None:
+        lags = lag_prefixes(x.data, K)
+    elif lags[2].shape[0] < K or lags[1].shape != (T + 1,):
+        raise DimensionError(f"lag table of shape {lags[2].shape} does not cover K={K}, T={T}")
+    m, S = _window_moments(lags, K, left)
+    w64 = w.astype(np.float64)
+    mean = w64 @ m
+    var = np.maximum(np.einsum("fk,kl,fl->f", w64, S, w64) - mean * mean, 0.0)
+    _update_running(running_mean, running_var, mean, var, B * C * T)
     inv = 1.0 / np.sqrt(var + BN_EPS)
     a = gamma.data * inv
     c = beta.data - a * mean
@@ -322,11 +349,9 @@ def branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, tr
         if beta.requires_grad:
             _accumulate(beta, g_shift.astype(beta.dtype))
         if weight.requires_grad:
-            gw = a[:, None] * taps
-            if training:
-                g_mean = -a * g_shift
-                g_var = -0.5 * g_scale * a * inv * inv
-                gw = gw + (g_mean - 2.0 * mean * g_var)[:, None] * m + 2.0 * g_var[:, None] * (w64 @ S)
+            g_mean = -a * g_shift
+            g_var = -0.5 * g_scale * a * inv * inv
+            gw = a[:, None] * taps + (g_mean - 2.0 * mean * g_var)[:, None] * m + 2.0 * g_var[:, None] * (w64 @ S)
             _accumulate(weight, gw.reshape(F, 1, 1, K).astype(weight.dtype))
         if depthwise.requires_grad:
             # Transposed correlation back onto P's samples, tile by tile.
@@ -353,7 +378,8 @@ def _elu_parts(y, out=None):
     as much as the rest of the op from branch misprediction. `out` may be
     y itself.
     """
-    neg = np.expm1(np.minimum(y, 0.0))
+    neg = np.minimum(y, 0.0)
+    np.expm1(neg, out=neg)
     pos = np.maximum(y, 0.0, out=out)
     pos += neg
     return neg, pos
@@ -398,13 +424,14 @@ def dropout(x, p, training, rng=None):
     return _make(out, (x,), backward)
 
 
-def bn_elu_pool(x, gamma, beta, running_mean, running_var, training, pool, p_drop, rng=None):
-    """A branch's tail on a (B, C, 1, T) map as one op: batch norm -> ELU ->
-    mean pool over (1, pool) windows at stride pool -> dropout(p_drop).
+def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, p_drop, rng=None):
+    """A branch's training-mode tail on a (B, C, 1, T) map as one op: batch
+    norm -> ELU -> mean pool over (1, pool) windows at stride pool ->
+    dropout(p_drop). Eval mode runs elu_pool instead.
 
     Bitwise equal to batch_norm, elu, avg_pool2d(kernel=(1, pool)) and
     dropout composed, in the output, the gradients of x, gamma and beta and
-    the running buffers, in training and eval mode:
+    the running buffers:
     - batch norm runs the kernels batch_norm runs, _bn_normalise forward
       and _bn_backward backward;
     - the pool sums a reshape of the first (T // pool) * pool samples and
@@ -428,8 +455,8 @@ def bn_elu_pool(x, gamma, beta, running_mean, running_var, training, pool, p_dro
     if T < pool:
         raise DimensionError("pooling window larger than padded input")
     wo = T // pool
-    keep = _dropout_keep((B, C, 1, wo), p_drop, training, rng, x.dtype)
-    xhat, inv = _bn_normalise(x.data, running_mean, running_var, training)
+    keep = _dropout_keep((B, C, 1, wo), p_drop, True, rng, x.dtype)
+    xhat, inv = _bn_normalise(x.data, running_mean, running_var, True)
     y = gamma.data.reshape(inv.shape) * xhat
     y += beta.data.reshape(inv.shape)
     neg, y = _elu_parts(y, out=y)
@@ -443,9 +470,76 @@ def bn_elu_pool(x, gamma, beta, running_mean, running_var, training, pool, p_dro
         gy = np.zeros_like(x.data)
         gy[..., : wo * pool] += np.repeat(gpool / div, pool, axis=-1)
         gy *= neg + 1.0
-        _bn_backward(gy, xhat, inv, x, gamma, beta, training)
+        _bn_backward(gy, xhat, inv, x, gamma, beta, True)
 
     return _make(out, (x, gamma, beta), backward)
+
+
+# -- eval-mode inference on raw arrays -------------------------------------
+
+# Trials per block of stem_elu_pool. A block's temporaries (the padded
+# projection, its tile windows, the correlation and the ELU's negative
+# part) then stay a few MB and are reused from the heap instead of being
+# faulted in fresh at every batch. Measured on a 2-core x86 host, one BLAS
+# thread, float32, default config, B = 64 eval forward, a fresh process
+# per size: blocks of 4, 8 and 16 tie within the host's drift (177-206 ms)
+# at 1-2 minor faults per batch; 32 faults about 4,800 pages per batch and
+# runs slowest (208-210 ms); 64 (one block) faults as little but peaks at
+# 90 MB RSS against 58 MB at 16.
+STEM_BLOCK = 16
+
+
+def bn_affine(gamma, beta, running_mean, running_var):
+    """Eval-mode batch norm as the per-channel map h -> scale * h + shift:
+    (scale, shift) in float64, from raw arrays."""
+    scale = gamma / np.sqrt(running_var.astype(np.float64) + BN_EPS)
+    return scale, beta - scale * running_mean
+
+
+def elu_pool(y, shift, pool):
+    """ELU(y + shift) mean-pooled over windows of `pool` samples along the
+    last axis at stride pool, the last T % pool samples dropped, for a raw
+    array y, which is overwritten; shift broadcasts against y.
+
+    The pool is one matmul with a vector of 1/pool, about a tenth of the
+    time of summing a reshape at the paper's stem shape.
+    """
+    wo = y.shape[-1] // pool
+    y = y[..., : wo * pool]
+    y += shift
+    _elu_parts(y, out=y)
+    return y.reshape(y.shape[:-1] + (wo, pool)) @ np.full(pool, 1.0 / pool, dtype=y.dtype)
+
+
+def stem_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool):
+    """A branch's eval-mode stem and first tail on the raw (B, 1, C, T) array
+    x: temporal conv -> batch norm -> depthwise channel conv -> batch norm ->
+    ELU -> (1, pool) mean pool, returned as a C-contiguous (B, F*D, T // pool)
+    array.
+
+    weight: (F, 1, 1, K); depthwise: (F*D, 1, C, 1); temporal_bn (per
+    filter) and depthwise_bn (per output channel) are bn_affine's (scale,
+    shift) pairs. Both batch norms fold into the projection: channel j of
+    filter f is b_j * (a_f * (w_f correlated with dw_j . x) + c_f * s_j) + e_j
+    with (a, c) and (b, e) the two affine maps and s_j the sum of depthwise
+    row j, so _stem_correlation runs with rows b_j * a_f * dw_j and
+    elu_pool adds the constant b_j * c_f * s_j + e_j. The trials run in
+    blocks of STEM_BLOCK; only the pooled block is transposed.
+    """
+    B, _, C, T = x.shape
+    F, K = weight.shape[0], weight.shape[-1]
+    D = depthwise.shape[0] // F
+    dw = depthwise.reshape(F, D, C).astype(np.float64)
+    (a, c), (b, e) = temporal_bn, depthwise_bn
+    b = b.reshape(F, D)
+    rows = ((b * a[:, None])[:, :, None] * dw).astype(x.dtype)
+    shift = (b * (c[:, None] * dw.sum(axis=2)) + e.reshape(F, D)).astype(x.dtype)[:, :, None, None]
+    w = weight.reshape(F, K)
+    out = np.empty((B, F, D, T // pool), dtype=x.dtype)
+    for start in range(0, B, STEM_BLOCK):
+        q = _stem_correlation(x[start : start + STEM_BLOCK], w, rows)[3]
+        out[start : start + STEM_BLOCK] = elu_pool(q[..., :T], shift, pool).transpose(2, 0, 1, 3)
+    return out.reshape(B, F * D, T // pool)
 
 
 def softmax(x, axis=-1):

@@ -12,7 +12,9 @@ replaced, through oracle_conv2d and oracle_batch_norm; oracle_tail, the
 four-op composition that ops.bn_elu_pool replaced, through
 oracle_batch_norm; oracle_branch_call, a branch whose spatial-refinement
 conv runs through oracle_conv2d as it did before conv1d_dilated took it
-over; and oracle_grad_check, csanet.gradcheck.grad_check as it was when every
+over, and whose eval mode runs those two compositions as the model did
+before its eval branches were folded into one inference pass; and
+oracle_grad_check, csanet.gradcheck.grad_check as it was when every
 perturbed evaluation still recorded a tape.
 """
 
@@ -341,23 +343,28 @@ def oracle_tail(x, gamma, beta, running_mean, running_var, training, pool, p_dro
 
 
 def oracle_branch_call(branch, x, training, rng=None, lags=None, spa_conv=oracle_spa_conv):
-    """model.Branch.__call__ with spa_conv run by spa_conv(h, weight)."""
+    """model.Branch.__call__ with spa_conv run by spa_conv(h, weight).
+
+    Training mode runs the model's stem and tail ops. Eval mode runs the
+    compositions those ops replaced, oracle_branch_stem and oracle_tail:
+    the eval semantics that Branch's folded inference pass reproduces.
+    """
     p1, p2 = branch.pools
     bn = branch.bn_temporal
-    h = ops.branch_stem(
-        x,
-        branch.temporal_conv.weight,
-        bn.gamma,
-        bn.beta,
-        bn.running_mean,
-        bn.running_var,
-        branch.depthwise_conv.weight,
-        training,
-        lags=lags,
-    )
-    h = branch._tail(branch.bn_depthwise, h, p1, training, rng)
+    stem = (x, branch.temporal_conv.weight, bn.gamma, bn.beta, bn.running_mean, bn.running_var)
+    if training:
+        h = ops.branch_stem(*stem, branch.depthwise_conv.weight, lags=lags)
+    else:
+        h = oracle_branch_stem(*stem, branch.depthwise_conv.weight, False)
+
+    def tail(bn, h, pool):
+        if training:
+            return ops.bn_elu_pool(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, pool, branch.p_drop, rng)
+        return oracle_tail(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, False, pool, branch.p_drop)
+
+    h = tail(branch.bn_depthwise, h, p1)
     h = spa_conv(h, branch.spa_conv.weight)
-    h = branch._tail(branch.bn_spa, h, p2, training, rng)
+    h = tail(branch.bn_spa, h, p2)
     b, u, _, t0 = h.shape
     return h.reshape((b, u, t0))
 

@@ -1,7 +1,9 @@
 """The branch's spatial-refinement conv (spa_conv), a (1, K) time conv run
 by conv1d_dilated: against the im2col conv2d path it replaced
 (oracles.oracle_branch_call) in float64, and bitwise against the inline
-conv1d_dilated call it ran as before Conv2d.__call__ took it over."""
+conv1d_dilated call it ran as before Conv2d.__call__ took it over. Eval
+mode runs spa_conv with bn_spa folded into its weight, held to the oracle
+compositions at the numerics contract's tolerances."""
 
 from pathlib import Path
 
@@ -21,17 +23,20 @@ from test_stem import assert_close
 from test_train import tiny_run
 
 FIXTURE = Path(__file__).parent / "data"
+EPS32 = float(np.finfo(np.float32).eps)
 
 
 def model_step(cfg, seed, training, monkeypatch, branch_call):
-    """Logits, named grads and named buffers of one forward/backward at B=2."""
+    """Logits, named grads and named buffers of one forward (and, in
+    training mode, backward) at B=2."""
     monkeypatch.setattr(Branch, "__call__", branch_call)
     with precision("float64"):
         model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(seed)))
         rng = np.random.Generator(np.random.PCG64(seed + 1))
         x = Tensor(rng.standard_normal((2, 1, cfg.channels, cfg.time_steps)))
         logits = model(x, training=training, rng=np.random.Generator(np.random.PCG64(seed + 2)))
-        ops.cross_entropy(logits, np.array([0, 1])).backward()
+        if training:
+            ops.cross_entropy(logits, np.array([0, 1])).backward()
     grads = {name: p.grad for name, p in model.named_parameters()}
     return logits.data, grads, dict(model.named_buffers())
 
@@ -110,6 +115,9 @@ def inline_branch_call(branch, x, training, rng=None, lags=None):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("config", ["mini", "paper"])
 def test_spa_conv_layer_is_bitwise_the_inline_conv1d_dilated(config, dtype, training, monkeypatch):
+    """Training: bitwise, tape and all. Eval (no tape): the folded inference
+    pass against the inline composition, logits within the contract's
+    tolerance for the dtype."""
     cfg = mini_model_config() if config == "mini" else ModelConfig()
     if config == "mini":
         cfg.conv_dropout = 0.5  # mini turns dropout off; exercise the mask
@@ -121,12 +129,21 @@ def test_spa_conv_layer_is_bitwise_the_inline_conv1d_dilated(config, dtype, trai
             rng = np.random.Generator(np.random.PCG64(32))
             x = Tensor(rng.standard_normal((2, 1, cfg.channels, cfg.time_steps)).astype(dtype))
             logits = model(x, training=training, rng=np.random.Generator(np.random.PCG64(33)))
+            if not training:
+                results.append(logits.data)
+                continue
             loss = ops.cross_entropy(logits, np.array([0, 1]))
             loss.backward()
         arrays = [("logits", logits.data)]
         arrays += [(f"{n} grad", p.grad) for n, p in model.named_parameters() if p.grad is not None]
         arrays += list(model.named_buffers())
         results.append((len(_reverse_topo(loss)), arrays))
+    if not training:
+        got, want = results
+        err, top = float(np.abs(got - want).max()), float(np.abs(want).max())
+        assert got.dtype == want.dtype
+        assert err <= (1e-9 * top if dtype == "float64" else 256 * EPS32 * max(1.0, top)), "logits"
+        return
     (got_nodes, got), (want_nodes, want) = results
     assert got_nodes == want_nodes
     assert [n for n, _ in got] == [n for n, _ in want]
@@ -159,8 +176,9 @@ def test_training_step_runs_conv2d_only_as_time_convs(tmp_path, monkeypatch):
     result = train_run(run)
     assert result.epochs_run == 1
     cfg = run.model
-    # 4 branches per forward: the training step and the train-set eval.
-    assert len(calls) == 8
+    # 4 branches in the training step; the train-set eval's inference pass
+    # calls conv1d_dilated with the folded weight directly.
+    assert len(calls) == 4
     for shape, n_conv1d in calls:
         assert shape[2] == 1 and shape[0] == cfg.spa_filters, shape
         assert n_conv1d == 1
