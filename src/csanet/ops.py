@@ -378,8 +378,7 @@ def _elu_parts(y, out=None):
     as much as the rest of the op from branch misprediction. `out` may be
     y itself.
     """
-    neg = np.minimum(y, 0.0)
-    np.expm1(neg, out=neg)
+    neg = np.expm1(np.minimum(y, 0.0))
     pos = np.maximum(y, 0.0, out=out)
     pos += neg
     return neg, pos
