@@ -106,9 +106,10 @@ class LayerList:
 
 
 class Conv2d(Layer):
-    """A (kh, kw) conv's weight, (out, in/groups, kh, kw). Calling the layer
-    runs ops.conv2d, the stride-1 (1, kw) time conv; ops.branch_stem,
-    ops.stem_elu_pool and the eval-mode spa_conv read the weights directly."""
+    """A (kh, kw) conv's weight, (out, in/groups, kh, kw). The layer has no
+    call: the ops that run the conv (ops.branch_stem, ops.stem_elu_pool,
+    conv1d_dilated for spa_conv, ops.conv2d for the PSD report) read the
+    weight directly."""
 
     def __init__(self, in_channels, out_channels, kernel, rng, groups=1):
         super().__init__()
@@ -117,9 +118,6 @@ class Conv2d(Layer):
             raise ConfigurationError(f"groups={groups} must divide channel counts")
         fan_in = (in_channels // groups) * kh * kw
         self.weight = Parameter(_uniform_init(rng, (out_channels, in_channels // groups, kh, kw), fan_in))
-
-    def __call__(self, x):
-        return ops.conv2d(x, self.weight)
 
 
 class Conv1dDilated(Layer):

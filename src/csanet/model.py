@@ -79,10 +79,10 @@ class Branch(Layer):
     folded shift, through c_f = beta_f - a_f * running_mean_f) and it is a
     checkpoint blob.
 
-    The pooled spatial-refinement conv spa_conv is a (1, K) time conv on
-    the (B, width, 1, T/p1) map after same_pad_time's padding: its Conv2d
-    layer runs ops.conv2d, which at height 1 is conv1d_dilated between
-    reshapes.
+    Every map from the stem to fusion is (B, channels, time). The pooled
+    spatial-refinement conv spa_conv is ops.conv1d_dilated on the
+    (B, width, T/p1) map after same_pad_time's padding, its (U, width, 1, K)
+    weight read as (U, width, K).
 
     The stem and spa_conv are each followed by the same tail, batch norm ->
     ELU -> (1, p) mean pool -> dropout, run as one op, ops.bn_elu_pool
@@ -126,8 +126,9 @@ class Branch(Layer):
             self.tcn = None
 
     def temporal_out(self, x):
-        """Temporal conv output alone (used by the PSD inspection report)."""
-        return self.temporal_conv(ops.same_pad_time(x, self.temporal_kernel))
+        """Temporal conv output alone (used by the PSD inspection report): a
+        (1, K) kernel over the C rows of each (B, 1, C, T) trial."""
+        return ops.conv2d(ops.same_pad_time(x, self.temporal_kernel), self.temporal_conv.weight)
 
     def __call__(self, x, training, rng=None, lags=None):
         if not training:
@@ -143,12 +144,12 @@ class Branch(Layer):
             bn.running_var,
             self.depthwise_conv.weight,
             lags=lags,
-        )  # (B, width, 1, T)
+        )  # (B, width, T)
         h = self._tail(self.bn_depthwise, h, p1, rng)
-        h = self.spa_conv(ops.same_pad_time(h, self.spa_kernel))
-        h = self._tail(self.bn_spa, h, p2, rng)
-        b, u, _, t0 = h.shape
-        return h.reshape((b, u, t0))
+        u, width, _, k = self.spa_conv.weight.shape
+        weight = self.spa_conv.weight.reshape((u, width, k))
+        h = ops.conv1d_dilated(ops.same_pad_time(h, k), weight)
+        return self._tail(self.bn_spa, h, p2, rng)
 
     def _tail(self, bn, h, pool, rng):
         return ops.bn_elu_pool(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, pool, self.p_drop, rng)

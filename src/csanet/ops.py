@@ -54,12 +54,12 @@ B >= 2 check) and _bn_backward, which batch_norm and bn_elu_pool share.
 branch_stem shares the constants and the buffer update, bn_affine the
 constants.
 
-The network convolves only along time. conv2d is the (1, K) time conv
-of a Conv2d layer (each branch's spatial-refinement conv, and the PSD
-report's temporal conv on a (1, 1, C, T) trial), composed of reshapes
-around conv1d_dilated with no backward of its own. avg_pool2d is the
-(1, k) time pool that multiscale_pool runs at stride 1. batch_norm, elu
-and dropout remain for the TCN.
+The network convolves only along time, and every map from the stem to
+fusion is (B, C, T). conv2d, the (1, K) time conv over (B, Cin, H, T)
+composed of reshapes around conv1d_dilated with no backward of its own,
+runs only the PSD report's temporal conv over the C rows of a trial.
+avg_pool2d is the (1, k) time pool that multiscale_pool runs at stride 1.
+batch_norm, elu and dropout remain for the TCN.
 
 Two raw-array helpers carry all padding and windowing, since at the small
 shapes of a gradient check each op's bookkeeping outweighs its
@@ -276,8 +276,9 @@ def branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, la
     x: (B, 1, C, T) with B >= 2; weight: (F, 1, 1, K), applied with
     same_pad_time's padding; gamma, beta, running_mean, running_var: (F,);
     depthwise: (F*D, 1, C, 1), output channel j reading filter j // D.
-    Returns the (B, F*D, 1, T) output of
-    conv2d(batch_norm(conv2d(same_pad_time(x, K), weight)), depthwise, groups=F).
+    Returns the depthwise conv's (B, F*D, 1, T) output of
+    conv2d(batch_norm(conv2d(same_pad_time(x, K), weight)), depthwise, groups=F)
+    as a (B, F*D, T) map.
 
     All three stages are linear per filter, and batch norm is an affine map
     a_f * h + c_f per filter, so the op runs spatial-first: it projects the
@@ -366,7 +367,7 @@ def branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, la
             gd += (c[:, None] * gsum)[:, :, None]
             _accumulate(depthwise, gd.reshape(F * D, 1, C, 1).astype(depthwise.dtype))
 
-    return _make(out.reshape(B, F * D, 1, T), (x, weight, gamma, beta, depthwise), backward)
+    return _make(out.reshape(B, F * D, T), (x, weight, gamma, beta, depthwise), backward)
 
 
 def _elu_parts(y, out=None):
@@ -424,13 +425,14 @@ def dropout(x, p, training, rng=None):
 
 
 def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, p_drop, rng=None):
-    """A branch's training-mode tail on a (B, C, 1, T) map as one op: batch
-    norm -> ELU -> mean pool over (1, pool) windows at stride pool ->
-    dropout(p_drop). Eval mode runs elu_pool instead.
+    """A branch's training-mode tail on a (B, C, T) map as one op: batch
+    norm -> ELU -> mean pool over windows of `pool` samples at stride pool
+    -> dropout(p_drop), returning (B, C, T // pool). Eval mode runs
+    elu_pool instead.
 
-    Bitwise equal to batch_norm, elu, avg_pool2d(kernel=(1, pool)) and
-    dropout composed, in the output, the gradients of x, gamma and beta and
-    the running buffers:
+    Bitwise equal to batch_norm, elu, a stride-pool mean pool along time
+    and dropout composed, in the output, the gradients of x, gamma and beta
+    and the running buffers:
     - batch norm runs the kernels batch_norm runs, _bn_normalise forward
       and _bn_backward backward;
     - the pool sums a reshape of the first (T // pool) * pool samples and
@@ -444,9 +446,9 @@ def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, p_drop, rng=Non
     dropout mask, not the batch-norm, ELU or pool outputs.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
-    if x.ndim != 4 or x.shape[2] != 1:
-        raise DimensionError(f"bn_elu_pool expects a (B, C, 1, T) input, got {x.shape}")
-    B, C, _, T = x.shape
+    if x.ndim != 3:
+        raise DimensionError(f"bn_elu_pool expects a (B, C, T) input, got {x.shape}")
+    B, C, T = x.shape
     if gamma.shape != (C,) or beta.shape != (C,):
         raise DimensionError("gamma/beta must have one entry per channel")
     if pool < 1:
@@ -454,13 +456,13 @@ def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, p_drop, rng=Non
     if T < pool:
         raise DimensionError("pooling window larger than padded input")
     wo = T // pool
-    keep = _dropout_keep((B, C, 1, wo), p_drop, True, rng, x.dtype)
+    keep = _dropout_keep((B, C, wo), p_drop, True, rng, x.dtype)
     xhat, inv = _bn_normalise(x.data, running_mean, running_var, True)
     y = gamma.data.reshape(inv.shape) * xhat
     y += beta.data.reshape(inv.shape)
     neg, y = _elu_parts(y, out=y)
     div = np.array(pool, dtype=y.dtype)
-    out = y[..., : wo * pool].reshape(B, C, 1, wo, pool).sum(axis=-1) / div
+    out = y[..., : wo * pool].reshape(B, C, wo, pool).sum(axis=-1) / div
     if keep is not None:
         out = out * keep  # a new array, C-contiguous like dropout's, not in place
 

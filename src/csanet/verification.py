@@ -179,7 +179,7 @@ def _check_tail():
     fixed seed on every call, with T % pool != 0."""
     rng = _rng(17)
     params = [
-        Tensor(rng.standard_normal((3, 2, 1, 11))),
+        Tensor(rng.standard_normal((3, 2, 11))),
         Tensor(1.0 + 0.1 * rng.standard_normal(2)),
         Tensor(0.5 * rng.standard_normal(2)),
     ]

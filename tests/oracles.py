@@ -319,27 +319,35 @@ def oracle_branch_stem(x, weight, gamma, beta, running_mean, running_var, depthw
 
     Same signature and result as ops.branch_stem, through the
     (B, F, C, T) intermediate the factorised op never builds; batch norm
-    takes its statistics from that intermediate, so lags goes unread.
+    takes its statistics from that intermediate, so lags goes unread. The
+    depthwise conv's (B, F*D, 1, T) output is returned as (B, F*D, T).
     """
     kernel = weight.shape[-1]
     h = oracle_conv2d(ops.same_pad_time(x, kernel), weight)
     h = oracle_batch_norm(h, gamma, beta, running_mean, running_var, training)
-    return oracle_conv2d(h, depthwise, groups=weight.shape[0])
+    h = oracle_conv2d(h, depthwise, groups=weight.shape[0])
+    b, u, _, t = h.shape
+    return h.reshape((b, u, t))
 
 
 def oracle_spa_conv(h, weight):
-    """The spatial-refinement conv on a (B, U, 1, T) map, through oracle_conv2d."""
-    return oracle_conv2d(ops.same_pad_time(h, weight.shape[-1]), weight)
+    """The spatial-refinement conv on a (B, U, T) map, through oracle_conv2d
+    on its (B, U, 1, T) view."""
+    b, u, t = h.shape
+    out = oracle_conv2d(ops.same_pad_time(h.reshape((b, u, 1, t)), weight.shape[-1]), weight)
+    return out.reshape((b, out.shape[1], t))
 
 
 def oracle_tail(x, gamma, beta, running_mean, running_var, training, pool, p_drop, rng=None):
-    """Batch norm -> ELU -> (1, pool) mean pool -> dropout, four ops.
+    """Batch norm -> ELU -> (1, pool) mean pool -> dropout, four ops, on a
+    (B, C, T) map; the pool runs on its (B, C, 1, T) view.
 
     Same signature and result as ops.bn_elu_pool.
     """
     h = oracle_batch_norm(x, gamma, beta, running_mean, running_var, training)
-    h = ops.avg_pool2d(ops.elu(h), pool)
-    return ops.dropout(h, p_drop, training, rng)
+    b, c, t = h.shape
+    h = ops.avg_pool2d(ops.elu(h).reshape((b, c, 1, t)), pool)
+    return ops.dropout(h.reshape((b, c, t // pool)), p_drop, training, rng)
 
 
 def oracle_branch_call(branch, x, training, rng=None, lags=None, spa_conv=oracle_spa_conv):
@@ -364,9 +372,7 @@ def oracle_branch_call(branch, x, training, rng=None, lags=None, spa_conv=oracle
 
     h = tail(branch.bn_depthwise, h, p1)
     h = spa_conv(h, branch.spa_conv.weight)
-    h = tail(branch.bn_spa, h, p2)
-    b, u, _, t0 = h.shape
-    return h.reshape((b, u, t0))
+    return tail(branch.bn_spa, h, p2)
 
 
 def oracle_grad_check(fn, inputs, h=1e-4):

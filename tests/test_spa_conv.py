@@ -1,9 +1,9 @@
 """The branch's spatial-refinement conv (spa_conv), a (1, K) time conv run
-by conv1d_dilated: against the im2col conv2d path it replaced
-(oracles.oracle_branch_call) in float64, and bitwise against the inline
-conv1d_dilated call it ran as before Conv2d.__call__ took it over. Eval
-mode runs spa_conv with bn_spa folded into its weight, held to the oracle
-compositions at the numerics contract's tolerances."""
+as one conv1d_dilated call on the (B, width, T) map: against the im2col
+conv2d path it replaced (oracles.oracle_branch_call) in float64, and
+bitwise against that call inside the oracle branch. Eval mode runs spa_conv
+with bn_spa folded into its weight, held to the oracle compositions at the
+numerics contract's tolerances."""
 
 from pathlib import Path
 
@@ -98,13 +98,10 @@ def test_checkpoint_from_before_the_change_predicts_identically():
 
 
 def inline_spa_conv(h, weight):
-    """spa_conv as Branch.__call__ ran it inline: conv1d_dilated on the
-    (B, width, T) map, the (Cout, width, 1, K) weight read as (Cout, width, K)."""
-    b, width, _, t1 = h.shape
-    cout, _, _, K = weight.shape
-    w3 = weight.reshape((cout, width, K))
-    h = ops.conv1d_dilated(ops.same_pad_time(h.reshape((b, width, t1)), K), w3)
-    return h.reshape((b, cout, 1, t1))
+    """spa_conv as one conv1d_dilated call on the (B, width, T) map, the
+    (Cout, width, 1, K) weight read as (Cout, width, K)."""
+    cout, width, _, K = weight.shape
+    return ops.conv1d_dilated(ops.same_pad_time(h, K), weight.reshape((cout, width, K)))
 
 
 def inline_branch_call(branch, x, training, rng=None, lags=None):
@@ -153,35 +150,21 @@ def test_spa_conv_layer_is_bitwise_the_inline_conv1d_dilated(config, dtype, trai
         assert g.strides == w.strides, f"{name} layout differs"
 
 
-def test_training_step_runs_conv2d_only_as_time_convs(tmp_path, monkeypatch):
-    """Every ops.conv2d call in a one-step train_run has a height-1 kernel
-    and runs through conv1d_dilated."""
-    calls, inner = [], []
-    conv2d, conv1d = ops.conv2d, ops.conv1d_dilated
+def test_training_and_eval_never_reach_the_2d_ops(tmp_path, monkeypatch):
+    """Over a one-step train_run and its train-set eval pass, the model runs
+    no ops.conv2d: spa_conv is one conv1d_dilated call per branch."""
+    calls = []
+    conv2d = ops.conv2d
 
-    def spy(x, weight):
-        inner.clear()
-        out = conv2d(x, weight)
-        calls.append((weight.shape, len(inner)))
-        return out
-
-    def conv1d_spy(*args, **kwargs):
-        inner.append(args[1].shape)
-        return conv1d(*args, **kwargs)
+    def spy(*args, **kwargs):
+        calls.append("conv2d")
+        return conv2d(*args, **kwargs)
 
     monkeypatch.setattr(ops, "conv2d", spy)
-    monkeypatch.setattr(ops, "conv1d_dilated", conv1d_spy)
     run = tiny_run(tmp_path / "run", epochs=1)
     run.train.batch_size = 12  # all 12 trials: one step, plus the epoch's train-set eval
-    result = train_run(run)
-    assert result.epochs_run == 1
-    cfg = run.model
-    # 4 branches in the training step; the train-set eval's inference pass
-    # calls conv1d_dilated with the folded weight directly.
-    assert len(calls) == 4
-    for shape, n_conv1d in calls:
-        assert shape[2] == 1 and shape[0] == cfg.spa_filters, shape
-        assert n_conv1d == 1
+    assert train_run(run).epochs_run == 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("index", range(4))

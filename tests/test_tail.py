@@ -34,13 +34,13 @@ SHAPES = [(2, 32, 1000, 8), (2, 32, 125, 7), (2, 4, 64, 4), (2, 4, 16, 4), (3, 3
 
 
 def tail_input(seed, B, C, T, layout, dtype):
-    """A (B, C, 1, T) map, C-contiguous or in the transposed layout that
+    """A (B, C, T) map, C-contiguous or in the transposed layout that
     conv1d_dilated returns ((B, T, C) memory read as (B, C, T))."""
     rng = np.random.Generator(np.random.PCG64(seed))
     if layout == "contiguous":
-        x = rng.standard_normal((B, C, 1, T)) + 0.3
+        x = rng.standard_normal((B, C, T)) + 0.3
     else:
-        x = (rng.standard_normal((B, T, C)) + 0.3).transpose(0, 2, 1).reshape(B, C, 1, T)
+        x = (rng.standard_normal((B, T, C)) + 0.3).transpose(0, 2, 1)
     return x.astype(dtype)
 
 
@@ -76,7 +76,7 @@ def assert_eval_tail_within_contract(x, dtype, pool, p_drop):
     within 256 eps32 of max(1, max |value|)."""
     g, b, rm, rv, _ = tail_params(x.shape[1], dtype)
     scale, shift = ops.bn_affine(g, b, rm, rv)
-    shape = (1, -1, 1, 1)
+    shape = (1, -1, 1)
     got = ops.elu_pool(x * scale.astype(dtype).reshape(shape), shift.astype(dtype).reshape(shape), pool)
     with precision("float64"):
         params = [a.astype(np.float64) for a in (x, g, b, rm, rv)]
@@ -106,7 +106,7 @@ def test_tail_is_bitwise_the_composition(shape, dtype, layout, training, p_drop)
         assert np.array_equal(g, w), f"{name} differs"
         # Downstream sums run in memory order, so the layout must match too.
         assert g.strides == w.strides, f"{name} layout differs"
-    assert got[0].shape == (B, C, 1, T // pool)
+    assert got[0].shape == (B, C, T // pool)
 
 
 def model_step(cfg, dtype, training, monkeypatch, tail):
