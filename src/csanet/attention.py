@@ -2,10 +2,12 @@
 
 Feature maps (B, U, T0) are attended over their T0 time steps with
 U-dimensional token embeddings. Keys/values come from a multiscale
-average-pooled view of the source features; attention rows can be
-sparsified by keeping only the top-scoring entries at two sparsity levels
-whose outputs are mixed by two learnable scalars. The top-k mask is a
-discrete selection and is treated as constant by the backward pass.
+average-pooled view of the source features: the sum of the stride-1 pools
+at every kernel size is one linear map along time, run as one matmul with
+a (T0, T0) band matrix. Attention rows can be sparsified by keeping only
+the top-scoring entries at two sparsity levels whose outputs are mixed by
+two learnable scalars. The top-k mask is a discrete selection and is
+treated as constant by the backward pass.
 """
 
 import math
@@ -61,23 +63,25 @@ def topk_softmax(scores: Tensor, keep: int) -> Tensor:
 
 
 def multiscale_pool(y: Tensor, cfg: AttentionConfig) -> Tensor:
-    """Sum of stride-1 average poolings at each configured kernel size.
+    """Sum of stride-1 average poolings at each configured kernel size, as
+    one matmul of y (B, U, T0) with a fixed (T0, T0) band matrix.
 
     Pad = (kernel-1)/2 keeps every pooled variant at the input length, so
     the output shape equals the input shape. Padding zeros count toward
-    the divisor, which attenuates boundary positions.
+    the divisor, which attenuates boundary positions. Output t of the pool
+    at kernel k is the sum of inputs s with |s - t| <= p over k, so the
+    sum of the pools is y @ M with M[s, t] = sum_i [|s - t| <= p_i] / k_i.
     """
     if len(cfg.pool_kernels) != len(cfg.pool_pads):
         raise ConfigurationError("pool_kernels and pool_pads must have equal length")
-    b, u, t0 = y.shape
-    y4 = y.reshape((b, u, 1, t0))
-    total = None
+    t0 = y.shape[-1]
+    lag = np.abs(np.subtract.outer(np.arange(t0), np.arange(t0)))
+    band = np.zeros((t0, t0))
     for k, p in zip(cfg.pool_kernels, cfg.pool_pads):
         if 2 * p != k - 1:
             raise ConfigurationError(f"pool kernel {k} with pad {p} changes the pooled length")
-        pooled = ops.avg_pool2d(y4, k, stride=1, padding=p)
-        total = pooled if total is None else total + pooled
-    return total.reshape((b, u, t0))
+        band += (lag <= p) / k
+    return y @ band.astype(y.dtype)
 
 
 class AttentionParams(Layer):

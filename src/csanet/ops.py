@@ -58,7 +58,9 @@ The network convolves only along time, and every map from the stem to
 fusion is (B, C, T). conv2d, the (1, K) time conv over (B, Cin, H, T)
 composed of reshapes around conv1d_dilated with no backward of its own,
 runs only the PSD report's temporal conv over the C rows of a trial.
-avg_pool2d is the (1, k) time pool that multiscale_pool runs at stride 1.
+avg_pool2d, the (1, k) time pool, runs in no model path: it is the
+reference that attention.multiscale_pool's band matrix is tested against.
+Both stay as gradient-check scopes and as ops the benchmark names.
 batch_norm, elu and dropout remain for the TCN.
 
 Two raw-array helpers carry all padding and windowing, since at the small

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from csanet import ops
 from csanet.attention import (
     AttentionParams,
     keep_count,
@@ -91,6 +92,26 @@ class TestKeepCount:
         assert keep_count(cfg, 30, 17) == 17
 
 
+def sum_of_avg_pools(y, kernels, pads):
+    """The stride-1 ops.avg_pool2d pools of a (B, U, T0) map, summed."""
+    b, u, t0 = y.shape
+    y4 = y.reshape((b, u, 1, t0))
+    total = None
+    for k, p in zip(kernels, pads):
+        pooled = ops.avg_pool2d(y4, k, stride=1, padding=p)
+        total = pooled if total is None else total + pooled
+    return total.reshape((b, u, t0))
+
+
+def pool_and_input_grad(pool, y, g):
+    """pool's output on y and y's gradient from the upstream gradient g."""
+    with precision(y.dtype.name):
+        t = Tensor(y, requires_grad=True)
+        out = pool(t)
+        out.backward(g)
+    return out.data, t.grad
+
+
 class TestMultiscalePool:
     def test_constant_interior_is_triple(self):
         cfg = AttentionConfig(embed_dim=2, heads=1)
@@ -106,15 +127,24 @@ class TestMultiscalePool:
         y = rng.standard_normal((2, 2, 9))
         np.testing.assert_allclose(multiscale_pool(Tensor(y), cfg).data, y, atol=1e-7)
 
-    def test_equals_sum_of_individual_pools(self, f64, rng):
-        cfg = AttentionConfig(embed_dim=4, heads=2)
-        y = rng.standard_normal((2, 4, 17))
-        total = multiscale_pool(Tensor(y), cfg).data
-        parts = np.zeros_like(total)
-        for k, p in zip(cfg.pool_kernels, cfg.pool_pads):
-            single = AttentionConfig(embed_dim=4, heads=2, pool_kernels=(k,), pool_pads=(p,))
-            parts += multiscale_pool(Tensor(y), single).data
-        np.testing.assert_allclose(total, parts, atol=1e-6)
+    def test_equals_sum_of_individual_pools(self):
+        """The band-matrix pool against the sum of stride-1 ops.avg_pool2d
+        pools, in output and input gradient, at T0 below, at and above the
+        kernels: float64 within 1e-12 x max |value|, float32 within a few
+        eps32 x max |value|."""
+        for dtype, tol in (("float64", 1e-12), ("float32", 4 * float(np.finfo(np.float32).eps))):
+            for kernels in ((1,), (3, 5, 7), (7,)):
+                pads = tuple((k - 1) // 2 for k in kernels)
+                cfg = AttentionConfig(embed_dim=4, heads=2, pool_kernels=kernels, pool_pads=pads)
+                for t0 in (1, 2, 3, 4, 7, 17):
+                    rng = np.random.Generator(np.random.PCG64(t0))
+                    y, g = (rng.standard_normal((2, 4, t0)).astype(dtype) for _ in range(2))
+                    got = pool_and_input_grad(lambda t: multiscale_pool(t, cfg), y, g)
+                    want = pool_and_input_grad(lambda t: sum_of_avg_pools(t, kernels, pads), y, g)
+                    for what, a, b in zip(("output", "input grad"), got, want):
+                        case = f"{dtype} kernels={kernels} T0={t0} {what}"
+                        assert a.dtype == b.dtype == np.dtype(dtype), case
+                        assert float(np.abs(a - b).max()) <= tol * float(np.abs(b).max()), case
 
     def test_bad_padding_is_config_error(self):
         cfg = AttentionConfig(embed_dim=2, heads=1, pool_kernels=(4,), pool_pads=(1,))

@@ -152,15 +152,15 @@ def test_spa_conv_layer_is_bitwise_the_inline_conv1d_dilated(config, dtype, trai
 
 def test_training_and_eval_never_reach_the_2d_ops(tmp_path, monkeypatch):
     """Over a one-step train_run and its train-set eval pass, the model runs
-    no ops.conv2d: spa_conv is one conv1d_dilated call per branch."""
+    neither ops.conv2d nor ops.avg_pool2d: spa_conv is one conv1d_dilated
+    call per branch and multiscale_pool one matmul."""
     calls = []
-    conv2d = ops.conv2d
+    for name in ("conv2d", "avg_pool2d"):
+        def spy(*args, _op=getattr(ops, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _op(*args, **kwargs)
 
-    def spy(*args, **kwargs):
-        calls.append("conv2d")
-        return conv2d(*args, **kwargs)
-
-    monkeypatch.setattr(ops, "conv2d", spy)
+        monkeypatch.setattr(ops, name, spy)
     run = tiny_run(tmp_path / "run", epochs=1)
     run.train.batch_size = 12  # all 12 trials: one step, plus the epoch's train-set eval
     assert train_run(run).epochs_run == 1

@@ -157,12 +157,12 @@ def test_model_is_bitwise_the_oracle_tail_model(config, dtype, training, monkeyp
 
 
 def test_training_step_runs_the_four_ops_only_outside_the_branches(tmp_path, monkeypatch):
-    """The TCN and multiscale_pool still call elu, batch_norm, dropout and
-    avg_pool2d; no branch map of length T or T/p1 reaches them."""
+    """The TCN still calls elu, batch_norm and dropout; no branch map of
+    length T or T/p1 reaches them."""
     run = tiny_run(tmp_path / "run", epochs=1)
     run.train.batch_size = 12  # all 12 trials: one step, plus the epoch's train-set eval
     cfg = run.model
-    names = ("elu", "batch_norm", "dropout", "avg_pool2d")
+    names = ("elu", "batch_norm", "dropout")
     calls = {name: [] for name in names}
     for name in names:
         def spy(x, *args, _op=getattr(ops, name), _name=name, **kwargs):
@@ -182,12 +182,10 @@ def test_training_step_runs_the_four_ops_only_outside_the_branches(tmp_path, mon
     assert result.epochs_run == 1
     assert forwards  # the step and the train-set eval
     n_tcn = 4 * 2 * len(cfg.tcn.dilations)  # per forward: 4 branches, 2 convs per block
-    n_pool = 4 * len(cfg.attention.pool_kernels)  # per forward: each branch's keys/values
-    for name, per_forward in (("elu", n_tcn), ("batch_norm", n_tcn), ("dropout", n_tcn), ("avg_pool2d", n_pool)):
-        assert len(calls[name]) == per_forward * len(forwards), name
-        for b, shape in zip(np.repeat(forwards, per_forward), calls[name]):
-            expected = (b, cfg.tcn.filters, cfg.t0) if name != "avg_pool2d" else (b, cfg.attention.embed_dim, 1, cfg.t0)
-            assert shape == expected, name
+    for name in names:
+        assert len(calls[name]) == n_tcn * len(forwards), name
+        for b, shape in zip(np.repeat(forwards, n_tcn), calls[name]):
+            assert shape == (b, cfg.tcn.filters, cfg.t0), name
 
 
 def test_tape_keeps_two_full_size_arrays():
