@@ -7,6 +7,7 @@ failure.
 
 import argparse
 import copy
+import math
 import os
 import sys
 import time
@@ -51,6 +52,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive(text):
+    """argparse type of a finite number > 0 (a rate, a tolerance)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _add_common(sub):
     sub.add_argument("--config", required=True, help="run config file (flat key=value)")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -70,7 +82,7 @@ def build_parser():
 
     p_grad = subs.add_parser("gradcheck", help="finite-difference gradient checks")
     p_grad.add_argument("--scope", required=True, help="op name, 'model-mini', or 'all'")
-    p_grad.add_argument("--tolerance", type=float, default=1e-3)
+    p_grad.add_argument("--tolerance", type=_positive, default=1e-3)
 
     _add_common(subs.add_parser("augment", help="write an augmented copy of the input data"))
 
@@ -79,7 +91,7 @@ def build_parser():
     p_psd.add_argument("--checkpoint", default=None, help="optional trained checkpoint")
     p_psd.add_argument("--branch", type=int, default=0, help="branch index 0-3")
     p_psd.add_argument("--trial", type=int, default=0, help="trial index from the run data")
-    p_psd.add_argument("--fs", type=float, default=250.0, help="sampling rate in Hz")
+    p_psd.add_argument("--fs", type=_positive, default=250.0, help="sampling rate in Hz")
 
     p_abl = subs.add_parser("ablate", help="train one ablation variant")
     _add_common(p_abl)

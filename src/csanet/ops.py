@@ -140,14 +140,14 @@ def _bn_normalise(x, running_mean, running_var, training):
     return np.multiply(xc, inv, out=xc), inv
 
 
-def _bn_backward(gy, xhat, inv, x, gamma, beta, training):
-    """Batch norm's backward from gy, the gradient at its output gamma *
-    xhat + beta, into the gradients of x, gamma and beta.
+def _bn_backward(gy, xhat, inv, x, gamma, beta):
+    """Training-mode batch norm's backward from gy, the gradient at its
+    output gamma * xhat + beta, into the gradients of x, gamma and beta.
 
-    x's gradient is gamma * inv * (gy - mean(gy) - xhat * mean(gy * xhat))
-    in training mode, whose first step runs in place in gy, and gamma *
-    inv * gy in eval mode. The other steps take the memory layout numpy
-    gives them, so each sum here and downstream runs in that order.
+    x's gradient is gamma * inv * (gy - mean(gy) - xhat * mean(gy * xhat)),
+    whose first step runs in place in gy. The other steps take the memory
+    layout numpy gives them, so each sum here and downstream runs in that
+    order.
     """
     axes, shape, n = _bn_layout(gy)
     prod = gy * xhat
@@ -158,19 +158,16 @@ def _bn_backward(gy, xhat, inv, x, gamma, beta, training):
         _accumulate(beta, gsum)
     if not x.requires_grad:
         return
-    gs = gamma.data.reshape(shape) * inv
-    if not training:
-        _accumulate(x, gs * gy)
-        return
     gy -= (gsum / n).reshape(shape)
     gx = np.subtract(gy, np.multiply(xhat, (psum / n).reshape(shape), out=prod), out=prod)
-    gx *= gs
+    gx *= gamma.data.reshape(shape) * inv
     _accumulate(x, gx)
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, training):
     """Per-channel normalization over axis 1 (the TCN's batch norm), by
-    _bn_normalise and _bn_backward."""
+    _bn_normalise and _bn_backward. Eval mode, which nothing
+    differentiates, returns its output with no tape node."""
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     if x.ndim < 2:
         raise DimensionError("batch_norm expects at least a 2-d input (B, C, ...)")
@@ -180,11 +177,13 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training):
     xhat, inv = _bn_normalise(x.data, running_mean, running_var, training)
     shape = inv.shape
     out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
+    if not training:
+        return Tensor(out)
 
     def backward(gout):
         # Gradient buffers are never written in place: the kernel gets a
         # copy, in gout's memory order so its sums keep their order.
-        _bn_backward(gout.copy(order="K"), xhat, inv, x, gamma, beta, training)
+        _bn_backward(gout.copy(order="K"), xhat, inv, x, gamma, beta)
 
     return _make(out, (x, gamma, beta), backward)
 
@@ -473,7 +472,7 @@ def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, p_drop, rng=Non
         gy = np.zeros_like(x.data)
         gy[..., : wo * pool] += np.repeat(gpool / div, pool, axis=-1)
         gy *= neg + 1.0
-        _bn_backward(gy, xhat, inv, x, gamma, beta, True)
+        _bn_backward(gy, xhat, inv, x, gamma, beta)
 
     return _make(out, (x, gamma, beta), backward)
 

@@ -88,6 +88,16 @@ def train_run(run: RunConfig, stop_at_train_acc=None, on_epoch=None) -> TrainRes
     """
     run.validate()
     train_set, test_set = _load_split(run)
+    n = len(train_set)
+    batch = run.train.batch_size
+    sr_effective = SrConfig(segments=run.sr.segments, enabled=run.sr.enabled and run.model.sr_enabled)
+    # Without S&R's doubling, a one-trial batch would fail batch norm at the
+    # epoch's last step, after the epoch's compute and before any checkpoint.
+    if run.train.epochs > 0 and not sr_effective.enabled and (batch == 1 or n % batch == 1):
+        raise ConfigurationError(
+            f"the train split has {n} trials and train.batch_size={batch}, so a training batch "
+            "holds one trial; batch norm in training mode needs at least 2 (S&R is off)"
+        )
 
     model = CsanetModel(run.model, rng=rngs.substream(run.seed, rngs.STREAM_INIT))
     optimizer = AdamState(lr=run.train.lr)
@@ -95,8 +105,7 @@ def train_run(run: RunConfig, stop_at_train_acc=None, on_epoch=None) -> TrainRes
     augment_rng = rngs.substream(run.seed, rngs.STREAM_AUGMENT)
     shuffle_rng = rngs.substream(run.seed, rngs.STREAM_SHUFFLE)
 
-    sr_effective = SrConfig(segments=run.sr.segments, enabled=run.sr.enabled and run.model.sr_enabled)
-    effective_batch = run.train.batch_size * (2 if sr_effective.enabled else 1)
+    effective_batch = batch * (2 if sr_effective.enabled else 1)
 
     os.makedirs(run.out_dir, exist_ok=True)
     log_path = os.path.join(run.out_dir, "train_log.csv")
@@ -104,8 +113,6 @@ def train_run(run: RunConfig, stop_at_train_acc=None, on_epoch=None) -> TrainRes
     write_config(run, os.path.join(run.out_dir, "run.cfg"))
 
     params = list(model.parameters())
-    n = len(train_set)
-    batch = run.train.batch_size
     losses = []
     final_acc = float("nan")
     epochs_run = 0

@@ -169,6 +169,42 @@ def test_package_and_file_errors_exit_2(run_cfg_path, monkeypatch, capsys, error
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psd", "--fs", "0"],
+        ["psd", "--fs", "-5"],
+        ["psd", "--fs", "nan"],
+        ["psd", "--fs", "inf"],
+        ["psd", "--fs", "fast"],
+        ["gradcheck", "--scope", "linear", "--tolerance", "nan"],
+        ["gradcheck", "--scope", "linear", "--tolerance=-1e-3"],
+        ["gradcheck", "--scope", "linear", "--tolerance", "0"],
+    ],
+)
+def test_bad_number_is_a_usage_error(run_cfg_path, tmp_path, capsys, argv):
+    if argv[0] == "psd":
+        argv = argv + ["--config", run_cfg_path, "--out", str(tmp_path / "psd")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "expected a finite number > 0" in errors[0], captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "psd").exists()
+
+
+def test_one_trial_training_batch_exits_2(run_cfg_path, tmp_path, capsys):
+    # 6 trials in batches of 5 with S&R off leave a batch of one trial.
+    text = [row for row in open(run_cfg_path).read().splitlines() if not row.startswith("train.batch_size=")]
+    path = tmp_path / "one.cfg"
+    path.write_text("\n".join(text + ["train.batch_size=5", "model.sr_enabled=false"]) + "\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "train.batch_size=5" in err[0], err
+    assert not out.exists()
+
+
 def test_psd_bad_trial_index_exits_2(run_cfg_path, tmp_path):
     code = main(["psd", "--config", run_cfg_path, "--out", str(tmp_path / "x"), "--trial", "99"])
     assert code == 2

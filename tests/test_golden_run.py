@@ -1,5 +1,5 @@
-"""A seeded run writes the same bytes as the tree before trials moved into
-arrays: train log, checkpoint and eval report, in float64 and float32."""
+"""A seeded run writes the same bytes as the tree that wrote the fixture:
+train log, checkpoint and eval report, in float64 and float32."""
 
 from pathlib import Path
 
@@ -52,9 +52,13 @@ def write_golden(out_dir, dtype):
 def write_golden_fixture(directory=FIXTURE):
     """The committed files under tests/data/golden.
 
-    They were written by this function on the tree before the trial
-    containers became arrays (commit 65d529a), from the repository root
-    with src/ and tests/ on sys.path.
+    First written on commit 65d529a, before the trial containers became
+    arrays. Re-derived on commit 90328ac, whose one-matmul multiscale_pool
+    is exact in value but not in bits, after tests/test_numerics_contract.py
+    passed against its unchanged fixture. Both times from the repository
+    root with src/ and tests/ on sys.path; the re-derivation ran:
+
+        PYTHONPATH=src:tests python -c "from test_golden_run import write_golden_fixture; write_golden_fixture()"
     """
     for dtype in ("float64", "float32"):
         write_golden(Path(directory) / dtype, dtype)

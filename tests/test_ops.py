@@ -263,7 +263,8 @@ def _bn_array(rng, shape, layout, dtype):
 
 def _bn_run(bn, shape, dtype, training, x_layout, grad_layout):
     """Output, grads of x, gamma and beta and both running buffers after
-    one forward and a backward from an upstream gradient of a given layout."""
+    one forward and a backward from an upstream gradient of a given layout;
+    in eval mode, which records no tape, the output and the buffers."""
     rng = np.random.Generator(np.random.PCG64(77))
     C = shape[1]
     x = Tensor(_bn_array(rng, shape, x_layout, dtype), requires_grad=True)
@@ -272,12 +273,15 @@ def _bn_run(bn, shape, dtype, training, x_layout, grad_layout):
     rm = (0.1 * rng.standard_normal(C)).astype(dtype)
     rv = (1.0 + rng.random(C)).astype(dtype)
     out = bn(x, gamma, beta, rm, rv, training)
+    if not training:
+        return {"output": out.data, "running mean": rm, "running var": rv}
     out.backward(_bn_array(rng, shape, grad_layout, dtype))
-    return [out.data, x.grad, gamma.grad, beta.grad, rm, rv]
+    grads = {"x grad": x.grad, "gamma grad": gamma.grad, "beta grad": beta.grad}
+    return {"output": out.data, **grads, "running mean": rm, "running var": rv}
 
 
 # (B, C, T) maps of the TCN at the default and mini configs, a small odd
-# one, and a (B, C, 1, T) branch map.
+# one, and a 4-d map.
 BN_SHAPES = [(2, 32, 17), (2, 4, 4), (5, 3, 7), (3, 4, 1, 11)]
 
 
@@ -289,12 +293,20 @@ BN_SHAPES = [(2, 32, 17), (2, 4, 4), (5, 3, 7), (3, 4, 1, 11)]
 def test_batch_norm_is_bitwise_the_oracle(shape, dtype, training, x_layout, grad_layout):
     bns = (ops.batch_norm, oracle_batch_norm)
     got, want = (_bn_run(bn, shape, dtype, training, x_layout, grad_layout) for bn in bns)
-    names = ("output", "x grad", "gamma grad", "beta grad", "running mean", "running var")
-    for name, g, w in zip(names, got, want):
+    assert got.keys() == want.keys()
+    for name, w in want.items():
+        g = got[name]
         assert g.dtype == w.dtype == np.dtype(dtype), name
         assert np.array_equal(g, w), f"{name} differs"
         # Downstream sums run in memory order, so the layout must match too.
         assert g.strides == w.strides, f"{name} layout differs"
+
+
+def test_eval_batch_norm_records_no_tape():
+    x = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+    gamma, beta = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+    out = ops.batch_norm(x, gamma, beta, np.zeros(3), np.ones(3), training=False)
+    assert not out.requires_grad and out._backward is None and out._prev == ()
 
 
 class TestPointwise:

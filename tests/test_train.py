@@ -130,3 +130,20 @@ def test_empty_train_split_is_config_error_for_train_and_eval(tmp_path):
         train_run(run)
     with pytest.raises(ConfigurationError, match="train split is empty"):
         eval_run(run, model)
+
+
+@pytest.mark.parametrize("batch_size", [11, 1])
+def test_one_trial_batch_without_sr_fails_before_the_first_step(tmp_path, batch_size):
+    """12 trials in batches of 11 (or 1) leave a batch of one trial, which
+    training-mode batch norm refuses; with S&R off the run stops before it
+    writes a log or a checkpoint. With S&R on, each batch is doubled."""
+    from csanet.errors import ConfigurationError
+
+    run = tiny_run(tmp_path / "off", epochs=1, sr_enabled=False)
+    run.train.batch_size = batch_size
+    with pytest.raises(ConfigurationError, match=rf"12 trials and train.batch_size={batch_size}"):
+        train_run(run)
+    assert not (tmp_path / "off").exists()
+    run = tiny_run(tmp_path / "on", epochs=1, sr_enabled=True)
+    run.train.batch_size = 11
+    assert train_run(run).epochs_run == 1
