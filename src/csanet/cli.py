@@ -55,12 +55,11 @@ class _Parser(argparse.ArgumentParser):
 def _positive(text):
     """argparse type of a finite number > 0 (a rate, a tolerance)."""
     try:
-        value = float(text)
+        if math.isfinite(value := float(text)) and value > 0:
+            return value
     except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return value
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
 
 
 def _add_common(sub):

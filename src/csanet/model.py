@@ -60,38 +60,28 @@ class TcnStack(Layer):
 class Branch(Layer):
     """One temporal-scale pipeline plus its fusion/TCN parameters.
 
-    In training, the stem (temporal conv -> bn_temporal -> depthwise
-    channel conv) runs as one op, ops.branch_stem, spatial-first: each
-    depthwise output channel first projects the C input channels, then
-    correlates its filter's K temporal taps. This is exact, not an
-    approximation: the temporal conv and the depthwise conv are linear maps
-    per filter that act on different axes (time, channels), so they
-    commute, and batch norm is an affine map per filter (a_f * h + c_f)
-    whose training-mode statistics follow from moments of the raw input.
-    The layers temporal_conv, bn_temporal and depthwise_conv hold the
-    parameters and buffers, so names, checkpoints and the init draw order
-    are unchanged.
+    Every map from the stem to fusion is (B, channels, time). In training:
+    - the stem (temporal conv -> bn_temporal -> depthwise channel conv) is
+      one op, ops.branch_stem, run spatial-first. This is exact: the two
+      convs are linear maps per filter on different axes (time, channels),
+      so they commute, and batch norm is an affine map per filter whose
+      statistics follow from moments of the raw input. lags is the model's
+      lag_prefixes table of the input, shared by the four stems; without
+      it the stem builds its own;
+    - spa_conv is ops.conv1d_dilated on the (B, width, T/p1) map after
+      same_pad_time's padding, its (U, width, 1, K) weight read as
+      (U, width, K);
+    - the stem and spa_conv each end in the same tail, batch norm -> ELU ->
+      mean pool (p1, then p2) -> dropout, run as one op, ops.bn_elu_pool.
+    The Conv2d and BatchNorm layers hold the parameters and buffers, so
+    names, checkpoints and the init draw order are unchanged.
 
     bn_temporal.beta is dead in training: its per-filter shift reaches the
     depthwise output as a per-channel constant, which bn_depthwise's
-    training-mode mean subtraction removes, so its gradient is exactly 0
-    and Adam never moves it. It stays because eval mode reads it (in the
-    folded shift, through c_f = beta_f - a_f * running_mean_f) and it is a
-    checkpoint blob.
-
-    Every map from the stem to fusion is (B, channels, time). The pooled
-    spatial-refinement conv spa_conv is ops.conv1d_dilated on the
-    (B, width, T/p1) map after same_pad_time's padding, its (U, width, 1, K)
-    weight read as (U, width, K).
-
-    The stem and spa_conv are each followed by the same tail, batch norm ->
-    ELU -> (1, p) mean pool -> dropout, run as one op, ops.bn_elu_pool
-    (pools p1 and p2). It is bitwise equal to the four ops composed; the
-    BatchNorm layers bn_depthwise and bn_spa hold its parameters and
-    running buffers.
-
-    In training, lags is the model's lag_prefixes table of the input,
-    shared by the four stems; without it the stem builds its own.
+    training-mode mean subtraction removes, so its gradient is 0 up to
+    rounding and Adam moves it only by rounding noise. It stays because
+    eval mode reads it (in the folded shift, through c_f = beta_f - a_f *
+    running_mean_f) and it is a checkpoint blob.
 
     Eval mode (_infer) runs none of these ops and records no tape. Each
     batch norm is then a fixed affine map, folded into the linear map

@@ -1,76 +1,47 @@
 """Neural-network primitives on Tensors, with hand-derived backward passes.
 
 Everything here is deterministic given its inputs (dropout takes an
-explicit Generator). All convs in the network use stride 1 and run along
-the time axis; pooling carries the stride.
-
-conv1d_dilated is the network's one time-axis conv (each branch's
-spatial-refinement conv and the TCN's causal convs), with one path per
-shape class. Long unpadded kernels over a batch (spa_conv, K = 32, at
-training and eval batch sizes) run as FFT correlations: forward, weight
-gradient and input gradient are each rfft -> one matmul per frequency ->
-irfft, at a 5-smooth length where nothing wraps around. The rest run
-direct (the TCN's causal K = 4 convs, which an FFT's rounding noise would
-make inexactly causal, small configs' short kernels, and B = 1 decoding,
-where the transforms' fixed cost dominates): forward, weight gradient and
-input gradient are one matmul each over a window matrix gathered from a
-strided view, the input gradient being the transposed correlation of the
-zero-padded output gradient with the kernel flipped along its taps, so no
-pass loops over taps. FFT_MIN_TAPS and FFT_MIN_WORK draw the line
-between the classes.
-
-branch_stem fuses a branch's training-mode temporal conv, batch norm and
-depthwise channel conv into one op that projects channels first and
-correlates time after (_stem_correlation), with banded matmuls over tiles
-of the time axis and batch statistics from float64 window moments of the
-input; the four branches of one training forward read those moments off
-one lag_prefixes table built at the longest kernel.
-
-bn_elu_pool fuses the training-mode tail that follows each branch's stem
-and its spatial-refinement conv (batch norm -> ELU -> (1, p) mean pool ->
-dropout) into one op with a hand-written backward. It is bitwise equal
-to the four ops composed, in float32 and float64: it takes the same
-arithmetic steps in the same order on arrays of the same memory layout,
-and draws the dropout mask at the same point of the rng stream. Its tape
-keeps the normalised map, the ELU's negative part and the dropout mask;
-the composition kept four full-size maps and a mask. elu, bn_elu_pool and
+explicit Generator). The network convolves only along time, at stride 1,
+and every map from the stem to fusion is (B, C, T); pooling carries the
+stride. A training forward meets, per branch:
+- branch_stem: the temporal conv -> batch norm -> depthwise channel conv
+  as one op that projects channels first and correlates time after
+  (_stem_correlation), its batch statistics read off the forward's one
+  lag_prefixes table;
+- bn_elu_pool: the tail batch norm -> ELU -> pool -> dropout as one op,
+  bitwise equal to the four ops composed, after the stem and after
+  spa_conv;
+- conv1d_dilated: the one time-axis conv (spa_conv and the TCN's causal
+  convs), by FFT correlation for long unpadded kernels over a batch
+  (_conv1d_fft) and by window matmuls otherwise; FFT_MIN_TAPS and
+  FFT_MIN_WORK draw the line.
+batch_norm, elu and dropout remain for the TCN; elu, bn_elu_pool and
 elu_pool share one branch-free ELU kernel (_elu_parts).
 
 Eval mode has no tape and no batch statistics, so each batch norm is a
-fixed affine map (bn_affine) that folds into the linear map before it.
-stem_elu_pool runs a branch's stem and first tail on raw arrays: both
-batch norms fold into the depthwise projection rows and one per-channel
-constant, the correlation is _stem_correlation's, and elu_pool adds the
-constant, applies the ELU in place and pools by one matmul, over blocks of
-STEM_BLOCK trials whose temporaries stay small enough to be reused from
-the heap. The model folds the third batch norm into spa_conv's weight and
-runs elu_pool after it. These folds are exact in real arithmetic, not in
-floating point; they are held to the numerics contract in
-tests/test_numerics_contract.py.
+fixed affine map (bn_affine) folded into the linear map before it:
+stem_elu_pool runs a branch's stem and first tail over blocks of
+STEM_BLOCK trials, and elu_pool the ELU and pool after spa_conv. These
+folds are exact in real arithmetic, not in floating point; they are held
+to the numerics contract in tests/test_numerics_contract.py.
 
 Batch norm has one home: the constants BN_MOMENTUM and BN_EPS, and the
 kernels _bn_normalise (statistics, buffer update, eval-mode buffers, the
-B >= 2 check) and _bn_backward, which batch_norm and bn_elu_pool share.
-branch_stem shares the constants and the buffer update, bn_affine the
-constants.
+B >= 2 check) and _bn_backward (training mode), which batch_norm and
+bn_elu_pool share.
 
-The network convolves only along time, and every map from the stem to
-fusion is (B, C, T). conv2d, the (1, K) time conv over (B, Cin, H, T)
-composed of reshapes around conv1d_dilated with no backward of its own,
-runs only the PSD report's temporal conv over the C rows of a trial.
-avg_pool2d, the (1, k) time pool, runs in no model path: it is the
-reference that attention.multiscale_pool's band matrix is tested against.
-Both stay as gradient-check scopes and as ops the benchmark names.
-batch_norm, elu and dropout remain for the TCN.
+conv2d, the (1, K) time conv over (B, Cin, H, T) built from reshapes
+around conv1d_dilated, runs only the PSD report's temporal conv over the
+C rows of a trial. avg_pool2d, the (1, k) time pool, runs in no model
+path: it is the reference that attention.multiscale_pool's band matrix is
+tested against. Both stay as gradient-check scopes and as ops the
+benchmark names.
 
 Two raw-array helpers carry all padding and windowing, since at the small
 shapes of a gradient check each op's bookkeeping outweighs its
 arithmetic: autodiff._zero_pad pads by one np.zeros and a slice
-assignment in np.pad's memory order (it backs autodiff.pad, _pad_left,
-conv1d_dilated's input gradient and avg_pool2d's padding), and
-_window_view builds the strided window views of conv1d_dilated, the
-stem's time tiles (_stem_correlation) and avg_pool2d with one as_strided
-call.
+assignment in np.pad's memory order, and _window_view builds strided
+window views with one as_strided call.
 """
 
 import math
@@ -765,8 +736,8 @@ def conv2d(x, weight):
 
     weight: (Cout, Cin, 1, K); the caller pads (same_pad_time). Output
     (B, Cout, H, T - K + 1). Built from autodiff reshapes around
-    conv1d_dilated, so it has no backward of its own: at H = 1 it only
-    reshapes, at H > 1 each of the H rows runs as its own batch entry.
+    conv1d_dilated, so it has no backward of its own: each of the H rows
+    runs as its own batch entry.
     """
     x, weight = _wrap(x), _wrap(weight)
     if x.ndim != 4 or weight.ndim != 4:
@@ -776,9 +747,6 @@ def conv2d(x, weight):
     if kh != 1:
         raise DimensionError(f"conv2d runs (1, K) time kernels, got a kernel of height {kh}")
     w3 = weight.reshape((cout, cinw, K))
-    if H == 1:
-        out = conv1d_dilated(x.reshape((B, cin, T)), w3)
-        return out.reshape((B, cout, 1, out.shape[-1]))
     out = conv1d_dilated(x.transpose((0, 2, 1, 3)).reshape((B * H, cin, T)), w3)
     return out.reshape((B, H, cout, out.shape[-1])).transpose((0, 2, 1, 3))
 
