@@ -107,7 +107,7 @@ class LayerList:
 
 class Conv2d(Layer):
     """A (kh, kw) conv's weight, (out, in/groups, kh, kw). The layer has no
-    call: the ops that run the conv (ops.branch_stem, ops.stem_elu_pool,
+    call: the ops that run the conv (ops.stem_bn_elu_pool, ops.stem_elu_pool,
     conv1d_dilated for spa_conv, ops.conv2d for the PSD report) read the
     weight directly."""
 

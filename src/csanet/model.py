@@ -2,13 +2,13 @@
 
 Each branch pairs one temporal kernel scale with its own spatial feature
 extractor (temporal conv -> batch norm -> depthwise channel conv, run
-spatial-first as one op, then a pooled spatial-refinement conv; each of
-the two stages ends in one fused batch norm -> ELU -> pool -> dropout
-op; eval mode folds each batch norm into the conv before it and runs
-the branch as one tape-free pass). Branch outputs are fused by attention
-(the first branch attends to itself densely; the others run sparse
-cross-attention), passed through per-branch temporal convolutional
-networks, and classified from the concatenated readouts.
+spatial-first, then a pooled spatial-refinement conv; each of the two
+stages ends in batch norm -> ELU -> pool -> dropout, and the first stage
+with its tail is one op; eval mode folds each batch norm into the conv
+before it and runs the branch as one tape-free pass). Branch outputs are
+fused by attention (the first branch attends to itself densely; the
+others run sparse cross-attention), passed through per-branch temporal
+convolutional networks, and classified from the concatenated readouts.
 """
 
 import dataclasses
@@ -60,27 +60,23 @@ class TcnStack(Layer):
 class Branch(Layer):
     """One temporal-scale pipeline plus its fusion/TCN parameters.
 
-    Every map from the stem to fusion is (B, channels, time). In training:
-    - the stem (temporal conv -> bn_temporal -> depthwise channel conv) is
-      one op, ops.branch_stem, run spatial-first. This is exact: the two
-      convs are linear maps per filter on different axes (time, channels),
-      so they commute, and batch norm is an affine map per filter whose
-      statistics follow from moments of the raw input. lags is the model's
-      lag_prefixes table of the input, shared by the four stems; without
-      it the stem builds its own;
-    - spa_conv is ops.conv1d_dilated on the (B, width, T/p1) map after
-      same_pad_time's padding, its (U, width, 1, K) weight read as
-      (U, width, K);
-    - the stem and spa_conv each end in the same tail, batch norm -> ELU ->
-      mean pool (p1, then p2) -> dropout, run as one op, ops.bn_elu_pool.
-    The Conv2d and BatchNorm layers hold the parameters and buffers, so
-    names, checkpoints and the init draw order are unchanged.
+    Every map from the stem to fusion is (B, channels, time). In training,
+    the stem (temporal conv -> bn_temporal -> depthwise channel conv) and
+    its tail (bn_depthwise -> ELU -> pool p1 -> dropout) are one op,
+    ops.stem_bn_elu_pool, run spatial-first: the two convs are linear maps
+    per filter on different axes, so they commute, and bn_temporal's
+    statistics follow from moments of the raw input (lags, the model's
+    lag_prefixes table, shared by the four stems). spa_conv is then
+    ops.conv1d_dilated after same_pad_time, its (U, width, 1, K) weight
+    read as (U, width, K), and its tail (bn_spa -> ELU -> pool p2 ->
+    dropout) is ops.bn_elu_pool. The Conv2d and BatchNorm layers hold the
+    parameters and buffers, so names, checkpoints and the init draw order
+    are unchanged.
 
-    bn_temporal.beta is dead in training: its per-filter shift reaches the
-    depthwise output as a per-channel constant, which bn_depthwise's
-    training-mode mean subtraction removes, so its gradient is 0 up to
-    rounding and Adam moves it only by rounding noise. It stays because
-    eval mode reads it (in the folded shift, through c_f = beta_f - a_f *
+    bn_temporal.beta is dead in training: bn_depthwise's mean subtraction
+    cancels its per-filter shift, so the fused op gives it an exact 0
+    gradient and Adam leaves it bitwise unchanged. It stays because eval
+    mode reads it (in the folded shift, through c_f = beta_f - a_f *
     running_mean_f) and it is a checkpoint blob.
 
     Eval mode (_infer) runs none of these ops and records no tape. Each
@@ -124,25 +120,13 @@ class Branch(Layer):
         if not training:
             return Tensor(self._infer(x.data))
         p1, p2 = self.pools
-        bn = self.bn_temporal
-        h = ops.branch_stem(
-            x,
-            self.temporal_conv.weight,
-            bn.gamma,
-            bn.beta,
-            bn.running_mean,
-            bn.running_var,
-            self.depthwise_conv.weight,
-            lags=lags,
-        )  # (B, width, T)
-        h = self._tail(self.bn_depthwise, h, p1, rng)
+        weights = (self.temporal_conv.weight, self.depthwise_conv.weight)
+        bns = (_batch_norm_args(self.bn_temporal), _batch_norm_args(self.bn_depthwise))
+        h = ops.stem_bn_elu_pool(x, *weights, *bns, p1, self.p_drop, rng, lags)  # (B, width, T / p1)
         u, width, _, k = self.spa_conv.weight.shape
         weight = self.spa_conv.weight.reshape((u, width, k))
         h = ops.conv1d_dilated(ops.same_pad_time(h, k), weight)
-        return self._tail(self.bn_spa, h, p2, rng)
-
-    def _tail(self, bn, h, pool, rng):
-        return ops.bn_elu_pool(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, pool, self.p_drop, rng)
+        return ops.bn_elu_pool(h, *_batch_norm_args(self.bn_spa), p2, self.p_drop, rng)
 
     def _infer(self, x):
         """Eval-mode branch on the raw (B, 1, C, T) array x, with no tape:
@@ -164,6 +148,11 @@ class Branch(Layer):
         weight = (scale[:, None, None] * weight).astype(x.dtype)
         h = ops.conv1d_dilated(ops.same_pad_time(h, self.spa_kernel), weight).data
         return ops.elu_pool(h, shift.astype(x.dtype)[:, None], p2)
+
+
+def _batch_norm_args(bn):
+    """A BatchNorm layer's (gamma, beta, running_mean, running_var)."""
+    return bn.gamma, bn.beta, bn.running_mean, bn.running_var
 
 
 def _affine(bn):

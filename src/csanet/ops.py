@@ -4,31 +4,30 @@ Everything here is deterministic given its inputs (dropout takes an
 explicit Generator). The network convolves only along time, at stride 1,
 and every map from the stem to fusion is (B, C, T); pooling carries the
 stride. A training forward meets, per branch:
-- branch_stem: the temporal conv -> batch norm -> depthwise channel conv
-  as one op that projects channels first and correlates time after
-  (_stem_correlation), its batch statistics read off the forward's one
-  lag_prefixes table;
-- bn_elu_pool: the tail batch norm -> ELU -> pool -> dropout as one op,
-  bitwise equal to the four ops composed, after the stem and after
-  spa_conv;
+- stem_bn_elu_pool: the stem (temporal conv -> batch norm -> depthwise
+  channel conv) and its tail (batch norm -> ELU -> pool -> dropout) as one
+  op: channels projected first (_stem_projection), time correlated after
+  by banded tile matmuls (_tile_correlate), the temporal batch statistics
+  read off the forward's one lag_prefixes table;
 - conv1d_dilated: the one time-axis conv (spa_conv and the TCN's causal
   convs), by FFT correlation for long unpadded kernels over a batch
   (_conv1d_fft) and by window matmuls otherwise; FFT_MIN_TAPS and
-  FFT_MIN_WORK draw the line.
-batch_norm, elu and dropout remain for the TCN; elu, bn_elu_pool and
-elu_pool share one branch-free ELU kernel (_elu_parts).
+  FFT_MIN_WORK draw the line;
+- bn_elu_pool: the tail after spa_conv as one op, bitwise equal to batch
+  norm -> ELU -> pool -> dropout composed.
+batch_norm, elu and dropout remain for the TCN; elu, bn_elu_pool,
+stem_bn_elu_pool and elu_pool share one branch-free ELU kernel (_elu_parts).
 
 Eval mode has no tape and no batch statistics, so each batch norm is a
 fixed affine map (bn_affine) folded into the linear map before it:
 stem_elu_pool runs a branch's stem and first tail over blocks of
 STEM_BLOCK trials, and elu_pool the ELU and pool after spa_conv. These
-folds are exact in real arithmetic, not in floating point; they are held
-to the numerics contract in tests/test_numerics_contract.py.
+folds and stem_bn_elu_pool are exact in real arithmetic, not in floating
+point, and held to the numerics contract (tests/test_numerics_contract.py).
 
-Batch norm has one home: the constants BN_MOMENTUM and BN_EPS, and the
-kernels _bn_normalise (statistics, buffer update, eval-mode buffers, the
-B >= 2 check) and _bn_backward (training mode), which batch_norm and
-bn_elu_pool share.
+Batch norm's constants are BN_MOMENTUM and BN_EPS; batch_norm and
+bn_elu_pool share the kernels _bn_normalise (statistics, buffer update,
+eval-mode buffers, the B >= 2 check) and _bn_backward.
 
 conv2d, the (1, K) time conv over (B, Cin, H, T) built from reshapes
 around conv1d_dilated, runs only the PSD report's temporal conv over the
@@ -159,7 +158,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training):
     return _make(out, (x, gamma, beta), backward)
 
 
-_TILE = 32  # outputs per banded matmul in branch_stem's K-tap correlation
+_TILE = 32  # outputs per banded matmul in the stems' K-tap correlations
 
 
 def _banded(w, tile):
@@ -180,21 +179,24 @@ def lag_prefixes(x, max_kernel):
     max_kernel over the rows of x (..., T): (n, sums, prods), with n the
     number of entries of x, sums (T + 1,) the float64 prefix sums of the
     column sums and prods (max_kernel, T + 1) the prefix sums, per lag d,
-    of the row products x[v] * x[v + d].
-
-    A kernel K <= max_kernel reads its K lags off the same table: each
-    lag's row is the same einsum whichever K asks for it, so a table built
-    once at the largest kernel serves every branch exactly.
+    of the row products x[v] * x[v + d] (0 past T), per _TILE samples v
+    the diagonals of one float64 (_TILE x n) @ (n x (_TILE + max_kernel -
+    1)) matmul. Built once at the largest kernel, it serves every kernel.
     """
     T = x.shape[-1]
-    rows = x.reshape(-1, T).astype(np.float64)
+    tiles = -(-T // _TILE)
+    rows = np.zeros((x.size // T, tiles * _TILE + max_kernel - 1))
+    rows[:, :T] = x.reshape(-1, T)
     sums = np.zeros(T + 1)
-    np.cumsum(rows.sum(axis=0), out=sums[1:])
+    np.cumsum(rows[:, :T].sum(axis=0), out=sums[1:])
+    heads = rows[:, : tiles * _TILE].reshape(-1, tiles, _TILE).transpose(1, 2, 0)
+    reach = _window_view(rows, tiles, _TILE + max_kernel - 1, step=_TILE).transpose(1, 0, 2)
+    i = np.arange(_TILE)
+    lagged = (heads @ reach)[:, i, i + np.arange(max_kernel)[:, None]].transpose(1, 0, 2)
     prods = np.zeros((max_kernel, T + 1))
-    for d in range(min(max_kernel, T)):
-        prods[d, 1 : T + 1 - d] = np.einsum("nv,nv->v", rows[:, : T - d], rows[:, d:])
+    prods[:, 1:] = lagged.reshape(max_kernel, -1)[:, :T]
     np.cumsum(prods, axis=1, out=prods)
-    return rows.size, sums, prods
+    return x.size, sums, prods
 
 
 def _window_moments(lags, K, left):
@@ -217,129 +219,157 @@ def _window_moments(lags, K, left):
     return mean, second
 
 
-def _stem_correlation(x, w, rows):
-    """The stem's spatial-first correlation on the raw (B, 1, C, T) array x:
-    Q[f, d, b] = w[f] correlated along time with rows[f, d] . x[b], the
-    temporal conv's same padding applied to the projection.
-
-    w: (F, K) taps; rows: (F, D, C) projection rows. Returns (xt, cols,
-    band, q): x as (C, B*T), the (F, D*B*tiles, span) tile windows of the
-    padded projection, _banded(w, _TILE), and q (F, D, B, tiles * _TILE),
-    C-contiguous, whose first T samples per row are the correlation.
-    """
+def _stem_projection(x, rows, K):
+    """P[f, d, b] = rows[f, d] . x[b] for the raw (B, 1, C, T) array x, as
+    (F, D*B, tiles * _TILE + K - 1) rows holding P at [left, left + T) and
+    zeros around it (same_pad_time's left pad, whole tiles on the right)."""
     B, _, C, T = x.shape
     F, D, _ = rows.shape
-    K = w.shape[1]
     left = (K - 1) // 2
-    tiles = -(-T // _TILE)
-    span = _TILE + K - 1
-    xt = x[:, 0].transpose(1, 0, 2).reshape(C, B * T)
-    p = np.zeros((F, D * B, tiles * _TILE + K - 1), dtype=x.dtype)
-    p[:, :, left : left + T] = (rows.reshape(F * D, C) @ xt).reshape(F, D * B, T)
-    cols = _window_view(p, tiles, span, step=_TILE).reshape(F, D * B * tiles, span)
-    band = _banded(w, _TILE)
-    return xt, cols, band, (cols @ band).reshape(F, D, B, tiles * _TILE)
+    p = np.empty((F, D * B, -(-T // _TILE) * _TILE + K - 1), dtype=x.dtype)
+    p[:, :, :left] = 0.0
+    p[:, :, left + T :] = 0.0
+    at = p.reshape(F * D, B, -1)[:, :, left : left + T].transpose(1, 0, 2)  # (B, F*D, T) view
+    np.matmul(rows.reshape(F * D, C), x[:, 0], out=at)
+    return p
 
 
-def branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, lags=None):
-    """One branch's temporal conv -> batch norm -> depthwise channel conv, in
-    training mode (eval mode runs stem_elu_pool).
+def _tile_correlate(a, w):
+    """(F, N * tiles, _TILE) tiles of the K-tap correlation of each row of a
+    (F, N, tiles * _TILE + K - 1) with w[f], by banded matmuls over the tile
+    windows of as many filters at a time as copy into about 1 MB, a block
+    the heap reuses instead of fresh pages (one filter at training size)."""
+    F, N, L = a.shape
+    span, tiles = _TILE + w.shape[1] - 1, (L - w.shape[1] + 1) // _TILE
+    band, cols = _banded(w, _TILE), _window_view(a, tiles, span, step=_TILE)
+    out = np.empty((F, N * tiles, _TILE), dtype=a.dtype)
+    step = max(1, (1 << 20) // (N * tiles * span * a.itemsize))
+    for f in range(0, F, step):
+        np.matmul(cols[f : f + step].reshape(-1, N * tiles, span), band[f : f + step], out=out[f : f + step])
+    return out
 
-    x: (B, 1, C, T) with B >= 2; weight: (F, 1, 1, K), applied with
-    same_pad_time's padding; gamma, beta, running_mean, running_var: (F,);
-    depthwise: (F*D, 1, C, 1), output channel j reading filter j // D.
-    Returns the depthwise conv's (B, F*D, 1, T) output of
-    conv2d(batch_norm(conv2d(same_pad_time(x, K), weight)), depthwise, groups=F)
-    as a (B, F*D, T) map.
 
-    All three stages are linear per filter, and batch norm is an affine map
-    a_f * h + c_f per filter, so the op runs spatial-first: it projects the
-    C channels onto each output channel (P = depthwise . x), correlates
-    filter f's K taps along time (Q, _stem_correlation), and returns
-    a_f * Q + c_f * s_j with s_j the sum of depthwise row j. The
-    (B, F, C, T) intermediate is never built. The batch statistics are
-    exact: mean_f = w_f . m and var_f = w_f' S w_f - mean_f^2, from float64
-    moments m, S of the padded input's windows; the running buffers update
-    as batch_norm updates them (n = B*C*T). x gets no gradient. lags, when
-    given, is lag_prefixes(x.data, K') for some K' >= K, shared by the
-    branches of one forward; without it the op builds its own at K.
+def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, p_drop, rng=None, lags=None):
+    """A branch's training-mode stem and first tail as one op, from the raw
+    (B, 1, C, T) trial (B >= 2) to the (B, F*D, T // pool) map: temporal
+    conv (weight (F, 1, 1, K), same_pad_time's padding) -> batch norm ->
+    depthwise conv ((F*D, 1, C, 1), channel j reading filter j // D) ->
+    batch norm -> ELU -> stride-pool mean pool -> dropout(p_drop). The batch
+    norms are (gamma, beta, running_mean, running_var); x gets no gradient;
+    lags is lag_prefixes(x.data, K' >= K), or built here. Eval mode runs
+    stem_elu_pool.
+
+    Channel j is a_f * Q_j + c_f * s_j: filter f's batch-norm map of Q_j,
+    its taps correlated with P_j = dw_j . x, and s_j = sum(dw_j). The
+    depthwise batch norm cancels c_f * s_j and gives gamma_j * r_j *
+    (Q_j - mean Q_j) + beta_j, r_j = a_f / sqrt(a_f^2 var Q_j + BN_EPS), so
+    the backward is batch norm's onto Q at scale gamma_j r_j plus dL/da_f =
+    sum_j gamma_j BN_EPS (a_f^2 var Q_j + BN_EPS)^(-3/2) sum((Q_j - mean Q_j)
+    dL/dy_j), into gamma_f and w_f through var_f (window moments off the
+    lag table); beta_f's gradient is exactly 0. Maps stay (F, D, B, T) with
+    float64 batch sums; the dropout mask is drawn first, as dropout draws
+    it. The tape keeps P, the centred Q and the ELU's slope.
     """
-    x, weight, gamma, beta, depthwise = (_wrap(t) for t in (x, weight, gamma, beta, depthwise))
+    x, weight, depthwise = _wrap(x), _wrap(weight), _wrap(depthwise)
+    (gamma1, beta1, mean1, var1), (gamma2, beta2, mean2, var2) = temporal_bn, depthwise_bn
+    gamma1, beta1, gamma2, beta2 = (_wrap(t) for t in (gamma1, beta1, gamma2, beta2))
     if x.ndim != 4 or x.shape[1] != 1:
-        raise DimensionError(f"branch_stem expects a (B, 1, C, T) input, got {x.shape}")
+        raise DimensionError(f"stem_bn_elu_pool expects a (B, 1, C, T) input, got {x.shape}")
     B, _, C, T = x.shape
     F, K = weight.shape[0], weight.shape[-1]
     if weight.shape != (F, 1, 1, K):
         raise DimensionError(f"temporal weight must be (F, 1, 1, K), got {weight.shape}")
-    if gamma.shape != (F,) or beta.shape != (F,):
-        raise DimensionError("gamma/beta must have one entry per temporal filter")
     if depthwise.shape[1:] != (1, C, 1) or depthwise.shape[0] % F:
         raise DimensionError(f"depthwise weight must be (F*D, 1, {C}, 1), got {depthwise.shape}")
+    if {gamma1.shape, beta1.shape} != {(F,)} or {gamma2.shape, beta2.shape} != {depthwise.shape[:1]}:
+        raise DimensionError("gamma/beta must have one entry per temporal filter, then per channel")
     if x.requires_grad:
-        raise ConfigurationError("branch_stem does not propagate a gradient to its input")
+        raise ConfigurationError("stem_bn_elu_pool does not propagate a gradient to its input")
+    if not 1 <= pool <= T:
+        raise ConfigurationError(f"pooling window {pool} must lie between 1 and the input length {T}")
+    D = depthwise.shape[0] // F
+    wo = T // pool
+    dtype = x.dtype
+    keep = _dropout_keep((B, F * D, wo), p_drop, True, rng, dtype)
     if B < 2:
         raise ConfigurationError("batch_norm in training mode needs a batch of at least 2")
-    D = depthwise.shape[0] // F
-    left = (K - 1) // 2
-    dtype = x.dtype
-    tiles = -(-T // _TILE)
-    span = _TILE + K - 1
-    w = weight.data.reshape(F, K)
-    dw = depthwise.data.reshape(F, D, C)
-    xt, cols, band, q = _stem_correlation(x.data, w, dw)
-    q = q[..., :T]
-
     if lags is None:
         lags = lag_prefixes(x.data, K)
     elif lags[2].shape[0] < K or lags[1].shape != (T + 1,):
         raise DimensionError(f"lag table of shape {lags[2].shape} does not cover K={K}, T={T}")
+    left, n = (K - 1) // 2, B * T
+    w, dw = weight.data.reshape(F, K), depthwise.data.reshape(F, D, C)
+
     m, S = _window_moments(lags, K, left)
     w64 = w.astype(np.float64)
-    mean = w64 @ m
-    var = np.maximum(np.einsum("fk,kl,fl->f", w64, S, w64) - mean * mean, 0.0)
-    _update_running(running_mean, running_var, mean, var, B * C * T)
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    a = gamma.data * inv
-    c = beta.data - a * mean
-    s = dw.sum(axis=2)
+    mean, wS = w64 @ m, w64 @ S
+    var = np.maximum((wS * w64).sum(axis=1) - mean * mean, 0.0)
+    _update_running(mean1, var1, mean, var, B * C * T)
+    inv1 = 1.0 / np.sqrt(var + BN_EPS)
+    a = (gamma1.data * inv1)[:, None]  # (F, 1)
+    p = _stem_projection(x.data, dw, K)
+    q = _tile_correlate(p, w).reshape(F, D, B, -1)[..., :T]
+    ones = np.ones(T, dtype=dtype)  # row sums by matrix-vector products, batch sums in float64
+    q_mean = (q @ ones).sum(axis=2, dtype=np.float64) / n  # (F, D)
+    u = q - q_mean.astype(dtype)[:, :, None, None]
+    q_var = np.vecdot(u, u).sum(axis=2, dtype=np.float64) / n
+    shift = (beta1.data - a[:, 0] * mean)[:, None] * dw.sum(axis=2)  # c_f * s_j
+    _update_running(mean2, var2, (a * q_mean + shift).reshape(-1), (a * a * q_var).reshape(-1), n)
+    inv2 = 1.0 / np.sqrt(a * a * q_var + BN_EPS)
+    r = a * inv2  # (F, D)
+    scale = gamma2.data.reshape(F, D) * r
 
-    out = np.empty((B, F, D, T), dtype=dtype)
-    np.multiply(q.transpose(2, 0, 1, 3), a.astype(dtype)[:, None, None], out=out)
-    out += (c[:, None] * s).astype(dtype)[:, :, None]
+    y = np.multiply(u, scale.astype(dtype)[:, :, None, None])
+    y += beta2.data.reshape(F, D).astype(dtype)[:, :, None, None]
+    slope, y = _elu_parts(y, out=y)
+    slope += 1.0  # the ELU's derivative
+    pooled = y[..., : wo * pool].reshape(F, D, B, wo, pool) @ np.full(pool, 1.0 / pool, dtype=dtype)
+    out = pooled.transpose(2, 0, 1, 3).reshape(B, F * D, wo)
+    if keep is not None:
+        out *= keep
 
     def backward(gout):
-        g = np.zeros((F, D, B, tiles * _TILE), dtype=dtype)
-        g[..., :T] = gout.reshape(B, F, D, T).transpose(1, 2, 0, 3)
-        gtiles = g.reshape(F, D * B * tiles, _TILE)
-        gsum = g.sum(axis=(2, 3))  # (F, D)
-        g_shift = (gsum * s).sum(axis=1)  # dL/dc_f
-        # taps[f, k] = sum of g[t] * P[t + k]: dL/dw_f through Q, per unit a_f.
-        corr = cols.transpose(0, 2, 1) @ gtiles
-        taps = corr[:, np.arange(_TILE) + np.arange(K)[:, None], np.arange(_TILE)].sum(axis=-1)
-        g_scale = (w * taps).sum(axis=1) - mean * g_shift  # dL/da_f, with c_f = beta_f - a_f mean_f
-        if gamma.requires_grad:
-            _accumulate(gamma, (g_scale * inv).astype(gamma.dtype))
-        if beta.requires_grad:
-            _accumulate(beta, g_shift.astype(beta.dtype))
-        if weight.requires_grad:
-            g_mean = -a * g_shift
-            g_var = -0.5 * g_scale * a * inv * inv
-            gw = a[:, None] * taps + (g_mean - 2.0 * mean * g_var)[:, None] * m + 2.0 * g_var[:, None] * (w64 @ S)
-            _accumulate(weight, gw.reshape(F, 1, 1, K).astype(weight.dtype))
+        # dL/dy goes into rows zero-padded for the flipped taps' correlation.
+        tiles, at = -(-T // _TILE), K - 1 - left
+        gq_pad = np.empty((F, D * B, tiles * _TILE + K - 1), dtype=dtype)
+        gq_pad[:, :, :at] = 0.0
+        gq_pad[:, :, at + wo * pool :] = 0.0
+        gq = gq_pad[:, :, at : at + T].reshape(F, D, B, T)
+        gp = (gout if keep is None else gout * keep).reshape(B, F, D, wo).transpose(1, 2, 0, 3)
+        gp = np.repeat(gp / np.array(pool, dtype=dtype), pool, axis=-1)
+        np.multiply(slope[..., : wo * pool], gp, out=gq[..., : wo * pool])
+        gsum = (gq @ ones).sum(axis=2, dtype=np.float64)  # dL/dbeta_j
+        psum = np.vecdot(gq, u).sum(axis=2, dtype=np.float64)  # dL/dgamma_j is r_j * psum_j
+        g_a = (gamma2.data.reshape(F, D) * BN_EPS * inv2**3 * psum).sum(axis=1)  # dL/da_f
+        for t, g in ((gamma2, r * psum), (beta2, gsum), (gamma1, g_a * inv1), (beta1, np.zeros(F))):
+            if t.requires_grad:
+                _accumulate(t, g.reshape(t.shape).astype(t.dtype))
+        # Per filter, dL/dQ in place, then dL/dP by the flipped taps and the
+        # tile products whose diagonals are dL/dw (tap k at j = s + K-1-k).
+        coefs = [(scale * c).astype(dtype)[:, :, None, None] for c in (1.0, r * r * psum / n, gsum / n)]
+        span, band = _TILE + K - 1, _banded(w[:, ::-1], _TILE)
+        xt = _zero_pad(x.data[:, 0].transpose(0, 2, 1), ((0, 0), (0, tiles * _TILE - T), (0, 0)))
+        gp, corr = np.empty((F, D * B * tiles, _TILE), dtype=dtype), np.empty((F, span, _TILE), dtype=dtype)
+        gcols = _window_view(gq_pad, tiles, span, step=_TILE)
+        p_tiles = _window_view(p, tiles, _TILE, step=_TILE, start=left)
+        for f in range(F):
+            gq[f] *= coefs[0][f]
+            gq[f] -= u[f] * coefs[1][f]
+            gq[f] -= coefs[2][f]
+            cols = gcols[f].reshape(-1, span)
+            np.matmul(cols, band[f], out=gp[f])
+            np.matmul(cols.T, p_tiles[f].reshape(-1, _TILE), out=corr[f])
         if depthwise.requires_grad:
-            # Transposed correlation back onto P's samples, tile by tile.
-            pieces = -(-span // _TILE)
-            gtile_p = (gtiles @ band.transpose(0, 2, 1)).reshape(F, D * B, tiles, span)
-            gp_full = np.zeros((F, D * B, tiles + pieces, _TILE), dtype=dtype)
-            for i in range(pieces):
-                width = min(_TILE, span - i * _TILE)
-                gp_full[:, :, i : i + tiles, :width] += gtile_p[..., i * _TILE : i * _TILE + width]
-            g_p = gp_full.reshape(F, D * B, -1)[:, :, left : left + T].reshape(F * D, B * T)
-            gd = a.astype(dtype)[:, None, None] * (g_p @ xt.T).reshape(F, D, C)
-            gd += (c[:, None] * gsum)[:, :, None]
+            gd = gp.reshape(F * D, -1) @ xt.reshape(-1, C)
             _accumulate(depthwise, gd.reshape(F * D, 1, C, 1).astype(depthwise.dtype))
+        if weight.requires_grad:
+            i = np.arange(_TILE)
+            taps = corr[:, i + np.arange(K)[::-1, None], i].sum(axis=-1)
+            g_var = -0.5 * g_a * a[:, 0] * inv1 * inv1  # dL/dvar_f
+            gw = taps + 2.0 * g_var[:, None] * (wS - mean[:, None] * m)
+            _accumulate(weight, gw.reshape(F, 1, 1, K).astype(weight.dtype))
 
-    return _make(out.reshape(B, F * D, T), (x, weight, gamma, beta, depthwise), backward)
+    return _make(out, (x, weight, depthwise, gamma1, beta1, gamma2, beta2), backward)
 
 
 def _elu_parts(y, out=None):
@@ -397,10 +427,10 @@ def dropout(x, p, training, rng=None):
 
 
 def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, p_drop, rng=None):
-    """A branch's training-mode tail on a (B, C, T) map as one op: batch
-    norm -> ELU -> mean pool over windows of `pool` samples at stride pool
-    -> dropout(p_drop), returning (B, C, T // pool). Eval mode runs
-    elu_pool instead.
+    """The training-mode tail after a branch's spa_conv, on a (B, C, T) map,
+    as one op: batch norm -> ELU -> mean pool over windows of `pool` samples
+    at stride pool -> dropout(p_drop), returning (B, C, T // pool). Eval
+    mode runs elu_pool instead.
 
     Bitwise equal to batch_norm, elu, a stride-pool mean pool along time
     and dropout composed, in the output, the gradients of x, gamma and beta
@@ -495,8 +525,8 @@ def stem_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool):
     shift) pairs. Both batch norms fold into the projection: channel j of
     filter f is b_j * (a_f * (w_f correlated with dw_j . x) + c_f * s_j) + e_j
     with (a, c) and (b, e) the two affine maps and s_j the sum of depthwise
-    row j, so _stem_correlation runs with rows b_j * a_f * dw_j and
-    elu_pool adds the constant b_j * c_f * s_j + e_j. The trials run in
+    row j, so the projection runs with rows b_j * a_f * dw_j and elu_pool
+    adds the constant b_j * c_f * s_j + e_j. The trials run in
     blocks of STEM_BLOCK; only the pooled block is transposed.
     """
     B, _, C, T = x.shape
@@ -510,7 +540,8 @@ def stem_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool):
     w = weight.reshape(F, K)
     out = np.empty((B, F, D, T // pool), dtype=x.dtype)
     for start in range(0, B, STEM_BLOCK):
-        q = _stem_correlation(x[start : start + STEM_BLOCK], w, rows)[3]
+        block = x[start : start + STEM_BLOCK]
+        q = _tile_correlate(_stem_projection(block, rows, K), w).reshape(F, D, len(block), -1)
         out[start : start + STEM_BLOCK] = elu_pool(q[..., :T], shift, pool).transpose(2, 0, 1, 3)
     return out.reshape(B, F * D, T // pool)
 

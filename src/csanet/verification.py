@@ -147,25 +147,25 @@ def _check_tcn():
 
 
 def _check_stem():
-    """branch_stem (training mode only) at an even and an odd kernel."""
+    """stem_bn_elu_pool (training mode only) at an even and an odd kernel,
+    with T % pool != 0 and its dropout mask replayed from a fixed seed on
+    every call. Each bn_temporal beta is structurally zero."""
     rng = _rng(16)
     x = Tensor(rng.standard_normal((3, 1, 3, 10)))
     params, buffers, labels = [], [], []
     for k in (4, 5):
-        params += [
-            Tensor(rng.standard_normal((2, 1, 1, k)) * 0.5),
-            Tensor(1.0 + 0.1 * rng.standard_normal(2)),
-            Tensor(rng.standard_normal(2)),
-            Tensor(rng.standard_normal((4, 1, 3, 1)) * 0.5),
-        ]
-        buffers.append((0.1 * rng.standard_normal(2), 1.0 + rng.random(2)))
-        labels += [f"k{k}.{name}" for name in ("weight", "gamma", "beta", "depthwise")]
+        params += [Tensor(rng.standard_normal((2, 1, 1, k)) * 0.5), Tensor(rng.standard_normal((4, 1, 3, 1)) * 0.5)]
+        for c in (2, 4):  # bn_temporal's gamma and beta, then bn_depthwise's
+            params += [Tensor(1.0 + 0.1 * rng.standard_normal(c)), Tensor(0.5 * rng.standard_normal(c))]
+        buffers.append([(0.1 * rng.standard_normal(c), 1.0 + rng.random(c)) for c in (2, 4)])
+        labels += [f"k{k}.{name}" for name in ("weight", "depthwise", "gamma", "beta", "gamma2", "beta2")]
 
     def closure(*p):
         losses = []
-        for i, (rm, rv) in enumerate(buffers):
-            w, g, b, dw = p[4 * i : 4 * i + 4]
-            out = ops.branch_stem(x, w, g, b, rm.copy(), rv.copy(), dw)
+        for i, bufs in enumerate(buffers):
+            w, dw, g1, b1, g2, b2 = p[6 * i : 6 * i + 6]
+            bns = [(g, b, rm.copy(), rv.copy()) for (g, b), (rm, rv) in zip(((g1, b1), (g2, b2)), bufs)]
+            out = ops.stem_bn_elu_pool(x, w, dw, *bns, 3, 0.5, _rng(120 + i))
             losses.append(_proj_loss(out, _rng(112 + 2 * i)))
         return losses[0] + losses[1]
 

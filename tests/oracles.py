@@ -10,10 +10,13 @@ it was before batch norm moved into one pair of kernels in csanet.ops;
 oracle_branch_stem, the three-op composition that ops.branch_stem
 replaced, through oracle_conv2d and oracle_batch_norm; oracle_tail, the
 four-op composition that ops.bn_elu_pool replaced, through
-oracle_batch_norm; oracle_branch_call, a branch whose spatial-refinement
-conv runs through oracle_conv2d as it did before conv1d_dilated took it
-over, and whose eval mode runs those two compositions as the model did
-before its eval branches were folded into one inference pass; and
+oracle_batch_norm (the two in a row are what ops.stem_bn_elu_pool and
+ops.stem_elu_pool compute); oracle_lag_prefixes, ops.lag_prefixes as it
+was before its lag products became banded tile matmuls;
+oracle_branch_call, a branch whose spatial-refinement conv runs through
+oracle_conv2d as it did before conv1d_dilated took it over, and whose
+eval mode runs the stem and tail compositions as the model did before its
+eval branches were folded into one inference pass; and
 oracle_grad_check, csanet.gradcheck.grad_check as it was when every
 perturbed evaluation still recorded a tape.
 """
@@ -314,12 +317,10 @@ def oracle_batch_norm(x, gamma, beta, running_mean, running_var, training):
     return _make(out, (x, gamma, beta), backward)
 
 
-def oracle_branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, training, lags=None):
-    """Temporal conv -> batch norm -> depthwise channel conv, in that order.
-
-    Same signature and result as ops.branch_stem, through the
-    (B, F, C, T) intermediate the factorised op never builds; batch norm
-    takes its statistics from that intermediate, so lags goes unread. The
+def oracle_branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, training):
+    """Temporal conv -> batch norm -> depthwise channel conv, in that order,
+    on a (B, 1, C, T) input: what ops.branch_stem computed, through the
+    (B, F, C, T) intermediate the factorised ops never build. The
     depthwise conv's (B, F*D, 1, T) output is returned as (B, F*D, T).
     """
     kernel = weight.shape[-1]
@@ -353,26 +354,38 @@ def oracle_tail(x, gamma, beta, running_mean, running_var, training, pool, p_dro
 def oracle_branch_call(branch, x, training, rng=None, lags=None, spa_conv=oracle_spa_conv):
     """model.Branch.__call__ with spa_conv run by spa_conv(h, weight).
 
-    Training mode runs the model's stem and tail ops. Eval mode runs the
+    Training mode runs the model's ops around spa_conv
+    (ops.stem_bn_elu_pool, then ops.bn_elu_pool). Eval mode runs the
     compositions those ops replaced, oracle_branch_stem and oracle_tail:
     the eval semantics that Branch's folded inference pass reproduces.
     """
     p1, p2 = branch.pools
-    bn = branch.bn_temporal
-    stem = (x, branch.temporal_conv.weight, bn.gamma, bn.beta, bn.running_mean, bn.running_var)
+    bns = [(bn.gamma, bn.beta, bn.running_mean, bn.running_var) for bn in (branch.bn_temporal, branch.bn_depthwise)]
+    weights = (branch.temporal_conv.weight, branch.depthwise_conv.weight)
     if training:
-        h = ops.branch_stem(*stem, branch.depthwise_conv.weight, lags=lags)
+        h = ops.stem_bn_elu_pool(x, *weights, *bns, p1, branch.p_drop, rng, lags)
     else:
-        h = oracle_branch_stem(*stem, branch.depthwise_conv.weight, False)
-
-    def tail(bn, h, pool):
-        if training:
-            return ops.bn_elu_pool(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, pool, branch.p_drop, rng)
-        return oracle_tail(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, False, pool, branch.p_drop)
-
-    h = tail(branch.bn_depthwise, h, p1)
+        h = oracle_branch_stem(x, weights[0], *bns[0], weights[1], False)
+        h = oracle_tail(h, *bns[1], False, p1, branch.p_drop)
     h = spa_conv(h, branch.spa_conv.weight)
-    return tail(branch.bn_spa, h, p2)
+    bn = branch.bn_spa
+    if training:
+        return ops.bn_elu_pool(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, p2, branch.p_drop, rng)
+    return oracle_tail(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, False, p2, branch.p_drop)
+
+
+def oracle_lag_prefixes(x, max_kernel):
+    """ops.lag_prefixes with one einsum pass over the rows per lag: the
+    same (n, sums, prods) table."""
+    T = x.shape[-1]
+    rows = x.reshape(-1, T).astype(np.float64)
+    sums = np.zeros(T + 1)
+    np.cumsum(rows.sum(axis=0), out=sums[1:])
+    prods = np.zeros((max_kernel, T + 1))
+    for d in range(min(max_kernel, T)):
+        prods[d, 1 : T + 1 - d] = np.einsum("nv,nv->v", rows[:, : T - d], rows[:, d:])
+    np.cumsum(prods, axis=1, out=prods)
+    return rows.size, sums, prods
 
 
 def oracle_grad_check(fn, inputs, h=1e-4):

@@ -89,7 +89,7 @@ def test_window_view_matches_dilated_sliding_windows(dilation, start):
 
 @pytest.mark.parametrize("step", [1, 3, ops._TILE])
 def test_window_view_matches_strided_windows(step):
-    # The tile windows of branch_stem (step _TILE) and avg_pool2d's pools.
+    # The stems' tile windows (step _TILE) and avg_pool2d's pools.
     rng = np.random.default_rng(4)
     for a in (rng.standard_normal((2, 5, 3 * ops._TILE + 7)), rng.standard_normal((2, 3, 1, 80)).transpose(1, 0, 2, 3)):
         span = 8
@@ -281,7 +281,7 @@ def test_ops_signatures_take_no_batch_norm_policy_and_no_conv_bias():
     with open(os.path.join(SRC, "ops.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     signatures = {node.name: node.args for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert {"batch_norm", "bn_elu_pool", "branch_stem", "conv1d_dilated"} <= signatures.keys()
+    assert {"batch_norm", "bn_elu_pool", "stem_bn_elu_pool", "conv1d_dilated"} <= signatures.keys()
     for name, args in signatures.items():
         params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
         assert not params & {"momentum", "eps"}, name

@@ -54,9 +54,12 @@ def write_golden_fixture(directory=FIXTURE):
 
     First written on commit 65d529a, before the trial containers became
     arrays. Re-derived on commit 90328ac, whose one-matmul multiscale_pool
-    is exact in value but not in bits, after tests/test_numerics_contract.py
-    passed against its unchanged fixture. Both times from the repository
-    root with src/ and tests/ on sys.path; the re-derivation ran:
+    is exact in value but not in bits, and again when each branch's
+    training-mode stem and first tail became one op (ops.stem_bn_elu_pool,
+    exact in value, with an exact 0 gradient for the dead bn_temporal.beta),
+    each time after tests/test_numerics_contract.py passed against its
+    unchanged fixture. Always from the repository root with src/ and tests/
+    on sys.path; the re-derivations ran:
 
         PYTHONPATH=src:tests python -c "from test_golden_run import write_golden_fixture; write_golden_fixture()"
     """

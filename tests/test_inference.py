@@ -20,7 +20,7 @@ from test_numerics_contract import EPS32, FIXTURE, candidate_inputs, contract_mo
 
 def test_stem_and_tail_ops_take_no_mode():
     # Eval mode runs stem_elu_pool and elu_pool; the fused ops are training-only.
-    for op in (ops.branch_stem, ops.bn_elu_pool):
+    for op in (ops.stem_bn_elu_pool, ops.bn_elu_pool):
         assert "training" not in inspect.signature(op).parameters, op.__name__
 
 

@@ -181,13 +181,14 @@ class TestTape:
         # (B, C, T) layout drops three reshape nodes per branch (12), and the
         # band-matrix pool five nodes per call, 4 calls per forward (20): a
         # matmul and its constant matrix replace two reshapes, three pools
-        # and two adds.
+        # and two adds. It was 311 until each branch's stem and first tail
+        # became one op: the stem's output node goes, 1 per branch (4).
         cfg = mini_model_config()
         with precision("float64"):
             model = make_model(cfg, seed=14)
             x = Tensor(np.random.default_rng(15).standard_normal((2, 1, cfg.channels, cfg.time_steps)))
             loss = ops.cross_entropy(model(x, training=True), np.array([0, 1]))
-        assert len(_reverse_topo(loss)) == 311
+        assert len(_reverse_topo(loss)) == 307
 
 
 class TestParameterCounting:

@@ -1,8 +1,11 @@
-"""ops.branch_stem against the temporal conv -> batch norm -> depthwise conv
-composition it replaced (oracles.oracle_branch_stem), in float64; in eval
-mode, ops.stem_elu_pool, the folded stem and first tail, against that
-composition followed by batch norm -> ELU -> pool (oracles.oracle_tail), at
-the numerics contract's tolerances."""
+"""ops.stem_bn_elu_pool, a branch's training-mode stem and first tail,
+against the temporal conv -> batch norm -> depthwise conv -> batch norm ->
+ELU -> pool -> dropout composition it replaced (oracles.oracle_branch_stem,
+then oracles.oracle_tail), in float64, and against a long-double run of
+that composition for the temporal batch norm's gradients; in eval mode,
+ops.stem_elu_pool, the folded stem and first tail, against the same
+composition at the numerics contract's tolerances; and ops.lag_prefixes,
+the stems' shared moment table, against its einsum oracle."""
 
 import numpy as np
 import pytest
@@ -13,20 +16,27 @@ from csanet.checkpoint import load_checkpoint, save_checkpoint
 from csanet.config import ModelConfig
 from csanet.errors import ConfigurationError, DimensionError
 from csanet.model import Branch, CsanetModel
+from csanet.rng import substream
+from csanet.train import train_run
 from csanet.verification import mini_model_config
 
-from oracles import oracle_branch_call, oracle_branch_stem, oracle_tail
+from oracles import oracle_branch_call, oracle_branch_stem, oracle_lag_prefixes, oracle_tail
+from test_train import tiny_run
 
 TOL = 1e-9
 EPS32 = float(np.finfo(np.float32).eps)
 
 
-def training_oracle_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, lags=None):
-    """oracle_branch_stem in training mode, with ops.branch_stem's signature."""
-    return oracle_branch_stem(x, weight, gamma, beta, running_mean, running_var, depthwise, True, lags)
+def training_oracle_stem(x, weight, depthwise, temporal_bn, depthwise_bn, pool, p_drop, rng=None, lags=None):
+    """oracle_branch_stem then oracle_tail in training mode, with
+    ops.stem_bn_elu_pool's signature; lags goes unread."""
+    h = oracle_branch_stem(x, weight, *temporal_bn, depthwise, True)
+    return oracle_tail(h, *depthwise_bn, True, pool, p_drop, rng)
 
 
-STEMS = (ops.branch_stem, training_oracle_stem)
+STEMS = (ops.stem_bn_elu_pool, training_oracle_stem)
+PARAMS = ("weight", "depthwise", "gamma", "beta", "gamma2", "beta2")
+BUFFERS = ("running_mean", "running_var", "running_mean2", "running_var2")
 
 
 def stem_arrays(seed, B, C, T, F, D, K):
@@ -40,7 +50,7 @@ def stem_arrays(seed, B, C, T, F, D, K):
         running_mean=0.1 * rng.standard_normal(F),
         running_var=1.0 + rng.random(F),
         proj=rng.standard_normal((B, F * D, T)),
-        # bn_depthwise, which eval mode folds into the stem
+        # bn_depthwise, the batch norm after the stem
         gamma2=1.0 + 0.1 * rng.standard_normal(F * D),
         beta2=0.2 * rng.standard_normal(F * D),
         running_mean2=0.1 * rng.standard_normal(F * D),
@@ -48,20 +58,27 @@ def stem_arrays(seed, B, C, T, F, D, K):
     )
 
 
-def run_stem(stem, arrays):
-    """Training-mode forward, backward of a fixed projection: output,
-    grads, buffers."""
-    with precision("float64"):
-        params = [Tensor(arrays[k].copy(), requires_grad=True) for k in ("weight", "gamma", "beta", "depthwise")]
-        rm, rv = arrays["running_mean"].copy(), arrays["running_var"].copy()
-        w, g, b, dw = params
-        out = stem(Tensor(arrays["x"]), w, g, b, rm, rv, dw)
-        (out * Tensor(arrays["proj"])).sum().backward()
-    return [out.data] + [p.grad for p in params] + [rm, rv]
-
-
-def eval_pool(T):
+def pool_for(T):
     return 4 if T >= 4 else 1
+
+
+def run_stem(stem, arrays, pool, p_drop=0.5, dtype="float64", lags=None):
+    """Training-mode forward with the dropout mask drawn from a fixed seed,
+    backward of a fixed projection: output, the six parameter gradients
+    (PARAMS order) and the four running buffers (BUFFERS order)."""
+    work = np.longdouble if dtype == "longdouble" else dtype
+    with precision("float64" if dtype == "longdouble" else dtype):
+        params = {k: Tensor(arrays[k].astype(work), requires_grad=True) for k in PARAMS}
+        bufs = [arrays[k].astype(work) for k in BUFFERS]
+        p = params
+        temporal = (p["gamma"], p["beta"], bufs[0], bufs[1])
+        depthwise = (p["gamma2"], p["beta2"], bufs[2], bufs[3])
+        rng = np.random.Generator(np.random.PCG64(7))
+        x = Tensor(arrays["x"].astype(work))
+        out = stem(x, p["weight"], p["depthwise"], temporal, depthwise, pool, p_drop, rng, lags)
+        proj = arrays["proj"][..., : out.shape[-1]].astype(work)
+        (out * Tensor(proj)).sum().backward()
+    return [out.data] + [params[k].grad for k in PARAMS] + bufs
 
 
 def inference_stem(arrays, dtype, pool):
@@ -101,18 +118,18 @@ def assert_close(got, want, what):
     assert err <= TOL, f"{what}: relative error {err:.2e}"
 
 
-def assert_stems_agree(arrays, training):
-    """Training mode: ops.branch_stem against the oracle stem, output,
-    gradients and buffers. Eval mode: the folded stem and first tail
-    against the oracle composition, float64 within TOL."""
+def assert_stems_agree(arrays, training, pool=None):
+    """Training mode: ops.stem_bn_elu_pool against the oracle composition,
+    output, every gradient and the four buffers. Eval mode: the folded stem
+    and first tail against the oracle composition. float64 within TOL."""
+    pool = pool or pool_for(arrays["x"].shape[-1])
     if not training:
-        pool = eval_pool(arrays["x"].shape[-1])
         got, want = inference_stem(arrays, np.float64, pool), oracle_eval_stem(arrays, pool)
         assert got.shape == want.shape
         assert_close(got, want, "eval output")
         return
-    names = ("output", "weight grad", "gamma grad", "beta grad", "depthwise grad", "running mean", "running var")
-    for name, got, want in zip(names, *(run_stem(s, arrays) for s in STEMS)):
+    names = ("output",) + tuple(f"{k} grad" for k in PARAMS) + BUFFERS
+    for name, got, want in zip(names, *(run_stem(s, arrays, pool) for s in STEMS)):
         assert got.shape == want.shape, name
         assert_close(got, want, name)
 
@@ -125,18 +142,18 @@ def test_mini_config_stem_matches_oracle(index, training):
         10 + index, 2, cfg.channels, cfg.time_steps, cfg.temporal_filters[index],
         cfg.depth_multiplier, cfg.temporal_kernels[index],
     )
-    assert_stems_agree(arrays, training)
+    assert_stems_agree(arrays, training, cfg.pools[0])
 
 
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("kernel", [64, 32, 16, 8])
 def test_paper_shape_stem_matches_oracle(kernel, training):
-    assert_stems_agree(stem_arrays(kernel, 2, 22, 1000, 16, 2, kernel), training)
+    assert_stems_agree(stem_arrays(kernel, 2, 22, 1000, 16, 2, kernel), training, 8)
 
 
 @pytest.mark.parametrize("kernel", [7, 5, 1])
 def test_odd_and_unit_kernels_match_oracle(kernel):
-    assert_stems_agree(stem_arrays(kernel, 3, 4, 37, 3, 2, kernel), training=True)
+    assert_stems_agree(stem_arrays(kernel, 3, 4, 37, 3, 2, kernel), training=True, pool=3)
 
 
 @pytest.mark.parametrize("case", range(12))
@@ -151,10 +168,10 @@ def test_random_shapes_match_oracle(case):
 
 def model_step(cfg, seed, training, monkeypatch, stem):
     """Logits, named grads and named buffers of one forward (and, in
-    training mode, backward) with ops.branch_stem replaced by stem; in eval
-    mode, stem is STEMS[1] for oracle_branch_call's composition."""
+    training mode, backward) with ops.stem_bn_elu_pool replaced by stem;
+    in eval mode, stem is STEMS[1] for oracle_branch_call's composition."""
     if training:
-        monkeypatch.setattr(ops, "branch_stem", stem)
+        monkeypatch.setattr(ops, "stem_bn_elu_pool", stem)
     elif stem is STEMS[1]:
         monkeypatch.setattr(Branch, "__call__", oracle_branch_call)
     with precision("float64"):
@@ -171,9 +188,11 @@ def model_step(cfg, seed, training, monkeypatch, stem):
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("config", ["mini", "paper"])
 def test_model_matches_oracle_stem(config, training, monkeypatch):
-    """Training: the oracle stem in the model. Eval (no tape, so no
+    """Training: the oracle composition in the model. Eval (no tape, so no
     gradients): the model's inference pass against oracle_branch_call."""
     cfg = mini_model_config() if config == "mini" else ModelConfig()
+    if config == "mini":
+        cfg.conv_dropout = 0.5  # mini turns dropout off; exercise the mask
     got, want = (model_step(cfg, 40, training, monkeypatch, stem) for stem in STEMS)
     assert_close(got[0], want[0], "logits")
     assert got[1].keys() == want[1].keys()
@@ -210,13 +229,11 @@ def test_reloaded_checkpoint_predicts_as_oracle_stem(tmp_path, monkeypatch):
 @pytest.mark.parametrize("training", [True, False])
 def test_float32_paper_forward_within_256_eps_of_float64_oracle(training):
     arrays = stem_arrays(60, 2, 22, 1000, 16, 2, 64)
+    arrays = {k: v.astype(np.float32).astype(np.float64) for k, v in arrays.items()}
     if training:
-        want = run_stem(training_oracle_stem, arrays)[0]
-        args = [Tensor(arrays[k].astype(np.float32)) for k in ("x", "weight", "gamma", "beta")]
-        rm, rv = arrays["running_mean"].astype(np.float32), arrays["running_var"].astype(np.float32)
-        got = ops.branch_stem(*args, rm, rv, Tensor(arrays["depthwise"].astype(np.float32))).data
+        want = run_stem(training_oracle_stem, arrays, 8)[0]
+        got = run_stem(ops.stem_bn_elu_pool, arrays, 8, dtype="float32")[0]
     else:  # the folded stem and first tail
-        arrays = {k: v.astype(np.float32).astype(np.float64) for k, v in arrays.items()}
         want = oracle_eval_stem(arrays, 8)
         got = inference_stem(arrays, np.float32, 8)
     assert got.dtype == np.float32
@@ -224,29 +241,77 @@ def test_float32_paper_forward_within_256_eps_of_float64_oracle(training):
     assert err <= 256 * EPS32
 
 
+@pytest.fixture(scope="module")
+def long_double_stem():
+    """Paper-shape arrays holding float32 values, and the oracle
+    composition's output, gradients and buffers on them in long double."""
+    arrays = stem_arrays(61, 8, 22, 1000, 16, 2, 64)
+    arrays = {k: v.astype(np.float32).astype(np.float64) for k, v in arrays.items()}
+    return arrays, run_stem(training_oracle_stem, arrays, 8, dtype="longdouble")
+
+
+@pytest.mark.parametrize("dtype, tol", [("float64", 1e-11), ("float32", 1e-6)])
+def test_temporal_batch_norm_gradients_match_long_double(long_double_stem, dtype, tol):
+    """bn_temporal's gamma reaches the loss only through BN_EPS (the depthwise
+    batch norm cancels its scale), so its gradient is small against the
+    sums it comes from; beta's per-filter shift is cancelled outright, so
+    its gradient is 0 (a few 1e-17 in long double) and the op returns an
+    exact 0, which Adam turns into no step at all."""
+    arrays, want = long_double_stem
+    got = run_stem(ops.stem_bn_elu_pool, arrays, 8, dtype=dtype)
+    gamma, beta = got[1 + PARAMS.index("gamma")], got[1 + PARAMS.index("beta")]
+    ref = want[1 + PARAMS.index("gamma")]
+    err = float(np.abs(gamma.astype(np.longdouble) - ref).max() / np.abs(ref).max())
+    assert err <= tol, f"gamma grad: relative error {err:.2e}"
+    assert float(np.abs(want[1 + PARAMS.index("beta")]).max()) <= 1e-15
+    assert beta.dtype == np.dtype(dtype) and not beta.any()
+    names = ("output",) + tuple(f"{k} grad" for k in PARAMS) + BUFFERS
+    for name, g, w in zip(names, got, want):
+        if name not in ("gamma grad", "beta grad"):
+            err = float(np.abs(g.astype(np.longdouble) - w).max() / np.abs(w).max())
+            assert err <= (1e-12 if dtype == "float64" else 1e-5), f"{name}: relative error {err:.2e}"
+
+
+def test_dead_temporal_beta_stays_at_its_initial_bits(tmp_path):
+    # A seeded float32 run: each bn_temporal.beta gets an exact 0 gradient.
+    run = tiny_run(tmp_path / "run", epochs=2)
+    result = train_run(run)
+    _, trained = load_checkpoint(result.checkpoint_path)
+    fresh = dict(CsanetModel(run.model, rng=substream(run.seed, "init")).named_parameters())
+    moved = {n: p for n, p in trained.named_parameters() if p.data.tobytes() != fresh[n].data.tobytes()}
+    for i in range(1, 5):
+        assert f"branch{i}.bn_temporal.beta" not in moved
+        assert f"branch{i}.bn_temporal.gamma" in moved
+    assert trained.branch1.bn_temporal.beta.data.dtype == np.float32
+
+
 def stem_tensors(arrays):
-    return [Tensor(arrays[k]) for k in ("x", "weight", "gamma", "beta")], Tensor(arrays["depthwise"])
+    """x, the weights and both batch norms as stem_bn_elu_pool takes them."""
+    t = {k: Tensor(arrays[k]) for k in ("x", "weight", "depthwise") + PARAMS[2:]}
+    temporal = (t["gamma"], t["beta"], arrays["running_mean"], arrays["running_var"])
+    depthwise = (t["gamma2"], t["beta2"], arrays["running_mean2"], arrays["running_var2"])
+    return t["x"], t["weight"], t["depthwise"], temporal, depthwise
 
 
 def test_training_batch_of_one_is_rejected_like_batch_norm():
     arrays = stem_arrays(70, 1, 3, 16, 2, 2, 4)
-    (x, w, g, b), dw = stem_tensors(arrays)
-    rm, rv = arrays["running_mean"], arrays["running_var"]
-    with pytest.raises(ConfigurationError) as stem_error:
-        ops.branch_stem(x, w, g, b, rm, rv, dw)
-    with pytest.raises(ConfigurationError) as bn_error:
-        oracle_branch_stem(x, w, g, b, rm, rv, dw, training=True)
-    assert str(stem_error.value) == str(bn_error.value)
+    args = stem_tensors(arrays)
+    errors = []
+    for stem in STEMS:
+        with pytest.raises(ConfigurationError) as error:
+            stem(*args, 4, 0.0)
+        errors.append(str(error.value))
+    assert errors[0] == errors[1]
     # Eval mode decodes one trial, through the folded inference stem.
     assert inference_stem(arrays, np.float64, 1).shape == (1, 4, 16)
 
 
 def test_input_gradient_is_refused():
     arrays = stem_arrays(71, 2, 3, 16, 2, 2, 4)
-    (x, w, g, b), dw = stem_tensors(arrays)
+    x, *rest = stem_tensors(arrays)
     x.requires_grad = True
     with pytest.raises(ConfigurationError, match="input"):
-        ops.branch_stem(x, w, g, b, arrays["running_mean"], arrays["running_var"], dw)
+        ops.stem_bn_elu_pool(x, *rest, 4, 0.0)
 
 
 def test_zero_temporal_weights_give_zero_variance_and_finite_outputs():
@@ -254,24 +319,12 @@ def test_zero_temporal_weights_give_zero_variance_and_finite_outputs():
     arrays["weight"][:] = 0.0
     arrays["running_mean"][:] = 0.0
     arrays["running_var"][:] = 1.0
-    out, gw, gg, gb, gd, rm, rv = run_stem(ops.branch_stem, arrays)
-    for value in (out, gw, gg, gb, gd):
+    got = run_stem(ops.stem_bn_elu_pool, arrays, 4)
+    for value in got[:7]:
         assert np.all(np.isfinite(value))
-    np.testing.assert_array_equal(rm, 0.0)
-    np.testing.assert_allclose(rv, 0.9, rtol=0, atol=1e-15)  # (1 - momentum) * 1 + momentum * 0
-    assert_close(out, run_stem(training_oracle_stem, arrays)[0], "output")
-
-
-def stem_with_lags(arrays, K, lags, dtype):
-    """Training-mode stem output, grads and running buffers, with a given
-    lag table (None: the op builds its own at K)."""
-    with precision(dtype):
-        params = [Tensor(arrays[k].astype(dtype), requires_grad=True) for k in ("weight", "gamma", "beta", "depthwise")]
-        rm, rv = arrays["running_mean"].astype(dtype), arrays["running_var"].astype(dtype)
-        w, g, b, dw = params
-        out = ops.branch_stem(Tensor(arrays["x"].astype(dtype)), w, g, b, rm, rv, dw, lags=lags)
-        (out * Tensor(arrays["proj"].astype(dtype))).sum().backward()
-    return [out.data] + [p.grad for p in params] + [rm, rv]
+    np.testing.assert_array_equal(got[7], 0.0)
+    np.testing.assert_allclose(got[8], 0.9, rtol=0, atol=1e-15)  # (1 - momentum) * 1 + momentum * 0
+    assert_close(got[0], run_stem(training_oracle_stem, arrays, 4)[0], "output")
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -283,7 +336,7 @@ def test_shared_lag_table_is_bitwise_the_per_branch_one(config, dtype):
     for index, K in enumerate(cfg.temporal_kernels):
         arrays = stem_arrays(74 + index, 2, cfg.channels, cfg.time_steps, cfg.temporal_filters[index], cfg.depth_multiplier, K)
         arrays["x"] = x
-        shared, own = (stem_with_lags(arrays, K, table, dtype) for table in (lags, None))
+        shared, own = (run_stem(ops.stem_bn_elu_pool, arrays, cfg.pools[0], dtype=dtype, lags=t) for t in (lags, None))
         for got, want in zip(shared, own):
             assert np.array_equal(got, want), f"K={K}"
 
@@ -301,11 +354,11 @@ def test_model_forward_shares_one_lag_table_exactly(config, monkeypatch):
         return lag_prefixes(x, max_kernel)
 
     monkeypatch.setattr(ops, "lag_prefixes", spy)
-    shared = model_step(cfg, 41, True, monkeypatch, ops.branch_stem)
+    shared = model_step(cfg, 41, True, monkeypatch, ops.stem_bn_elu_pool)
     assert built == [max(cfg.temporal_kernels)]
     call = Branch.__call__
     monkeypatch.setattr(Branch, "__call__", lambda self, x, training, rng=None, lags=None: call(self, x, training, rng))
-    own = model_step(cfg, 41, True, monkeypatch, ops.branch_stem)
+    own = model_step(cfg, 41, True, monkeypatch, ops.stem_bn_elu_pool)
     assert sorted(built[2:]) == sorted(cfg.temporal_kernels)  # after the model's own, unread
     assert np.array_equal(shared[0], own[0])
     for name, grad in own[1].items():
@@ -316,8 +369,28 @@ def test_model_forward_shares_one_lag_table_exactly(config, monkeypatch):
 
 def test_lag_table_shorter_than_the_kernel_is_rejected():
     arrays = stem_arrays(75, 2, 3, 16, 2, 2, 5)
-    (x, w, g, b), dw = stem_tensors(arrays)
+    args = stem_tensors(arrays)
     with pytest.raises(DimensionError, match="lag table"):
-        ops.branch_stem(
-            x, w, g, b, arrays["running_mean"], arrays["running_var"], dw, lags=ops.lag_prefixes(x.data, 4)
-        )
+        ops.stem_bn_elu_pool(*args, 4, 0.0, lags=ops.lag_prefixes(args[0].data, 4))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("T, max_kernel", [(1000, 64), (37, 8), (31, 5), (20, 40), (1, 3)])
+def test_lag_table_matches_the_einsum_oracle(T, max_kernel, dtype):
+    # Lengths that are not whole tiles, and kernels longer than the input.
+    x = (np.random.Generator(np.random.PCG64(T)).standard_normal((3, 1, 4, T)) + 0.5).astype(dtype)
+    n, sums, prods = ops.lag_prefixes(x, max_kernel)
+    want = oracle_lag_prefixes(x, max_kernel)
+    assert n == want[0]
+    for got, w in ((sums, want[1]), (prods, want[2])):
+        assert got.shape == w.shape and got.dtype == np.float64
+        assert float(np.abs(got - w).max()) <= 1e-15 * float(np.abs(w).max())
+
+
+@pytest.mark.parametrize("K", [64, 32, 16, 8])
+def test_window_moments_match_the_oracle_table(K):
+    x = np.random.Generator(np.random.PCG64(K)).standard_normal((2, 1, 22, 1000)) + 0.5
+    got = ops._window_moments(ops.lag_prefixes(x, 64), K, (K - 1) // 2)
+    want = ops._window_moments(oracle_lag_prefixes(x, 64), K, (K - 1) // 2)
+    for g, w in zip(got, want):
+        assert float(np.abs(g - w).max()) <= 1e-15 * float(np.abs(w).max())

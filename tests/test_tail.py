@@ -158,11 +158,13 @@ def test_model_is_bitwise_the_oracle_tail_model(config, dtype, training, monkeyp
 
 def test_training_step_runs_the_four_ops_only_outside_the_branches(tmp_path, monkeypatch):
     """The TCN still calls elu, batch_norm and dropout; no branch map of
-    length T or T/p1 reaches them."""
+    length T or T/p1 reaches them. A training forward runs each branch's
+    stem and first tail as one stem_bn_elu_pool call and only the tail
+    after spa_conv through bn_elu_pool; eval mode runs neither."""
     run = tiny_run(tmp_path / "run", epochs=1)
     run.train.batch_size = 12  # all 12 trials: one step, plus the epoch's train-set eval
     cfg = run.model
-    names = ("elu", "batch_norm", "dropout")
+    names = ("elu", "batch_norm", "dropout", "bn_elu_pool", "stem_bn_elu_pool")
     calls = {name: [] for name in names}
     for name in names:
         def spy(x, *args, _op=getattr(ops, name), _name=name, **kwargs):
@@ -174,18 +176,21 @@ def test_training_step_runs_the_four_ops_only_outside_the_branches(tmp_path, mon
     model_call = CsanetModel.__call__
 
     def count_forward(self, x, training=False, rng=None):
-        forwards.append(x.shape[0])
+        forwards.append((x.shape[0], training))
         return model_call(self, x, training, rng)
 
     monkeypatch.setattr(CsanetModel, "__call__", count_forward)
     result = train_run(run)
     assert result.epochs_run == 1
-    assert forwards  # the step and the train-set eval
+    assert [t for _, t in forwards] == [True, False]  # the step and the train-set eval
     n_tcn = 4 * 2 * len(cfg.tcn.dilations)  # per forward: 4 branches, 2 convs per block
-    for name in names:
+    for name in names[:3]:
         assert len(calls[name]) == n_tcn * len(forwards), name
-        for b, shape in zip(np.repeat(forwards, n_tcn), calls[name]):
+        for (b, _), shape in zip(np.repeat(forwards, n_tcn, axis=0), calls[name]):
             assert shape == (b, cfg.tcn.filters, cfg.t0), name
+    b = forwards[0][0]
+    assert calls["stem_bn_elu_pool"] == [(b, 1, cfg.channels, cfg.time_steps)] * 4
+    assert calls["bn_elu_pool"] == [(b, cfg.spa_filters, cfg.time_steps // cfg.pools[0])] * 4
 
 
 def test_tape_keeps_two_full_size_arrays():
