@@ -335,9 +335,9 @@ def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, p_dr
         gq_pad[:, :, :at] = 0.0
         gq_pad[:, :, at + wo * pool :] = 0.0
         gq = gq_pad[:, :, at : at + T].reshape(F, D, B, T)
-        gp = (gout if keep is None else gout * keep).reshape(B, F, D, wo).transpose(1, 2, 0, 3)
-        gp = np.repeat(gp / np.array(pool, dtype=dtype), pool, axis=-1)
-        np.multiply(slope[..., : wo * pool], gp, out=gq[..., : wo * pool])
+        gpool = (gout if keep is None else gout * keep).reshape(B, F, D, wo).transpose(1, 2, 0, 3)
+        gpool = np.repeat(gpool / np.array(pool, dtype=dtype), pool, axis=-1)
+        np.multiply(slope[..., : wo * pool], gpool, out=gq[..., : wo * pool])
         gsum = (gq @ ones).sum(axis=2, dtype=np.float64)  # dL/dbeta_j
         psum = np.vecdot(gq, u).sum(axis=2, dtype=np.float64)  # dL/dgamma_j is r_j * psum_j
         g_a = (gamma2.data.reshape(F, D) * BN_EPS * inv2**3 * psum).sum(axis=1)  # dL/da_f
