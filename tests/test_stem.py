@@ -120,8 +120,12 @@ def assert_close(got, want, what):
 
 def assert_stems_agree(arrays, training, pool=None):
     """Training mode: ops.stem_bn_elu_pool against the oracle composition,
-    output, every gradient and the four buffers. Eval mode: the folded stem
-    and first tail against the oracle composition. float64 within TOL."""
+    output, every gradient and the four buffers, each within TOL x its max
+    |value|; bn_temporal's beta gradient, rounding noise in the oracle, is
+    exactly 0. At K = 1 the weight gradient lies wholly along w_f, an
+    O(BN_EPS) difference of O(1) terms in both, so it is held within TOL x
+    max(1, max |value|). Eval mode: the folded stem and first tail against
+    the oracle composition, float64 within TOL."""
     pool = pool or pool_for(arrays["x"].shape[-1])
     if not training:
         got, want = inference_stem(arrays, np.float64, pool), oracle_eval_stem(arrays, pool)
@@ -131,7 +135,13 @@ def assert_stems_agree(arrays, training, pool=None):
     names = ("output",) + tuple(f"{k} grad" for k in PARAMS) + BUFFERS
     for name, got, want in zip(names, *(run_stem(s, arrays, pool) for s in STEMS)):
         assert got.shape == want.shape, name
-        assert_close(got, want, name)
+        if name == "beta grad":
+            assert not got.any(), name
+        elif name == "weight grad" and arrays["weight"].shape[-1] == 1:
+            assert_close(got, want, name)
+        else:
+            err = float(np.abs(got - want).max())
+            assert err <= TOL * float(np.abs(want).max()), f"{name}: max error {err:.2e}"
 
 
 @pytest.mark.parametrize("training", [True, False])
