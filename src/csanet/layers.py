@@ -128,11 +128,11 @@ class Conv1dDilated(Layer):
         fan_in = in_channels * kernel
         self.weight = Parameter(_uniform_init(rng, (out_channels, in_channels, kernel), fan_in))
 
-    def causal(self, x):
-        """Length-preserving causal application (left pad (K-1)*dilation)."""
-        return ops.conv1d_dilated(
-            x, self.weight, dilation=self.dilation, left_pad=(self.kernel - 1) * self.dilation
-        )
+    def causal(self, x, weight=None):
+        """Length-preserving causal application (left pad (K-1)*dilation) of
+        the layer's weight, or of `weight` (eval mode's folded copy)."""
+        weight = self.weight if weight is None else weight
+        return ops.conv1d_dilated(x, weight, dilation=self.dilation, left_pad=(self.kernel - 1) * self.dilation)
 
 
 class Linear(Layer):
@@ -146,8 +146,10 @@ class Linear(Layer):
 
 
 class BatchNorm(Layer):
-    """Per-channel batch normalization with running statistics, under the
-    one policy of ops.BN_MOMENTUM and ops.BN_EPS."""
+    """Per-channel batch-norm parameters and running statistics, under the
+    one policy of ops.BN_MOMENTUM and ops.BN_EPS. The layer has no call:
+    the fused ops (ops.stem_bn_elu_pool, ops.bn_elu_pool) and the eval-mode
+    folds (ops.bn_affine) read its arrays directly."""
 
     def __init__(self, channels):
         super().__init__()
@@ -155,13 +157,3 @@ class BatchNorm(Layer):
         self.beta = Parameter(np.zeros(channels, dtype=default_dtype()))
         self.register_buffer("running_mean", np.zeros(channels, dtype=default_dtype()))
         self.register_buffer("running_var", np.ones(channels, dtype=default_dtype()))
-
-    def __call__(self, x, training):
-        return ops.batch_norm(
-            x,
-            self.gamma,
-            self.beta,
-            self.running_mean,
-            self.running_var,
-            training,
-        )

@@ -92,15 +92,21 @@ class EvalReport:
     std: float = None
 
 
+def check_dims(cfg, trial_set: TrialSet):
+    """ConfigurationError unless the set's channels, time steps and class
+    count are the model config's."""
+    if trial_set.channels != cfg.channels or trial_set.time_steps != cfg.time_steps:
+        raise ConfigurationError(
+            f"model.channels/time_steps=({cfg.channels}, {cfg.time_steps}) do not match "
+            f"the data ({trial_set.channels}, {trial_set.time_steps})"
+        )
+    if trial_set.n_classes != cfg.n_classes:
+        raise ConfigurationError(f"model.n_classes={cfg.n_classes} does not match the data ({trial_set.n_classes})")
+
+
 def evaluate(model, test: TrialSet, cfg, batch_size=64) -> EvalReport:
     """Deterministic eval-mode pass over a set; no dropout, no augmentation."""
-    if test.channels != cfg.channels or test.time_steps != cfg.time_steps:
-        raise ConfigurationError(
-            f"set dims ({test.channels}, {test.time_steps}) do not match the model "
-            f"({cfg.channels}, {cfg.time_steps})"
-        )
-    if test.n_classes != cfg.n_classes:
-        raise ConfigurationError("class count mismatch between set and model")
+    check_dims(cfg, test)
     x, y = trials_to_arrays(test, dtype=default_dtype())
     preds = np.empty(len(test), dtype=np.int64)
     for start in range(0, len(test), batch_size):

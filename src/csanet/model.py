@@ -9,6 +9,10 @@ before it and runs the branch as one tape-free pass). Branch outputs are
 fused by attention (the first branch attends to itself densely; the
 others run sparse cross-attention), passed through per-branch temporal
 convolutional networks, and classified from the concatenated readouts.
+
+All 28 batch norms (7 per branch at the default two TCN blocks) run in
+the fused ops: training mode in ops.stem_bn_elu_pool and ops.bn_elu_pool
+(at pool 1 in the TCN), eval mode folded into the conv before each.
 """
 
 import dataclasses
@@ -25,7 +29,10 @@ from .layers import BatchNorm, Conv1dDilated, Conv2d, Layer, LayerList, Linear
 
 
 class TcnBlock(Layer):
-    """One residual block: two causal dilated convs with BN/ELU/dropout."""
+    """One residual block: two causal dilated convs, each followed by batch
+    norm -> ELU -> dropout. Training runs each tail as ops.bn_elu_pool at
+    pool 1; eval mode folds each batch norm into its conv's weight and adds
+    the folded shift in ops.elu_pool, as Branch._infer does for spa_conv."""
 
     def __init__(self, channels, kernel, dilation, dropout, rng):
         super().__init__()
@@ -36,8 +43,13 @@ class TcnBlock(Layer):
         self.bn2 = BatchNorm(channels)
 
     def __call__(self, x, training, rng=None):
-        h = ops.dropout(ops.elu(self.bn1(self.conv1.causal(x), training)), self.dropout, training, rng)
-        h = ops.dropout(ops.elu(self.bn2(self.conv2.causal(h), training)), self.dropout, training, rng)
+        h = x
+        for conv, bn in ((self.conv1, self.bn1), (self.conv2, self.bn2)):
+            if training:
+                h = ops.bn_elu_pool(conv.causal(h), *_batch_norm_args(bn), 1, self.dropout, rng)
+            else:
+                weight, shift = _fold(bn, conv.weight.data, x.dtype)
+                h = Tensor(ops.elu_pool(conv.causal(h, weight).data, shift, 1))
         return x + h
 
 
@@ -143,11 +155,9 @@ class Branch(Layer):
             _affine(self.bn_depthwise),
             p1,
         )  # (B, width, T / p1)
-        scale, shift = _affine(self.bn_spa)
-        weight = self.spa_conv.weight.data[:, :, 0]  # (U, width, K)
-        weight = (scale[:, None, None] * weight).astype(x.dtype)
+        weight, shift = _fold(self.bn_spa, self.spa_conv.weight.data[:, :, 0], x.dtype)  # (U, width, K)
         h = ops.conv1d_dilated(ops.same_pad_time(h, self.spa_kernel), weight).data
-        return ops.elu_pool(h, shift.astype(x.dtype)[:, None], p2)
+        return ops.elu_pool(h, shift, p2)
 
 
 def _batch_norm_args(bn):
@@ -158,6 +168,13 @@ def _batch_norm_args(bn):
 def _affine(bn):
     """A BatchNorm layer's eval-mode map, ops.bn_affine of its arrays."""
     return ops.bn_affine(bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var)
+
+
+def _fold(bn, weight, dtype):
+    """Eval-mode bn folded into the raw (Cout, Cin, K) conv weight before it:
+    the scaled weight and the (Cout, 1) shift that elu_pool adds, in dtype."""
+    scale, shift = _affine(bn)
+    return (scale[:, None, None] * weight).astype(dtype), shift.astype(dtype)[:, None]
 
 
 class CsanetModel(Layer):

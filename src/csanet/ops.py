@@ -13,28 +13,28 @@ stride. A training forward meets, per branch:
   convs), by FFT correlation for long unpadded kernels over a batch
   (_conv1d_fft) and by window matmuls otherwise; FFT_MIN_TAPS and
   FFT_MIN_WORK draw the line;
-- bn_elu_pool: the tail after spa_conv as one op, bitwise equal to batch
-  norm -> ELU -> pool -> dropout composed.
-batch_norm, elu and dropout remain for the TCN; elu, bn_elu_pool,
-stem_bn_elu_pool and elu_pool share one branch-free ELU kernel (_elu_parts).
+- bn_elu_pool: the same tail after spa_conv and, at pool 1, after each
+  TCN conv.
+Every batch norm of a training forward runs one kernel pair with float64
+batch sums on a channel-leading (C, N, T) map, _bn_train and
+_bn_train_grads; only the stem's temporal batch norm reads its statistics
+off the lag table, since the fused stem never forms its map. Batch norm's
+constants are BN_MOMENTUM and BN_EPS; every ELU runs one branch-free
+kernel, _elu_parts.
 
 Eval mode has no tape and no batch statistics, so each batch norm is a
 fixed affine map (bn_affine) folded into the linear map before it:
 stem_elu_pool runs a branch's stem and first tail over blocks of
-STEM_BLOCK trials, and elu_pool the ELU and pool after spa_conv. These
-folds and stem_bn_elu_pool are exact in real arithmetic, not in floating
-point, and held to the numerics contract (tests/test_numerics_contract.py).
+STEM_BLOCK trials, and elu_pool the ELU and pool after spa_conv and each
+TCN conv. These folds and the fused training ops are exact in real
+arithmetic, not in floating point, and held to the numerics contract
+(tests/test_numerics_contract.py).
 
-Batch norm's constants are BN_MOMENTUM and BN_EPS; batch_norm and
-bn_elu_pool share the kernels _bn_normalise (statistics, buffer update,
-eval-mode buffers, the B >= 2 check) and _bn_backward.
-
-conv2d, the (1, K) time conv over (B, Cin, H, T) built from reshapes
-around conv1d_dilated, runs only the PSD report's temporal conv over the
-C rows of a trial. avg_pool2d, the (1, k) time pool, runs in no model
-path: it is the reference that attention.multiscale_pool's band matrix is
-tested against. Both stay as gradient-check scopes and as ops the
-benchmark names.
+batch_norm, elu, dropout and avg_pool2d run in no model path, and conv2d
+only in the PSD report's temporal conv over the C rows of a trial. They
+stay as gradient-check scopes and as ops the benchmark names; avg_pool2d
+is also the reference attention.multiscale_pool's band matrix is tested
+against.
 
 Two raw-array helpers carry all padding and windowing, since at the small
 shapes of a gradient check each op's bookkeeping outweighs its
@@ -42,8 +42,6 @@ arithmetic: autodiff._zero_pad pads by one np.zeros and a slice
 assignment in np.pad's memory order, and _window_view builds strided
 window views with one as_strided call.
 """
-
-import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -81,81 +79,72 @@ def _update_running(running_mean, running_var, mean, var, n):
     running_var += BN_MOMENTUM * var * (n / (n - 1.0))
 
 
-def _bn_layout(a):
-    """Reduction axes, per-channel broadcast shape and sample count of
-    batch norm over axis 1 of the array a (B, C, ...)."""
-    axes = (0,) + tuple(range(2, a.ndim))
-    return axes, (1, a.shape[1]) + (1,) * (a.ndim - 2), math.prod(a.shape[i] for i in axes)
-
-
-def _bn_normalise(x, running_mean, running_var, training):
-    """(xhat, inv): batch norm's normalised map of the raw array x over axis
-    1, and 1 / sqrt(var + BN_EPS) in the per-channel broadcast shape.
-
-    Training mode (B >= 2) takes the biased batch statistics in np.var's
-    own steps and updates the running buffers; eval mode reads them.
+def _bn_train(x, gamma, beta, a=1.0):
+    """Training-mode batch norm of the raw channel-leading (C, N, T) array x
+    over its N >= 2 batch entries and T samples, each channel scaled by a
+    first (1, or the stem's a_f): (mean, var, inv, u, y), with mean and var
+    x's biased batch statistics per channel in float64, inv = 1 / sqrt(a^2
+    var + BN_EPS), and the centred map u = x - mean and the output y = gamma
+    a inv u + beta as new arrays of x's dtype. Row sums are matrix-vector
+    products with a vector of ones, squares np.vecdot rows; the batch sums
+    over them run in float64.
     """
-    axes, shape, n = _bn_layout(x)
-    if training:
-        if x.shape[0] < 2:
-            raise ConfigurationError("batch_norm in training mode needs a batch of at least 2")
-        mean = x.mean(axis=axes)
-        xc = x - mean.reshape(shape)
-        var = np.square(xc).sum(axis=axes) / n
-        _update_running(running_mean, running_var, mean, var, n)
-    else:
-        xc = x - running_mean.astype(x.dtype).reshape(shape)
-        var = running_var.astype(x.dtype)
-    inv = (1.0 / np.sqrt(var + BN_EPS)).astype(x.dtype).reshape(shape)
-    return np.multiply(xc, inv, out=xc), inv
+    C, N, T = x.shape
+    if N < 2:
+        raise ConfigurationError("batch_norm in training mode needs a batch of at least 2")
+    dtype = x.dtype
+    mean = (x @ np.ones(T, dtype=dtype)).sum(axis=1, dtype=np.float64) / (N * T)
+    u = x - mean.astype(dtype)[:, None, None]
+    var = np.vecdot(u, u).sum(axis=1, dtype=np.float64) / (N * T)
+    inv = 1.0 / np.sqrt(a * a * var + BN_EPS)
+    y = u * (gamma * a * inv).astype(dtype)[:, None, None]
+    y += beta.astype(dtype)[:, None, None]
+    return mean, var, inv, u, y
 
 
-def _bn_backward(gy, xhat, inv, x, gamma, beta):
-    """Training-mode batch norm's backward from gy, the gradient at its
-    output gamma * xhat + beta, into the gradients of x, gamma and beta.
-
-    x's gradient is gamma * inv * (gy - mean(gy) - xhat * mean(gy * xhat)),
-    whose first step runs in place in gy. The other steps take the memory
-    layout numpy gives them, so each sum here and downstream runs in that
-    order.
+def _bn_train_grads(g, u, r, gamma, beta):
+    """_bn_train's backward from g, the gradient at y in its (C, N, T)
+    layout, with r = a inv: accumulates the gradients of the Tensors gamma
+    (r * psum) and beta (gsum) and returns (psum, (c0, c1, c2)), with gsum
+    and psum the float64 per-channel sums of g and g * u, and the
+    coefficients, of u's dtype and broadcasting over (C, N, T), of dL/dx =
+    c0 g - c1 u - c2 (the stem's dL/dQ).
     """
-    axes, shape, n = _bn_layout(gy)
-    prod = gy * xhat
-    gsum, psum = gy.sum(axis=axes), prod.sum(axis=axes)
-    if gamma.requires_grad:
-        _accumulate(gamma, psum)
-    if beta.requires_grad:
-        _accumulate(beta, gsum)
-    if not x.requires_grad:
-        return
-    gy -= (gsum / n).reshape(shape)
-    gx = np.subtract(gy, np.multiply(xhat, (psum / n).reshape(shape), out=prod), out=prod)
-    gx *= gamma.data.reshape(shape) * inv
-    _accumulate(x, gx)
+    n = u[0].size
+    gsum = (g @ np.ones(u.shape[-1], dtype=u.dtype)).sum(axis=1, dtype=np.float64)
+    psum = np.vecdot(g, u).sum(axis=1, dtype=np.float64)
+    for t, grad in ((gamma, r * psum), (beta, gsum)):
+        if t.requires_grad:
+            _accumulate(t, grad.astype(t.dtype))
+    scale = gamma.data * r
+    return psum, [(scale * c).astype(u.dtype)[:, None, None] for c in (1.0, r * r * psum / n, gsum / n)]
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, training):
-    """Per-channel normalization over axis 1 (the TCN's batch norm), by
-    _bn_normalise and _bn_backward. Eval mode, which nothing
-    differentiates, returns its output with no tape node."""
+    """Per-channel normalization over axis 1 of a (B, C, ...) input. Training
+    mode runs _bn_train and _bn_train_grads on its (C, B, rest) layout; eval
+    mode, which nothing differentiates, is bn_affine's map, with no tape
+    node. The model runs no batch_norm: the fused ops hold its batch norms."""
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     if x.ndim < 2:
         raise DimensionError("batch_norm expects at least a 2-d input (B, C, ...)")
-    C = x.shape[1]
+    B, C = x.shape[:2]
     if gamma.shape != (C,) or beta.shape != (C,):
         raise DimensionError("gamma/beta must have one entry per channel")
-    xhat, inv = _bn_normalise(x.data, running_mean, running_var, training)
-    shape = inv.shape
-    out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
     if not training:
-        return Tensor(out)
+        scale, shift = bn_affine(gamma.data, beta.data, running_mean, running_var)
+        shape = (C,) + (1,) * (x.ndim - 2)
+        return Tensor(x.data * scale.astype(x.dtype).reshape(shape) + shift.astype(x.dtype).reshape(shape))
+    mean, var, inv, u, y = _bn_train(x.data.reshape(B, C, -1).transpose(1, 0, 2), gamma.data, beta.data)
+    _update_running(running_mean, running_var, mean, var, u[0].size)
 
     def backward(gout):
-        # Gradient buffers are never written in place: the kernel gets a
-        # copy, in gout's memory order so its sums keep their order.
-        _bn_backward(gout.copy(order="K"), xhat, inv, x, gamma, beta)
+        g = gout.reshape(B, C, -1).transpose(1, 0, 2)
+        _, (c0, c1, c2) = _bn_train_grads(g, u, inv, gamma, beta)
+        if x.requires_grad:
+            _accumulate(x, (c0 * g - c1 * u - c2).transpose(1, 0, 2).reshape(x.shape))
 
-    return _make(out, (x, gamma, beta), backward)
+    return _make(y.transpose(1, 0, 2).reshape(x.shape), (x, gamma, beta), backward)
 
 
 _TILE = 32  # outputs per banded matmul in the stems' K-tap correlations
@@ -266,9 +255,10 @@ def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, p_dr
     the backward is batch norm's onto Q at scale gamma_j r_j plus dL/da_f =
     sum_j gamma_j BN_EPS (a_f^2 var Q_j + BN_EPS)^(-3/2) sum((Q_j - mean Q_j)
     dL/dy_j), into gamma_f and w_f through var_f (window moments off the
-    lag table); beta_f's gradient is exactly 0. Maps stay (F, D, B, T) with
-    float64 batch sums; the dropout mask is drawn first, as dropout draws
-    it. The tape keeps P, the centred Q and the ELU's slope.
+    lag table); beta_f's gradient is exactly 0. The depthwise batch norm is
+    _bn_train at per-channel scale a_f on Q's (F*D, B, T) layout; the
+    dropout mask is drawn first, as dropout draws it. The tape keeps P, the
+    centred Q and the ELU's slope.
     """
     x, weight, depthwise = _wrap(x), _wrap(weight), _wrap(depthwise)
     (gamma1, beta1, mean1, var1), (gamma2, beta2, mean2, var2) = temporal_bn, depthwise_bn
@@ -291,42 +281,28 @@ def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, p_dr
     wo = T // pool
     dtype = x.dtype
     keep = _dropout_keep((B, F * D, wo), p_drop, True, rng, dtype)
-    if B < 2:
-        raise ConfigurationError("batch_norm in training mode needs a batch of at least 2")
     if lags is None:
         lags = lag_prefixes(x.data, K)
     elif lags[2].shape[0] < K or lags[1].shape != (T + 1,):
         raise DimensionError(f"lag table of shape {lags[2].shape} does not cover K={K}, T={T}")
-    left, n = (K - 1) // 2, B * T
+    left = (K - 1) // 2
     w, dw = weight.data.reshape(F, K), depthwise.data.reshape(F, D, C)
 
     m, S = _window_moments(lags, K, left)
     w64 = w.astype(np.float64)
     mean, wS = w64 @ m, w64 @ S
     var = np.maximum((wS * w64).sum(axis=1) - mean * mean, 0.0)
-    _update_running(mean1, var1, mean, var, B * C * T)
     inv1 = 1.0 / np.sqrt(var + BN_EPS)
-    a = (gamma1.data * inv1)[:, None]  # (F, 1)
+    a = gamma1.data * inv1  # (F,)
+    aj = np.repeat(a, D)  # a_f for each channel j of filter f
     p = _stem_projection(x.data, dw, K)
-    q = _tile_correlate(p, w).reshape(F, D, B, -1)[..., :T]
-    ones = np.ones(T, dtype=dtype)  # row sums by matrix-vector products, batch sums in float64
-    q_mean = (q @ ones).sum(axis=2, dtype=np.float64) / n  # (F, D)
-    u = q - q_mean.astype(dtype)[:, :, None, None]
-    q_var = np.vecdot(u, u).sum(axis=2, dtype=np.float64) / n
-    shift = (beta1.data - a[:, 0] * mean)[:, None] * dw.sum(axis=2)  # c_f * s_j
-    _update_running(mean2, var2, (a * q_mean + shift).reshape(-1), (a * a * q_var).reshape(-1), n)
-    inv2 = 1.0 / np.sqrt(a * a * q_var + BN_EPS)
-    r = a * inv2  # (F, D)
-    scale = gamma2.data.reshape(F, D) * r
-
-    y = np.multiply(u, scale.astype(dtype)[:, :, None, None])
-    y += beta2.data.reshape(F, D).astype(dtype)[:, :, None, None]
-    slope, y = _elu_parts(y, out=y)
-    slope += 1.0  # the ELU's derivative
-    pooled = y[..., : wo * pool].reshape(F, D, B, wo, pool) @ np.full(pool, 1.0 / pool, dtype=dtype)
-    out = pooled.transpose(2, 0, 1, 3).reshape(B, F * D, wo)
-    if keep is not None:
-        out *= keep
+    q = _tile_correlate(p, w).reshape(F * D, B, -1)[..., :T]
+    q_mean, q_var, inv2, u, y = _bn_train(q, gamma2.data, beta2.data, aj)
+    shift = ((beta1.data - a * mean)[:, None] * dw.sum(axis=2)).reshape(-1)  # c_f * s_j
+    _update_running(mean1, var1, mean, var, B * C * T)
+    _update_running(mean2, var2, aj * q_mean + shift, aj * aj * q_var, B * T)
+    r = aj * inv2
+    slope, out = _tail_forward(y, pool, keep)
 
     def backward(gout):
         # dL/dy goes into rows zero-padded for the flipped taps' correlation.
@@ -334,28 +310,25 @@ def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, p_dr
         gq_pad = np.empty((F, D * B, tiles * _TILE + K - 1), dtype=dtype)
         gq_pad[:, :, :at] = 0.0
         gq_pad[:, :, at + wo * pool :] = 0.0
-        gq = gq_pad[:, :, at : at + T].reshape(F, D, B, T)
-        gpool = (gout if keep is None else gout * keep).reshape(B, F, D, wo).transpose(1, 2, 0, 3)
-        gpool = np.repeat(gpool / np.array(pool, dtype=dtype), pool, axis=-1)
-        np.multiply(slope[..., : wo * pool], gpool, out=gq[..., : wo * pool])
-        gsum = (gq @ ones).sum(axis=2, dtype=np.float64)  # dL/dbeta_j
-        psum = np.vecdot(gq, u).sum(axis=2, dtype=np.float64)  # dL/dgamma_j is r_j * psum_j
-        g_a = (gamma2.data.reshape(F, D) * BN_EPS * inv2**3 * psum).sum(axis=1)  # dL/da_f
-        for t, g in ((gamma2, r * psum), (beta2, gsum), (gamma1, g_a * inv1), (beta1, np.zeros(F))):
+        gq = gq_pad[:, :, at : at + T].reshape(F * D, B, T)  # a view
+        _tail_backward(gout, keep, slope, pool, gq)
+        psum, (c0, c1, c2) = _bn_train_grads(gq, u, r, gamma2, beta2)
+        g_a = (gamma2.data * BN_EPS * inv2**3 * psum).reshape(F, D).sum(axis=1)  # dL/da_f
+        for t, g in ((gamma1, g_a * inv1), (beta1, np.zeros(F))):
             if t.requires_grad:
-                _accumulate(t, g.reshape(t.shape).astype(t.dtype))
+                _accumulate(t, g.astype(t.dtype))
         # Per filter, dL/dQ in place, then dL/dP by the flipped taps and the
         # tile products whose diagonals are dL/dw (tap k at j = s + K-1-k).
-        coefs = [(scale * c).astype(dtype)[:, :, None, None] for c in (1.0, r * r * psum / n, gsum / n)]
         span, band = _TILE + K - 1, _banded(w[:, ::-1], _TILE)
         xt = _zero_pad(x.data[:, 0].transpose(0, 2, 1), ((0, 0), (0, tiles * _TILE - T), (0, 0)))
         gp, corr = np.empty((F, D * B * tiles, _TILE), dtype=dtype), np.empty((F, span, _TILE), dtype=dtype)
         gcols = _window_view(gq_pad, tiles, span, step=_TILE)
         p_tiles = _window_view(p, tiles, _TILE, step=_TILE, start=left)
         for f in range(F):
-            gq[f] *= coefs[0][f]
-            gq[f] -= u[f] * coefs[1][f]
-            gq[f] -= coefs[2][f]
+            j = slice(f * D, f * D + D)
+            gq[j] *= c0[j]
+            gq[j] -= u[j] * c1[j]
+            gq[j] -= c2[j]
             cols = gcols[f].reshape(-1, span)
             np.matmul(cols, band[f], out=gp[f])
             np.matmul(cols.T, p_tiles[f].reshape(-1, _TILE), out=corr[f])
@@ -365,8 +338,14 @@ def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, p_dr
         if weight.requires_grad:
             i = np.arange(_TILE)
             taps = corr[:, i + np.arange(K)[::-1, None], i].sum(axis=-1)
-            g_var = -0.5 * g_a * a[:, 0] * inv1 * inv1  # dL/dvar_f
+            g_var = -0.5 * g_a * a * inv1 * inv1  # dL/dvar_f
             gw = taps + 2.0 * g_var[:, None] * (wS - mean[:, None] * m)
+            # gw's component along w_f is O(BN_EPS), a difference of O(1)
+            # terms above; set it from the direct term instead:
+            # w_f . dL/dw_f = a_f dL/da_f BN_EPS / (var_f + BN_EPS).
+            ww = (w64 * w64).sum(axis=1)
+            along = g_a * a * BN_EPS / (var + BN_EPS) - (gw * w64).sum(axis=1)
+            gw += np.divide(along, ww, out=np.zeros(F), where=ww > 0)[:, None] * w64
             _accumulate(weight, gw.reshape(F, 1, 1, K).astype(weight.dtype))
 
     return _make(out, (x, weight, depthwise, gamma1, beta1, gamma2, beta2), backward)
@@ -426,26 +405,51 @@ def dropout(x, p, training, rng=None):
     return _make(out, (x,), backward)
 
 
-def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, p_drop, rng=None):
-    """The training-mode tail after a branch's spa_conv, on a (B, C, T) map,
-    as one op: batch norm -> ELU -> mean pool over windows of `pool` samples
-    at stride pool -> dropout(p_drop), returning (B, C, T // pool). Eval
-    mode runs elu_pool instead.
+def _elu_pool(y, pool):
+    """(neg, pooled): the ELU of the raw array y (overwritten) over the first
+    (T // pool) * pool samples of its last axis, mean-pooled over windows of
+    `pool` at stride pool, and the ELU's negative part there. The pool is
+    one matmul with a vector of 1/pool, about a tenth of the time of summing
+    a reshape at the paper's stem shape."""
+    wo = y.shape[-1] // pool
+    neg, y = _elu_parts(y[..., : wo * pool], out=y[..., : wo * pool])
+    return neg, y.reshape(y.shape[:-1] + (wo, pool)) @ np.full(pool, 1.0 / pool, dtype=y.dtype)
 
-    Bitwise equal to batch_norm, elu, a stride-pool mean pool along time
-    and dropout composed, in the output, the gradients of x, gamma and beta
-    and the running buffers:
-    - batch norm runs the kernels batch_norm runs, _bn_normalise forward
-      and _bn_backward backward;
-    - the pool sums a reshape of the first (T // pool) * pool samples and
-      drops the rest, as the pool does, and its backward is a repeat;
-    - the dropout mask is drawn as dropout draws it, before anything else
-      is computed, so the rng stream is unchanged;
-    - every array takes the composition's memory layout (the full-size
-      backward arrays x's own), so each sum here and downstream runs in the
-      composition's order; spa_conv hands in a transposed view.
-    The tape keeps the normalised map, the ELU's negative part and the
-    dropout mask, not the batch-norm, ELU or pool outputs.
+
+def _tail_forward(y, pool, keep):
+    """ELU -> pool -> dropout of the training tails on the (C, B, T) batch
+    norm output y (overwritten): (slope, out), the ELU's derivative over the
+    pooled samples and the C-contiguous (B, C, T // pool) output; keep is
+    _dropout_keep's mask or None."""
+    slope, pooled = _elu_pool(y, pool)
+    slope += 1.0
+    out = pooled.transpose(1, 0, 2).copy()
+    if keep is not None:
+        out *= keep
+    return slope, out
+
+
+def _tail_backward(gout, keep, slope, pool, gy):
+    """_tail_forward's backward from gout (B, C, T // pool): dL/dy into the
+    pooled samples gy[..., :(T // pool) * pool] of the (C, B, T) array gy;
+    the caller zeroes the rest."""
+    g = (gout if keep is None else gout * keep).transpose(1, 0, 2)
+    g = np.repeat(g / np.array(pool, dtype=g.dtype), pool, axis=-1)
+    np.multiply(slope, g, out=gy[..., : slope.shape[-1]])
+
+
+def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, p_drop, rng=None):
+    """A training-mode tail on a (B, C, T) map as one op: batch norm -> ELU
+    -> mean pool over windows of `pool` samples at stride pool ->
+    dropout(p_drop), returning (B, C, T // pool). It runs after each
+    branch's spa_conv and, at pool 1, after each TCN conv. Eval mode runs
+    elu_pool instead.
+
+    Batch norm is _bn_train on x's (C, B, T) view; the last T % pool samples
+    are dropped, as a stride-pool mean pool drops them; the dropout mask is
+    drawn as dropout draws it, before anything else, so the rng stream is
+    that of the four ops composed. The tape keeps the centred map, the ELU's
+    slope and the dropout mask.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     if x.ndim != 3:
@@ -457,23 +461,17 @@ def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, p_drop, rng=Non
         raise ConfigurationError("pooling kernel extents must be positive")
     if T < pool:
         raise DimensionError("pooling window larger than padded input")
-    wo = T // pool
-    keep = _dropout_keep((B, C, wo), p_drop, True, rng, x.dtype)
-    xhat, inv = _bn_normalise(x.data, running_mean, running_var, True)
-    y = gamma.data.reshape(inv.shape) * xhat
-    y += beta.data.reshape(inv.shape)
-    neg, y = _elu_parts(y, out=y)
-    div = np.array(pool, dtype=y.dtype)
-    out = y[..., : wo * pool].reshape(B, C, wo, pool).sum(axis=-1) / div
-    if keep is not None:
-        out = out * keep  # a new array, C-contiguous like dropout's, not in place
+    keep = _dropout_keep((B, C, T // pool), p_drop, True, rng, x.dtype)
+    mean, var, inv, u, y = _bn_train(x.data.transpose(1, 0, 2), gamma.data, beta.data)
+    _update_running(running_mean, running_var, mean, var, B * T)
+    slope, out = _tail_forward(y, pool, keep)
 
     def backward(gout):
-        gpool = gout * keep if keep is not None else gout
-        gy = np.zeros_like(x.data)
-        gy[..., : wo * pool] += np.repeat(gpool / div, pool, axis=-1)
-        gy *= neg + 1.0
-        _bn_backward(gy, xhat, inv, x, gamma, beta)
+        gy = np.zeros_like(u)
+        _tail_backward(gout, keep, slope, pool, gy)
+        _, (c0, c1, c2) = _bn_train_grads(gy, u, inv, gamma, beta)
+        if x.requires_grad:
+            _accumulate(x, (c0 * gy - c1 * u - c2).transpose(1, 0, 2))
 
     return _make(out, (x, gamma, beta), backward)
 
@@ -502,16 +500,9 @@ def bn_affine(gamma, beta, running_mean, running_var):
 def elu_pool(y, shift, pool):
     """ELU(y + shift) mean-pooled over windows of `pool` samples along the
     last axis at stride pool, the last T % pool samples dropped, for a raw
-    array y, which is overwritten; shift broadcasts against y.
-
-    The pool is one matmul with a vector of 1/pool, about a tenth of the
-    time of summing a reshape at the paper's stem shape.
-    """
-    wo = y.shape[-1] // pool
-    y = y[..., : wo * pool]
+    array y, which is overwritten; shift broadcasts against y."""
     y += shift
-    _elu_parts(y, out=y)
-    return y.reshape(y.shape[:-1] + (wo, pool)) @ np.full(pool, 1.0 / pool, dtype=y.dtype)
+    return _elu_pool(y, pool)[1]
 
 
 def stem_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool):

@@ -18,7 +18,7 @@ from .checkpoint import save_checkpoint
 from .config import RunConfig, SrConfig, write_config
 from .data import read_eegd, split, synth_generate, trials_to_arrays, zscore_apply, zscore_fit
 from .errors import ConfigurationError, NumericalError
-from .metrics import evaluate
+from .metrics import check_dims, evaluate
 from .model import CsanetModel
 from .ops import cross_entropy
 from .optim import AdamState, adam_step
@@ -52,24 +52,11 @@ def load_run_data(run: RunConfig):
     )
 
 
-def _check_dims(run: RunConfig, trial_set):
-    m = run.model
-    if trial_set.channels != m.channels or trial_set.time_steps != m.time_steps:
-        raise ConfigurationError(
-            f"model.channels/time_steps=({m.channels}, {m.time_steps}) do not match "
-            f"the data ({trial_set.channels}, {trial_set.time_steps})"
-        )
-    if trial_set.n_classes != m.n_classes:
-        raise ConfigurationError(
-            f"model.n_classes={m.n_classes} does not match the data ({trial_set.n_classes})"
-        )
-
-
 def _load_split(run: RunConfig):
     """The run's (train, test) sets: loaded, checked against the model,
     split, and z-scored with the train set's statistics when asked."""
     full = load_run_data(run)
-    _check_dims(run, full)
+    check_dims(run.model, full)
     train_set, test_set = split(full, run.split)
     if not len(train_set):
         raise ConfigurationError("train split is empty")

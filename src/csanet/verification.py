@@ -175,8 +175,10 @@ def _check_stem():
 
 
 def _check_tail():
-    """bn_elu_pool (training mode only), its dropout mask replayed from a
-    fixed seed on every call, with T % pool != 0."""
+    """bn_elu_pool (training mode only) as after spa_conv, with T % pool !=
+    0, and at pool 1 on a TCN-shaped map, channels-last in memory as the
+    TCN's causal conv returns it; each dropout mask replayed from a fixed
+    seed on every call."""
     rng = _rng(17)
     params = [
         Tensor(rng.standard_normal((3, 2, 11))),
@@ -184,13 +186,17 @@ def _check_tail():
         Tensor(0.5 * rng.standard_normal(2)),
     ]
     rm, rv = 0.1 * rng.standard_normal(2), 1.0 + rng.random(2)
+    params += [Tensor(rng.standard_normal((2, 6, 4))), Tensor(1.0 + 0.1 * rng.standard_normal(4))]
+    params.append(Tensor(0.5 * rng.standard_normal(4)))
+    rm_tcn, rv_tcn = 0.1 * rng.standard_normal(4), 1.0 + rng.random(4)
 
-    def closure(x_, g_, b_):
-        out = ops.bn_elu_pool(x_, g_, b_, rm.copy(), rv.copy(), 3, 0.5, _rng(112))
-        return _proj_loss(out, _rng(114))
+    def closure(x_, g_, b_, xt_, gt_, bt_):
+        spa = ops.bn_elu_pool(x_, g_, b_, rm.copy(), rv.copy(), 3, 0.5, _rng(112))
+        tcn = ops.bn_elu_pool(xt_.transpose((0, 2, 1)), gt_, bt_, rm_tcn.copy(), rv_tcn.copy(), 1, 0.5, _rng(116))
+        return _proj_loss(spa, _rng(114)) + _proj_loss(tcn, _rng(118))
 
     report = grad_check(closure, params)
-    report.labels = ["x", "gamma", "beta"]
+    report.labels = ["x", "gamma", "beta", "tcn.x", "tcn.gamma", "tcn.beta"]
     return report
 
 

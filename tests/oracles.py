@@ -6,12 +6,16 @@ exceptions are the paths the model ran before a faster op replaced them:
 oracle_conv2d, the general grouped, strided, padded im2col/col2im conv
 that csanet.ops carried until its conv2d narrowed to the (1, K) time conv
 (pinned here against naive_conv2d); oracle_batch_norm, ops.batch_norm as
-it was before batch norm moved into one pair of kernels in csanet.ops;
+it was before batch norm moved into one pair of kernels in csanet.ops
+(statistics from np.mean and np.var, in place of the float64 batch sums of
+the one kernel pair every training-mode batch norm now runs);
 oracle_branch_stem, the three-op composition that ops.branch_stem
 replaced, through oracle_conv2d and oracle_batch_norm; oracle_tail, the
 four-op composition that ops.bn_elu_pool replaced, through
 oracle_batch_norm (the two in a row are what ops.stem_bn_elu_pool and
-ops.stem_elu_pool compute); oracle_lag_prefixes, ops.lag_prefixes as it
+ops.stem_elu_pool compute); oracle_tcn_block, the TCN block's causal
+conv -> batch norm -> ELU -> dropout composition before its tails became
+ops.bn_elu_pool at pool 1; oracle_lag_prefixes, ops.lag_prefixes as it
 was before its lag products became banded tile matmuls;
 oracle_branch_call, a branch whose spatial-refinement conv runs through
 oracle_conv2d as it did before conv1d_dilated took it over, and whose
@@ -266,9 +270,9 @@ def oracle_conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1)
 
 def oracle_batch_norm(x, gamma, beta, running_mean, running_var, training):
     """Per-channel normalization over axis 1, as ops.batch_norm computed it
-    before batch norm moved into ops._bn_normalise and ops._bn_backward:
-    statistics from np.mean and np.var, and the backward's sums over the
-    upstream gradient itself.
+    before batch norm moved into a kernel pair in csanet.ops: statistics
+    from np.mean and np.var, and the backward's sums over the upstream
+    gradient itself.
 
     Same signature and result as ops.batch_norm.
     """
@@ -349,6 +353,18 @@ def oracle_tail(x, gamma, beta, running_mean, running_var, training, pool, p_dro
     b, c, t = h.shape
     h = ops.avg_pool2d(ops.elu(h).reshape((b, c, 1, t)), pool)
     return ops.dropout(h.reshape((b, c, t // pool)), p_drop, training, rng)
+
+
+def oracle_tcn_block(block, x, training, rng=None):
+    """model.TcnBlock.__call__ as it ran before its tails became
+    ops.bn_elu_pool at pool 1 and its eval mode folded each batch norm into
+    the conv: causal conv -> oracle_batch_norm -> ELU -> dropout, twice,
+    plus the residual."""
+    h = x
+    for conv, bn in ((block.conv1, block.bn1), (block.conv2, block.bn2)):
+        h = oracle_batch_norm(conv.causal(h), bn.gamma, bn.beta, bn.running_mean, bn.running_var, training)
+        h = ops.dropout(ops.elu(h), block.dropout, training, rng)
+    return x + h
 
 
 def oracle_branch_call(branch, x, training, rng=None, lags=None, spa_conv=oracle_spa_conv):

@@ -57,6 +57,9 @@ def write_golden_fixture(directory=FIXTURE):
     is exact in value but not in bits, and again when each branch's
     training-mode stem and first tail became one op (ops.stem_bn_elu_pool,
     exact in value, with an exact 0 gradient for the dead bn_temporal.beta),
+    and again when every training-mode batch norm moved onto one kernel
+    pair with float64 batch sums and the TCN onto ops.bn_elu_pool at pool 1
+    with its eval-mode batch norms folded into the convs (exact in value),
     each time after tests/test_numerics_contract.py passed against its
     unchanged fixture. Always from the repository root with src/ and tests/
     on sys.path; the re-derivations ran:

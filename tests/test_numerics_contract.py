@@ -138,6 +138,16 @@ def assert_within(got, want, what):
     assert err <= REL_TOL * float(np.abs(want).max(initial=0.0)), f"{what}: max abs error {err:.3e}"
 
 
+def assert_within_dtype_rule(got, want, what):
+    """An op's array against its oracle composition's, both run in the same
+    dtype: float64 within REL_TOL x max |want|, float32 within 256 eps32 x
+    max |want|."""
+    assert got.shape == want.shape and got.dtype == want.dtype, what
+    tol = REL_TOL if got.dtype == np.float64 else 256 * EPS32
+    err = float(np.abs(got.astype(np.float64) - want).max(initial=0.0))
+    assert err <= tol * float(np.abs(want).max(initial=0.0)), f"{what}: max abs error {err:.3e}"
+
+
 @pytest.mark.parametrize("name", CONFIGS)
 def test_eval_rows_clear_the_topk_margin(name, fixture):
     rows = fixture[f"{name}/eval/rows"]
