@@ -128,10 +128,9 @@ class Conv1dDilated(Layer):
         fan_in = in_channels * kernel
         self.weight = Parameter(_uniform_init(rng, (out_channels, in_channels, kernel), fan_in))
 
-    def causal(self, x, weight=None):
-        """Length-preserving causal application (left pad (K-1)*dilation) of
-        the layer's weight, or of `weight` (eval mode's folded copy)."""
-        weight = self.weight if weight is None else weight
+    def causal(self, x, weight):
+        """Length-preserving causal conv (left pad (K-1)*dilation) by weight:
+        the layer's own, or eval mode's copy with a batch norm folded in."""
         return ops.conv1d_dilated(x, weight, dilation=self.dilation, left_pad=(self.kernel - 1) * self.dilation)
 
 

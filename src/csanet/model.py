@@ -8,11 +8,9 @@ with its tail is one op; eval mode folds each batch norm into the conv
 before it and runs the branch as one tape-free pass). Branch outputs are
 fused by attention (the first branch attends to itself densely; the
 others run sparse cross-attention), passed through per-branch temporal
-convolutional networks, and classified from the concatenated readouts.
-
-All 28 batch norms (7 per branch at the default two TCN blocks) run in
-the fused ops: training mode in ops.stem_bn_elu_pool and ops.bn_elu_pool
-(at pool 1 in the TCN), eval mode folded into the conv before each.
+convolutional networks (whose conv tails run as the branches' do:
+ops.bn_elu_pool at pool 1, folded in eval), and classified from the
+concatenated readouts.
 """
 
 import dataclasses
@@ -46,7 +44,7 @@ class TcnBlock(Layer):
         h = x
         for conv, bn in ((self.conv1, self.bn1), (self.conv2, self.bn2)):
             if training:
-                h = ops.bn_elu_pool(conv.causal(h), *_batch_norm_args(bn), 1, self.dropout, rng)
+                h = ops.bn_elu_pool(conv.causal(h, conv.weight), *_batch_norm_args(bn), 1, self.dropout, rng)
             else:
                 weight, shift = _fold(bn, conv.weight.data, x.dtype)
                 h = Tensor(ops.elu_pool(conv.causal(h, weight).data, shift, 1))

@@ -410,9 +410,12 @@ def _elu_pool(y, pool):
     (T // pool) * pool samples of its last axis, mean-pooled over windows of
     `pool` at stride pool, and the ELU's negative part there. The pool is
     one matmul with a vector of 1/pool, about a tenth of the time of summing
-    a reshape at the paper's stem shape."""
+    a reshape at the paper's stem shape; at pool 1 (the TCN) it is y itself,
+    where the matmul would run one length-1 product per row."""
     wo = y.shape[-1] // pool
     neg, y = _elu_parts(y[..., : wo * pool], out=y[..., : wo * pool])
+    if pool == 1:
+        return neg, y
     return neg, y.reshape(y.shape[:-1] + (wo, pool)) @ np.full(pool, 1.0 / pool, dtype=y.dtype)
 
 
