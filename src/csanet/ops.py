@@ -405,28 +405,26 @@ def dropout(x, p, training, rng=None):
     return _make(out, (x,), backward)
 
 
-def _elu_pool(y, pool):
-    """(neg, pooled): the ELU of the raw array y (overwritten) over the first
-    (T // pool) * pool samples of its last axis, mean-pooled over windows of
-    `pool` at stride pool, and the ELU's negative part there. The pool is
-    one matmul with a vector of 1/pool, about a tenth of the time of summing
-    a reshape at the paper's stem shape; at pool 1 (the TCN) it is y itself,
-    where the matmul would run one length-1 product per row."""
-    wo = y.shape[-1] // pool
-    neg, y = _elu_parts(y[..., : wo * pool], out=y[..., : wo * pool])
+def _mean_pool(y, pool):
+    """Mean of the raw array y over windows of `pool` samples along its last
+    axis at stride pool, the last T % pool samples dropped: one matmul with
+    a vector of 1/pool, about a tenth of the time of summing a reshape at
+    the paper's stem shape. At pool 1 (the TCN) it is y itself, where the
+    matmul would run one length-1 product per row."""
     if pool == 1:
-        return neg, y
-    return neg, y.reshape(y.shape[:-1] + (wo, pool)) @ np.full(pool, 1.0 / pool, dtype=y.dtype)
+        return y
+    wo = y.shape[-1] // pool
+    return y[..., : wo * pool].reshape(y.shape[:-1] + (wo, pool)) @ np.full(pool, 1.0 / pool, dtype=y.dtype)
 
 
 def _tail_forward(y, pool, keep):
     """ELU -> pool -> dropout of the training tails on the (C, B, T) batch
-    norm output y (overwritten): (slope, out), the ELU's derivative over the
-    pooled samples and the C-contiguous (B, C, T // pool) output; keep is
-    _dropout_keep's mask or None."""
-    slope, pooled = _elu_pool(y, pool)
+    norm output y (overwritten): (slope, out), the ELU's derivative and the
+    C-contiguous (B, C, T // pool) output; keep is _dropout_keep's mask or
+    None."""
+    slope, y = _elu_parts(y, out=y)
     slope += 1.0
-    out = pooled.transpose(1, 0, 2).copy()
+    out = _mean_pool(y, pool).transpose(1, 0, 2).copy()
     if keep is not None:
         out *= keep
     return slope, out
@@ -438,7 +436,7 @@ def _tail_backward(gout, keep, slope, pool, gy):
     the caller zeroes the rest."""
     g = (gout if keep is None else gout * keep).transpose(1, 0, 2)
     g = np.repeat(g / np.array(pool, dtype=g.dtype), pool, axis=-1)
-    np.multiply(slope, g, out=gy[..., : slope.shape[-1]])
+    np.multiply(slope[..., : g.shape[-1]], g, out=gy[..., : g.shape[-1]])
 
 
 def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, p_drop, rng=None):
@@ -505,7 +503,8 @@ def elu_pool(y, shift, pool):
     last axis at stride pool, the last T % pool samples dropped, for a raw
     array y, which is overwritten; shift broadcasts against y."""
     y += shift
-    return _elu_pool(y, pool)[1]
+    _elu_parts(y, out=y)
+    return _mean_pool(y, pool)
 
 
 def stem_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool):
