@@ -89,9 +89,9 @@ class AttentionParams(Layer):
 
     def __init__(self, embed_dim, rng):
         super().__init__()
-        self.w_q = Parameter(_uniform_init(rng, (embed_dim, embed_dim), embed_dim))
-        self.w_k = Parameter(_uniform_init(rng, (embed_dim, embed_dim), embed_dim))
-        self.w_v = Parameter(_uniform_init(rng, (embed_dim, embed_dim), embed_dim))
+        self.w_q = Parameter(_uniform_init(rng, (embed_dim, embed_dim)))
+        self.w_k = Parameter(_uniform_init(rng, (embed_dim, embed_dim)))
+        self.w_v = Parameter(_uniform_init(rng, (embed_dim, embed_dim)))
         self.alpha = Parameter(np.ones((), dtype=default_dtype()))
         self.beta = Parameter(np.ones((), dtype=default_dtype()))
 

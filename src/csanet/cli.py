@@ -257,7 +257,7 @@ def main(argv=None):
     except CsanetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

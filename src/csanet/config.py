@@ -7,6 +7,7 @@ comma-separated entries.
 """
 
 import dataclasses
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -213,6 +214,8 @@ class RunConfig:
             )
         if self.train.epochs < 0 or self.train.batch_size < 1:
             raise ConfigurationError("train.epochs must be >= 0 and train.batch_size >= 1")
+        if not (math.isfinite(self.train.lr) and self.train.lr > 0):
+            raise ConfigurationError(f"train.lr must be a finite number > 0, got {self.train.lr!r}")
         if self.sr.segments < 1:
             raise ConfigurationError("sr.segments must be positive")
         self.model.validate()

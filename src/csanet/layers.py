@@ -1,17 +1,18 @@
-"""Parameter containers and the small layer zoo the network is built from.
+"""Parameter containers and the few layers the network is built from.
 
-Layers hold Parameters (trainable) and buffers (running statistics).
-Weight init draws from an explicit Generator in construction order:
-uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) for conv/linear weights, zeros
-for Linear's bias (convs carry none), ones/zeros for batch-norm
-gamma/beta. Parameter names are dotted paths assigned by the owning
-model and unique within it.
+Layers hold Parameters (trainable), buffers (running statistics) and
+child layers; that tree is the model's only description of its
+parameters. Every weight draws from an explicit Generator in
+construction order by one rule, uniform(-1/sqrt(fan_in), 1/sqrt(fan_in))
+with fan_in the product of all but the weight's leading dimension;
+Linear's bias starts at zeros (convs carry none), batch-norm gamma/beta
+at ones/zeros. Parameter names are dotted paths of attribute names and
+LayerList indices from the owning model, so they are unique.
 """
 
 import numpy as np
 
 from .autodiff import Tensor, default_dtype
-from .errors import ConfigurationError
 from . import ops
 
 
@@ -25,8 +26,8 @@ class Parameter(Tensor):
         self.name = name
 
 
-def _uniform_init(rng, shape, fan_in):
-    bound = 1.0 / np.sqrt(float(fan_in))
+def _uniform_init(rng, shape):
+    bound = 1.0 / np.sqrt(float(np.prod(shape[1:])))
     return rng.uniform(-bound, bound, size=shape).astype(default_dtype())
 
 
@@ -43,25 +44,25 @@ class Layer:
             self._params[key] = value
         elif isinstance(value, Layer):
             self._children[key] = value
-        elif isinstance(value, LayerList):
-            self._children[key] = value
         object.__setattr__(self, key, value)
 
     def register_buffer(self, key, array):
         self._buffers[key] = array
         object.__setattr__(self, key, array)
 
-    def named_parameters(self, prefix=""):
-        for key, p in self._params.items():
-            yield (f"{prefix}{key}", p)
+    def _walk(self, table, prefix):
+        """(dotted name, entry) for one table (_params or _buffers) of this
+        layer, then of each child in registration order."""
+        for key, entry in getattr(self, table).items():
+            yield (f"{prefix}{key}", entry)
         for key, child in self._children.items():
-            yield from child.named_parameters(prefix=f"{prefix}{key}.")
+            yield from child._walk(table, f"{prefix}{key}.")
+
+    def named_parameters(self, prefix=""):
+        return self._walk("_params", prefix)
 
     def named_buffers(self, prefix=""):
-        for key, b in self._buffers.items():
-            yield (f"{prefix}{key}", b)
-        for key, child in self._children.items():
-            yield from child.named_buffers(prefix=f"{prefix}{key}.")
+        return self._walk("_buffers", prefix)
 
     def parameters(self):
         for _, p in self.named_parameters():
@@ -69,75 +70,41 @@ class Layer:
 
     def assign_parameter_names(self, prefix=""):
         """Stamp every Parameter with its dotted path from this root."""
-        names = set()
         for name, p in self.named_parameters(prefix=prefix):
             p.name = name
-            if name in names:
-                raise ConfigurationError(f"duplicate parameter name {name!r}")
-            names.add(name)
 
     def zero_grad(self):
         for p in self.parameters():
             p.zero_grad()
 
 
-class LayerList:
-    """Ordered collection of child layers addressed by index."""
+class LayerList(Layer):
+    """Ordered child layers, named "0", "1", ... in parameter paths."""
 
     def __init__(self, layers):
-        self._layers = list(layers)
+        super().__init__()
+        for i, layer in enumerate(layers):
+            self._children[str(i)] = layer
 
     def __iter__(self):
-        return iter(self._layers)
-
-    def __getitem__(self, i):
-        return self._layers[i]
-
-    def __len__(self):
-        return len(self._layers)
-
-    def named_parameters(self, prefix=""):
-        for i, layer in enumerate(self._layers):
-            yield from layer.named_parameters(prefix=f"{prefix}{i}.")
-
-    def named_buffers(self, prefix=""):
-        for i, layer in enumerate(self._layers):
-            yield from layer.named_buffers(prefix=f"{prefix}{i}.")
+        return iter(self._children.values())
 
 
-class Conv2d(Layer):
-    """A (kh, kw) conv's weight, (out, in/groups, kh, kw). The layer has no
-    call: the ops that run the conv (ops.stem_bn_elu_pool, ops.stem_elu_pool,
-    conv1d_dilated for spa_conv, ops.conv2d for the PSD report) read the
-    weight directly."""
+class Conv(Layer):
+    """A conv's weight, (out, in, *kernel). The layer has no call: the ops
+    that run the convs (ops.stem_bn_elu_pool, ops.stem_elu_pool,
+    ops.conv1d_dilated, ops.conv2d for the PSD report) read the weight
+    directly."""
 
-    def __init__(self, in_channels, out_channels, kernel, rng, groups=1):
+    def __init__(self, shape, rng):
         super().__init__()
-        kh, kw = kernel
-        if groups < 1 or in_channels % groups or out_channels % groups:
-            raise ConfigurationError(f"groups={groups} must divide channel counts")
-        fan_in = (in_channels // groups) * kh * kw
-        self.weight = Parameter(_uniform_init(rng, (out_channels, in_channels // groups, kh, kw), fan_in))
-
-
-class Conv1dDilated(Layer):
-    def __init__(self, in_channels, out_channels, kernel, dilation, rng):
-        super().__init__()
-        self.dilation = dilation
-        self.kernel = kernel
-        fan_in = in_channels * kernel
-        self.weight = Parameter(_uniform_init(rng, (out_channels, in_channels, kernel), fan_in))
-
-    def causal(self, x, weight):
-        """Length-preserving causal conv (left pad (K-1)*dilation) by weight:
-        the layer's own, or eval mode's copy with a batch norm folded in."""
-        return ops.conv1d_dilated(x, weight, dilation=self.dilation, left_pad=(self.kernel - 1) * self.dilation)
+        self.weight = Parameter(_uniform_init(rng, shape))
 
 
 class Linear(Layer):
     def __init__(self, in_features, out_features, rng):
         super().__init__()
-        self.weight = Parameter(_uniform_init(rng, (out_features, in_features), in_features))
+        self.weight = Parameter(_uniform_init(rng, (out_features, in_features)))
         self.bias = Parameter(np.zeros(out_features, dtype=default_dtype()))
 
     def __call__(self, x):

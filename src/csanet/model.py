@@ -23,7 +23,7 @@ from .attention import AttentionParams, msca_forward, residual_fuse
 from .autodiff import Tensor, concat, narrow, no_grad
 from .config import ModelConfig
 from .errors import DataError, DimensionError
-from .layers import BatchNorm, Conv1dDilated, Conv2d, Layer, LayerList, Linear
+from .layers import BatchNorm, Conv, Layer, LayerList, Linear
 
 
 class TcnBlock(Layer):
@@ -35,19 +35,27 @@ class TcnBlock(Layer):
     def __init__(self, channels, kernel, dilation, dropout, rng):
         super().__init__()
         self.dropout = dropout
-        self.conv1 = Conv1dDilated(channels, channels, kernel, dilation, rng)
+        self.dilation = dilation
+        self.conv1 = Conv((channels, channels, kernel), rng)
         self.bn1 = BatchNorm(channels)
-        self.conv2 = Conv1dDilated(channels, channels, kernel, dilation, rng)
+        self.conv2 = Conv((channels, channels, kernel), rng)
         self.bn2 = BatchNorm(channels)
+
+    def causal(self, x, weight):
+        """Length-preserving causal conv (left pad (K-1)*dilation) by a
+        (C, C, K) weight: a conv's own, or eval mode's copy with its batch
+        norm folded in."""
+        pad = (weight.shape[-1] - 1) * self.dilation
+        return ops.conv1d_dilated(x, weight, dilation=self.dilation, left_pad=pad)
 
     def __call__(self, x, training, rng=None):
         h = x
         for conv, bn in ((self.conv1, self.bn1), (self.conv2, self.bn2)):
             if training:
-                h = ops.bn_elu_pool(conv.causal(h, conv.weight), *_batch_norm_args(bn), 1, self.dropout, rng)
+                h = ops.bn_elu_pool(self.causal(h, conv.weight), *_batch_norm_args(bn), 1, self.dropout, rng)
             else:
                 weight, shift = _fold(bn, conv.weight.data, x.dtype)
-                h = Tensor(ops.elu_pool(conv.causal(h, weight).data, shift, 1))
+                h = Tensor(ops.elu_pool(self.causal(h, weight).data, shift, 1))
         return x + h
 
 
@@ -56,10 +64,8 @@ class TcnStack(Layer):
 
     def __init__(self, cfg: ModelConfig, rng):
         super().__init__()
-        blocks = []
-        for d in cfg.tcn.dilations:
-            blocks.append(TcnBlock(cfg.tcn.filters, cfg.tcn.kernel, d, cfg.tcn.dropout, rng))
-        self.blocks = LayerList(blocks)
+        tcn = cfg.tcn
+        self.blocks = LayerList(TcnBlock(tcn.filters, tcn.kernel, d, tcn.dropout, rng) for d in tcn.dilations)
 
     def __call__(self, x, training, rng=None):
         for block in self.blocks:
@@ -79,9 +85,9 @@ class Branch(Layer):
     lag_prefixes table, shared by the four stems). spa_conv is then
     ops.conv1d_dilated after same_pad_time, its (U, width, 1, K) weight
     read as (U, width, K), and its tail (bn_spa -> ELU -> pool p2 ->
-    dropout) is ops.bn_elu_pool. The Conv2d and BatchNorm layers hold the
-    parameters and buffers, so names, checkpoints and the init draw order
-    are unchanged.
+    dropout) is ops.bn_elu_pool. The Conv and BatchNorm layers only hold
+    the parameters and buffers, in the shapes, names and init draw order
+    of the checkpoint format.
 
     bn_temporal.beta is dead in training: bn_depthwise's mean subtraction
     cancels its per-filter shift, so the fused op gives it an exact 0
@@ -109,11 +115,11 @@ class Branch(Layer):
         filters = cfg.temporal_filters[index]
         width = cfg.branch_width(index)
 
-        self.temporal_conv = Conv2d(1, filters, (1, self.temporal_kernel), rng)
+        self.temporal_conv = Conv((filters, 1, 1, self.temporal_kernel), rng)
         self.bn_temporal = BatchNorm(filters)
-        self.depthwise_conv = Conv2d(filters, width, (cfg.channels, 1), rng, groups=filters)
+        self.depthwise_conv = Conv((width, 1, cfg.channels, 1), rng)
         self.bn_depthwise = BatchNorm(width)
-        self.spa_conv = Conv2d(width, cfg.spa_filters, (1, self.spa_kernel), rng)
+        self.spa_conv = Conv((cfg.spa_filters, width, 1, self.spa_kernel), rng)
         self.bn_spa = BatchNorm(cfg.spa_filters)
         self.attention = AttentionParams(cfg.attention.embed_dim, rng)
         if cfg.tcn_enabled:
@@ -268,30 +274,14 @@ class CsanetModel(Layer):
 
 
 def count_parameters(cfg: ModelConfig):
-    """Exact per-group parameter counts implied by a config, plus "total".
+    """Per-group parameter counts of the model cfg builds, plus "total".
 
-    Groups mirror the parameter name prefixes of the built model, so the
-    counts can be checked against Layer.named_parameters().
+    A group is a parameter's layer path cut to two names: each branch
+    child (branch1.spa_conv, branch1.tcn, ...) and the classifier.
     """
-    cfg.validate()
-    groups = {}
-    u = cfg.attention.embed_dim
-    for i in range(4):
-        b = f"branch{i + 1}"
-        f = cfg.temporal_filters[i]
-        width = cfg.branch_width(i)
-        groups[f"{b}.temporal_conv"] = f * cfg.temporal_kernels[i]
-        groups[f"{b}.bn_temporal"] = 2 * f
-        groups[f"{b}.depthwise_conv"] = width * cfg.channels
-        groups[f"{b}.bn_depthwise"] = 2 * width
-        groups[f"{b}.spa_conv"] = cfg.spa_filters * width * cfg.spa_kernel
-        groups[f"{b}.bn_spa"] = 2 * cfg.spa_filters
-        groups[f"{b}.attention"] = 3 * u * u + 2
-        if cfg.tcn_enabled:
-            per_block = 2 * cfg.tcn.filters * cfg.tcn.filters * cfg.tcn.kernel + 2 * 2 * cfg.tcn.filters
-            groups[f"{b}.tcn"] = len(cfg.tcn.dilations) * per_block
-    width = cfg.tcn.filters if cfg.tcn_enabled else cfg.spa_filters
-    per_branch = width if cfg.readout == "last_step" else width * cfg.t0
-    groups["classifier"] = cfg.n_classes * 4 * per_branch + cfg.n_classes
-    groups["total"] = sum(groups.values())
-    return groups
+    counts = {}
+    for name, p in CsanetModel(cfg, np.random.default_rng(0)).named_parameters():
+        group = ".".join(name.split(".")[:-1][:2])
+        counts[group] = counts.get(group, 0) + p.data.size
+    counts["total"] = sum(counts.values())
+    return counts

@@ -362,7 +362,7 @@ def oracle_tcn_block(block, x, training, rng=None):
     plus the residual."""
     h = x
     for conv, bn in ((block.conv1, block.bn1), (block.conv2, block.bn2)):
-        h = oracle_batch_norm(conv.causal(h, conv.weight), bn.gamma, bn.beta, bn.running_mean, bn.running_var, training)
+        h = oracle_batch_norm(block.causal(h, conv.weight), bn.gamma, bn.beta, bn.running_mean, bn.running_var, training)
         h = ops.dropout(ops.elu(h), block.dropout, training, rng)
     return x + h
 

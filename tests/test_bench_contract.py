@@ -61,6 +61,25 @@ def test_step_clock_hooks_are_called_once_per_step(tmp_path, monkeypatch):
     assert calls == ["sr_augment", "adam_step"]
 
 
+def test_topk_mask_hook_is_called_twice_per_auxiliary_branch(monkeypatch):
+    # The gradcheck workload guards its central differences by rebinding
+    # attention.topk_mask to record every top-k selection; the model must
+    # reach the mask through that global, once per sparsity level of each
+    # of branches 2-4's cross-attention.
+    from csanet import attention
+    from csanet.autodiff import Tensor
+    from csanet.model import CsanetModel
+    from csanet.verification import mini_model_config
+
+    cfg = mini_model_config()
+    model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(0)))
+    x = Tensor(np.random.default_rng(1).standard_normal((2, 1, cfg.channels, cfg.time_steps)).astype(np.float32))
+    calls = []
+    monkeypatch.setattr(attention, "topk_mask", counting(attention.topk_mask, calls))
+    model(x, training=True, rng=np.random.Generator(np.random.PCG64(2)))
+    assert calls == ["topk_mask"] * 2 * 3
+
+
 def test_evaluate_accepts_read_eegd_result(tmp_path):
     # PaperEval passes read_eegd's result of a file written by the
     # benchmark's own EEGD writer straight to metrics.evaluate.

@@ -100,6 +100,10 @@ def test_eval_corrupted_checkpoint_exits_2(run_cfg_path, tmp_path, capsys):
         "model.tcn.kernel=0",
         "model.tcn.dilations=0",
         "model.tcn.dilations=",  # with tcn_enabled: would build an identity TCN
+        "train.lr=0",
+        "train.lr=-0.001",  # would run gradient ascent
+        "train.lr=nan",
+        "train.lr=inf",
     ],
 )
 def test_malformed_config_value_exits_2(run_cfg_path, tmp_path, capsys, line):
@@ -107,9 +111,11 @@ def test_malformed_config_value_exits_2(run_cfg_path, tmp_path, capsys, line):
     text = [row for row in open(run_cfg_path).read().splitlines() if not row.startswith(key)]
     path = tmp_path / "bad.cfg"
     path.write_text("\n".join(text + [line]) + "\n")
-    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()  # refused before the log opens
 
 
 def test_config_file_not_utf8_exits_2(tmp_path, capsys):
@@ -191,6 +197,21 @@ def test_bad_number_is_a_usage_error(run_cfg_path, tmp_path, capsys, argv):
     assert len(errors) == 1 and "expected a finite number > 0" in errors[0], captured.err
     assert "Traceback" not in captured.err and captured.out == ""
     assert not (tmp_path / "psd").exists()
+
+
+def test_directory_as_file_and_file_as_directory_exit_2(run_cfg_path, tmp_path, capsys):
+    # An OSError other than a missing file is one error: line too, not a
+    # traceback with the usage code.
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in (
+        ["eval", "--config", run_cfg_path, "--checkpoint", str(tmp_path), "--out", str(tmp_path / "ev")],
+        ["train", "--config", str(tmp_path)],
+        ["synth", "--config", run_cfg_path, "--out", str(taken)],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
 
 
 def test_one_trial_training_batch_exits_2(run_cfg_path, tmp_path, capsys):

@@ -194,23 +194,43 @@ class TestTape:
         assert len(_reverse_topo(loss)) == 291
 
 
-class TestParameterCounting:
-    def groups_from_model(self, model, declared):
-        actual = {k: 0 for k in declared if k != "total"}
-        for name, p in model.named_parameters():
-            matches = [g for g in actual if name.startswith(g + ".")]
-            assert matches, f"parameter {name} belongs to no declared group"
-            actual[max(matches, key=len)] += p.data.size
-        return actual
+# Per-group parameter counts, one row per branch in the order of
+# _COUNT_GROUPS, then the classifier and the total. count_parameters reads
+# the built model, so the check needs numbers fixed apart from it.
+_COUNT_GROUPS = ("temporal_conv", "bn_temporal", "depthwise_conv", "bn_depthwise", "spa_conv", "bn_spa", "attention", "tcn")
+_PINNED_COUNTS = {
+    "bcic": (
+        [
+            (1024, 32, 704, 64, 32768, 64, 3074, 16640),
+            (512, 32, 704, 64, 32768, 64, 3074, 16640),
+            (256, 32, 704, 64, 32768, 64, 3074, 16640),
+            (128, 32, 704, 64, 32768, 64, 3074, 16640),
+        ],
+        516,
+        215820,
+    ),
+    "mini": (
+        [
+            (16, 4, 12, 8, 64, 8, 50, 160),
+            (12, 4, 12, 8, 64, 8, 50, 160),
+            (8, 4, 12, 8, 64, 8, 50, 160),
+            (6, 4, 12, 8, 64, 8, 50, 160),
+        ],
+        34,
+        1300,
+    ),
+}
 
+
+class TestParameterCounting:
     def test_counts_match_built_model(self):
-        for cfg in (bcic_config(), mini_model_config()):
-            declared = count_parameters(cfg)
-            model = make_model(cfg)
-            actual = self.groups_from_model(model, declared)
-            for group, count in actual.items():
-                assert declared[group] == count, group
-            assert declared["total"] == sum(actual.values())
+        for key, cfg in (("bcic", bcic_config()), ("mini", mini_model_config())):
+            rows, classifier, total = _PINNED_COUNTS[key]
+            expected = [
+                (f"branch{i + 1}.{group}", n) for i, row in enumerate(rows) for group, n in zip(_COUNT_GROUPS, row)
+            ]
+            expected += [("classifier", classifier), ("total", total)]
+            assert list(count_parameters(cfg).items()) == expected, key
 
     def test_classifier_count_closed_form(self):
         cfg = bcic_config()
