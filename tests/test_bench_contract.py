@@ -62,10 +62,10 @@ def test_step_clock_hooks_are_called_once_per_step(tmp_path, monkeypatch):
 
 
 def test_topk_mask_hook_is_called_twice_per_auxiliary_branch(monkeypatch):
-    # The gradcheck workload guards its central differences by rebinding
-    # attention.topk_mask to record every top-k selection; the model must
-    # reach the mask through that global, once per sparsity level of each
-    # of branches 2-4's cross-attention.
+    # paper_train's check (directional_gradient_check) guards its central
+    # differences by rebinding attention.topk_mask to record every top-k
+    # selection; the model must reach the mask through that global, once
+    # per sparsity level of each of branches 2-4's cross-attention.
     from csanet import attention
     from csanet.autodiff import Tensor
     from csanet.model import CsanetModel
