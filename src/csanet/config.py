@@ -219,6 +219,8 @@ class RunConfig:
         if self.sr.segments < 1:
             raise ConfigurationError("sr.segments must be positive")
         self.model.validate()
+        if self.sr.enabled and self.model.sr_enabled and self.sr.segments > self.model.time_steps:
+            raise ConfigurationError(f"sr.segments={self.sr.segments} exceeds model.time_steps={self.model.time_steps}")
         self.split.validate()
 
 

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import default_dtype
 from .data import TrialSet, trials_to_arrays
 from .errors import ConfigurationError, DataError, NumericalError
 
@@ -105,9 +104,9 @@ def check_dims(cfg, trial_set: TrialSet):
 
 
 def evaluate(model, test: TrialSet, cfg, batch_size=64) -> EvalReport:
-    """Deterministic eval-mode pass over a set; no dropout, no augmentation."""
+    """Deterministic eval-mode pass over a set in the model's dtype; no dropout, no augmentation."""
     check_dims(cfg, test)
-    x, y = trials_to_arrays(test, dtype=default_dtype())
+    x, y = trials_to_arrays(test, dtype=model.dtype)
     preds = np.empty(len(test), dtype=np.int64)
     for start in range(0, len(test), batch_size):
         preds[start : start + batch_size] = model.predict(x[start : start + batch_size])

@@ -45,8 +45,8 @@ class TcnBlock(Layer):
         """Length-preserving causal conv (left pad (K-1)*dilation) by a
         (C, C, K) weight: a conv's own, or eval mode's copy with its batch
         norm folded in."""
-        pad = (weight.shape[-1] - 1) * self.dilation
-        return ops.conv1d_dilated(x, weight, dilation=self.dilation, left_pad=pad)
+        pad = ((weight.shape[-1] - 1) * self.dilation, 0)
+        return ops.conv1d_dilated(x, weight, dilation=self.dilation, pad=pad)
 
     def __call__(self, x, training, rng=None):
         h = x
@@ -83,11 +83,11 @@ class Branch(Layer):
     per filter on different axes, so they commute, and bn_temporal's
     statistics follow from moments of the raw input (lags, the model's
     lag_prefixes table, shared by the four stems). spa_conv is then
-    ops.conv1d_dilated after same_pad_time, its (U, width, 1, K) weight
-    read as (U, width, K), and its tail (bn_spa -> ELU -> pool p2 ->
-    dropout) is ops.bn_elu_pool. The Conv and BatchNorm layers only hold
-    the parameters and buffers, in the shapes, names and init draw order
-    of the checkpoint format.
+    ops.conv1d_dilated padding its input by ops.same_pad(K), its
+    (U, width, 1, K) weight read as (U, width, K), and its tail (bn_spa ->
+    ELU -> pool p2 -> dropout) is ops.bn_elu_pool. The Conv and BatchNorm
+    layers only hold the parameters and buffers, in the shapes, names and
+    init draw order of the checkpoint format.
 
     bn_temporal.beta is dead in training: bn_depthwise's mean subtraction
     cancels its per-filter shift, so the fused op gives it an exact 0
@@ -127,11 +127,6 @@ class Branch(Layer):
         else:
             self.tcn = None
 
-    def temporal_out(self, x):
-        """Temporal conv output alone (used by the PSD inspection report): a
-        (1, K) kernel over the C rows of each (B, 1, C, T) trial."""
-        return ops.conv2d(ops.same_pad_time(x, self.temporal_kernel), self.temporal_conv.weight)
-
     def __call__(self, x, training, rng=None, lags=None):
         if not training:
             return Tensor(self._infer(x.data))
@@ -141,7 +136,7 @@ class Branch(Layer):
         h = ops.stem_bn_elu_pool(x, *weights, *bns, p1, self.p_drop, rng, lags)  # (B, width, T / p1)
         u, width, _, k = self.spa_conv.weight.shape
         weight = self.spa_conv.weight.reshape((u, width, k))
-        h = ops.conv1d_dilated(ops.same_pad_time(h, k), weight)
+        h = ops.conv1d_dilated(h, weight, pad=ops.same_pad(k))
         return ops.bn_elu_pool(h, *_batch_norm_args(self.bn_spa), p2, self.p_drop, rng)
 
     def _infer(self, x):
@@ -160,7 +155,7 @@ class Branch(Layer):
             p1,
         )  # (B, width, T / p1)
         weight, shift = _fold(self.bn_spa, self.spa_conv.weight.data[:, :, 0], x.dtype)  # (U, width, K)
-        h = ops.conv1d_dilated(ops.same_pad_time(h, self.spa_kernel), weight).data
+        h = ops.conv1d_dilated(h, weight, pad=ops.same_pad(self.spa_kernel)).data
         return ops.elu_pool(h, shift, p2)
 
 
@@ -200,6 +195,11 @@ class CsanetModel(Layer):
     @property
     def branches(self):
         return [self.branch1, self.branch2, self.branch3, self.branch4]
+
+    @property
+    def dtype(self):
+        """The parameters' dtype: the one dtype its inputs must have."""
+        return self.classifier.weight.dtype
 
     def fuse_branches(self, zs, training):
         """Attention fusion of the four branch outputs.
@@ -254,9 +254,8 @@ class CsanetModel(Layer):
             raise DimensionError(
                 f"expected input (B, 1, {cfg.channels}, {cfg.time_steps}), got {x.shape}"
             )
-        dtype = self.classifier.weight.dtype
-        if x.dtype != dtype:
-            raise DataError(f"input dtype {x.dtype} does not match the model's parameter dtype {dtype}")
+        if x.dtype != self.dtype:
+            raise DataError(f"input dtype {x.dtype} does not match the model's parameter dtype {self.dtype}")
         with nullcontext() if training else no_grad():
             # One lag table at the longest kernel serves every branch's statistics.
             lags = ops.lag_prefixes(x.data, max(cfg.temporal_kernels)) if training else None

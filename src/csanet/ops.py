@@ -9,10 +9,10 @@ stride. A training forward meets, per branch:
   op: channels projected first (_stem_projection), time correlated after
   by banded tile matmuls (_tile_correlate), the temporal batch statistics
   read off the forward's one lag_prefixes table;
-- conv1d_dilated: the one time-axis conv (spa_conv and the TCN's causal
-  convs), by FFT correlation for long unpadded kernels over a batch
-  (_conv1d_fft) and by window matmuls otherwise; FFT_MIN_TAPS and
-  FFT_MIN_WORK draw the line;
+- conv1d_dilated: the one time-axis conv (spa_conv, the TCN's causal
+  convs, the PSD report), padding its own input, by FFT correlation for
+  long kernels over a batch (_conv1d_fft) and by window matmuls otherwise;
+  FFT_MIN_TAPS, FFT_MIN_WORK and the padding's side draw the line;
 - bn_elu_pool: the same tail after spa_conv and, at pool 1, after each
   TCN conv.
 Every batch norm of a training forward runs one kernel pair with float64
@@ -30,11 +30,10 @@ TCN conv. These folds and the fused training ops are exact in real
 arithmetic, not in floating point, and held to the numerics contract
 (tests/test_numerics_contract.py).
 
-batch_norm, elu, dropout and avg_pool2d run in no model path, and conv2d
-only in the PSD report's temporal conv over the C rows of a trial. They
-stay as gradient-check scopes and as ops the benchmark names; avg_pool2d
-is also the reference attention.multiscale_pool's band matrix is tested
-against.
+conv2d, batch_norm, elu, dropout and avg_pool2d (and autodiff.pad) run in
+no src path. They stay because perfbench/trace.py binds them by name, and
+tests/test_gradients.py checks their gradients; avg_pool2d is also the
+reference attention.multiscale_pool's band matrix is tested against.
 
 Two raw-array helpers carry all padding and windowing, since at the small
 shapes of a gradient check each op's bookkeeping outweighs its
@@ -46,7 +45,7 @@ window views with one as_strided call.
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .autodiff import Tensor, _accumulate, _make, _wrap, _zero_pad, matmul, transpose, pad
+from .autodiff import Tensor, _accumulate, _make, _wrap, _zero_pad, matmul, transpose
 from .errors import ConfigurationError, DataError, DimensionError
 
 
@@ -211,10 +210,10 @@ def _window_moments(lags, K, left):
 def _stem_projection(x, rows, K):
     """P[f, d, b] = rows[f, d] . x[b] for the raw (B, 1, C, T) array x, as
     (F, D*B, tiles * _TILE + K - 1) rows holding P at [left, left + T) and
-    zeros around it (same_pad_time's left pad, whole tiles on the right)."""
+    zeros around it (same_pad(K)'s left pad, whole tiles on the right)."""
     B, _, C, T = x.shape
     F, D, _ = rows.shape
-    left = (K - 1) // 2
+    left = same_pad(K)[0]
     p = np.empty((F, D * B, -(-T // _TILE) * _TILE + K - 1), dtype=x.dtype)
     p[:, :, :left] = 0.0
     p[:, :, left + T :] = 0.0
@@ -241,7 +240,7 @@ def _tile_correlate(a, w):
 def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, p_drop, rng=None, lags=None):
     """A branch's training-mode stem and first tail as one op, from the raw
     (B, 1, C, T) trial (B >= 2) to the (B, F*D, T // pool) map: temporal
-    conv (weight (F, 1, 1, K), same_pad_time's padding) -> batch norm ->
+    conv (weight (F, 1, 1, K), same_pad(K)'s padding) -> batch norm ->
     depthwise conv ((F*D, 1, C, 1), channel j reading filter j // D) ->
     batch norm -> ELU -> stride-pool mean pool -> dropout(p_drop). The batch
     norms are (gamma, beta, running_mean, running_var); x gets no gradient;
@@ -285,7 +284,7 @@ def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, p_dr
         lags = lag_prefixes(x.data, K)
     elif lags[2].shape[0] < K or lags[1].shape != (T + 1,):
         raise DimensionError(f"lag table of shape {lags[2].shape} does not cover K={K}, T={T}")
-    left = (K - 1) // 2
+    left = same_pad(K)[0]
     w, dw = weight.data.reshape(F, K), depthwise.data.reshape(F, D, C)
 
     m, S = _window_moments(lags, K, left)
@@ -433,10 +432,12 @@ def _tail_forward(y, pool, keep):
 def _tail_backward(gout, keep, slope, pool, gy):
     """_tail_forward's backward from gout (B, C, T // pool): dL/dy into the
     pooled samples gy[..., :(T // pool) * pool] of the (C, B, T) array gy;
-    the caller zeroes the rest."""
-    g = (gout if keep is None else gout * keep).transpose(1, 0, 2)
-    g = np.repeat(g / np.array(pool, dtype=g.dtype), pool, axis=-1)
-    np.multiply(slope[..., : g.shape[-1]], g, out=gy[..., : g.shape[-1]])
+    the caller zeroes the rest. Both are viewed as (C, B, T // pool, pool)
+    by assigning .shape, which raises where a reshape would copy."""
+    g = (gout if keep is None else gout * keep).transpose(1, 0, 2) / np.array(pool, dtype=gout.dtype)
+    s, out = slope[..., : g.shape[-1] * pool], gy[..., : g.shape[-1] * pool]
+    s.shape = out.shape = g.shape + (pool,)
+    np.multiply(s, g[..., None], out=out)
 
 
 def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, p_drop, rng=None):
@@ -620,15 +621,19 @@ def _window_view(a, count, taps, step=1, dilation=1, start=0):
     )
 
 
-def _pad_left(a, left):
-    """Zero-pad the time axis of (B, C, T) on the left; no copy when left is 0."""
-    if left == 0:
-        return a
-    return _zero_pad(a, ((0, 0), (0, 0), (left, 0)))
+def same_pad(kernel):
+    """(left, right) zero padding that keeps a stride-1 K-tap correlation's length."""
+    return (kernel - 1) // 2, kernel // 2
 
 
-# conv1d_dilated's FFT path takes unpadded, undilated calls of at least
-# FFT_MIN_TAPS taps with B * T_out * K >= FFT_MIN_WORK. Below that the
+def _pad_time(a, pad):
+    """The raw (B, C, T) array a zero-padded along time by pad; a at (0, 0)."""
+    return _zero_pad(a, ((0, 0), (0, 0), pad)) if pad[0] or pad[1] else a
+
+
+# conv1d_dilated's FFT path takes undilated calls padded no more on the left
+# than on the right, of at least FFT_MIN_TAPS taps with B * T_out * K >=
+# FFT_MIN_WORK. Below that the
 # transforms' fixed cost outweighs the window matmul. Measured on a 2-core
 # x86 host, one BLAS thread, float32, 32 -> 32 channels, T_out = 125
 # (spa_conv at the paper config is K = 32), direct -> FFT, forward +
@@ -652,25 +657,27 @@ def _smooth_length(n):
         n += 1
 
 
-def _conv1d_fft(x, weight, to):
-    """conv1d_dilated at dilation 1 without padding, by FFT correlation.
+def _conv1d_fft(x, weight, to, pad):
+    """conv1d_dilated at dilation 1 by FFT correlation of x padded by pad.
 
-    At n >= T nothing wraps around: each output, input-gradient and
-    weight-gradient sample is an exact circular correlation or
-    convolution of length n. Every pass is a transform -> one matmul per
-    frequency -> irfft: the forward takes X @ conj(W) over Cin, the weight
-    gradient conj(G) @ X over the batch (taps 0..K-1 of the result) and
-    the input gradient G @ W over Cout. X and G are rffts; W, the spectrum
-    of only K taps, is one matmul of the weight with the DFT's cos/sin
-    table, a quarter of rfft(w, n)'s time in a spa_conv training step. Real
-    inputs of a dtype give that dtype's complex spectra and the same real
-    dtype back. The tape keeps no spectrum: the backward recomputes X and W.
+    At n >= the padded length L nothing wraps around: each output,
+    input-gradient (of the padded x, sliced back onto x) and
+    weight-gradient sample is an exact circular correlation or convolution
+    of length n. Every pass is a transform -> one matmul per frequency ->
+    irfft: the forward takes X @ conj(W) over Cin, the weight gradient
+    conj(G) @ X over the batch (taps 0..K-1 of the result) and the input
+    gradient G @ W over Cout. X and G are rffts; W, the spectrum of only K
+    taps, is one matmul of the weight with the DFT's cos/sin table, a
+    quarter of rfft(w, n)'s time in a spa_conv training step. Real inputs
+    of a dtype give that dtype's complex spectra and the same real dtype
+    back. The tape keeps no spectrum: the backward recomputes X and W.
     """
     B, cin, T = x.shape
     cout, _, K = weight.shape
-    n = _smooth_length(T)
+    left, L = pad[0], pad[0] + T + pad[1]
+    n = _smooth_length(L)
 
-    def spectrum(a):  # (rows, cols, T) -> (F, rows, cols)
+    def spectrum(a):  # (rows, cols, length) -> (F, rows, cols)
         return np.fft.rfft(a, n).transpose(2, 0, 1)
 
     def tap_spectrum(w):  # spectrum(w) for the (Cout, Cin, K) weight
@@ -684,38 +691,39 @@ def _conv1d_fft(x, weight, to):
     def signal(s, length):
         return np.fft.irfft(s, n, axis=0)[:length].transpose(1, 2, 0).copy()
 
-    out = signal(spectrum(x.data) @ tap_spectrum(weight.data).transpose(0, 2, 1).conj(), to)
+    out = signal(spectrum(_pad_time(x.data, pad)) @ tap_spectrum(weight.data).transpose(0, 2, 1).conj(), to)
 
     def backward(gout):
         g = spectrum(gout)  # (F, B, Cout)
         if weight.requires_grad:
-            _accumulate(weight, signal(g.transpose(0, 2, 1).conj() @ spectrum(x.data), K))
+            _accumulate(weight, signal(g.transpose(0, 2, 1).conj() @ spectrum(_pad_time(x.data, pad)), K))
         if x.requires_grad:
-            _accumulate(x, signal(g @ tap_spectrum(weight.data), T))
+            _accumulate(x, signal(g @ tap_spectrum(weight.data), L)[..., left : left + T])
 
     return _make(out, (x, weight), backward)
 
 
-def conv1d_dilated(x, weight, dilation=1, left_pad=0):
-    """Bias-free 1-d dilated cross-correlation over (B, C, T) with left-only padding.
+def conv1d_dilated(x, weight, dilation=1, pad=(0, 0)):
+    """Bias-free 1-d dilated cross-correlation over (B, C, T), x zero-padded
+    by the (left, right) pair pad: the network's one time conv.
 
     x: (B, Cin, T); weight: (Cout, Cin, K). Output t reads input
-    t - left_pad + k * dilation for each tap k; its length is
-    T + left_pad - (K - 1) * dilation. With left_pad = (K-1)*dilation the
-    op is causal and length-preserving: output t sees inputs t, t-d, ...,
-    t-(K-1)*d only.
+    t - left + k * dilation for each tap k; its length is
+    left + T + right - (K - 1) * dilation. spa_conv pads same_pad(K). With
+    pad = ((K-1)*dilation, 0) (the TCN) the op is causal and
+    length-preserving: output t sees inputs t, t-d, ..., t-(K-1)*d only.
 
-    Each shape class has one path. Unpadded, undilated calls with at least
-    FFT_MIN_TAPS taps and B * T_out * K >= FFT_MIN_WORK (spa_conv at
+    Each shape class has one path. Undilated calls with left <= right, at
+    least FFT_MIN_TAPS taps and B * T_out * K >= FFT_MIN_WORK (spa_conv at
     training and eval batch sizes) run by FFT correlation, _conv1d_fft.
     Every other call runs direct: the TCN's causal convs, whose exact
     causality an FFT would blur with rounding noise; the short kernels of
     small configs; and B = 1 decoding, where the transforms' fixed cost is
     three times the window matmul. On the direct path each pass is one
     matmul over a window matrix gathered from a strided view: the forward
-    and the weight gradient over the windows of the padded input (rebuilt
-    in the backward, not kept), the input gradient over the windows of the
-    output gradient, zero-padded by the kernel span less one on both
+    and the weight gradient over the windows of the padded input (padded
+    again in the backward, not kept), the input gradient over the windows
+    of the output gradient, zero-padded by the kernel span less one on both
     sides, with the kernel flipped along its taps (the transposed
     correlation), at the T positions that map back onto x.
     """
@@ -727,13 +735,13 @@ def conv1d_dilated(x, weight, dilation=1, left_pad=0):
     if cinw != cin:
         raise DimensionError(f"weight expects {cinw} input channels, input has {cin}")
     span = (K - 1) * dilation + 1
-    if T + left_pad < span:
+    if T + sum(pad) < span:
         raise DimensionError("dilated kernel span exceeds padded input")
-    to = T + left_pad - span + 1
-    if dilation == 1 and left_pad == 0 and K >= FFT_MIN_TAPS and B * to * K >= FFT_MIN_WORK:
-        return _conv1d_fft(x, weight, to)
+    to = T + sum(pad) - span + 1
+    if dilation == 1 and pad[0] <= pad[1] and K >= FFT_MIN_TAPS and B * to * K >= FFT_MIN_WORK:
+        return _conv1d_fft(x, weight, to, pad)
 
-    cols = _window_view(_pad_left(x.data, left_pad), to, K, dilation=dilation).transpose(0, 2, 1, 3)
+    cols = _window_view(_pad_time(x.data, pad), to, K, dilation=dilation).transpose(0, 2, 1, 3)
     out = cols.reshape(B * to, cin * K) @ weight.data.reshape(cout, cin * K).T
     out = out.reshape(B, to, cout).transpose(0, 2, 1)
 
@@ -741,14 +749,14 @@ def conv1d_dilated(x, weight, dilation=1, left_pad=0):
         if weight.requires_grad:
             # Windows gathered tap-major, (Cin*K, B*To): this matmul ran about
             # twice as fast as against the transpose of the forward's matrix.
-            xwin = _window_view(_pad_left(x.data, left_pad), to, K, dilation=dilation)
+            xwin = _window_view(_pad_time(x.data, pad), to, K, dilation=dilation)
             g2 = gout.transpose(0, 2, 1).reshape(B * to, cout)
             gw = xwin.transpose(1, 3, 0, 2).reshape(cin * K, B * to) @ g2
             _accumulate(weight, gw.T.reshape(cout, cin, K))
         if x.requires_grad:
             gp = _zero_pad(gout, ((0, 0), (0, 0), (span - 1, span - 1)))
             flipped = weight.data[:, :, ::-1].transpose(0, 2, 1).reshape(cout * K, cin)
-            gwin = _window_view(gp, T, K, dilation=dilation, start=left_pad)
+            gwin = _window_view(gp, T, K, dilation=dilation, start=pad[0])
             gx = gwin.transpose(0, 2, 1, 3).reshape(B * T, cout * K) @ flipped
             _accumulate(x, gx.reshape(B, T, cin).transpose(0, 2, 1))
 
@@ -758,7 +766,7 @@ def conv1d_dilated(x, weight, dilation=1, left_pad=0):
 def conv2d(x, weight):
     """Stride-1 (1, K) time conv over (B, Cin, H, T), run by conv1d_dilated.
 
-    weight: (Cout, Cin, 1, K); the caller pads (same_pad_time). Output
+    weight: (Cout, Cin, 1, K); the caller pads. Output
     (B, Cout, H, T - K + 1). Built from autodiff reshapes around
     conv1d_dilated, so it has no backward of its own: each of the H rows
     runs as its own batch entry.
@@ -810,17 +818,3 @@ def avg_pool2d(x, kernel, stride=None, padding=0):
         _accumulate(x, gxp[..., padding : padding + T])
 
     return _make(out, (x,), backward)
-
-
-def same_pad_time(x, kernel_w):
-    """Asymmetric zero-pad along the last axis so stride-1 conv keeps length.
-
-    Pads (k-1)//2 on the left and k//2 on the right; for odd kernels both
-    sides get (k-1)/2.
-    """
-    left = (kernel_w - 1) // 2
-    right = kernel_w // 2
-    if left == 0 and right == 0:
-        return _wrap(x)
-    width = [(0, 0)] * (np.ndim(x.data if isinstance(x, Tensor) else x) - 1) + [(left, right)]
-    return pad(x, width)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as _signal
 
-from .autodiff import Tensor, no_grad
+from . import ops
 from .errors import DataError
 
 
@@ -54,6 +54,15 @@ def welch_psd(samples, fs, segment_len=None, overlap=0.5, window="hann") -> PsdE
     return PsdEstimate(freqs=freqs, power=power)
 
 
+def temporal_maps(branch, samples):
+    """A branch's temporal conv over one trial's (C, T) array as (C, F, T)
+    float64 maps: one conv1d_dilated call, the C rows its batch, the weight
+    cast to float64 whatever the model's dtype."""
+    w = branch.temporal_conv.weight.data[:, 0].astype(np.float64)  # (F, 1, K)
+    x = np.asarray(samples, dtype=np.float64)[:, None]
+    return ops.conv1d_dilated(x, w, pad=ops.same_pad(w.shape[-1])).data
+
+
 def branch_psd_report(model, samples, branch_index, fs=250.0, segment_len=None, overlap=0.5):
     """PSD of the raw channel average and of each temporal-conv feature map.
 
@@ -63,15 +72,11 @@ def branch_psd_report(model, samples, branch_index, fs=250.0, segment_len=None, 
     """
     if not 0 <= branch_index < 4:
         raise DataError(f"branch index {branch_index} out of range [0, 4)")
-    branch = model.branches[branch_index]
-    raw = samples.mean(axis=0)
-    before = welch_psd(raw, fs, segment_len=segment_len, overlap=overlap)
-    x = Tensor(samples[None, None].astype(np.float64))
-    with no_grad():
-        feature_maps = branch.temporal_out(x).data[0]  # (F, C, T)
+    before = welch_psd(samples.mean(axis=0), fs, segment_len=segment_len, overlap=overlap)
+    maps = temporal_maps(model.branches[branch_index], samples)
     afters = [
-        welch_psd(fmap.mean(axis=0), fs, segment_len=segment_len, overlap=overlap)
-        for fmap in feature_maps
+        welch_psd(maps[:, f].mean(axis=0), fs, segment_len=segment_len, overlap=overlap)
+        for f in range(maps.shape[1])
     ]
     return before, afters
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import rng as rngs
 from .augment import sr_augment
-from .autodiff import Tensor, default_dtype
+from .autodiff import Tensor
 from .checkpoint import save_checkpoint
 from .config import RunConfig, SrConfig, write_config
 from .data import read_eegd, split, synth_generate, trials_to_arrays, zscore_apply, zscore_fit
@@ -120,7 +120,7 @@ def train_run(run: RunConfig, stop_at_train_acc=None, on_epoch=None) -> TrainRes
             for start in range(0, n, batch):
                 chunk = train_set.subset(order[start : start + batch])
                 chunk = sr_augment(chunk, sr_effective, augment_rng)
-                x, y = trials_to_arrays(chunk, dtype=default_dtype())
+                x, y = trials_to_arrays(chunk, dtype=model.dtype)
                 logits = model(Tensor(x), training=True, rng=dropout_rng)
                 loss = cross_entropy(logits, y)
                 loss_value = float(loss.data)

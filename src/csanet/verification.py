@@ -2,7 +2,9 @@
 
 Every scope builds small float64 inputs, a deterministic scalar-valued
 closure, and runs the finite-difference comparison. The "model-mini"
-scope checks every parameter group of a miniature end-to-end model.
+scope checks every parameter group of a miniature end-to-end model. The
+scopes cover the ops a model path runs; the retired ops (conv2d,
+batch_norm, elu, avg_pool2d) are checked by tests/test_gradients.py.
 """
 
 import numpy as np
@@ -46,14 +48,6 @@ def _rng(seed=7):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _check_conv2d():
-    """The (1, K) time conv over a map of height 2 and 3 input channels."""
-    rng = _rng(1)
-    x = Tensor(rng.standard_normal((2, 3, 2, 7)))
-    w = Tensor(rng.standard_normal((4, 3, 1, 3)) * 0.5)
-    return grad_check(lambda x_, w_: _proj_loss(ops.conv2d(x_, w_), _rng(100)), [x, w])
-
-
 def _check_linear():
     rng = _rng(3)
     x = Tensor(rng.standard_normal((3, 7)))
@@ -63,25 +57,6 @@ def _check_linear():
         lambda x_, w_, b_: _proj_loss(ops.linear(x_, w_, b_), _rng(102)),
         [x, w, b],
     )
-
-
-def _check_batch_norm():
-    rng = _rng(4)
-    x = Tensor(rng.standard_normal((4, 3, 5)))
-    gamma = Tensor(1.0 + 0.1 * rng.standard_normal(3))
-    beta = Tensor(rng.standard_normal(3))
-    rm = np.zeros(3)
-    rv = np.ones(3)
-    return grad_check(
-        lambda x_, g_, b_: _proj_loss(ops.batch_norm(x_, g_, b_, rm, rv, training=True), _rng(103)),
-        [x, gamma, beta],
-    )
-
-
-def _check_elu():
-    rng = _rng(5)
-    x = Tensor(rng.standard_normal((4, 5)) * 2.0)
-    return grad_check(lambda x_: _proj_loss(ops.elu(x_), _rng(104)), [x])
 
 
 def _check_softmax():
@@ -95,18 +70,6 @@ def _check_cross_entropy():
     logits = Tensor(rng.standard_normal((4, 5)))
     targets = np.array([0, 2, 4, 1])
     return grad_check(lambda l_: ops.cross_entropy(l_, targets), [logits])
-
-
-def _check_avg_pool():
-    """A stride-k time pool with T % k != 0, and a stride-1 padded one."""
-    rng = _rng(8)
-    x = Tensor(rng.standard_normal((2, 3, 1, 8)))
-
-    def closure(x_):
-        strided = _proj_loss(ops.avg_pool2d(x_, 3), _rng(106))
-        return strided + _proj_loss(ops.avg_pool2d(x_, 5, stride=1, padding=2), _rng(114))
-
-    return grad_check(closure, [x])
 
 
 def _check_topk_softmax():
@@ -141,7 +104,7 @@ def _check_tcn():
     x = Tensor(rng.standard_normal((2, 3, 8)))
     w = Tensor(rng.standard_normal((3, 3, 2)) * 0.5)
     return grad_check(
-        lambda x_, w_: _proj_loss(ops.conv1d_dilated(x_, w_, dilation=2, left_pad=2), _rng(110)),
+        lambda x_, w_: _proj_loss(ops.conv1d_dilated(x_, w_, dilation=2, pad=(2, 0)), _rng(110)),
         [x, w],
     )
 
@@ -218,13 +181,9 @@ def _check_model_mini():
 
 
 GRADCHECK_SCOPES = {
-    "conv2d": _check_conv2d,
     "linear": _check_linear,
-    "batch_norm": _check_batch_norm,
-    "elu": _check_elu,
     "softmax": _check_softmax,
     "cross_entropy": _check_cross_entropy,
-    "avg_pool": _check_avg_pool,
     "topk_softmax": _check_topk_softmax,
     "multiscale_pool": _check_multiscale_pool,
     "msca": _check_msca,

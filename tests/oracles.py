@@ -31,9 +31,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from csanet import ops
-from csanet.autodiff import Tensor, _accumulate, _make, _wrap
+from csanet.autodiff import Tensor, _accumulate, _make, _wrap, pad
 from csanet.errors import ConfigurationError, DimensionError, NumericalError
 from csanet.gradcheck import ZERO_ANALYTIC, ZERO_NUMERIC, GradCheckReport
+
+
+def same_pad_time(x, kernel):
+    """x zero-padded along its last axis by ops.same_pad(kernel), as one
+    autodiff.pad tape node: the padding the model ran before
+    ops.conv1d_dilated padded its own input."""
+    x = _wrap(x)
+    return pad(x, [(0, 0)] * (x.ndim - 1) + [ops.same_pad(kernel)])
 
 
 def naive_conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0), groups=1):
@@ -328,7 +336,7 @@ def oracle_branch_stem(x, weight, gamma, beta, running_mean, running_var, depthw
     depthwise conv's (B, F*D, 1, T) output is returned as (B, F*D, T).
     """
     kernel = weight.shape[-1]
-    h = oracle_conv2d(ops.same_pad_time(x, kernel), weight)
+    h = oracle_conv2d(same_pad_time(x, kernel), weight)
     h = oracle_batch_norm(h, gamma, beta, running_mean, running_var, training)
     h = oracle_conv2d(h, depthwise, groups=weight.shape[0])
     b, u, _, t = h.shape
@@ -339,7 +347,7 @@ def oracle_spa_conv(h, weight):
     """The spatial-refinement conv on a (B, U, T) map, through oracle_conv2d
     on its (B, U, 1, T) view."""
     b, u, t = h.shape
-    out = oracle_conv2d(ops.same_pad_time(h.reshape((b, u, 1, t)), weight.shape[-1]), weight)
+    out = oracle_conv2d(same_pad_time(h.reshape((b, u, 1, t)), weight.shape[-1]), weight)
     return out.reshape((b, out.shape[1], t))
 
 

@@ -31,9 +31,10 @@ from csanet.metrics import ConfusionMatrix, accuracy, kappa, std_across
 from csanet.model import CsanetModel, count_parameters
 from csanet.psd import welch_psd
 from csanet.train import train_run
-from csanet.verification import GRADCHECK_SCOPES, mini_model_config, run_scope
+from csanet.verification import GRADCHECK_SCOPES, mini_model_config
 
 from oracles import naive_avg_pool, naive_conv2d, naive_linear, naive_multihead_attention
+from test_gradients import RETIRED_OP_CHECKS, run_check
 
 
 def report_pass(number, text):
@@ -45,8 +46,8 @@ def test_criterion_01_gradient_suite(model_mini_check):
     mini_report, mini_seconds = model_mini_check
     start = time.time()
     worst = {}
-    for scope in GRADCHECK_SCOPES:
-        report = mini_report if scope == "model-mini" else run_scope(scope)
+    for scope in [*GRADCHECK_SCOPES, *RETIRED_OP_CHECKS]:
+        report = mini_report if scope == "model-mini" else run_check(scope)
         worst[scope] = report.max_rel_error
         assert report.passed(1e-3), f"{scope}: {report.max_rel_error:.3e} > 1e-3"
     elapsed = time.time() - start + mini_seconds

@@ -104,6 +104,7 @@ def test_eval_corrupted_checkpoint_exits_2(run_cfg_path, tmp_path, capsys):
         "train.lr=-0.001",  # would run gradient ascent
         "train.lr=nan",
         "train.lr=inf",
+        "sr.segments=65",  # more S&R segments than model.time_steps
     ],
 )
 def test_malformed_config_value_exits_2(run_cfg_path, tmp_path, capsys, line):
@@ -133,9 +134,17 @@ def test_gradcheck_scope_passes(capsys):
     assert re.search(r"  seconds=\d+\.\d\d$", line), line
 
 
-def test_gradcheck_avg_pool_scope_passes(capsys):
-    assert main(["gradcheck", "--scope", "avg_pool"]) == 0
+def test_gradcheck_multiscale_pool_scope_passes(capsys):
+    assert main(["gradcheck", "--scope", "multiscale_pool"]) == 0
     assert "pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scope", ["conv2d", "batch_norm", "elu", "avg_pool"])
+def test_gradcheck_retired_op_scope_exits_1_and_lists_valid(scope, capsys):
+    # No model path runs these ops; tests/test_gradients.py checks them.
+    assert main(["gradcheck", "--scope", scope]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown gradcheck scope {scope!r}" in err and "multiscale_pool" in err
 
 
 def test_gradcheck_prints_structurally_zero_inputs(monkeypatch, capsys):

@@ -275,6 +275,31 @@ def test_sources_call_neither_np_pad_nor_sliding_window_view():
                 assert (node.value.id, node.attr) != ("np", "pad"), f"{name}:{node.lineno}"
 
 
+# ops.conv2d, batch_norm, elu, dropout and avg_pool2d and autodiff.pad run
+# in no model path; they stay for the tests and for perfbench/trace.py, which
+# binds them by name.
+RETIRED_OPS = {"conv2d", "batch_norm", "elu", "dropout", "avg_pool2d", "pad"}
+
+
+def test_sources_call_none_of_the_retired_ops():
+    def calls(node):  # every call under node, outside a retired op's own body
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef) and child.name in RETIRED_OPS:
+                continue
+            if isinstance(child, ast.Call):
+                yield child
+            yield from calls(child)
+
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for call in calls(tree):
+            ident = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            assert ident not in RETIRED_OPS, f"{name}:{call.lineno} calls {ident}"
+
+
 def test_ops_signatures_take_no_batch_norm_policy_and_no_conv_bias():
     # Batch norm's momentum and eps are ops.BN_MOMENTUM and ops.BN_EPS, and
     # no conv in the network carries a bias.

@@ -34,13 +34,14 @@ FFT_SHAPES = [
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Shapes (B, Cin, T, Cout, K) of every call that takes the FFT path."""
+    """Shapes (B, Cin, T, Cout, K) of every call that takes the FFT path,
+    T the padded length the transforms run over."""
     calls = []
     fft = ops._conv1d_fft
 
-    def spy(x, weight, to):
-        calls.append(x.shape + weight.shape[::2])
-        return fft(x, weight, to)
+    def spy(x, weight, to, pad):
+        calls.append(x.shape[:2] + (x.shape[2] + sum(pad),) + weight.shape[::2])
+        return fft(x, weight, to, pad)
 
     monkeypatch.setattr(ops, "_conv1d_fft", spy)
     return calls
@@ -118,18 +119,21 @@ def test_routing_rule(fft_calls):
     to = 32
     B = -(-ops.FFT_MIN_WORK // (to * K))  # the smallest batch that qualifies
 
-    def conv(B, K, dilation=1, left_pad=0):  # T_out = to
-        T = to + (K - 1) * dilation - left_pad
-        out = ops.conv1d_dilated(Tensor(np.zeros((B, 1, T))), Tensor(np.zeros((1, 1, K))), dilation, left_pad)
+    def conv(B, K, dilation=1, pad=(0, 0)):  # T_out = to
+        T = to + (K - 1) * dilation - sum(pad)
+        out = ops.conv1d_dilated(Tensor(np.zeros((B, 1, T))), Tensor(np.zeros((1, 1, K))), dilation, pad)
         assert out.shape == (B, 1, to)
 
     conv(B, K)
     assert len(fft_calls) == 1
     conv(B - 1, K)  # too little work
     conv(B * 2, K - 1)  # too few taps
-    conv(B, K, left_pad=1)
+    conv(B, K, pad=(1, 0))  # left-only padding: the TCN's causal shape
     conv(B, K, dilation=2)
     assert len(fft_calls) == 1
+    conv(B, K, pad=(1, 1))
+    conv(B, K, pad=ops.same_pad(K))
+    assert len(fft_calls) == 3
 
 
 def forward_batch(cfg, B, seed=0):
@@ -144,7 +148,7 @@ def test_paper_spa_conv_takes_the_fft_path_at_bench_batch_sizes(B, fft_calls):
     # paper_train's step and train-set eval, paper_eval's evaluate batch.
     cfg = ModelConfig()
     forward_batch(cfg, B)
-    t1 = cfg.time_steps // cfg.pools[0] + cfg.spa_kernel - 1  # after same_pad_time
+    t1 = cfg.time_steps // cfg.pools[0] + cfg.spa_kernel - 1  # padded by same_pad
     width = cfg.branch_width(0)
     assert fft_calls == [(B, width, t1, cfg.spa_filters, cfg.spa_kernel)] * 4
 
@@ -153,15 +157,15 @@ def test_tcn_and_b1_decoding_stay_direct(fft_calls, monkeypatch):
     direct = []
     conv1d = ops.conv1d_dilated
 
-    def spy(x, weight, dilation=1, left_pad=0):
-        direct.append((x.shape[0], weight.shape[-1], dilation, left_pad))
-        return conv1d(x, weight, dilation=dilation, left_pad=left_pad)
+    def spy(x, weight, dilation=1, pad=(0, 0)):
+        direct.append((x.shape[0], weight.shape[-1], dilation, pad[1] == 0 < pad[0]))
+        return conv1d(x, weight, dilation=dilation, pad=pad)
 
     monkeypatch.setattr(ops, "conv1d_dilated", spy)
     cfg = ModelConfig()
     forward_batch(cfg, 1)  # B = 1 decoding: no call qualifies
     assert fft_calls == []
-    causal = [c for c in direct if c[3] > 0]
+    causal = [c for c in direct if c[3]]  # padded on the left only
     assert causal and all(c[1] == cfg.tcn.kernel for c in causal)
     assert len(direct) - len(causal) == 4  # the four spa_convs, direct
     direct.clear()

@@ -15,6 +15,59 @@ TOL = 1e-3
 
 OP_SCOPES = [name for name in GRADCHECK_SCOPES if name != "model-mini"]
 
+
+# The retired ops' checks: no model path runs conv2d, batch_norm, elu or
+# avg_pool2d, so they are no CLI scope, but their gradients stay checked
+# here, with the inputs and seeds they had as scopes.
+
+
+def _check_conv2d():
+    """The (1, K) time conv over a map of height 2 and 3 input channels."""
+    rng = _rng(1)
+    x = Tensor(rng.standard_normal((2, 3, 2, 7)))
+    w = Tensor(rng.standard_normal((4, 3, 1, 3)) * 0.5)
+    return grad_check(lambda x_, w_: _proj_loss(ops.conv2d(x_, w_), _rng(100)), [x, w])
+
+
+def _check_batch_norm():
+    rng = _rng(4)
+    x = Tensor(rng.standard_normal((4, 3, 5)))
+    gamma = Tensor(1.0 + 0.1 * rng.standard_normal(3))
+    beta = Tensor(rng.standard_normal(3))
+    rm = np.zeros(3)
+    rv = np.ones(3)
+    return grad_check(
+        lambda x_, g_, b_: _proj_loss(ops.batch_norm(x_, g_, b_, rm, rv, training=True), _rng(103)),
+        [x, gamma, beta],
+    )
+
+
+def _check_elu():
+    rng = _rng(5)
+    x = Tensor(rng.standard_normal((4, 5)) * 2.0)
+    return grad_check(lambda x_: _proj_loss(ops.elu(x_), _rng(104)), [x])
+
+
+def _check_avg_pool():
+    """A stride-k time pool with T % k != 0, and a stride-1 padded one."""
+    rng = _rng(8)
+    x = Tensor(rng.standard_normal((2, 3, 1, 8)))
+
+    def closure(x_):
+        strided = _proj_loss(ops.avg_pool2d(x_, 3), _rng(106))
+        return strided + _proj_loss(ops.avg_pool2d(x_, 5, stride=1, padding=2), _rng(114))
+
+    return grad_check(closure, [x])
+
+
+RETIRED_OP_CHECKS = {"conv2d": _check_conv2d, "batch_norm": _check_batch_norm, "elu": _check_elu, "avg_pool": _check_avg_pool}
+
+
+def run_check(name):
+    """The report of a gradcheck scope or of a retired op's check."""
+    return RETIRED_OP_CHECKS[name]() if name in RETIRED_OP_CHECKS else run_scope(name)
+
+
 # Parameters of the mini model whose gradient is exactly zero by
 # construction: a per-filter shift before the depthwise conv is cancelled by
 # bn_depthwise's training-mode mean subtraction, and branch 1's dense
@@ -29,9 +82,9 @@ MODEL_MINI_STRUCTURALLY_ZERO = {
 }
 
 
-@pytest.mark.parametrize("scope", OP_SCOPES)
+@pytest.mark.parametrize("scope", OP_SCOPES + list(RETIRED_OP_CHECKS))
 def test_op_scope_passes(scope):
-    report = run_scope(scope)
+    report = run_check(scope)
     assert report.passed(TOL), f"{scope}: max relative error {report.max_rel_error:.3e}"
 
 

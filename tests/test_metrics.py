@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from csanet.autodiff import precision
+from csanet.data import synth_generate
 from csanet.errors import DataError
 from csanet.metrics import (
     ConfusionMatrix,
     accuracy,
     confusion_from_labels,
+    evaluate,
     kappa,
     per_class_recall,
     report_from_predictions,
@@ -20,6 +23,8 @@ from csanet.metrics import (
     report_to_json,
     std_across,
 )
+from csanet.model import CsanetModel
+from csanet.verification import mini_model_config
 
 cm_strategy = arrays(
     np.int64, st.tuples(st.integers(2, 5).map(lambda n: (n, n))).map(lambda t: t[0]),
@@ -174,3 +179,16 @@ class TestEvaluate:
         wrong = TrialSet(x=np.zeros((1, 5, 64), dtype=np.float32), labels=[0], n_classes=cfg.n_classes)
         with pytest.raises(ConfigurationError):
             evaluate(model, wrong, cfg)
+
+
+@pytest.mark.parametrize("model_dtype, default", [("float32", "float64"), ("float64", "float32")])
+def test_evaluate_casts_trials_to_the_models_dtype_not_the_default(model_dtype, default):
+    cfg = mini_model_config()
+    with precision(model_dtype):
+        model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(3)))
+    assert model.dtype == np.dtype(model_dtype)
+    test = synth_generate(3, cfg.channels, cfg.time_steps, cfg.n_classes, snr=2.0, seed=4)
+    with precision(model_dtype):
+        want = report_to_json(evaluate(model, test, cfg))
+    with precision(default):
+        assert report_to_json(evaluate(model, test, cfg)) == want

@@ -355,17 +355,17 @@ class TestConv1dDilated:
     def test_causality_of_left_padding(self, f64, rng):
         x = rng.standard_normal((1, 2, 10))
         w = rng.standard_normal((2, 2, 3))
-        base = ops.conv1d_dilated(Tensor(x), Tensor(w), dilation=2, left_pad=4).data
+        base = ops.conv1d_dilated(Tensor(x), Tensor(w), dilation=2, pad=(4, 0)).data
         bumped = x.copy()
         bumped[:, :, 6] += 10.0
-        out = ops.conv1d_dilated(Tensor(bumped), Tensor(w), dilation=2, left_pad=4).data
+        out = ops.conv1d_dilated(Tensor(bumped), Tensor(w), dilation=2, pad=(4, 0)).data
         np.testing.assert_allclose(out[:, :, :6], base[:, :, :6], atol=1e-12)
         assert not np.allclose(out[:, :, 6:], base[:, :, 6:])
 
     def test_matches_explicit_sum(self, f64, rng):
         x = rng.standard_normal((2, 3, 8))
         w = rng.standard_normal((4, 3, 2))
-        out = ops.conv1d_dilated(Tensor(x), Tensor(w), dilation=3, left_pad=3).data
+        out = ops.conv1d_dilated(Tensor(x), Tensor(w), dilation=3, pad=(3, 0)).data
         xp = np.pad(x, ((0, 0), (0, 0), (3, 0)))
         expected = np.einsum("oi,bit->bot", w[:, :, 0], xp[:, :, :8]) + np.einsum(
             "oi,bit->bot", w[:, :, 1], xp[:, :, 3:11]
@@ -383,7 +383,7 @@ class TestConv1dDilated:
         T = int(rng.integers(max(1, span - left_pad), span - left_pad + 11))
         x = Tensor(rng.standard_normal((B, cin, T)), requires_grad=True)
         w = Tensor(rng.standard_normal((cout, cin, K)), requires_grad=True)
-        out = ops.conv1d_dilated(x, w, dilation=dilation, left_pad=left_pad)
+        out = ops.conv1d_dilated(x, w, dilation=dilation, pad=(left_pad, 0))
         gout = rng.standard_normal(out.shape)
         (out * Tensor(gout)).sum().backward()
         want = naive_conv1d(x.data, w.data, dilation, left_pad, gout)
@@ -395,7 +395,7 @@ class TestConv1dDilated:
         x = Tensor(rng.standard_normal((2, 3, 9)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 3, 3)), requires_grad=True)
         out = ops.conv1d_dilated(x, w, dilation=2)
-        assert ops._pad_left(x.data, 0) is x.data
+        assert ops._pad_time(x.data, (0, 0)) is x.data
         # The tape keeps the parents, not a padded copy or a window matrix.
         kept = [cell.cell_contents for cell in out._backward.__closure__]
         assert not any(isinstance(v, np.ndarray) for v in kept)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from csanet.autodiff import precision
+from csanet.config import ModelConfig
 from csanet.data import synth_generate
 from csanet.errors import DataError
 from csanet.model import CsanetModel
-from csanet.psd import branch_psd_report, psd_series_to_csv, welch_psd
+from csanet.psd import branch_psd_report, psd_series_to_csv, temporal_maps, welch_psd
 from csanet.verification import mini_model_config
 
 
@@ -55,6 +57,22 @@ class TestWelch:
 
 
 class TestBranchReport:
+    def test_float32_model_convolves_in_float64(self):
+        # The default config's branch 1 (K = 64 over 22 rows of 1,000
+        # samples) takes conv1d_dilated's FFT path, whose weight spectrum
+        # is computed in the weight's dtype: the report casts it first.
+        cfg = ModelConfig()
+        model32 = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(5)))
+        with precision("float64"):
+            model64 = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(5)))
+        weight = model32.branch1.temporal_conv.weight.data
+        assert weight.dtype == np.float32
+        model64.branch1.temporal_conv.weight.data = weight.astype(np.float64)
+        trial = np.random.Generator(np.random.PCG64(6)).standard_normal((cfg.channels, cfg.time_steps))
+        got = temporal_maps(model32.branch1, trial.astype(np.float32))
+        assert got.dtype == np.float64 and got.shape == (cfg.channels, weight.shape[0], cfg.time_steps)
+        assert np.array_equal(got, temporal_maps(model64.branch1, trial.astype(np.float32)))
+
     def test_identity_kernel_matches_raw(self):
         model = make_model()
         branch = model.branch1
