@@ -66,20 +66,16 @@ def multiscale_pool(y: Tensor, cfg: AttentionConfig) -> Tensor:
     """Sum of stride-1 average poolings at each configured kernel size, as
     one matmul of y (B, U, T0) with a fixed (T0, T0) band matrix.
 
-    Pad = (kernel-1)/2 keeps every pooled variant at the input length, so
-    the output shape equals the input shape. Padding zeros count toward
-    the divisor, which attenuates boundary positions. Output t of the pool
-    at kernel k is the sum of inputs s with |s - t| <= p over k, so the
-    sum of the pools is y @ M with M[s, t] = sum_i [|s - t| <= p_i] / k_i.
+    Pad p = (k-1)/2 at each odd kernel k (cfg.pool_pads) keeps every pooled
+    variant at the input length. Padding zeros count toward the divisor,
+    which attenuates boundary positions. Output t of the pool at kernel k
+    is the sum of inputs s with |s - t| <= p over k, so the sum of the
+    pools is y @ M with M[s, t] = sum_i [|s - t| <= p_i] / k_i.
     """
-    if len(cfg.pool_kernels) != len(cfg.pool_pads):
-        raise ConfigurationError("pool_kernels and pool_pads must have equal length")
     t0 = y.shape[-1]
     lag = np.abs(np.subtract.outer(np.arange(t0), np.arange(t0)))
     band = np.zeros((t0, t0))
     for k, p in zip(cfg.pool_kernels, cfg.pool_pads):
-        if 2 * p != k - 1:
-            raise ConfigurationError(f"pool kernel {k} with pad {p} changes the pooled length")
         band += (lag <= p) / k
     return y @ band.astype(y.dtype)
 
@@ -87,11 +83,11 @@ def multiscale_pool(y: Tensor, cfg: AttentionConfig) -> Tensor:
 class AttentionParams(Layer):
     """Projections plus the two sparsity-mixing scalars for one branch."""
 
-    def __init__(self, embed_dim, rng):
+    def __init__(self, width, rng):
         super().__init__()
-        self.w_q = Parameter(_uniform_init(rng, (embed_dim, embed_dim)))
-        self.w_k = Parameter(_uniform_init(rng, (embed_dim, embed_dim)))
-        self.w_v = Parameter(_uniform_init(rng, (embed_dim, embed_dim)))
+        self.w_q = Parameter(_uniform_init(rng, (width, width)))
+        self.w_k = Parameter(_uniform_init(rng, (width, width)))
+        self.w_v = Parameter(_uniform_init(rng, (width, width)))
         self.alpha = Parameter(np.ones((), dtype=default_dtype()))
         self.beta = Parameter(np.ones((), dtype=default_dtype()))
 
@@ -99,7 +95,7 @@ class AttentionParams(Layer):
 def msca_forward(x: Tensor, y: Tensor, params: AttentionParams, cfg: AttentionConfig) -> Tensor:
     """Multi-head attention of x's queries over (pooled) y's keys/values.
 
-    x, y: (B, U, T0) with U = cfg.embed_dim. Steps: optionally pool y at
+    x, y: (B, U, T0), U divisible by cfg.heads. Steps: optionally pool y at
     multiple scales; project to Q/K/V (bias-free); split into heads of
     width U/heads; scale scores by 1/sqrt(head width); either mix two
     top-k-sparsified softmax paths by the learnable scalars, or use the
@@ -108,10 +104,8 @@ def msca_forward(x: Tensor, y: Tensor, params: AttentionParams, cfg: AttentionCo
     if x.shape != y.shape:
         raise DimensionError(f"query source {x.shape} and key/value source {y.shape} differ")
     b, u, t0 = x.shape
-    if u != cfg.embed_dim:
-        raise DimensionError(f"feature width {u} != attention.embed_dim {cfg.embed_dim}")
     if u % cfg.heads:
-        raise ConfigurationError(f"embed_dim {u} not divisible by heads {cfg.heads}")
+        raise ConfigurationError(f"feature width {u} not divisible by heads {cfg.heads}")
     dk = u // cfg.heads
 
     if cfg.multiscale_pool_enabled:

@@ -63,8 +63,8 @@ class Tensor:
     data is stored row-major; grad, when present, always matches data's
     shape. Floating arrays and numpy floating scalars (such as the result
     of a full reduction) keep their dtype; bare Python scalars and integer
-    inputs are cast to the global default so that op constants (scales,
-    reciprocals) never upcast a float32 graph. np.float64 subclasses
+    inputs are cast to the global default, but arithmetic gives a bare
+    operand the dtype of the Tensor it meets (_wrap). np.float64 subclasses
     Python float and is excluded explicitly, or every full reduction of a
     float64 graph would come back as float32.
     """
@@ -131,19 +131,19 @@ class Tensor:
         return add(self, other)
 
     def __radd__(self, other):
-        return add(_wrap(other), self)
+        return add(other, self)
 
     def __sub__(self, other):
         return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_wrap(other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
-        return mul(_wrap(other), self)
+        return mul(other, self)
 
     def __truediv__(self, other):
         return div(self, other)
@@ -166,8 +166,12 @@ class Tensor:
         return transpose(self, axes)
 
 
-def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _wrap(x, like=None):
+    """x as a Tensor. A bare x (a scalar, an array) met by a Tensor `like` in
+    arithmetic takes like's dtype, as NumPy 2 keeps a 0-d array's dtype."""
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(np.asarray(x, dtype=like.dtype) if isinstance(like, Tensor) else x)
 
 
 def _accumulate(t, g):
@@ -226,7 +230,7 @@ def unbroadcast(grad, shape):
 
 
 def add(a, b):
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     out_data = a.data + b.data
 
     def backward(g):
@@ -239,7 +243,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     out_data = a.data - b.data
 
     def backward(g):
@@ -252,7 +256,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     out_data = a.data * b.data
 
     def backward(g):
@@ -265,7 +269,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     out_data = a.data / b.data
 
     def backward(g):

@@ -6,17 +6,20 @@ Layout (all integers little-endian u32, floats little-endian f32):
     UTF-8, ModelConfig fields only) | n_blobs | per blob:
     name_len | name UTF-8 | ndim | dims... | values f32
 
+The config text holds no derived value; files whose text carries retired
+keys load when those agree with the derived values (config.RETIRED_KEYS).
+
 Blobs cover every named parameter followed by every named buffer
 (batch-norm running statistics), in model iteration order. Reload is
 bit-exact at the stored 32-bit precision.
 """
 
 import math
-import os
 import struct
 
 import numpy as np
 
+from .atomic import write_atomic
 from .config import ModelConfig, config_from_text, config_to_text
 from .errors import FormatError
 from .model import CsanetModel
@@ -49,11 +52,7 @@ def checkpoint_bytes(model) -> bytes:
 
 def save_checkpoint(model, path):
     """Write atomically: a failed save never leaves a partial file."""
-    blob = checkpoint_bytes(model)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    write_atomic(path, checkpoint_bytes(model))
 
 
 def _text(blob, offset, length, what):

@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from . import rng as rngs
+from .atomic import write_atomic
 from .augment import sr_augment
 from .autodiff import set_default_dtype
 from .checkpoint import load_checkpoint
@@ -128,10 +129,8 @@ def _cmd_eval(args):
     os.makedirs(run.out_dir, exist_ok=True)
     csv_path = os.path.join(run.out_dir, "report.csv")
     json_path = os.path.join(run.out_dir, "report.json")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report_to_csv(report))
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report_to_json(report))
+    write_atomic(csv_path, report_to_csv(report))
+    write_atomic(json_path, report_to_json(report))
     print(f"acc={report.acc:.4f} kappa={report.kappa:.4f}")
     print(f"report: {csv_path}")
     return EXIT_OK
@@ -186,8 +185,7 @@ def _cmd_psd(args):
     series += [(f"branch{args.branch + 1}.filter{i}", est) for i, est in enumerate(afters)]
     os.makedirs(run.out_dir, exist_ok=True)
     path = os.path.join(run.out_dir, "psd.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(psd_series_to_csv(series))
+    write_atomic(path, psd_series_to_csv(series))
     print(f"wrote {len(series)} PSD series: {path}")
     return EXIT_OK
 

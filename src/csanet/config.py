@@ -3,7 +3,8 @@
 The on-disk format is UTF-8 text, one `dotted.key=value` per line, `#`
 comment lines allowed. Writing is canonical (declaration order, repr
 floats), so write -> read -> write is byte-identical. Tuples serialize as
-comma-separated entries.
+comma-separated entries. The retired keys of derived values (RETIRED_KEYS)
+are read only to check them.
 """
 
 import dataclasses
@@ -11,6 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
+from .atomic import write_atomic
 from .errors import ConfigurationError
 
 
@@ -24,32 +26,25 @@ def _check_ints(name, values, least=1, count=None):
 
 @dataclass
 class AttentionConfig:
-    embed_dim: int = 32
     heads: int = 8
     pool_kernels: tuple = (3, 5, 7)
-    pool_pads: tuple = (1, 2, 3)
     topk_enabled: bool = True
     topk_mode: str = "ratio"  # "ratio": keep ceil(T0/k); "count": keep k entries
     keep_denominators: tuple = (2, 3)
     multiscale_pool_enabled: bool = True
 
+    @property
+    def pool_pads(self):
+        """Each pool's pad, (k - 1) / 2 for an odd kernel k: it keeps the token count."""
+        return tuple((k - 1) // 2 for k in self.pool_kernels)
+
     def validate(self):
-        if self.embed_dim < 1 or self.heads < 1:
-            raise ConfigurationError("attention embed_dim and heads must be positive")
-        if self.embed_dim % self.heads:
-            raise ConfigurationError(
-                f"attention.embed_dim={self.embed_dim} not divisible by heads={self.heads}"
-            )
+        if self.heads < 1:
+            raise ConfigurationError(f"attention.heads must be positive, got {self.heads}")
         _check_ints("attention.pool_kernels", self.pool_kernels)
-        _check_ints("attention.pool_pads", self.pool_pads, least=0)
+        if any(k % 2 == 0 for k in self.pool_kernels):
+            raise ConfigurationError(f"attention.pool_kernels must be odd, got {self.pool_kernels!r}")
         _check_ints("attention.keep_denominators", self.keep_denominators, count=2)
-        if len(self.pool_kernels) != len(self.pool_pads):
-            raise ConfigurationError("attention.pool_kernels and pool_pads must align")
-        for k, p in zip(self.pool_kernels, self.pool_pads):
-            if 2 * p != k - 1:
-                raise ConfigurationError(
-                    f"attention pool kernel {k} with pad {p} would change the token count"
-                )
         if self.topk_mode not in ("ratio", "count"):
             raise ConfigurationError(f"attention.topk_mode must be ratio|count, got {self.topk_mode!r}")
 
@@ -58,7 +53,6 @@ class AttentionConfig:
 class TcnConfig:
     dilations: tuple = (1, 2)
     kernel: int = 4
-    filters: int = 32
     dropout: float = 0.3
 
 
@@ -72,11 +66,13 @@ class SrConfig:
 
 @dataclass
 class ModelConfig:
+    """spa_filters is the feature width: spa_conv's filters, fusion, the TCNs
+    and each readout. A branch has spa_filters / depth_multiplier temporal filters."""
+
     channels: int = 22
     time_steps: int = 1000
     n_classes: int = 4
     temporal_kernels: tuple = (64, 32, 16, 8)
-    temporal_filters: tuple = (16, 16, 16, 16)
     depth_multiplier: int = 2
     pools: tuple = (8, 7)
     spa_filters: int = 32
@@ -90,10 +86,6 @@ class ModelConfig:
     attention: AttentionConfig = field(default_factory=AttentionConfig)
     tcn: TcnConfig = field(default_factory=TcnConfig)
 
-    def branch_width(self, i):
-        """Feature width of branch i: filters x depth multiplier."""
-        return self.temporal_filters[i] * self.depth_multiplier
-
     @property
     def t0(self):
         """Token count after both poolings (integer floor at each stage)."""
@@ -103,36 +95,25 @@ class ModelConfig:
     def validate(self):
         if self.channels < 1 or self.time_steps < 1 or self.n_classes < 2:
             raise ConfigurationError("model dims must be positive (and n_classes >= 2)")
-        if len(self.temporal_kernels) != 4 or len(self.temporal_filters) != 4:
+        if len(self.temporal_kernels) != 4:
             raise ConfigurationError("the architecture uses exactly four branches")
         _check_ints("temporal_kernels", self.temporal_kernels)
-        _check_ints("temporal_filters", self.temporal_filters)
         _check_ints("pools", self.pools, count=2)
         p1, p2 = self.pools
         if self.time_steps < p1 * p2:
             raise ConfigurationError(f"time_steps={self.time_steps} too short for pools {self.pools}")
         if self.depth_multiplier < 1 or self.spa_filters < 1 or self.spa_kernel < 1:
             raise ConfigurationError("filter/kernel counts must be positive")
-        for f in self.temporal_filters:
-            if f * self.depth_multiplier != self.spa_filters:
-                raise ConfigurationError(
-                    "temporal_filters x depth_multiplier must equal spa_filters "
-                    f"({f}x{self.depth_multiplier} != {self.spa_filters}) for the fusion residual"
-                )
+        self.attention.validate()
+        for name, divisor in (("depth_multiplier", self.depth_multiplier), ("attention.heads", self.attention.heads)):
+            if self.spa_filters % divisor:
+                raise ConfigurationError(f"spa_filters={self.spa_filters} must be divisible by {name}={divisor}")
         if not 0.0 <= self.conv_dropout < 1.0:
             raise ConfigurationError("conv_dropout must lie in [0, 1)")
         if self.fusion_mode not in ("main_auxiliary", "hierarchical"):
             raise ConfigurationError(f"unknown fusion_mode {self.fusion_mode!r}")
         if self.readout not in ("last_step", "flatten"):
             raise ConfigurationError(f"unknown readout {self.readout!r}")
-        if self.attention.embed_dim != self.spa_filters:
-            raise ConfigurationError(
-                f"attention.embed_dim={self.attention.embed_dim} must equal spa_filters={self.spa_filters}"
-            )
-        if self.tcn_enabled and self.tcn.filters != self.spa_filters:
-            raise ConfigurationError(
-                "tcn.filters must equal spa_filters (identity skip connections)"
-            )
         _check_ints("tcn.dilations", self.tcn.dilations)
         if self.tcn_enabled and not self.tcn.dilations:
             raise ConfigurationError("tcn.dilations must hold at least one dilation when tcn_enabled is true")
@@ -140,7 +121,6 @@ class ModelConfig:
             raise ConfigurationError(f"tcn.kernel must be >= 1, got {self.tcn.kernel}")
         if not 0.0 <= self.tcn.dropout < 1.0:
             raise ConfigurationError("tcn.dropout must lie in [0, 1)")
-        self.attention.validate()
 
 
 @dataclass
@@ -214,6 +194,8 @@ class RunConfig:
             )
         if self.train.epochs < 0 or self.train.batch_size < 1:
             raise ConfigurationError("train.epochs must be >= 0 and train.batch_size >= 1")
+        if self.train.eval_every < 0:
+            raise ConfigurationError(f"train.eval_every must be >= 0, got {self.train.eval_every}")
         if not (math.isfinite(self.train.lr) and self.train.lr > 0):
             raise ConfigurationError(f"train.lr must be a finite number > 0, got {self.train.lr!r}")
         if self.sr.segments < 1:
@@ -230,35 +212,22 @@ class RunConfig:
 def _format_value(value):
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return value
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
+    if isinstance(value, (float, int, str)):
+        return repr(value) if isinstance(value, float) else str(value)
     raise ConfigurationError(f"unsupported config value type {type(value).__name__}")
 
 
 def _parse_value(text, ftype):
     if ftype is bool:
-        if text == "true":
-            return True
-        if text == "false":
-            return False
-        raise ConfigurationError(f"expected true/false, got {text!r}")
-    if ftype is int:
-        return int(text)
-    if ftype is float:
-        return float(text)
-    if ftype is str:
-        return text
-    if ftype is tuple:
-        if text == "":
-            return ()
-        # Tuples hold ints throughout the config schema.
-        return tuple(int(p) for p in text.split(","))
+        if text not in ("true", "false"):
+            raise ConfigurationError(f"expected true/false, got {text!r}")
+        return text == "true"
+    if ftype is tuple:  # tuples hold ints throughout the config schema
+        return tuple(int(p) for p in text.split(",")) if text else ()
+    if ftype in (int, float, str):
+        return ftype(text)
     raise ConfigurationError(f"unsupported config field type {ftype!r}")
 
 
@@ -279,50 +248,67 @@ def apply_flat(cfg, key, text, full_key=None):
     """Set the field at a dotted key (e.g. attention.topk_enabled) from its text."""
     full_key = full_key or key
     head, _, rest = key.partition(".")
-    matched = None
-    for f in dataclasses.fields(cfg):
-        if f.name == head:
-            matched = f
-            break
-    if matched is None:
+    if head not in {f.name for f in dataclasses.fields(cfg)}:
         raise ConfigurationError(f"unknown config key {full_key!r}")
     current = getattr(cfg, head)
     if dataclasses.is_dataclass(current):
         if not rest:
             raise ConfigurationError(f"config key {full_key!r} names a section, not a value")
         apply_flat(current, rest, text, full_key=full_key)
+    elif rest:
+        raise ConfigurationError(f"unknown config key {full_key!r}")
     else:
-        if rest:
-            raise ConfigurationError(f"unknown config key {full_key!r}")
         setattr(cfg, head, _parse_value(text, type(current) if current is not None else str))
 
 
 def config_to_text(cfg):
-    lines = [f"{k}={v}" for k, v in flatten_config(cfg).items()]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{k}={v}\n" for k, v in flatten_config(cfg).items())
+
+
+# Keys that files written before the feature width was derived still carry:
+# ModelConfig key -> (type, its value derived from the rest of the config).
+# One is accepted only at that value; None (tcn.filters with the TCN off, or
+# a depth_multiplier of 0, which validate refuses) accepts any.
+RETIRED_KEYS = {
+    "temporal_filters": (
+        tuple,
+        lambda m: (m.spa_filters // m.depth_multiplier,) * 4 if m.depth_multiplier else None,
+    ),
+    "attention.embed_dim": (int, lambda m: m.spa_filters),
+    "attention.pool_pads": (tuple, lambda m: m.attention.pool_pads),
+    "tcn.filters": (int, lambda m: m.spa_filters if m.tcn_enabled else None),
+}
 
 
 def config_from_text(text, cls=RunConfig):
     cfg = cls()
+    model, prefix = (cfg, "") if cls is ModelConfig else (cfg.model, "model.")
+    retired = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
+        key, _, value = (part.strip() for part in line.partition("="))
+        old = key.startswith(prefix) and RETIRED_KEYS.get(key[len(prefix) :])
         try:
-            apply_flat(cfg, key.strip(), value.strip())
+            if old:
+                retired[key] = (value, _parse_value(value, old[0]), old[1])
+            else:
+                apply_flat(cfg, key, value)
         except ConfigurationError:
             raise
         except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"config key {key.strip()!r}: {exc}") from exc
+            raise ConfigurationError(f"config key {key!r}: {exc}") from exc
+    for key, (value, parsed, derive) in retired.items():
+        if (derived := derive(model)) not in (None, parsed):
+            raise ConfigurationError(f"retired config key {key!r}={value} disagrees with its derived value {derived}")
     return cfg
 
 
 def write_config(cfg, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(config_to_text(cfg))
+    write_atomic(path, config_to_text(cfg))
 
 
 def read_config(path, cls=RunConfig):

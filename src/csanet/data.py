@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import ConfigurationError, DataError, FormatError
 
 EEGD_MAGIC = b"EEGD"
@@ -103,10 +104,8 @@ def write_eegd(trial_set: TrialSet, path):
     records = np.empty(n, dtype=_record_dtype(c, t))
     for name in records.dtype.names:
         records[name] = getattr(trial_set, name)
-    with open(path, "wb") as fh:
-        fh.write(EEGD_MAGIC)
-        fh.write(struct.pack("<IIIII", EEGD_VERSION, n, c, t, trial_set.n_classes))
-        fh.write(records.tobytes())
+    header = struct.pack("<IIIII", EEGD_VERSION, n, c, t, trial_set.n_classes)
+    write_atomic(path, EEGD_MAGIC, header, records)  # records: C-contiguous, written without a copy
 
 
 def read_eegd(path) -> TrialSet:

@@ -92,9 +92,9 @@ class LayerList(Layer):
 
 class Conv(Layer):
     """A conv's weight, (out, in, *kernel). The layer has no call: the ops
-    that run the convs (ops.stem_bn_elu_pool, ops.stem_elu_pool,
-    ops.conv1d_dilated, ops.conv2d for the PSD report) read the weight
-    directly."""
+    that run the convs (ops.stem_bn_elu_pool, ops.stem_elu_pool and
+    ops.conv1d_dilated, which also runs the PSD report's temporal conv)
+    read the weight directly."""
 
     def __init__(self, shape, rng):
         super().__init__()

@@ -65,7 +65,7 @@ class TcnStack(Layer):
     def __init__(self, cfg: ModelConfig, rng):
         super().__init__()
         tcn = cfg.tcn
-        self.blocks = LayerList(TcnBlock(tcn.filters, tcn.kernel, d, tcn.dropout, rng) for d in tcn.dilations)
+        self.blocks = LayerList(TcnBlock(cfg.spa_filters, tcn.kernel, d, tcn.dropout, rng) for d in tcn.dilations)
 
     def __call__(self, x, training, rng=None):
         for block in self.blocks:
@@ -84,10 +84,11 @@ class Branch(Layer):
     statistics follow from moments of the raw input (lags, the model's
     lag_prefixes table, shared by the four stems). spa_conv is then
     ops.conv1d_dilated padding its input by ops.same_pad(K), its
-    (U, width, 1, K) weight read as (U, width, K), and its tail (bn_spa ->
-    ELU -> pool p2 -> dropout) is ops.bn_elu_pool. The Conv and BatchNorm
-    layers only hold the parameters and buffers, in the shapes, names and
-    init draw order of the checkpoint format.
+    (U, U, 1, K) weight (U = spa_filters, the feature width) read as
+    (U, U, K), and its tail (bn_spa -> ELU -> pool p2 -> dropout) is
+    ops.bn_elu_pool. The Conv and BatchNorm layers only hold the
+    parameters and buffers, in the shapes, names and init draw order of
+    the checkpoint format.
 
     bn_temporal.beta is dead in training: bn_depthwise's mean subtraction
     cancels its per-filter shift, so the fused op gives it an exact 0
@@ -112,16 +113,16 @@ class Branch(Layer):
         self.spa_kernel = cfg.spa_kernel
         self.pools = cfg.pools
         self.p_drop = cfg.conv_dropout
-        filters = cfg.temporal_filters[index]
-        width = cfg.branch_width(index)
+        width = cfg.spa_filters
+        filters = width // cfg.depth_multiplier
 
         self.temporal_conv = Conv((filters, 1, 1, self.temporal_kernel), rng)
         self.bn_temporal = BatchNorm(filters)
         self.depthwise_conv = Conv((width, 1, cfg.channels, 1), rng)
         self.bn_depthwise = BatchNorm(width)
-        self.spa_conv = Conv((cfg.spa_filters, width, 1, self.spa_kernel), rng)
-        self.bn_spa = BatchNorm(cfg.spa_filters)
-        self.attention = AttentionParams(cfg.attention.embed_dim, rng)
+        self.spa_conv = Conv((width, width, 1, self.spa_kernel), rng)
+        self.bn_spa = BatchNorm(width)
+        self.attention = AttentionParams(width, rng)
         if cfg.tcn_enabled:
             self.tcn = TcnStack(cfg, rng)
         else:
@@ -187,8 +188,7 @@ class CsanetModel(Layer):
         self.branch2 = Branch(cfg, 1, rng)
         self.branch3 = Branch(cfg, 2, rng)
         self.branch4 = Branch(cfg, 3, rng)
-        width = cfg.tcn.filters if cfg.tcn_enabled else cfg.spa_filters
-        per_branch = width if cfg.readout == "last_step" else width * cfg.t0
+        per_branch = cfg.spa_filters if cfg.readout == "last_step" else cfg.spa_filters * cfg.t0
         self.classifier = Linear(4 * per_branch, cfg.n_classes, rng)
         self.assign_parameter_names()
 

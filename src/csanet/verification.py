@@ -27,14 +27,13 @@ def mini_model_config() -> ModelConfig:
         time_steps=64,
         n_classes=2,
         temporal_kernels=(8, 6, 4, 3),
-        temporal_filters=(2, 2, 2, 2),
         depth_multiplier=2,
         pools=(4, 4),
         spa_filters=4,
         spa_kernel=4,
         conv_dropout=0.0,
-        attention=AttentionConfig(embed_dim=4, heads=2),
-        tcn=TcnConfig(dilations=(1, 2), kernel=2, filters=4, dropout=0.0),
+        attention=AttentionConfig(heads=2),
+        tcn=TcnConfig(dilations=(1, 2), kernel=2, dropout=0.0),
     )
 
 
@@ -81,13 +80,13 @@ def _check_topk_softmax():
 def _check_multiscale_pool():
     rng = _rng(10)
     y = Tensor(rng.standard_normal((2, 4, 9)))
-    cfg = AttentionConfig(embed_dim=4, heads=2)
+    cfg = AttentionConfig(heads=2)
     return grad_check(lambda y_: _proj_loss(multiscale_pool(y_, cfg), _rng(108)), [y])
 
 
 def _check_msca():
     rng = _rng(11)
-    cfg = AttentionConfig(embed_dim=4, heads=2)
+    cfg = AttentionConfig(heads=2)
     with precision("float64"):
         params = AttentionParams(4, _rng(12))
     x = Tensor(rng.standard_normal((2, 4, 6)))

@@ -98,9 +98,7 @@ def test_criterion_02_oracle_equivalence():
             dk = int(rng.integers(1, 4))
             u = heads * dk
             b, t = int(rng.integers(1, 3)), int(rng.integers(1, 6))
-            cfg = AttentionConfig(
-                embed_dim=u, heads=heads, topk_enabled=False, multiscale_pool_enabled=False
-            )
+            cfg = AttentionConfig(heads=heads, topk_enabled=False, multiscale_pool_enabled=False)
             params = AttentionParams(u, rng)
             x = rng.standard_normal((b, u, t))
             y = rng.standard_normal((b, u, t))
@@ -126,9 +124,7 @@ def test_criterion_03_sparsity_invariants():
         np.testing.assert_array_equal(np.count_nonzero(out, axis=-1), keep)
 
     with precision("float64"):
-        cfg_sparse = AttentionConfig(
-            embed_dim=8, heads=2, keep_denominators=(1, 1), multiscale_pool_enabled=False
-        )
+        cfg_sparse = AttentionConfig(heads=2, keep_denominators=(1, 1), multiscale_pool_enabled=False)
         cfg_dense = dataclasses.replace(cfg_sparse, topk_enabled=False)
         params = AttentionParams(8, rng)
         params.alpha.data = np.asarray(1.0)
@@ -143,9 +139,10 @@ def test_criterion_03_sparsity_invariants():
 
 def test_criterion_04_shape_formulas():
     cfg = ModelConfig(channels=22, time_steps=1000, n_classes=4)
-    assert cfg.branch_width(0) == 32  # F=16, D=2
     assert cfg.t0 == 17  # floor(floor(1000/8)/7)
     model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(4)))
+    assert model.branch1.temporal_conv.weight.shape[0] == 16  # F = spa_filters / D
+    assert model.branch1.depthwise_conv.weight.shape[0] == 32  # F x D = spa_filters
     with no_grad():
         logits = model(np.zeros((2, 1, 22, 1000), dtype=np.float32))
     assert logits.shape == (2, 4)

@@ -26,9 +26,9 @@ from csanet.errors import ConfigurationError, DimensionError
 from oracles import naive_multihead_attention
 
 
-def make_params(embed_dim, seed=0):
+def make_params(width, seed=0):
     with precision("float64"):
-        return AttentionParams(embed_dim, np.random.Generator(np.random.PCG64(seed)))
+        return AttentionParams(width, np.random.Generator(np.random.PCG64(seed)))
 
 
 class TestTopkSoftmax:
@@ -114,7 +114,7 @@ def pool_and_input_grad(pool, y, g):
 
 class TestMultiscalePool:
     def test_constant_interior_is_triple(self):
-        cfg = AttentionConfig(embed_dim=2, heads=1)
+        cfg = AttentionConfig(heads=1)
         y = Tensor(np.full((1, 2, 21), 5.0))
         out = multiscale_pool(y, cfg).data
         interior = out[:, :, 3:-3]
@@ -123,7 +123,7 @@ class TestMultiscalePool:
         assert (out[:, :, 0] < 15.0).all()
 
     def test_kernel_one_is_identity(self, rng):
-        cfg = AttentionConfig(embed_dim=2, heads=1, pool_kernels=(1,), pool_pads=(0,))
+        cfg = AttentionConfig(heads=1, pool_kernels=(1,))
         y = rng.standard_normal((2, 2, 9))
         np.testing.assert_allclose(multiscale_pool(Tensor(y), cfg).data, y, atol=1e-7)
 
@@ -135,7 +135,8 @@ class TestMultiscalePool:
         for dtype, tol in (("float64", 1e-12), ("float32", 4 * float(np.finfo(np.float32).eps))):
             for kernels in ((1,), (3, 5, 7), (7,)):
                 pads = tuple((k - 1) // 2 for k in kernels)
-                cfg = AttentionConfig(embed_dim=4, heads=2, pool_kernels=kernels, pool_pads=pads)
+                cfg = AttentionConfig(heads=2, pool_kernels=kernels)
+                assert cfg.pool_pads == pads
                 for t0 in (1, 2, 3, 4, 7, 17):
                     rng = np.random.Generator(np.random.PCG64(t0))
                     y, g = (rng.standard_normal((2, 4, t0)).astype(dtype) for _ in range(2))
@@ -147,14 +148,15 @@ class TestMultiscalePool:
                         assert float(np.abs(a - b).max()) <= tol * float(np.abs(b).max()), case
 
     def test_bad_padding_is_config_error(self):
-        cfg = AttentionConfig(embed_dim=2, heads=1, pool_kernels=(4,), pool_pads=(1,))
-        with pytest.raises(ConfigurationError):
-            multiscale_pool(Tensor(np.zeros((1, 2, 8))), cfg)
+        # No pad keeps the token count at an even kernel, so the config refuses one.
+        for kernels in ((4,), (3, 6)):
+            with pytest.raises(ConfigurationError, match="odd"):
+                AttentionConfig(heads=1, pool_kernels=kernels).validate()
 
 
 class TestMscaForward:
     def test_single_token_with_topk_is_alpha_plus_beta_times_v(self, f64, rng):
-        cfg = AttentionConfig(embed_dim=4, heads=2, multiscale_pool_enabled=False)
+        cfg = AttentionConfig(heads=2, multiscale_pool_enabled=False)
         params = make_params(4, seed=1)
         params.alpha.data = np.asarray(0.7)
         params.beta.data = np.asarray(-0.2)
@@ -165,7 +167,7 @@ class TestMscaForward:
         np.testing.assert_allclose(out, (0.7 - 0.2) * v, atol=1e-10)
 
     def test_single_token_dense_is_v(self, f64, rng):
-        cfg = AttentionConfig(embed_dim=4, heads=2, topk_enabled=False, multiscale_pool_enabled=False)
+        cfg = AttentionConfig(heads=2, topk_enabled=False, multiscale_pool_enabled=False)
         params = make_params(4, seed=2)
         y = Tensor(rng.standard_normal((3, 4, 1)))
         out = msca_forward(Tensor(rng.standard_normal((3, 4, 1))), y, params, cfg).data
@@ -173,7 +175,7 @@ class TestMscaForward:
         np.testing.assert_allclose(out, v, atol=1e-10)
 
     def test_dense_self_attention_matches_naive_oracle(self, f64, rng):
-        cfg = AttentionConfig(embed_dim=8, heads=2, topk_enabled=False, multiscale_pool_enabled=False)
+        cfg = AttentionConfig(heads=2, topk_enabled=False, multiscale_pool_enabled=False)
         params = make_params(8, seed=3)
         x = rng.standard_normal((2, 8, 6))
         out = msca_forward(Tensor(x), Tensor(x.copy()), params, cfg).data
@@ -183,9 +185,7 @@ class TestMscaForward:
         np.testing.assert_allclose(out, expected, atol=1e-6)
 
     def test_alpha_one_beta_zero_keep_all_reduces_to_dense(self, f64, rng):
-        sparse_cfg = AttentionConfig(
-            embed_dim=4, heads=2, keep_denominators=(1, 1), multiscale_pool_enabled=False
-        )
+        sparse_cfg = AttentionConfig(heads=2, keep_denominators=(1, 1), multiscale_pool_enabled=False)
         dense_cfg = dataclasses.replace(sparse_cfg, topk_enabled=False)
         params = make_params(4, seed=4)
         params.alpha.data = np.asarray(1.0)
@@ -198,14 +198,14 @@ class TestMscaForward:
 
     def test_output_shape_matches_query_source(self, f64, rng):
         for t0 in (1, 4, 17):
-            cfg = AttentionConfig(embed_dim=8, heads=4)
+            cfg = AttentionConfig(heads=4)
             params = make_params(8, seed=5)
             x = Tensor(rng.standard_normal((3, 8, t0)))
             y = Tensor(rng.standard_normal((3, 8, t0)))
             assert msca_forward(x, y, params, cfg).shape == (3, 8, t0)
 
     def test_permuting_key_value_tokens_is_invariant_without_pooling(self, f64, rng):
-        cfg = AttentionConfig(embed_dim=4, heads=2, multiscale_pool_enabled=False)
+        cfg = AttentionConfig(heads=2, multiscale_pool_enabled=False)
         params = make_params(4, seed=6)
         x = Tensor(rng.standard_normal((2, 4, 9)))
         y = rng.standard_normal((2, 4, 9))
@@ -215,7 +215,7 @@ class TestMscaForward:
         np.testing.assert_allclose(out, out_perm, atol=1e-8)
 
     def test_indivisible_heads_is_config_error(self, rng):
-        cfg = AttentionConfig(embed_dim=6, heads=4)
+        cfg = AttentionConfig(heads=4)  # the width, 6, comes from x
         params = make_params(6, seed=7)
         x = Tensor(np.zeros((1, 6, 4)))
         with pytest.raises(ConfigurationError):

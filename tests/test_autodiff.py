@@ -129,3 +129,41 @@ def test_determinism_same_graph_bitwise():
     o2, g2 = run()
     assert o1.tobytes() == o2.tobytes()
     assert g1.tobytes() == g2.tobytes()
+
+
+@pytest.mark.parametrize("dtype, ambient", [("float32", "float64"), ("float64", "float32")])
+def test_bare_operands_take_the_tensors_dtype(dtype, ambient):
+    t = Tensor(np.array([1.0, 3.0], dtype=dtype))
+    with precision(ambient):
+        results = [t + 0.1, 0.1 + t, t - 0.1, 0.1 - t, t * 0.1, 0.1 * t, t / 3.0, -t, t * np.array(0.1, dtype=ambient)]
+    for out in results:
+        assert out.dtype == np.dtype(dtype)
+    np.testing.assert_array_equal((t * (1.0 / 3.0)).data, t.data * np.asarray(1.0 / 3.0, dtype=dtype))
+
+
+@pytest.mark.parametrize("dtype, ambient", [("float32", "float64"), ("float64", "float32")])
+def test_model_logits_are_the_same_bits_under_either_default(dtype, ambient):
+    # Attention's 1/sqrt(dk) is a bare scalar; it follows the scores'
+    # dtype, so a model gives the same logits inside and outside a
+    # precision() context of the other dtype, in training and in eval.
+    import dataclasses
+
+    from csanet.model import CsanetModel
+    from csanet.verification import mini_model_config
+
+    cfg = dataclasses.replace(mini_model_config(), conv_dropout=0.5)
+    x = np.random.default_rng(1).standard_normal((3, 1, cfg.channels, cfg.time_steps)).astype(dtype)
+
+    def logits():
+        with precision(dtype):
+            model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(0)))
+        train = model(Tensor(x), training=True, rng=np.random.default_rng(2)).data
+        return train, model(Tensor(x), training=False).data
+
+    with precision(dtype):
+        want = logits()
+    with precision(ambient):
+        got = logits()
+    for mode, g, w in zip(("training", "eval"), got, want):
+        assert g.dtype == w.dtype == np.dtype(dtype), mode
+        assert np.array_equal(g, w), mode

@@ -99,3 +99,41 @@ def test_evaluate_accepts_read_eegd_result(tmp_path):
     report = metrics.evaluate(model, test, cfg, batch_size=5)
     assert report.confusion.total == len(y)
     np.testing.assert_array_equal(report.confusion.counts.sum(axis=1), np.bincount(y, minlength=cfg.n_classes))
+
+
+def test_reference_forward_agrees_with_the_model():
+    # paper_eval's check compares the model's eval logits with
+    # perfbench.reference.forward under the bench's own rule; the same rule
+    # on a float32 mini model whose batch-norm buffers are moved off 0/1 as
+    # inputs.make_eval_checkpoint moves them, so eval-mode batch norm is no
+    # identity. The reference reads the config's attention.pool_pads.
+    from csanet.autodiff import Tensor, no_grad
+    from csanet.model import CsanetModel
+    from csanet.verification import mini_model_config
+
+    inputs = importlib.import_module("perfbench.inputs")
+    reference = importlib.import_module("perfbench.reference")
+    workloads = importlib.import_module("perfbench.workloads")
+
+    cfg = mini_model_config()
+    model = CsanetModel(cfg, rng=inputs.rng_for(19, "init"))
+    rng = inputs.rng_for(19, "bn-stats")
+    for name, buf in model.named_buffers():
+        if name.endswith("running_mean"):
+            buf[...] = rng.uniform(-0.3, 0.3, buf.shape)
+        elif name.endswith("running_var"):
+            buf[...] = rng.uniform(0.2, 0.6, buf.shape)
+    x = inputs.make_trials(19, "heldout", 6, cfg.channels, cfg.time_steps)[0][:, None]
+    with no_grad():
+        logits = model(Tensor(x), training=False).data
+    params = {name: p.data for name, p in model.named_parameters()}
+    params.update(model.named_buffers())
+    checked = 0
+    for i in range(len(x)):
+        want, gap = reference.forward(x[i : i + 1], params, cfg)
+        if gap < workloads.TOPK_MARGIN:
+            continue
+        tol = workloads.LOGIT_TOL * max(1.0, float(np.abs(want).max()))
+        assert np.abs(want[0] - logits[i]).max() <= tol, i
+        checked += 1
+    assert checked >= len(x) // 2

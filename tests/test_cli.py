@@ -12,7 +12,7 @@ import pytest
 from csanet.autodiff import Tensor
 from csanet import cli
 from csanet.cli import ABLATION_NETS, apply_ablation, main
-from csanet.config import ModelConfig, RunConfig, SplitSpec, SynthSpec, TrainConfig, write_config
+from csanet.config import ModelConfig, RunConfig, SplitSpec, SynthSpec, TrainConfig, config_to_text, write_config
 from csanet.data import read_eegd
 from csanet.errors import DimensionError, StateError
 from csanet.gradcheck import grad_check
@@ -105,6 +105,10 @@ def test_eval_corrupted_checkpoint_exits_2(run_cfg_path, tmp_path, capsys):
         "train.lr=nan",
         "train.lr=inf",
         "sr.segments=65",  # more S&R segments than model.time_steps
+        "train.eval_every=-3",  # acted as 0
+        "model.attention.pool_kernels=3,4",  # no pad keeps the token count
+        "model.attention.heads=5",  # does not divide spa_filters=32
+        "model.depth_multiplier=3",  # does not divide spa_filters=32
     ],
 )
 def test_malformed_config_value_exits_2(run_cfg_path, tmp_path, capsys, line):
@@ -305,3 +309,84 @@ def test_script_imports_and_prints_help(script):
     )
     assert done.returncode == 0, done.stderr
     assert "usage:" in done.stdout and "--epochs" in done.stdout
+
+
+def test_width_key_alone_sets_every_width(run_cfg_path, tmp_path, monkeypatch):
+    # spa_filters is the one width key: the branches' filters, the fusion,
+    # the TCNs and the classifier follow it, and no retired key is written.
+    from csanet import model as model_module
+    from csanet.checkpoint import load_checkpoint
+    from csanet.config import RETIRED_KEYS
+
+    path = tmp_path / "w16.cfg"
+    path.write_text(open(run_cfg_path).read() + "model.spa_filters=16\n")
+    out = tmp_path / "w16"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+    for text in ((out / "run.cfg").read_text(), config_to_text(load_checkpoint(out / "model.csan")[0])):
+        keys = {line.partition("=")[0].removeprefix("model.") for line in text.splitlines()}
+        assert not keys & set(RETIRED_KEYS)
+    cfg, model = load_checkpoint(out / "model.csan")
+    assert cfg.spa_filters == 16
+    for branch in model.branches:
+        assert branch.temporal_conv.weight.shape[0] == 8
+        assert branch.depthwise_conv.weight.shape[0] == branch.spa_conv.weight.shape[1] == 16
+        assert branch.attention.w_q.shape == (16, 16)
+        assert {block.conv1.weight.shape[:2] for block in branch.tcn.blocks} == {(16, 16)}
+    assert model.classifier.weight.shape == (2, 4 * 16)
+    widths = []
+    fuse = model_module.msca_forward
+
+    def spy(x, y, params, acfg):
+        widths.append(x.shape[1])
+        return fuse(x, y, params, acfg)
+
+    monkeypatch.setattr(model_module, "msca_forward", spy)
+    x = np.zeros((2, 1, cfg.channels, cfg.time_steps), dtype=np.float32)
+    assert model(Tensor(x), training=True, rng=np.random.default_rng(0)).shape == (2, 2)
+    assert widths == [16] * 4
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "model.temporal_filters=8,8,8,8",  # spa_filters=32 and D=2 derive 16
+        "model.attention.embed_dim=16",
+        "model.attention.pool_pads=1,2,4",
+        "model.tcn.filters=16",
+        "model.tcn.filters=x",
+        "model.attention.embed_dim=",
+        "model.temporal_filters=16,16,16,a",
+    ],
+)
+def test_disagreeing_or_malformed_retired_key_exits_2(run_cfg_path, tmp_path, capsys, line):
+    path = tmp_path / "old.cfg"
+    path.write_text(open(run_cfg_path).read() + line + "\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and line.partition("=")[0] in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"tcn.filters=4", b"tcn.filters=8"),
+        (b"tcn.filters=4", b"tcn.filters=x"),
+        (b"attention.embed_dim=4", b"attention.embed_dim=2"),
+        (b"attention.pool_pads=1,2,3", b"attention.pool_pads=1,2,2"),
+        (b"temporal_filters=2,2,2,2", b"temporal_filters=2,2,2,4"),
+    ],
+)
+def test_checkpoint_with_disagreeing_or_malformed_retired_key_exits_2(run_cfg_path, tmp_path, capsys, old, new):
+    # The v1 fixture carries all four retired keys; one edit of equal length
+    # keeps the header's config length right.
+    blob = (Path(__file__).parent / "data" / "v1_mini.csan").read_bytes()
+    assert blob.count(old) == 1 and len(old) == len(new)
+    checkpoint = tmp_path / "old.csan"
+    checkpoint.write_bytes(blob.replace(old, new))
+    out = tmp_path / "ev"
+    assert main(["eval", "--config", run_cfg_path, "--checkpoint", str(checkpoint), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and old.partition(b"=")[0].decode() in err[0], err
+    assert not out.exists()

@@ -91,3 +91,30 @@ def test_validation_requires_exactly_one_source():
     run.data_path = "also.eegd"
     with pytest.raises(ConfigurationError):
         run.validate()
+
+
+def test_retired_keys_are_accepted_when_they_agree_and_never_written():
+    # Files written before the width was derived carry four more keys; each
+    # equals the value the config derives from spa_filters, D and the pools.
+    old = (
+        "model.temporal_filters=8,8,8,8\nmodel.depth_multiplier=4\nmodel.attention.embed_dim=32\n"
+        "model.attention.pool_kernels=3,5\nmodel.attention.pool_pads=1,2\nmodel.tcn.filters=32\n"
+    )
+    run = config_from_text(old)
+    assert run == config_from_text("model.depth_multiplier=4\nmodel.attention.pool_kernels=3,5\n")
+    assert run.model.attention.pool_pads == (1, 2)
+    text = config_to_text(run)
+    for key in ("temporal_filters", "embed_dim", "pool_pads", "tcn.filters"):
+        assert key not in text
+    assert config_from_text("tcn_enabled=false\ntcn.filters=7\n", cls=ModelConfig).tcn_enabled is False
+    with pytest.raises(ConfigurationError, match="tcn.filters"):
+        config_from_text("tcn.filters=7\n", cls=ModelConfig)
+    with pytest.raises(ConfigurationError, match="must be positive"):  # no ZeroDivisionError on the way
+        config_from_text("depth_multiplier=0\ntemporal_filters=16,16,16,16\n", cls=ModelConfig).validate()
+
+
+def test_width_rules():
+    ModelConfig(spa_filters=16).validate()
+    for cfg in (ModelConfig(spa_filters=30, depth_multiplier=4), ModelConfig(spa_filters=36)):
+        with pytest.raises(ConfigurationError, match="must be divisible"):
+            cfg.validate()

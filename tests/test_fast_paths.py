@@ -313,3 +313,27 @@ def test_ops_signatures_take_no_batch_norm_policy_and_no_conv_bias():
     conv = signatures["conv1d_dilated"]
     assert "bias" not in {a.arg for a in conv.args + conv.kwonlyargs}
     assert (ops.BN_MOMENTUM, ops.BN_EPS) == (0.1, 1e-5)
+
+
+# The feature width is one key, spa_filters; these names are retired
+# (config.RETIRED_KEYS only checks old files' values against it).
+RETIRED_WIDTH_NAMES = {"embed_dim", "temporal_filters", "branch_width", "filters"}
+
+
+def test_sources_read_none_of_the_retired_width_names():
+    import dataclasses
+
+    from csanet.config import AttentionConfig, ModelConfig, TcnConfig
+
+    for cls in (ModelConfig, AttentionConfig, TcnConfig):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert not fields & RETIRED_WIDTH_NAMES, cls.__name__
+        assert not any(hasattr(cls, name) for name in RETIRED_WIDTH_NAMES), cls.__name__
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in RETIRED_WIDTH_NAMES, f"{name}:{node.lineno} reads .{node.attr}"

@@ -149,8 +149,8 @@ def test_paper_spa_conv_takes_the_fft_path_at_bench_batch_sizes(B, fft_calls):
     cfg = ModelConfig()
     forward_batch(cfg, B)
     t1 = cfg.time_steps // cfg.pools[0] + cfg.spa_kernel - 1  # padded by same_pad
-    width = cfg.branch_width(0)
-    assert fft_calls == [(B, width, t1, cfg.spa_filters, cfg.spa_kernel)] * 4
+    width = cfg.spa_filters
+    assert fft_calls == [(B, width, t1, width, cfg.spa_kernel)] * 4
 
 
 def test_tcn_and_b1_decoding_stay_direct(fft_calls, monkeypatch):

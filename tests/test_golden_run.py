@@ -61,8 +61,13 @@ def write_golden_fixture(directory=FIXTURE):
     pair with float64 batch sums and the TCN onto ops.bn_elu_pool at pool 1
     with its eval-mode batch norms folded into the convs (exact in value),
     each time after tests/test_numerics_contract.py passed against its
-    unchanged fixture. Always from the repository root with src/ and tests/
-    on sys.path; the re-derivations ran:
+    unchanged fixture; and again when the config came to derive the
+    feature width, for the config text alone: model.csan lost the four
+    retired keys (temporal_filters, attention.embed_dim,
+    attention.pool_pads, tcn.filters), while train_log.csv, report.csv and
+    the checkpoint's blobs stayed byte-identical. Always from the
+    repository root with src/ and tests/ on sys.path; the re-derivations
+    ran:
 
         PYTHONPATH=src:tests python -c "from test_golden_run import write_golden_fixture; write_golden_fixture()"
     """

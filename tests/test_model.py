@@ -6,7 +6,7 @@ import pytest
 from csanet.augment import sr_augment
 from csanet import ops
 from csanet.autodiff import Tensor, _reverse_topo, no_grad, precision
-from csanet.config import AttentionConfig, ModelConfig, SrConfig, TcnConfig
+from csanet.config import ModelConfig, SrConfig, config_from_text
 from csanet.data import synth_generate, trials_to_arrays
 from csanet.errors import ConfigurationError
 from csanet.model import CsanetModel, count_parameters
@@ -23,8 +23,11 @@ def bcic_config(**overrides):
 
 class TestShapeFormulas:
     def test_branch_width_is_filters_times_multiplier(self):
-        cfg = bcic_config()
-        assert cfg.branch_width(0) == 32
+        # spa_filters is the branch width; each branch has spa_filters / D temporal filters.
+        model = make_model(bcic_config())
+        for branch in model.branches:
+            assert branch.temporal_conv.weight.shape[0] == 16
+            assert branch.depthwise_conv.weight.shape[0] == 32 == 16 * 2
 
     def test_t0_staged_floor(self):
         assert bcic_config().t0 == 17  # 1000 -> 125 -> 17
@@ -243,8 +246,6 @@ class TestParameterCounting:
         doubled = bcic_config(
             depth_multiplier=4,
             spa_filters=64,
-            attention=AttentionConfig(embed_dim=64),
-            tcn=TcnConfig(filters=64),
         )
         c1 = count_parameters(base)
         c2 = count_parameters(doubled)
@@ -271,8 +272,9 @@ class TestParameterCounting:
 
 class TestValidation:
     def test_residual_width_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ModelConfig(channels=4, time_steps=64, temporal_filters=(8, 8, 8, 8)).validate()
+        # The width is derived; a retired key that disagrees with it is refused.
+        with pytest.raises(ConfigurationError, match="temporal_filters"):
+            config_from_text("channels=4\ntime_steps=64\ntemporal_filters=8,8,8,8\n", cls=ModelConfig)
 
     def test_time_too_short_for_pools_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -108,7 +108,6 @@ class TestBranchReport:
                 time_steps=512,
                 n_classes=2,
                 temporal_kernels=(8, 6, 4, 3),
-                temporal_filters=(2, 2, 2, 2),
                 pools=(4, 4),
                 spa_filters=4,
                 spa_kernel=4,

@@ -163,7 +163,7 @@ def assert_stems_agree(arrays, training, pool=None):
 def test_mini_config_stem_matches_oracle(index, training):
     cfg = mini_model_config()
     arrays = stem_arrays(
-        10 + index, 2, cfg.channels, cfg.time_steps, cfg.temporal_filters[index],
+        10 + index, 2, cfg.channels, cfg.time_steps, cfg.spa_filters // cfg.depth_multiplier,
         cfg.depth_multiplier, cfg.temporal_kernels[index],
     )
     assert_stems_agree(arrays, training, cfg.pools[0])
@@ -381,7 +381,7 @@ def test_shared_lag_table_is_bitwise_the_per_branch_one(config, dtype):
     x = stem_arrays(73, 2, cfg.channels, cfg.time_steps, 1, 1, 1)["x"]
     lags = ops.lag_prefixes(x.astype(dtype), max(cfg.temporal_kernels))
     for index, K in enumerate(cfg.temporal_kernels):
-        arrays = stem_arrays(74 + index, 2, cfg.channels, cfg.time_steps, cfg.temporal_filters[index], cfg.depth_multiplier, K)
+        arrays = stem_arrays(74 + index, 2, cfg.channels, cfg.time_steps, cfg.spa_filters // cfg.depth_multiplier, cfg.depth_multiplier, K)
         arrays["x"] = x
         shared, own = (run_stem(ops.stem_bn_elu_pool, arrays, cfg.pools[0], dtype=dtype, lags=t) for t in (lags, None))
         for got, want in zip(shared, own):

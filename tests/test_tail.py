@@ -196,7 +196,7 @@ def test_training_step_runs_the_four_ops_only_outside_the_branches(tmp_path, mon
     b = forwards[0][0]
     assert calls["stem_bn_elu_pool"] == [(b, 1, cfg.channels, cfg.time_steps)] * 4
     spa = (b, cfg.spa_filters, cfg.time_steps // cfg.pools[0])
-    tcn = [(b, cfg.tcn.filters, cfg.t0)] * (2 * len(cfg.tcn.dilations))
+    tcn = [(b, cfg.spa_filters, cfg.t0)] * (2 * len(cfg.tcn.dilations))
     assert calls["bn_elu_pool"] == [spa] * 4 + tcn * 4  # the branches run before fusion and the TCNs
 
 
