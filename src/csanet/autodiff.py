@@ -63,7 +63,7 @@ class Tensor:
     data is stored row-major; grad, when present, always matches data's
     shape. Floating arrays and numpy floating scalars (such as the result
     of a full reduction) keep their dtype; bare Python scalars and integer
-    inputs are cast to the global default, but arithmetic gives a bare
+    inputs are cast to the global default, but add/sub/mul/div give a bare
     operand the dtype of the Tensor it meets (_wrap). np.float64 subclasses
     Python float and is excluded explicitly, or every full reduction of a
     float64 graph would come back as float32.
