@@ -21,16 +21,11 @@ from .errors import ConfigurationError, DimensionError
 from .layers import Layer, Parameter, _uniform_init
 
 
-def keep_count(cfg: AttentionConfig, denominator: int, t0: int) -> int:
-    """Entries kept per attention row for one sparsity parameter.
-
-    ratio mode keeps the top 1/denominator proportion (ceil(T0/k));
-    count mode keeps the literal count, clamped to [1, T0].
-    """
+def keep_count(denominator: int, t0: int) -> int:
+    """Entries kept per attention row for one sparsity parameter k: the
+    top 1/k proportion, ceil(T0/k)."""
     if denominator < 1:
         raise ConfigurationError("top-k parameter must be >= 1")
-    if cfg.topk_mode == "count":
-        return max(1, min(denominator, t0))
     return -(-t0 // denominator)
 
 
@@ -55,8 +50,6 @@ def topk_softmax(scores: Tensor, keep: int) -> Tensor:
     t0 = scores.shape[-1]
     if not 1 <= keep <= t0:
         raise ConfigurationError(f"keep_count {keep} out of range [1, {t0}]")
-    if keep == t0:
-        return ops.softmax(scores, axis=-1)
     mask = topk_mask(scores.data, keep)
     masked = ops.masked_fill(scores, mask, -np.inf)
     return ops.softmax(masked, axis=-1)
@@ -124,8 +117,8 @@ def msca_forward(x: Tensor, y: Tensor, params: AttentionParams, cfg: AttentionCo
     scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dk))
     if cfg.topk_enabled:
         k1, k2 = cfg.keep_denominators
-        path1 = topk_softmax(scores, keep_count(cfg, k1, t0)) @ v
-        path2 = topk_softmax(scores, keep_count(cfg, k2, t0)) @ v
+        path1 = topk_softmax(scores, keep_count(k1, t0)) @ v
+        path2 = topk_softmax(scores, keep_count(k2, t0)) @ v
         heads_out = params.alpha * path1 + params.beta * path2
     else:
         heads_out = ops.softmax(scores, axis=-1) @ v

@@ -6,8 +6,9 @@ Layout (all integers little-endian u32, floats little-endian f32):
     UTF-8, ModelConfig fields only) | n_blobs | per blob:
     name_len | name UTF-8 | ndim | dims... | values f32
 
-The config text holds no derived value; files whose text carries retired
-keys load when those agree with the derived values (config.RETIRED_KEYS).
+The config text holds no derived value and no run setting; files whose
+text carries retired keys load when those agree with the config
+(config.RETIRED_KEYS).
 
 Blobs cover every named parameter followed by every named buffer
 (batch-norm running statistics), in model iteration order. Reload is
@@ -67,10 +68,11 @@ def _blob_table(blob, offset):
     """The blob table from offset to the end of blob, checked against the
     file before anything is built: [(name, name offset, dims, dims offset,
     values offset)]. Every length, name, shape and value extent must fit,
-    and nothing may follow the last blob; otherwise FormatError."""
+    no name may repeat, and nothing may follow the last blob; otherwise
+    FormatError."""
     (n_blobs,) = struct.unpack_from("<I", blob, offset)
     offset += 4
-    table = []
+    table, names = [], set()
     for _ in range(n_blobs):
         if len(blob) < offset + 4:
             raise FormatError("truncated blob header", offset=len(blob))
@@ -80,6 +82,9 @@ def _blob_table(blob, offset):
             raise FormatError("truncated blob name", offset=len(blob))
         name = _text(blob, offset, name_len, "blob name")
         name_at = offset
+        if name in names:
+            raise FormatError(f"repeated blob name {name!r}", offset=name_at)
+        names.add(name)
         offset += name_len
         (ndim,) = struct.unpack_from("<I", blob, offset)
         if len(blob) < offset + 4 + 4 * ndim:

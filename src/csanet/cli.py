@@ -33,16 +33,16 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# Table of ablation variants: which model config toggles (dotted keys)
-# each one switches off.
+# Table of ablation variants: which run config toggles (dotted keys) each
+# one switches off.
 ABLATION_NETS = {
     "net1": (),
-    "net2": ("sr_enabled",),
-    "net3": ("tcn_enabled",),
-    "net4": ("residual_enabled",),
-    "net5": ("attention.topk_enabled", "attention.multiscale_pool_enabled"),
-    "net6": ("attention.multiscale_pool_enabled",),
-    "net7": ("attention.topk_enabled",),
+    "net2": ("sr.enabled",),
+    "net3": ("model.tcn_enabled",),
+    "net4": ("model.residual_enabled",),
+    "net5": ("model.attention.topk_enabled", "model.attention.multiscale_pool_enabled"),
+    "net6": ("model.attention.multiscale_pool_enabled",),
+    "net7": ("model.attention.topk_enabled",),
 }
 
 
@@ -197,7 +197,7 @@ def apply_ablation(run: RunConfig, net: str) -> RunConfig:
         raise KeyError(net)
     out = copy.deepcopy(run)
     for toggle in ABLATION_NETS[key]:
-        apply_flat(out.model, toggle, "false")
+        apply_flat(out, toggle, "false")
     return out
 
 

@@ -3,8 +3,8 @@
 The on-disk format is UTF-8 text, one `dotted.key=value` per line, `#`
 comment lines allowed. Writing is canonical (declaration order, repr
 floats), so write -> read -> write is byte-identical. Tuples serialize as
-comma-separated entries. The retired keys of derived values (RETIRED_KEYS)
-are read only to check them.
+comma-separated entries. Retired keys (RETIRED_KEYS) are read only to
+check them.
 """
 
 import dataclasses
@@ -29,7 +29,6 @@ class AttentionConfig:
     heads: int = 8
     pool_kernels: tuple = (3, 5, 7)
     topk_enabled: bool = True
-    topk_mode: str = "ratio"  # "ratio": keep ceil(T0/k); "count": keep k entries
     keep_denominators: tuple = (2, 3)
     multiscale_pool_enabled: bool = True
 
@@ -42,11 +41,11 @@ class AttentionConfig:
         if self.heads < 1:
             raise ConfigurationError(f"attention.heads must be positive, got {self.heads}")
         _check_ints("attention.pool_kernels", self.pool_kernels)
+        if self.multiscale_pool_enabled and not self.pool_kernels:
+            raise ConfigurationError("attention.pool_kernels must hold a kernel when multiscale_pool_enabled is true")
         if any(k % 2 == 0 for k in self.pool_kernels):
             raise ConfigurationError(f"attention.pool_kernels must be odd, got {self.pool_kernels!r}")
         _check_ints("attention.keep_denominators", self.keep_denominators, count=2)
-        if self.topk_mode not in ("ratio", "count"):
-            raise ConfigurationError(f"attention.topk_mode must be ratio|count, got {self.topk_mode!r}")
 
 
 @dataclass
@@ -80,7 +79,6 @@ class ModelConfig:
     conv_dropout: float = 0.5
     fusion_mode: str = "main_auxiliary"  # or "hierarchical"
     readout: str = "last_step"  # or "flatten"
-    sr_enabled: bool = True
     tcn_enabled: bool = True
     residual_enabled: bool = True
     attention: AttentionConfig = field(default_factory=AttentionConfig)
@@ -160,6 +158,8 @@ class SplitSpec:
                 raise ConfigurationError("kfold needs n_folds >= 2")
             if not 0 <= self.fold_index < self.n_folds:
                 raise ConfigurationError("fold_index out of range")
+        if self.seed < 0:
+            raise ConfigurationError(f"split.seed must be >= 0, got {self.seed}")
         if self.strategy == "session_holdout":
             if set(self.train_sessions) & set(self.test_sessions):
                 raise ConfigurationError("train and test sessions overlap")
@@ -201,7 +201,7 @@ class RunConfig:
         if self.sr.segments < 1:
             raise ConfigurationError("sr.segments must be positive")
         self.model.validate()
-        if self.sr.enabled and self.model.sr_enabled and self.sr.segments > self.model.time_steps:
+        if self.sr.enabled and self.sr.segments > self.model.time_steps:
             raise ConfigurationError(f"sr.segments={self.sr.segments} exceeds model.time_steps={self.model.time_steps}")
         self.split.validate()
 
@@ -222,7 +222,7 @@ def _format_value(value):
 def _parse_value(text, ftype):
     if ftype is bool:
         if text not in ("true", "false"):
-            raise ConfigurationError(f"expected true/false, got {text!r}")
+            raise ValueError(f"expected true/false, got {text!r}")
         return text == "true"
     if ftype is tuple:  # tuples hold ints throughout the config schema
         return tuple(int(p) for p in text.split(",")) if text else ()
@@ -265,24 +265,28 @@ def config_to_text(cfg):
     return "".join(f"{k}={v}\n" for k, v in flatten_config(cfg).items())
 
 
-# Keys that files written before the feature width was derived still carry:
-# ModelConfig key -> (type, its value derived from the rest of the config).
-# One is accepted only at that value; None (tcn.filters with the TCN off, or
-# a depth_multiplier of 0, which validate refuses) accepts any.
+# Keys older files still carry: ModelConfig key -> (type, the one value it
+# may hold given the model config and, in a run config, the run; None
+# accepts any). The width keys must equal their derived values. sr_enabled
+# never described the model, so a checkpoint's loads at any value, and a
+# run config's may not switch S&R off behind sr.enabled. Ratio is top-k's
+# one rule.
 RETIRED_KEYS = {
     "temporal_filters": (
         tuple,
-        lambda m: (m.spa_filters // m.depth_multiplier,) * 4 if m.depth_multiplier else None,
+        lambda m, run: (m.spa_filters // m.depth_multiplier,) * 4 if m.depth_multiplier else None,
     ),
-    "attention.embed_dim": (int, lambda m: m.spa_filters),
-    "attention.pool_pads": (tuple, lambda m: m.attention.pool_pads),
-    "tcn.filters": (int, lambda m: m.spa_filters if m.tcn_enabled else None),
+    "attention.embed_dim": (int, lambda m, run: m.spa_filters),
+    "attention.pool_pads": (tuple, lambda m, run: m.attention.pool_pads),
+    "tcn.filters": (int, lambda m, run: m.spa_filters if m.tcn_enabled else None),
+    "sr_enabled": (bool, lambda m, run: True if run is not None and run.sr.enabled else None),
+    "attention.topk_mode": (str, lambda m, run: "ratio"),
 }
 
 
 def config_from_text(text, cls=RunConfig):
     cfg = cls()
-    model, prefix = (cfg, "") if cls is ModelConfig else (cfg.model, "model.")
+    model, run, prefix = (cfg, None, "") if cls is ModelConfig else (cfg.model, cfg, "model.")
     retired = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -302,8 +306,8 @@ def config_from_text(text, cls=RunConfig):
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"config key {key!r}: {exc}") from exc
     for key, (value, parsed, derive) in retired.items():
-        if (derived := derive(model)) not in (None, parsed):
-            raise ConfigurationError(f"retired config key {key!r}={value} disagrees with its derived value {derived}")
+        if (derived := derive(model, run)) not in (None, parsed):
+            raise ConfigurationError(f"retired config key {key!r}={value}; this config needs {_format_value(derived)}")
     return cfg
 
 

@@ -201,7 +201,7 @@ class CsanetModel(Layer):
         """The parameters' dtype: the one dtype its inputs must have."""
         return self.classifier.weight.dtype
 
-    def fuse_branches(self, zs, training):
+    def fuse_branches(self, zs):
         """Attention fusion of the four branch outputs.
 
         main_auxiliary: branch 1 self-attends densely; branches 2-4 query
@@ -260,7 +260,7 @@ class CsanetModel(Layer):
             # One lag table at the longest kernel serves every branch's statistics.
             lags = ops.lag_prefixes(x.data, max(cfg.temporal_kernels)) if training else None
             zs = [branch(x, training, rng, lags) for branch in self.branches]
-            ms = self.fuse_branches(zs, training)
+            ms = self.fuse_branches(zs)
             feats = concat(
                 [self.tcn_forward(m, branch, training, rng) for m, branch in zip(ms, self.branches)],
                 axis=1,

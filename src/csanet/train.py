@@ -15,7 +15,7 @@ from . import rng as rngs
 from .augment import sr_augment
 from .autodiff import Tensor
 from .checkpoint import save_checkpoint
-from .config import RunConfig, SrConfig, write_config
+from .config import RunConfig, write_config
 from .data import read_eegd, split, synth_generate, trials_to_arrays, zscore_apply, zscore_fit
 from .errors import ConfigurationError, NumericalError
 from .metrics import check_dims, evaluate
@@ -77,10 +77,9 @@ def train_run(run: RunConfig, stop_at_train_acc=None, on_epoch=None) -> TrainRes
     train_set, test_set = _load_split(run)
     n = len(train_set)
     batch = run.train.batch_size
-    sr_effective = SrConfig(segments=run.sr.segments, enabled=run.sr.enabled and run.model.sr_enabled)
     # Without S&R's doubling, a one-trial batch would fail batch norm at the
     # epoch's last step, after the epoch's compute and before any checkpoint.
-    if run.train.epochs > 0 and not sr_effective.enabled and (batch == 1 or n % batch == 1):
+    if run.train.epochs > 0 and not run.sr.enabled and (batch == 1 or n % batch == 1):
         raise ConfigurationError(
             f"the train split has {n} trials and train.batch_size={batch}, so a training batch "
             "holds one trial; batch norm in training mode needs at least 2 (S&R is off)"
@@ -92,7 +91,7 @@ def train_run(run: RunConfig, stop_at_train_acc=None, on_epoch=None) -> TrainRes
     augment_rng = rngs.substream(run.seed, rngs.STREAM_AUGMENT)
     shuffle_rng = rngs.substream(run.seed, rngs.STREAM_SHUFFLE)
 
-    effective_batch = batch * (2 if sr_effective.enabled else 1)
+    effective_batch = batch * (2 if run.sr.enabled else 1)
 
     os.makedirs(run.out_dir, exist_ok=True)
     log_path = os.path.join(run.out_dir, "train_log.csv")
@@ -119,7 +118,7 @@ def train_run(run: RunConfig, stop_at_train_acc=None, on_epoch=None) -> TrainRes
             steps = 0
             for start in range(0, n, batch):
                 chunk = train_set.subset(order[start : start + batch])
-                chunk = sr_augment(chunk, sr_effective, augment_rng)
+                chunk = sr_augment(chunk, run.sr, augment_rng)
                 x, y = trials_to_arrays(chunk, dtype=model.dtype)
                 logits = model(Tensor(x), training=True, rng=dropout_rng)
                 loss = cross_entropy(logits, y)

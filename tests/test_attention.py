@@ -81,15 +81,9 @@ class TestTopkSoftmax:
 
 class TestKeepCount:
     def test_ratio_mode_is_ceil(self):
-        cfg = AttentionConfig()
-        assert keep_count(cfg, 2, 17) == 9
-        assert keep_count(cfg, 3, 17) == 6
-        assert keep_count(cfg, 1, 17) == 17
-
-    def test_count_mode_is_clamped_literal(self):
-        cfg = AttentionConfig(topk_mode="count")
-        assert keep_count(cfg, 2, 17) == 2
-        assert keep_count(cfg, 30, 17) == 17
+        assert keep_count(2, 17) == 9
+        assert keep_count(3, 17) == 6
+        assert keep_count(1, 17) == 17
 
 
 def sum_of_avg_pools(y, kernels, pads):

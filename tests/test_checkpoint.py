@@ -1,5 +1,9 @@
 """Checkpoint container: bit-exact round-trips and malformed inputs."""
 
+import math
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -97,3 +101,28 @@ def test_version_mismatch_is_format_error(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+V1_MINI = Path(__file__).parent / "data" / "v1_mini.csan"
+
+
+def test_repeated_blob_name_fails_before_the_model_is_built(tmp_path, monkeypatch):
+    # v1_mini.csan plus a second copy of one blob, its values moved by 1.0:
+    # the later copy must not silently win.
+    blob = V1_MINI.read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", blob, 8)
+    table_at = 12 + cfg_len
+    table = checkpoint._blob_table(blob, table_at)
+    index = [entry[0] for entry in table].index("branch1.temporal_conv.weight")
+    _, name_at, dims, _, values_at = table[index]
+    values = np.frombuffer(blob, dtype="<f4", count=math.prod(dims), offset=values_at) + np.float32(1.0)
+    extra = blob[name_at - 4 : values_at] + values.astype("<f4").tobytes()  # name_len .. dims, then values
+    bad = blob[:table_at] + struct.pack("<I", len(table) + 1) + blob[table_at + 4 :] + extra
+    path = tmp_path / "repeated.csan"
+    path.write_bytes(bad)
+    built = []
+    monkeypatch.setattr(checkpoint, "CsanetModel", lambda *a, **k: built.append(a))
+    with pytest.raises(FormatError, match="repeated blob name 'branch1.temporal_conv.weight'") as info:
+        load_checkpoint(path)
+    assert info.value.offset == len(blob) + 4 and built == []
+

@@ -51,6 +51,35 @@ def test_synth_and_augment_roundtrip(run_cfg_path, tmp_path):
     assert len(augmented) == 12
 
 
+@pytest.mark.parametrize(
+    "lines, doubled",
+    [
+        ([], True),
+        (["sr.enabled=false"], False),
+        (["model.sr_enabled=true"], True),  # a retired key: accepted, and it changes nothing
+        (["sr.enabled=false", "model.sr_enabled=true"], False),
+        (["sr.enabled=false", "model.sr_enabled=false"], False),
+    ],
+)
+def test_augment_and_train_follow_sr_enabled_alone(run_cfg_path, tmp_path, lines, doubled):
+    # sr.enabled is the one S&R key: augment doubles the 6 trials and
+    # training doubles each batch of 6 exactly when it is true, and no
+    # written config or checkpoint carries the retired model.sr_enabled.
+    text = [row for row in open(run_cfg_path).read().splitlines() if not row.startswith("sr.enabled=")]
+    path = tmp_path / "sr.cfg"
+    path.write_text("\n".join(text + lines) + "\n")
+    factor = 2 if doubled else 1
+    aug, out = tmp_path / "aug", tmp_path / "train"
+    assert main(["augment", "--config", str(path), "--out", str(aug)]) == 0
+    assert len(read_eegd(aug / "augmented.eegd")) == 6 * factor
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+    assert f"# effective_batch={6 * factor}\n" in (out / "train_log.csv").read_text()
+    run_text = (out / "run.cfg").read_text()
+    assert f"sr.enabled={str(doubled).lower()}\n" in run_text
+    blob = (out / "model.csan").read_bytes()
+    assert b"sr_enabled" not in blob and "sr_enabled" not in run_text
+
+
 def test_train_then_eval_reports_are_byte_identical(run_cfg_path, tmp_path, capsys):
     out = str(tmp_path / "train_out")
     assert main(["train", "--config", run_cfg_path, "--out", out]) == 0
@@ -109,6 +138,8 @@ def test_eval_corrupted_checkpoint_exits_2(run_cfg_path, tmp_path, capsys):
         "model.attention.pool_kernels=3,4",  # no pad keeps the token count
         "model.attention.heads=5",  # does not divide spa_filters=32
         "model.depth_multiplier=3",  # does not divide spa_filters=32
+        "split.seed=-1",  # the k-fold shuffle's PCG64 refuses it
+        "model.attention.pool_kernels=",  # with multiscale pooling: every key and value 0
     ],
 )
 def test_malformed_config_value_exits_2(run_cfg_path, tmp_path, capsys, line):
@@ -231,7 +262,7 @@ def test_one_trial_training_batch_exits_2(run_cfg_path, tmp_path, capsys):
     # 6 trials in batches of 5 with S&R off leave a batch of one trial.
     text = [row for row in open(run_cfg_path).read().splitlines() if not row.startswith("train.batch_size=")]
     path = tmp_path / "one.cfg"
-    path.write_text("\n".join(text + ["train.batch_size=5", "model.sr_enabled=false"]) + "\n")
+    path.write_text("\n".join(text + ["train.batch_size=5", "sr.enabled=false"]) + "\n")
     out = tmp_path / "out"
     assert main(["train", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -274,18 +305,19 @@ class TestAblationToggles:
 
     def test_net1_is_unmodified_base(self):
         base = self.base()
-        assert apply_ablation(base, "net1").model == base.model
+        assert apply_ablation(base, "net1") == base
 
     def test_net2_disables_sr_only(self):
-        cfg = apply_ablation(self.base(), "net2").model
-        assert not cfg.sr_enabled
-        assert cfg.tcn_enabled and cfg.residual_enabled
-        assert cfg.attention.topk_enabled and cfg.attention.multiscale_pool_enabled
+        base = self.base()
+        run = apply_ablation(base, "net2")
+        assert not run.sr.enabled and base.sr.enabled
+        assert run.model == base.model
 
     def test_net5_disables_topk_and_pool(self):
-        cfg = apply_ablation(self.base(), "net5").model
+        run = apply_ablation(self.base(), "net5")
+        cfg = run.model
         assert not cfg.attention.topk_enabled and not cfg.attention.multiscale_pool_enabled
-        assert cfg.sr_enabled and cfg.tcn_enabled and cfg.residual_enabled
+        assert run.sr.enabled and cfg.tcn_enabled and cfg.residual_enabled
 
     def test_net6_and_net7_split_the_pair(self):
         net6 = apply_ablation(self.base(), "net6").model
@@ -356,6 +388,10 @@ def test_width_key_alone_sets_every_width(run_cfg_path, tmp_path, monkeypatch):
         "model.tcn.filters=x",
         "model.attention.embed_dim=",
         "model.temporal_filters=16,16,16,a",
+        "model.sr_enabled=false",  # sr.enabled=true: the old AND trained without S&R
+        "model.sr_enabled=maybe",
+        "model.attention.topk_mode=count",
+        "model.attention.topk_mode=",
     ],
 )
 def test_disagreeing_or_malformed_retired_key_exits_2(run_cfg_path, tmp_path, capsys, line):
@@ -376,6 +412,7 @@ def test_disagreeing_or_malformed_retired_key_exits_2(run_cfg_path, tmp_path, ca
         (b"attention.embed_dim=4", b"attention.embed_dim=2"),
         (b"attention.pool_pads=1,2,3", b"attention.pool_pads=1,2,2"),
         (b"temporal_filters=2,2,2,2", b"temporal_filters=2,2,2,4"),
+        (b"attention.topk_mode=ratio", b"attention.topk_mode=count"),
     ],
 )
 def test_checkpoint_with_disagreeing_or_malformed_retired_key_exits_2(run_cfg_path, tmp_path, capsys, old, new):

@@ -96,16 +96,33 @@ def test_validation_requires_exactly_one_source():
 def test_retired_keys_are_accepted_when_they_agree_and_never_written():
     # Files written before the width was derived carry four more keys; each
     # equals the value the config derives from spa_filters, D and the pools.
+    # Older files also carry model.sr_enabled and attention.topk_mode.
     old = (
         "model.temporal_filters=8,8,8,8\nmodel.depth_multiplier=4\nmodel.attention.embed_dim=32\n"
         "model.attention.pool_kernels=3,5\nmodel.attention.pool_pads=1,2\nmodel.tcn.filters=32\n"
+        "model.sr_enabled=true\nmodel.attention.topk_mode=ratio\n"
     )
     run = config_from_text(old)
     assert run == config_from_text("model.depth_multiplier=4\nmodel.attention.pool_kernels=3,5\n")
     assert run.model.attention.pool_pads == (1, 2)
     text = config_to_text(run)
-    for key in ("temporal_filters", "embed_dim", "pool_pads", "tcn.filters"):
-        assert key not in text
+    for key in ("temporal_filters", "embed_dim", "pool_pads", "tcn.filters", "sr_enabled", "topk_mode"):
+        assert key not in text and key not in config_to_text(run.model)
+    # sr.enabled alone decides S&R. In a run config the retired key may not
+    # switch S&R off behind it; in a checkpoint, where it never described
+    # the model, it loads at any value.
+    for lines, sr in (("", True), ("sr.enabled=false\n", False)):
+        assert config_from_text(lines + "model.sr_enabled=true\n").sr.enabled is sr
+    assert config_from_text("model.sr_enabled=false\nsr.enabled=false\n").sr.enabled is False
+    with pytest.raises(ConfigurationError, match="'model.sr_enabled'=false"):
+        config_from_text("model.sr_enabled=false\n")
+    for value in ("true", "false"):
+        assert config_from_text(f"sr_enabled={value}\n", cls=ModelConfig) == ModelConfig()
+    # Ratio is the one top-k rule, in either file.
+    assert config_from_text("attention.topk_mode=ratio\n", cls=ModelConfig) == ModelConfig()
+    for text, cls in (("model.attention.topk_mode=count\n", RunConfig), ("attention.topk_mode=count\n", ModelConfig)):
+        with pytest.raises(ConfigurationError, match="topk_mode'=count"):
+            config_from_text(text, cls=cls)
     assert config_from_text("tcn_enabled=false\ntcn.filters=7\n", cls=ModelConfig).tcn_enabled is False
     with pytest.raises(ConfigurationError, match="tcn.filters"):
         config_from_text("tcn.filters=7\n", cls=ModelConfig)

@@ -65,9 +65,12 @@ def write_golden_fixture(directory=FIXTURE):
     feature width, for the config text alone: model.csan lost the four
     retired keys (temporal_filters, attention.embed_dim,
     attention.pool_pads, tcn.filters), while train_log.csv, report.csv and
-    the checkpoint's blobs stayed byte-identical. Always from the
-    repository root with src/ and tests/ on sys.path; the re-derivations
-    ran:
+    the checkpoint's blobs stayed byte-identical; and again, for the config
+    text alone, when S&R came to be read from sr.enabled alone and top-k
+    kept its one ratio rule: model.csan lost sr_enabled=true and
+    attention.topk_mode=ratio, while train_log.csv, report.csv and the
+    checkpoint's blobs stayed byte-identical. Always from the repository
+    root with src/ and tests/ on sys.path; the re-derivations ran:
 
         PYTHONPATH=src:tests python -c "from test_golden_run import write_golden_fixture; write_golden_fixture()"
     """

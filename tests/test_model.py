@@ -77,7 +77,7 @@ class TestFusion:
         rng = np.random.default_rng(1)
         zs = [Tensor(rng.standard_normal((2, 4, cfg.t0)).astype(np.float32)) for _ in range(4)]
         with no_grad():
-            ms = model.fuse_branches(zs, training=False)
+            ms = model.fuse_branches(zs)
         for z, m in zip(zs, ms):
             np.testing.assert_array_equal(m.data, z.data)
 
@@ -91,7 +91,7 @@ class TestFusion:
         rng = np.random.default_rng(1)
         zs = [Tensor(rng.standard_normal((2, 4, cfg.t0)).astype(np.float32)) for _ in range(4)]
         with no_grad():
-            ms = model.fuse_branches(zs, training=False)
+            ms = model.fuse_branches(zs)
         for m in ms:
             np.testing.assert_array_equal(m.data, np.zeros_like(m.data))
 
@@ -106,7 +106,7 @@ class TestFusion:
                 dst.data = src.data.copy()
         z = Tensor(np.random.default_rng(2).standard_normal((2, 4, cfg.t0)).astype(np.float32))
         with no_grad():
-            ms = model.fuse_branches([z, z, z, z], training=False)
+            ms = model.fuse_branches([z, z, z, z])
         np.testing.assert_allclose(ms[1].data, ms[2].data, atol=1e-7)
         np.testing.assert_allclose(ms[1].data, ms[3].data, atol=1e-7)
 
@@ -118,7 +118,7 @@ class TestFusion:
         rng = np.random.default_rng(3)
         zs = [Tensor(rng.standard_normal((2, 4, cfg.t0)).astype(np.float32)) for _ in range(4)]
         with no_grad():
-            ms = model.fuse_branches(zs, training=False)
+            ms = model.fuse_branches(zs)
         assert len(ms) == 4
         assert all(m.shape == (2, 4, cfg.t0) for m in ms)
 

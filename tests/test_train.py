@@ -5,23 +5,22 @@ import pytest
 
 from csanet.autodiff import precision
 from csanet.checkpoint import load_checkpoint
-from csanet.config import ModelConfig, RunConfig, SplitSpec, SynthSpec, TrainConfig
+from csanet.config import ModelConfig, RunConfig, SplitSpec, SrConfig, SynthSpec, TrainConfig
 from csanet.model import CsanetModel
 from csanet.rng import substream
 from csanet.train import train_run
 
 
-def tiny_run(out_dir, epochs=3, sr_enabled=True, seed=11, eval_every=0):
-    run = RunConfig(
+def tiny_run(out_dir, epochs=3, sr=True, seed=11, eval_every=0):
+    return RunConfig(
         synth=SynthSpec(n_per_class=4, channels=6, time_steps=64, n_classes=3),
         model=ModelConfig(channels=6, time_steps=64, n_classes=3, pools=(4, 4)),
+        sr=SrConfig(enabled=sr),
         split=SplitSpec(strategy="none"),
         train=TrainConfig(epochs=epochs, batch_size=6, eval_every=eval_every),
         seed=seed,
         out_dir=str(out_dir),
     )
-    run.model.sr_enabled = sr_enabled
-    return run
 
 
 def read_log(path):
@@ -66,8 +65,8 @@ def test_zero_epochs_checkpoint_equals_initialization(tmp_path):
 
 
 def test_sr_doubles_effective_batch_and_is_logged(tmp_path):
-    on = train_run(tiny_run(tmp_path / "on", epochs=1, sr_enabled=True))
-    off = train_run(tiny_run(tmp_path / "off", epochs=1, sr_enabled=False))
+    on = train_run(tiny_run(tmp_path / "on", epochs=1, sr=True))
+    off = train_run(tiny_run(tmp_path / "off", epochs=1, sr=False))
     assert on.effective_batch == 12 and off.effective_batch == 6
     assert "# effective_batch=12" in read_log(on.log_path)
     assert "# effective_batch=6" in read_log(off.log_path)
@@ -139,11 +138,11 @@ def test_one_trial_batch_without_sr_fails_before_the_first_step(tmp_path, batch_
     writes a log or a checkpoint. With S&R on, each batch is doubled."""
     from csanet.errors import ConfigurationError
 
-    run = tiny_run(tmp_path / "off", epochs=1, sr_enabled=False)
+    run = tiny_run(tmp_path / "off", epochs=1, sr=False)
     run.train.batch_size = batch_size
     with pytest.raises(ConfigurationError, match=rf"12 trials and train.batch_size={batch_size}"):
         train_run(run)
     assert not (tmp_path / "off").exists()
-    run = tiny_run(tmp_path / "on", epochs=1, sr_enabled=True)
+    run = tiny_run(tmp_path / "on", epochs=1, sr=True)
     run.train.batch_size = 11
     assert train_run(run).epochs_run == 1
