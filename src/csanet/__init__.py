@@ -5,6 +5,13 @@ everything above it (branches, attention fusion, TCNs, training harness)
 is deterministic given a run seed.
 """
 
+import os
+
+# Set before numpy loads BLAS, keeping a value the user has set: on a 2-core
+# host the default of 2 threads spent 1.7-1.8x the CPU time for no wall-time gain.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from .autodiff import Tensor, no_grad, precision, set_default_dtype
 from .config import (
     AttentionConfig,

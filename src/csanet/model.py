@@ -28,13 +28,13 @@ from .layers import BatchNorm, Conv, Layer, LayerList, Linear
 
 class TcnBlock(Layer):
     """One residual block: two causal dilated convs, each followed by batch
-    norm -> ELU -> dropout. Training runs each tail as ops.bn_elu_pool at
-    pool 1; eval mode folds each batch norm into its conv's weight and adds
-    the folded shift in ops.elu_pool, as Branch._infer does for spa_conv."""
+    norm -> ELU -> dropout by its mask of keep. Training runs each tail as
+    ops.bn_elu_pool at pool 1; eval mode folds each batch norm into its
+    conv's weight and adds the folded shift in ops.elu_pool, as
+    Branch._infer does for spa_conv."""
 
-    def __init__(self, channels, kernel, dilation, dropout, rng):
+    def __init__(self, channels, kernel, dilation, rng):
         super().__init__()
-        self.dropout = dropout
         self.dilation = dilation
         self.conv1 = Conv((channels, channels, kernel), rng)
         self.bn1 = BatchNorm(channels)
@@ -48,11 +48,11 @@ class TcnBlock(Layer):
         pad = ((weight.shape[-1] - 1) * self.dilation, 0)
         return ops.conv1d_dilated(x, weight, dilation=self.dilation, pad=pad)
 
-    def __call__(self, x, training, rng=None):
+    def __call__(self, x, training, keep=(None, None)):
         h = x
-        for conv, bn in ((self.conv1, self.bn1), (self.conv2, self.bn2)):
+        for (conv, bn), mask in zip(((self.conv1, self.bn1), (self.conv2, self.bn2)), keep):
             if training:
-                h = ops.bn_elu_pool(self.causal(h, conv.weight), *_batch_norm_args(bn), 1, self.dropout, rng)
+                h = ops.bn_elu_pool(self.causal(h, conv.weight), *_batch_norm_args(bn), 1, mask)
             else:
                 weight, shift = _fold(bn, conv.weight.data, x.dtype)
                 h = Tensor(ops.elu_pool(self.causal(h, weight).data, shift, 1))
@@ -65,11 +65,11 @@ class TcnStack(Layer):
     def __init__(self, cfg: ModelConfig, rng):
         super().__init__()
         tcn = cfg.tcn
-        self.blocks = LayerList(TcnBlock(cfg.spa_filters, tcn.kernel, d, tcn.dropout, rng) for d in tcn.dilations)
+        self.blocks = LayerList(TcnBlock(cfg.spa_filters, tcn.kernel, d, rng) for d in tcn.dilations)
 
-    def __call__(self, x, training, rng=None):
-        for block in self.blocks:
-            x = block(x, training, rng)
+    def __call__(self, x, training, keep=None):
+        for i, block in enumerate(self.blocks):
+            x = block(x, training, keep[i] if keep else (None, None))
         return x
 
 
@@ -86,9 +86,9 @@ class Branch(Layer):
     ops.conv1d_dilated padding its input by ops.same_pad(K), its
     (U, U, 1, K) weight (U = spa_filters, the feature width) read as
     (U, U, K), and its tail (bn_spa -> ELU -> pool p2 -> dropout) is
-    ops.bn_elu_pool. The Conv and BatchNorm layers only hold the
-    parameters and buffers, in the shapes, names and init draw order of
-    the checkpoint format.
+    ops.bn_elu_pool; keep holds the two tails' dropout masks. The Conv and
+    BatchNorm layers only hold the parameters and buffers, in the shapes,
+    names and init draw order of the checkpoint format.
 
     bn_temporal.beta is dead in training: bn_depthwise's mean subtraction
     cancels its per-filter shift, so the fused op gives it an exact 0
@@ -112,7 +112,6 @@ class Branch(Layer):
         self.temporal_kernel = cfg.temporal_kernels[index]
         self.spa_kernel = cfg.spa_kernel
         self.pools = cfg.pools
-        self.p_drop = cfg.conv_dropout
         width = cfg.spa_filters
         filters = width // cfg.depth_multiplier
 
@@ -128,17 +127,17 @@ class Branch(Layer):
         else:
             self.tcn = None
 
-    def __call__(self, x, training, rng=None, lags=None):
+    def __call__(self, x, training, lags=None, keep=(None, None)):
         if not training:
             return Tensor(self._infer(x.data))
         p1, p2 = self.pools
         weights = (self.temporal_conv.weight, self.depthwise_conv.weight)
         bns = (_batch_norm_args(self.bn_temporal), _batch_norm_args(self.bn_depthwise))
-        h = ops.stem_bn_elu_pool(x, *weights, *bns, p1, self.p_drop, rng, lags)  # (B, width, T / p1)
+        h = ops.stem_bn_elu_pool(x, *weights, *bns, p1, keep[0], lags)  # (B, width, T / p1)
         u, width, _, k = self.spa_conv.weight.shape
         weight = self.spa_conv.weight.reshape((u, width, k))
         h = ops.conv1d_dilated(h, weight, pad=ops.same_pad(k))
-        return ops.bn_elu_pool(h, *_batch_norm_args(self.bn_spa), p2, self.p_drop, rng)
+        return ops.bn_elu_pool(h, *_batch_norm_args(self.bn_spa), p2, keep[1])
 
     def _infer(self, x):
         """Eval-mode branch on the raw (B, 1, C, T) array x, with no tape:
@@ -233,10 +232,26 @@ class CsanetModel(Layer):
                 query = m
         return outputs
 
-    def tcn_forward(self, m, branch, training, rng=None):
+    def dropout_masks(self, batch, rng):
+        """A training forward's dropout masks on `batch` trials, each an
+        ops.dropout_mask (None, and no draw, at rate 0), in the one order rng
+        gives them: per branch, the stem's and then the spa_conv tail's; then,
+        per branch, each TCN block's two. Per branch: (Branch, TcnStack) keep."""
+        cfg = self.config
+        t1, t0 = cfg.time_steps // cfg.pools[0], cfg.t0
+
+        def draw(t, p):
+            return ops.dropout_mask((batch, cfg.spa_filters, t), p, rng, self.dtype)
+
+        convs = [(draw(t1, cfg.conv_dropout), draw(t0, cfg.conv_dropout)) for _ in range(4)]
+        blocks = range(len(cfg.tcn.dilations) if cfg.tcn_enabled else 0)
+        tcns = [[(draw(t0, cfg.tcn.dropout), draw(t0, cfg.tcn.dropout)) for _ in blocks] for _ in range(4)]
+        return list(zip(convs, tcns))
+
+    def tcn_forward(self, m, branch, training, keep=None):
         """Per-branch temporal network plus the configured readout."""
         cfg = self.config
-        h = branch.tcn(m, training, rng) if cfg.tcn_enabled else m
+        h = branch.tcn(m, training, keep) if cfg.tcn_enabled else m
         b, u, t0 = h.shape
         if cfg.readout == "last_step":
             return narrow(h, 2, t0 - 1, 1).reshape((b, u))
@@ -257,12 +272,13 @@ class CsanetModel(Layer):
         if x.dtype != self.dtype:
             raise DataError(f"input dtype {x.dtype} does not match the model's parameter dtype {self.dtype}")
         with nullcontext() if training else no_grad():
+            masks = self.dropout_masks(x.shape[0], rng) if training else [(None, None)] * 4
             # One lag table at the longest kernel serves every branch's statistics.
             lags = ops.lag_prefixes(x.data, max(cfg.temporal_kernels)) if training else None
-            zs = [branch(x, training, rng, lags) for branch in self.branches]
+            zs = [branch(x, training, lags, keep) for branch, (keep, _) in zip(self.branches, masks)]
             ms = self.fuse_branches(zs)
             feats = concat(
-                [self.tcn_forward(m, branch, training, rng) for m, branch in zip(ms, self.branches)],
+                [self.tcn_forward(m, b, training, keep) for m, b, (_, keep) in zip(ms, self.branches, masks)],
                 axis=1,
             )
             return self.classifier(feats)

@@ -1,7 +1,7 @@
 """Neural-network primitives on Tensors, with hand-derived backward passes.
 
-Everything here is deterministic given its inputs (dropout takes an
-explicit Generator). The network convolves only along time, at stride 1,
+Everything here is deterministic given its inputs; only dropout_mask
+draws, from a Generator. The network convolves only along time, at stride 1,
 and every map from the stem to fusion is (B, C, T); pooling carries the
 stride. A training forward meets, per branch:
 - stem_bn_elu_pool: the stem (temporal conv -> batch norm -> depthwise
@@ -237,15 +237,15 @@ def _tile_correlate(a, w):
     return out
 
 
-def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, p_drop, rng=None, lags=None):
+def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, keep=None, lags=None):
     """A branch's training-mode stem and first tail as one op, from the raw
     (B, 1, C, T) trial (B >= 2) to the (B, F*D, T // pool) map: temporal
     conv (weight (F, 1, 1, K), same_pad(K)'s padding) -> batch norm ->
     depthwise conv ((F*D, 1, C, 1), channel j reading filter j // D) ->
-    batch norm -> ELU -> stride-pool mean pool -> dropout(p_drop). The batch
-    norms are (gamma, beta, running_mean, running_var); x gets no gradient;
-    lags is lag_prefixes(x.data, K' >= K), or built here. Eval mode runs
-    stem_elu_pool.
+    batch norm -> ELU -> stride-pool mean pool -> dropout by the mask keep
+    (or None). The batch norms are (gamma, beta, running_mean,
+    running_var); x gets no gradient; lags is lag_prefixes(x.data, K' >=
+    K), or built here. Eval mode runs stem_elu_pool.
 
     Channel j is a_f * Q_j + c_f * s_j: filter f's batch-norm map of Q_j,
     its taps correlated with P_j = dw_j . x, and s_j = sum(dw_j). The
@@ -255,9 +255,8 @@ def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, p_dr
     sum_j gamma_j BN_EPS (a_f^2 var Q_j + BN_EPS)^(-3/2) sum((Q_j - mean Q_j)
     dL/dy_j), into gamma_f and w_f through var_f (window moments off the
     lag table); beta_f's gradient is exactly 0. The depthwise batch norm is
-    _bn_train at per-channel scale a_f on Q's (F*D, B, T) layout; the
-    dropout mask is drawn first, as dropout draws it. The tape keeps P, the
-    centred Q and the ELU's slope.
+    _bn_train at per-channel scale a_f on Q's (F*D, B, T) layout. The tape
+    keeps P, the centred Q and the ELU's slope.
     """
     x, weight, depthwise = _wrap(x), _wrap(weight), _wrap(depthwise)
     (gamma1, beta1, mean1, var1), (gamma2, beta2, mean2, var2) = temporal_bn, depthwise_bn
@@ -277,9 +276,7 @@ def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, p_dr
     if not 1 <= pool <= T:
         raise ConfigurationError(f"pooling window {pool} must lie between 1 and the input length {T}")
     D = depthwise.shape[0] // F
-    wo = T // pool
     dtype = x.dtype
-    keep = _dropout_keep((B, F * D, wo), p_drop, True, rng, dtype)
     if lags is None:
         lags = lag_prefixes(x.data, K)
     elif lags[2].shape[0] < K or lags[1].shape != (T + 1,):
@@ -297,18 +294,18 @@ def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, p_dr
     p = _stem_projection(x.data, dw, K)
     q = _tile_correlate(p, w).reshape(F * D, B, -1)[..., :T]
     q_mean, q_var, inv2, u, y = _bn_train(q, gamma2.data, beta2.data, aj)
+    slope, out = _tail_forward(y, pool, keep)
     shift = ((beta1.data - a * mean)[:, None] * dw.sum(axis=2)).reshape(-1)  # c_f * s_j
     _update_running(mean1, var1, mean, var, B * C * T)
     _update_running(mean2, var2, aj * q_mean + shift, aj * aj * q_var, B * T)
     r = aj * inv2
-    slope, out = _tail_forward(y, pool, keep)
 
     def backward(gout):
         # dL/dy goes into rows zero-padded for the flipped taps' correlation.
         tiles, at = -(-T // _TILE), K - 1 - left
         gq_pad = np.empty((F, D * B, tiles * _TILE + K - 1), dtype=dtype)
         gq_pad[:, :, :at] = 0.0
-        gq_pad[:, :, at + wo * pool :] = 0.0
+        gq_pad[:, :, at + (T // pool) * pool :] = 0.0
         gq = gq_pad[:, :, at : at + T].reshape(F * D, B, T)  # a view
         _tail_backward(gout, keep, slope, pool, gq)
         psum, (c0, c1, c2) = _bn_train_grads(gq, u, r, gamma2, beta2)
@@ -377,12 +374,12 @@ def elu(x):
     return _make(out, (x,), backward)
 
 
-def _dropout_keep(shape, p, training, rng, dtype):
+def dropout_mask(shape, p, rng, dtype):
     """Per-entry dropout scale, 0 or 1/(1-p), drawn as rng.random(shape);
-    None (and no draw) when nothing is dropped."""
+    None (and no draw) at p = 0."""
     if not 0.0 <= p < 1.0:
         raise ConfigurationError(f"dropout probability must lie in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if p == 0.0:
         return None
     if rng is None:
         raise ConfigurationError("dropout in training mode needs an explicit rng stream")
@@ -392,16 +389,8 @@ def _dropout_keep(shape, p, training, rng, dtype):
 def dropout(x, p, training, rng=None):
     """Zero entries with probability p and rescale survivors by 1/(1-p)."""
     x = _wrap(x)
-    keep = _dropout_keep(x.shape, p, training, rng, x.dtype)
-    if keep is None:
-        return x
-    out = x.data * keep
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * keep)
-
-    return _make(out, (x,), backward)
+    keep = dropout_mask(x.shape, p, rng, x.dtype) if training else None
+    return x if keep is None else x * keep
 
 
 def _mean_pool(y, pool):
@@ -419,8 +408,10 @@ def _mean_pool(y, pool):
 def _tail_forward(y, pool, keep):
     """ELU -> pool -> dropout of the training tails on the (C, B, T) batch
     norm output y (overwritten): (slope, out), the ELU's derivative and the
-    C-contiguous (B, C, T // pool) output; keep is _dropout_keep's mask or
-    None."""
+    C-contiguous (B, C, T // pool) output; keep is a dropout_mask of the
+    output's shape or None."""
+    if keep is not None and keep.shape != (y.shape[1], y.shape[0], y.shape[2] // pool):
+        raise DimensionError(f"dropout mask of shape {keep.shape} does not match the tail's output")
     slope, y = _elu_parts(y, out=y)
     slope += 1.0
     out = _mean_pool(y, pool).transpose(1, 0, 2).copy()
@@ -440,18 +431,16 @@ def _tail_backward(gout, keep, slope, pool, gy):
     np.multiply(s, g[..., None], out=out)
 
 
-def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, p_drop, rng=None):
+def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, keep=None):
     """A training-mode tail on a (B, C, T) map as one op: batch norm -> ELU
-    -> mean pool over windows of `pool` samples at stride pool ->
-    dropout(p_drop), returning (B, C, T // pool). It runs after each
+    -> mean pool over windows of `pool` samples at stride pool -> dropout by
+    the mask keep (or None), returning (B, C, T // pool). It runs after each
     branch's spa_conv and, at pool 1, after each TCN conv. Eval mode runs
     elu_pool instead.
 
     Batch norm is _bn_train on x's (C, B, T) view; the last T % pool samples
-    are dropped, as a stride-pool mean pool drops them; the dropout mask is
-    drawn as dropout draws it, before anything else, so the rng stream is
-    that of the four ops composed. The tape keeps the centred map, the ELU's
-    slope and the dropout mask.
+    are dropped, as a stride-pool mean pool drops them. The tape keeps the
+    centred map, the ELU's slope and the dropout mask.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     if x.ndim != 3:
@@ -463,10 +452,9 @@ def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, p_drop, rng=Non
         raise ConfigurationError("pooling kernel extents must be positive")
     if T < pool:
         raise DimensionError("pooling window larger than padded input")
-    keep = _dropout_keep((B, C, T // pool), p_drop, True, rng, x.dtype)
     mean, var, inv, u, y = _bn_train(x.data.transpose(1, 0, 2), gamma.data, beta.data)
-    _update_running(running_mean, running_var, mean, var, B * T)
     slope, out = _tail_forward(y, pool, keep)
+    _update_running(running_mean, running_var, mean, var, B * T)
 
     def backward(gout):
         gy = np.zeros_like(u)

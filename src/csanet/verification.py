@@ -110,8 +110,8 @@ def _check_tcn():
 
 def _check_stem():
     """stem_bn_elu_pool (training mode only) at an even and an odd kernel,
-    with T % pool != 0 and its dropout mask replayed from a fixed seed on
-    every call. Each bn_temporal beta is structurally zero."""
+    with T % pool != 0 and one dropout mask per kernel, drawn once and
+    passed to every call. Each bn_temporal beta is structurally zero."""
     rng = _rng(16)
     x = Tensor(rng.standard_normal((3, 1, 3, 10)))
     params, buffers, labels = [], [], []
@@ -121,13 +121,14 @@ def _check_stem():
             params += [Tensor(1.0 + 0.1 * rng.standard_normal(c)), Tensor(0.5 * rng.standard_normal(c))]
         buffers.append([(0.1 * rng.standard_normal(c), 1.0 + rng.random(c)) for c in (2, 4)])
         labels += [f"k{k}.{name}" for name in ("weight", "depthwise", "gamma", "beta", "gamma2", "beta2")]
+    keeps = [ops.dropout_mask((3, 4, 3), 0.5, _rng(120 + i), np.float64) for i in range(2)]
 
     def closure(*p):
         losses = []
         for i, bufs in enumerate(buffers):
             w, dw, g1, b1, g2, b2 = p[6 * i : 6 * i + 6]
             bns = [(g, b, rm.copy(), rv.copy()) for (g, b), (rm, rv) in zip(((g1, b1), (g2, b2)), bufs)]
-            out = ops.stem_bn_elu_pool(x, w, dw, *bns, 3, 0.5, _rng(120 + i))
+            out = ops.stem_bn_elu_pool(x, w, dw, *bns, 3, keeps[i])
             losses.append(_proj_loss(out, _rng(112 + 2 * i)))
         return losses[0] + losses[1]
 
@@ -139,8 +140,8 @@ def _check_stem():
 def _check_tail():
     """bn_elu_pool (training mode only) as after spa_conv, with T % pool !=
     0, and at pool 1 on a TCN-shaped map, channels-last in memory as the
-    TCN's causal conv returns it; each dropout mask replayed from a fixed
-    seed on every call."""
+    TCN's causal conv returns it; each with one dropout mask, drawn once and
+    passed to every call."""
     rng = _rng(17)
     params = [
         Tensor(rng.standard_normal((3, 2, 11))),
@@ -151,10 +152,11 @@ def _check_tail():
     params += [Tensor(rng.standard_normal((2, 6, 4))), Tensor(1.0 + 0.1 * rng.standard_normal(4))]
     params.append(Tensor(0.5 * rng.standard_normal(4)))
     rm_tcn, rv_tcn = 0.1 * rng.standard_normal(4), 1.0 + rng.random(4)
+    keep, keep_tcn = (ops.dropout_mask(s, 0.5, _rng(n), np.float64) for s, n in (((3, 2, 3), 112), ((2, 4, 6), 116)))
 
     def closure(x_, g_, b_, xt_, gt_, bt_):
-        spa = ops.bn_elu_pool(x_, g_, b_, rm.copy(), rv.copy(), 3, 0.5, _rng(112))
-        tcn = ops.bn_elu_pool(xt_.transpose((0, 2, 1)), gt_, bt_, rm_tcn.copy(), rv_tcn.copy(), 1, 0.5, _rng(116))
+        spa = ops.bn_elu_pool(x_, g_, b_, rm.copy(), rv.copy(), 3, keep)
+        tcn = ops.bn_elu_pool(xt_.transpose((0, 2, 1)), gt_, bt_, rm_tcn.copy(), rv_tcn.copy(), 1, keep_tcn)
         return _proj_loss(spa, _rng(114)) + _proj_loss(tcn, _rng(118))
 
     report = grad_check(closure, params)

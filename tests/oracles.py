@@ -351,31 +351,32 @@ def oracle_spa_conv(h, weight):
     return out.reshape((b, out.shape[1], t))
 
 
-def oracle_tail(x, gamma, beta, running_mean, running_var, training, pool, p_drop, rng=None):
+def oracle_tail(x, gamma, beta, running_mean, running_var, training, pool, keep=None):
     """Batch norm -> ELU -> (1, pool) mean pool -> dropout, four ops, on a
-    (B, C, T) map; the pool runs on its (B, C, 1, T) view.
+    (B, C, T) map; the pool runs on its (B, C, 1, T) view, and dropout
+    multiplies by the mask keep (an ops.dropout_mask, or None).
 
     Same signature and result as ops.bn_elu_pool.
     """
     h = oracle_batch_norm(x, gamma, beta, running_mean, running_var, training)
     b, c, t = h.shape
-    h = ops.avg_pool2d(ops.elu(h).reshape((b, c, 1, t)), pool)
-    return ops.dropout(h.reshape((b, c, t // pool)), p_drop, training, rng)
+    h = ops.avg_pool2d(ops.elu(h).reshape((b, c, 1, t)), pool).reshape((b, c, t // pool))
+    return h if keep is None else h * keep
 
 
-def oracle_tcn_block(block, x, training, rng=None):
+def oracle_tcn_block(block, x, training, keep=(None, None)):
     """model.TcnBlock.__call__ as it ran before its tails became
     ops.bn_elu_pool at pool 1 and its eval mode folded each batch norm into
-    the conv: causal conv -> oracle_batch_norm -> ELU -> dropout, twice,
-    plus the residual."""
+    the conv: causal conv -> oracle_batch_norm -> ELU -> dropout by its mask
+    of keep, twice, plus the residual."""
     h = x
-    for conv, bn in ((block.conv1, block.bn1), (block.conv2, block.bn2)):
+    for (conv, bn), mask in zip(((block.conv1, block.bn1), (block.conv2, block.bn2)), keep):
         h = oracle_batch_norm(block.causal(h, conv.weight), bn.gamma, bn.beta, bn.running_mean, bn.running_var, training)
-        h = ops.dropout(ops.elu(h), block.dropout, training, rng)
+        h = ops.elu(h) if mask is None else ops.elu(h) * mask
     return x + h
 
 
-def oracle_branch_call(branch, x, training, rng=None, lags=None, spa_conv=oracle_spa_conv):
+def oracle_branch_call(branch, x, training, lags=None, keep=(None, None), spa_conv=oracle_spa_conv):
     """model.Branch.__call__ with spa_conv run by spa_conv(h, weight).
 
     Training mode runs the model's ops around spa_conv
@@ -387,15 +388,15 @@ def oracle_branch_call(branch, x, training, rng=None, lags=None, spa_conv=oracle
     bns = [(bn.gamma, bn.beta, bn.running_mean, bn.running_var) for bn in (branch.bn_temporal, branch.bn_depthwise)]
     weights = (branch.temporal_conv.weight, branch.depthwise_conv.weight)
     if training:
-        h = ops.stem_bn_elu_pool(x, *weights, *bns, p1, branch.p_drop, rng, lags)
+        h = ops.stem_bn_elu_pool(x, *weights, *bns, p1, keep[0], lags)
     else:
         h = oracle_branch_stem(x, weights[0], *bns[0], weights[1], False)
-        h = oracle_tail(h, *bns[1], False, p1, branch.p_drop)
+        h = oracle_tail(h, *bns[1], False, p1)
     h = spa_conv(h, branch.spa_conv.weight)
     bn = branch.bn_spa
     if training:
-        return ops.bn_elu_pool(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, p2, branch.p_drop, rng)
-    return oracle_tail(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, False, p2, branch.p_drop)
+        return ops.bn_elu_pool(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, p2, keep[1])
+    return oracle_tail(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, False, p2)
 
 
 def oracle_lag_prefixes(x, max_kernel):

@@ -343,6 +343,23 @@ def test_script_imports_and_prints_help(script):
     assert "usage:" in done.stdout and "--epochs" in done.stdout
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_import_sets_one_blas_thread_unless_the_user_chose(preset, want):
+    # Importing csanet sets each unset BLAS thread variable to 1, before
+    # numpy loads BLAS, and keeps a value the user has set.
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["PYTHONPATH"] = str(REPO / "src")
+    if preset is not None:
+        env.update(dict.fromkeys(BLAS_THREADS, preset))
+    code = f"import os; import csanet; print(*(os.environ[k] for k in {BLAS_THREADS!r}))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [want] * 3
+
+
 def test_width_key_alone_sets_every_width(run_cfg_path, tmp_path, monkeypatch):
     # spa_filters is the one width key: the branches' filters, the fusion,
     # the TCNs and the classifier follow it, and no retired key is written.

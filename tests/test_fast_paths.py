@@ -183,7 +183,7 @@ def test_grad_check_report_is_the_taped_report_on_the_first_mini_chunk():
 
 @pytest.mark.parametrize("scope", ["stem", "tail"])
 def test_grad_check_report_is_the_taped_report_on_a_scope(scope, monkeypatch):
-    # The tail scope replays its dropout mask from a fixed seed on each call.
+    # Both scopes draw their dropout masks once and pass them to each call.
     got = run_scope(scope)
     monkeypatch.setattr(verification, "grad_check", oracle_grad_check)
     _assert_same_report(got, run_scope(scope))

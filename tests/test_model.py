@@ -176,6 +176,54 @@ class TestDeterminism:
             assert p1.data.tobytes() == p2.data.tobytes()
 
 
+class TestDropoutMasks:
+    """CsanetModel.dropout_masks states the dropout stream's one draw order."""
+
+    def test_default_config_masks_are_the_streams_draws_in_order(self):
+        cfg = ModelConfig()  # float32, dropout 0.5 (conv) and 0.3 (TCN)
+        model = make_model(cfg)
+        B, U = 3, cfg.spa_filters
+        stream = np.random.default_rng(7)
+        masks = model.dropout_masks(B, stream)
+        # Per branch, the stem's mask and then the spa_conv tail's; then, per
+        # branch, each TCN block's two. The tail and TCN maps are (B, U, t0).
+        shapes = ((B, U, cfg.time_steps // cfg.pools[0]), (B, U, cfg.t0))
+        order = [(keep[i], shape, cfg.conv_dropout) for keep, _ in masks for i, shape in enumerate(shapes)]
+        order += [(mask, shapes[1], cfg.tcn.dropout) for _, pairs in masks for pair in pairs for mask in pair]
+        assert len(order) == 4 * (2 + 2 * len(cfg.tcn.dilations))
+        rng = np.random.default_rng(7)
+        for mask, shape, p in order:
+            want = (rng.random(shape) >= p).astype(np.float32) / np.float32(1.0 - p)
+            assert mask.dtype == np.float32 and np.array_equal(mask, want)
+        assert stream.bit_generator.state == rng.bit_generator.state  # no other draw
+
+    def test_rate_zero_draws_nothing_and_needs_no_rng(self):
+        cfg = mini_model_config()  # conv and TCN dropout 0
+        model = make_model(cfg)
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        for stream in (rng, None):
+            masks = model.dropout_masks(2, stream)
+            assert [keep for keep, _ in masks] == [(None, None)] * 4
+            assert [pairs for _, pairs in masks] == [[(None, None)] * len(cfg.tcn.dilations)] * 4
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("rate", ["conv_dropout", "tcn.dropout"])
+    def test_training_without_rng_fails_before_a_buffer_moves(self, rate):
+        cfg = mini_model_config()
+        if rate == "conv_dropout":
+            cfg.conv_dropout = 0.5
+        else:
+            cfg.tcn.dropout = 0.5
+        model = make_model(cfg)
+        before = {name: buf.copy() for name, buf in model.named_buffers()}
+        x = np.random.default_rng(8).standard_normal((2, 1, cfg.channels, cfg.time_steps)).astype(np.float32)
+        with pytest.raises(ConfigurationError, match="explicit rng"):
+            model(x, training=True)
+        for name, buf in model.named_buffers():
+            assert np.array_equal(buf, before[name]), name
+
+
 class TestTape:
     def test_mini_training_loss_tape_node_count_is_pinned(self):
         # Per-op Python overhead scales with the tape (B=1 decoding, the

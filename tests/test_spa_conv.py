@@ -105,8 +105,8 @@ def inline_spa_conv(h, weight):
     return ops.conv1d_dilated(same_pad_time(h, K), weight.reshape((cout, width, K)))
 
 
-def inline_branch_call(branch, x, training, rng=None, lags=None):
-    return oracle_branch_call(branch, x, training, rng, lags, spa_conv=inline_spa_conv)
+def inline_branch_call(branch, x, training, lags=None, keep=(None, None)):
+    return oracle_branch_call(branch, x, training, lags, keep, spa_conv=inline_spa_conv)
 
 
 @pytest.mark.parametrize("training", [True, False])

@@ -27,11 +27,11 @@ TOL = 1e-9
 EPS32 = float(np.finfo(np.float32).eps)
 
 
-def training_oracle_stem(x, weight, depthwise, temporal_bn, depthwise_bn, pool, p_drop, rng=None, lags=None):
+def training_oracle_stem(x, weight, depthwise, temporal_bn, depthwise_bn, pool, keep=None, lags=None):
     """oracle_branch_stem then oracle_tail in training mode, with
     ops.stem_bn_elu_pool's signature; lags goes unread."""
     h = oracle_branch_stem(x, weight, *temporal_bn, depthwise, True)
-    return oracle_tail(h, *depthwise_bn, True, pool, p_drop, rng)
+    return oracle_tail(h, *depthwise_bn, True, pool, keep)
 
 
 STEMS = (ops.stem_bn_elu_pool, training_oracle_stem)
@@ -73,9 +73,11 @@ def run_stem(stem, arrays, pool, p_drop=0.5, dtype="float64", lags=None):
         p = params
         temporal = (p["gamma"], p["beta"], bufs[0], bufs[1])
         depthwise = (p["gamma2"], p["beta2"], bufs[2], bufs[3])
-        rng = np.random.Generator(np.random.PCG64(7))
+        B, _, _, T = arrays["x"].shape
+        shape = (B, arrays["depthwise"].shape[0], T // pool)
+        keep = ops.dropout_mask(shape, p_drop, np.random.Generator(np.random.PCG64(7)), work)
         x = Tensor(arrays["x"].astype(work))
-        out = stem(x, p["weight"], p["depthwise"], temporal, depthwise, pool, p_drop, rng, lags)
+        out = stem(x, p["weight"], p["depthwise"], temporal, depthwise, pool, keep, lags)
         proj = arrays["proj"][..., : out.shape[-1]].astype(work)
         (out * Tensor(proj)).sum().backward()
     return [out.data] + [params[k].grad for k in PARAMS] + bufs
@@ -108,7 +110,6 @@ def oracle_eval_stem(arrays, pool):
             arrays["running_var2"].copy(),
             False,
             pool,
-            0.0,
         ).data
 
 
@@ -346,7 +347,7 @@ def test_training_batch_of_one_is_rejected_like_batch_norm():
     errors = []
     for stem in STEMS:
         with pytest.raises(ConfigurationError) as error:
-            stem(*args, 4, 0.0)
+            stem(*args, 4)
         errors.append(str(error.value))
     assert errors[0] == errors[1]
     # Eval mode decodes one trial, through the folded inference stem.
@@ -358,7 +359,7 @@ def test_input_gradient_is_refused():
     x, *rest = stem_tensors(arrays)
     x.requires_grad = True
     with pytest.raises(ConfigurationError, match="input"):
-        ops.stem_bn_elu_pool(x, *rest, 4, 0.0)
+        ops.stem_bn_elu_pool(x, *rest, 4)
 
 
 def test_zero_temporal_weights_give_zero_variance_and_finite_outputs():
@@ -404,7 +405,11 @@ def test_model_forward_shares_one_lag_table_exactly(config, monkeypatch):
     shared = model_step(cfg, 41, True, monkeypatch, ops.stem_bn_elu_pool)
     assert built == [max(cfg.temporal_kernels)]
     call = Branch.__call__
-    monkeypatch.setattr(Branch, "__call__", lambda self, x, training, rng=None, lags=None: call(self, x, training, rng))
+
+    def own_table(self, x, training, lags=None, keep=(None, None)):
+        return call(self, x, training, None, keep)
+
+    monkeypatch.setattr(Branch, "__call__", own_table)
     own = model_step(cfg, 41, True, monkeypatch, ops.stem_bn_elu_pool)
     assert sorted(built[2:]) == sorted(cfg.temporal_kernels)  # after the model's own, unread
     assert np.array_equal(shared[0], own[0])
@@ -418,7 +423,15 @@ def test_lag_table_shorter_than_the_kernel_is_rejected():
     arrays = stem_arrays(75, 2, 3, 16, 2, 2, 5)
     args = stem_tensors(arrays)
     with pytest.raises(DimensionError, match="lag table"):
-        ops.stem_bn_elu_pool(*args, 4, 0.0, lags=ops.lag_prefixes(args[0].data, 4))
+        ops.stem_bn_elu_pool(*args, 4, lags=ops.lag_prefixes(args[0].data, 4))
+    # So is a dropout mask that would broadcast against the (2, 4, 4)
+    # output, before either batch norm's running buffers move.
+    buffers = [a.copy() for a in (*args[3][2:], *args[4][2:])]
+    for shape in ((1, 4, 4), (2, 4, 1), (2, 4, 16)):
+        with pytest.raises(DimensionError, match="dropout mask"):
+            ops.stem_bn_elu_pool(*args, 4, np.ones(shape))
+    for got, want in zip((*args[3][2:], *args[4][2:]), buffers):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

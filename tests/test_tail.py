@@ -25,9 +25,9 @@ from test_train import tiny_run
 EPS32 = float(np.finfo(np.float32).eps)
 
 
-def training_oracle_tail(x, gamma, beta, running_mean, running_var, pool, p_drop, rng=None):
+def training_oracle_tail(x, gamma, beta, running_mean, running_var, pool, keep=None):
     """oracle_tail in training mode, with ops.bn_elu_pool's signature."""
-    return oracle_tail(x, gamma, beta, running_mean, running_var, True, pool, p_drop, rng)
+    return oracle_tail(x, gamma, beta, running_mean, running_var, True, pool, keep)
 
 
 TAILS = (ops.bn_elu_pool, training_oracle_tail)
@@ -59,21 +59,22 @@ def tail_params(C, dtype, seed=5):
 
 
 def run_tail(tail, x, dtype, pool, p_drop, seed=5):
-    """Training-mode forward, backward of a fixed projection: output, grads
-    of x, gamma and beta, both running buffers and the dropout stream's
-    next draw."""
+    """Training-mode forward with a dropout mask drawn from a fixed seed,
+    backward of a fixed projection: output, grads of x, gamma and beta and
+    both running buffers."""
     g, b, rm, rv, rng = tail_params(x.shape[1], dtype, seed)
+    B, C, T = x.shape
+    keep = ops.dropout_mask((B, C, T // pool), p_drop, np.random.Generator(np.random.PCG64(seed + 1)), dtype)
     with precision(dtype):
         xt = Tensor(x, requires_grad=True)
         gamma, beta = Tensor(g, requires_grad=True), Tensor(b, requires_grad=True)
-        drop_rng = np.random.Generator(np.random.PCG64(seed + 1))
-        out = tail(xt, gamma, beta, rm, rv, pool, p_drop, drop_rng)
+        out = tail(xt, gamma, beta, rm, rv, pool, keep)
         proj = rng.standard_normal(out.shape).astype(dtype)
         (out * Tensor(proj)).sum().backward()
-    return [out.data, xt.grad, gamma.grad, beta.grad, rm, rv, np.asarray(drop_rng.random())]
+    return [out.data, xt.grad, gamma.grad, beta.grad, rm, rv]
 
 
-def assert_eval_tail_within_contract(x, dtype, pool, p_drop):
+def assert_eval_tail_within_contract(x, dtype, pool):
     """Eval mode: batch norm's scale applied to x (as a folded conv weight
     applies it), then ops.elu_pool with its shift, against oracle_tail in
     float64 on the same values; float64 within 1e-9 x max |value|, float32
@@ -84,7 +85,7 @@ def assert_eval_tail_within_contract(x, dtype, pool, p_drop):
     got = ops.elu_pool(x * scale.astype(dtype).reshape(shape), shift.astype(dtype).reshape(shape), pool)
     with precision("float64"):
         params = [a.astype(np.float64) for a in (x, g, b, rm, rv)]
-        want = oracle_tail(*map(Tensor, params[:3]), *params[3:], False, pool, p_drop).data
+        want = oracle_tail(*map(Tensor, params[:3]), *params[3:], False, pool).data
     assert got.dtype == dtype and got.shape == want.shape
     err, top = float(np.abs(got - want).max()), float(np.abs(want).max())
     assert err <= (1e-9 * top if dtype == np.float64 else 256 * EPS32 * max(1.0, top)), f"error {err:.3e}"
@@ -96,20 +97,19 @@ def assert_eval_tail_within_contract(x, dtype, pool, p_drop):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("shape", SHAPES, ids=[f"T{s[2]}p{s[3]}" for s in SHAPES])
 def test_tail_is_bitwise_the_composition(shape, dtype, layout, training, p_drop):
-    """Within the contract's tolerance for the dtype, in training mode, and
-    the dropout stream left where the composition leaves it; eval mode runs
-    the folded tail at the contract's tolerances. (Bitwise until the tail
-    moved onto the shared batch-norm kernel.)"""
+    """Within the contract's tolerance for the dtype, in training mode, with
+    the same dropout mask; eval mode (where p_drop is unread) runs the
+    folded tail at the contract's tolerances. (Bitwise until the tail moved
+    onto the shared batch-norm kernel.)"""
     B, C, T, pool = shape
     x = tail_input(T, B, C, T, layout, dtype)
     if not training:
-        assert_eval_tail_within_contract(x, np.dtype(dtype), pool, p_drop)
+        assert_eval_tail_within_contract(x, np.dtype(dtype), pool)
         return
     got, want = (run_tail(tail, x, dtype, pool, p_drop) for tail in TAILS)
     names = ("output", "x grad", "gamma grad", "beta grad", "running mean", "running var")
     for name, g, w in zip(names, got, want):
         assert_within_dtype_rule(g, w, name)
-    assert got[-1] == want[-1], "next rng draw"
     assert got[0].shape == (B, C, T // pool)
 
 
@@ -204,7 +204,8 @@ def test_tape_keeps_two_full_size_arrays():
     B, C, T, pool = 4, 8, 64, 4
     x = Tensor(tail_input(1, B, C, T, "contiguous", "float64"), requires_grad=True)
     gamma, beta = Tensor(np.ones(C)), Tensor(np.zeros(C))
-    out = ops.bn_elu_pool(x, gamma, beta, np.zeros(C), np.ones(C), pool, 0.5, np.random.default_rng(0))
+    keep = ops.dropout_mask((B, C, T // pool), 0.5, np.random.default_rng(0), np.float64)
+    out = ops.bn_elu_pool(x, gamma, beta, np.zeros(C), np.ones(C), pool, keep)
     held = [c.cell_contents for c in out._backward.__closure__]
     arrays = [a for a in held if isinstance(a, np.ndarray)]
     assert sorted(a.size for a in arrays if a.size >= B * C * T // pool) == [B * C * T // pool, B * C * T, B * C * T]
@@ -215,31 +216,45 @@ def test_errors_match_the_composition():
     gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
     for tail in TAILS:
         with pytest.raises(ConfigurationError, match="batch of at least 2"):
-            tail(x, gamma, beta, np.zeros(3), np.ones(3), 2, 0.0)
+            tail(x, gamma, beta, np.zeros(3), np.ones(3), 2)
+    # The mask's draw checks: the one mask function, and the retired op on it.
     x2 = Tensor(tail_input(2, 2, 3, 8, "contiguous", "float64"))
-    for tail in TAILS:
+    draws = (
+        lambda p, rng: ops.dropout_mask((2, 3, 4), p, rng, np.float64),
+        lambda p, rng: ops.dropout(x2, p, True, rng),
+    )
+    for drop in draws:
         with pytest.raises(ConfigurationError, match="explicit rng"):
-            tail(x2, gamma, beta, np.zeros(3), np.ones(3), 2, 0.5)
+            drop(0.5, None)
         with pytest.raises(ConfigurationError, match="dropout probability"):
-            tail(x2, gamma, beta, np.zeros(3), np.ones(3), 2, 1.0)
+            drop(1.0, np.random.default_rng(0))
     with pytest.raises(DimensionError):
-        ops.bn_elu_pool(x2, gamma, beta, np.zeros(3), np.ones(3), 9, 0.0)
+        ops.bn_elu_pool(x2, gamma, beta, np.zeros(3), np.ones(3), 9)
     with pytest.raises(DimensionError):
-        ops.bn_elu_pool(Tensor(np.zeros((2, 3, 2, 8))), gamma, beta, np.zeros(3), np.ones(3), 2, 0.0)
+        ops.bn_elu_pool(Tensor(np.zeros((2, 3, 2, 8))), gamma, beta, np.zeros(3), np.ones(3), 2)
+    # A mask that would broadcast against the (2, 3, 4) output, refused before
+    # the running buffers move.
+    rm, rv = np.zeros(3), np.ones(3)
+    for shape in ((1, 3, 4), (2, 3, 1), (2, 3, 8)):
+        with pytest.raises(DimensionError, match="dropout mask"):
+            ops.bn_elu_pool(x2, gamma, beta, rm, rv, 2, np.ones(shape))
+    assert not rm.any() and (rv == 1.0).all()
 
 
 def tcn_block_step(block_fn, dtype, training, seed=90):
-    """One TCN block (filters 4, kernel 3, dilation 2, dropout 0.5) on a
-    (4, 4, 13) map: its output and, in training mode, after the backward of
-    a fixed projection, the gradients of x and of every parameter; then the
-    running buffers."""
+    """One TCN block (filters 4, kernel 3, dilation 2, dropout 0.5 in
+    training) on a (4, 4, 13) map: its output and, in training mode, after
+    the backward of a fixed projection, the gradients of x and of every
+    parameter; then the running buffers."""
     rng = np.random.Generator(np.random.PCG64(seed))
+    drop = np.random.Generator(np.random.PCG64(seed + 1))
+    keep = [ops.dropout_mask((4, 4, 13), 0.5, drop, dtype) for _ in range(2)] if training else (None, None)
     with precision(dtype):
-        block = TcnBlock(4, 3, 2, 0.5, rng)
+        block = TcnBlock(4, 3, 2, rng)
         for _, buf in block.named_buffers():
             buf[...] = rng.uniform(0.2, 0.6, buf.shape)
         x = Tensor(rng.standard_normal((4, 4, 13)).astype(dtype), requires_grad=training)
-        out = block_fn(block, x, training, np.random.Generator(np.random.PCG64(seed + 1)))
+        out = block_fn(block, x, training, keep)
         arrays = {"output": out.data}
         if training:
             (out * Tensor(rng.standard_normal(out.shape).astype(dtype))).sum().backward()
