@@ -1,10 +1,11 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 A Tensor wraps one ndarray plus an optional gradient buffer. Ops build a
-tape of backward closures; Tensor.backward() walks the tape in reverse
-topological order. Training runs in float32 by default; a float64 mode
-(used by the gradient-check and oracle suites) is switched globally via
-set_default_dtype / precision.
+tape of backward closures. Tensor.backward() walks a tape once, in reverse
+topological order, and releases each node as its closure runs, so the
+tape's arrays are freed during the walk. Training runs in float32 by
+default; a float64 mode (used by the gradient-check and oracle suites) is
+switched globally via set_default_dtype / precision.
 
 Single-threaded semantics: forward results are immutable once produced,
 and gradient accumulation happens on one thread.
@@ -14,7 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, StateError
 
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
@@ -111,7 +112,9 @@ class Tensor:
     # -- autodiff ------------------------------------------------------
 
     def backward(self, grad=None):
-        """Backpropagate from this tensor through the recorded tape."""
+        """Backpropagate from this tensor through the tape, once: each op node
+        is released as its closure runs, so only leaves keep their gradients;
+        a later walk that reaches a released node raises StateError."""
         if grad is None:
             if self.data.size != 1:
                 raise DimensionError("backward() without an explicit gradient needs a scalar")
@@ -121,9 +124,12 @@ class Tensor:
             if grad.shape != self.data.shape:
                 raise DimensionError("seed gradient shape mismatch")
         _accumulate(self, grad)
-        for node in _reverse_topo(self):
+        order = _reverse_topo(self)
+        for i, node in enumerate(order):
+            order[i] = None
             if node._backward is not None:
                 node._backward(node.grad)
+                node._backward, node._prev, node.grad = _walked, (), None
 
     # -- operators (implemented below as module functions) --------------
 
@@ -172,6 +178,10 @@ def _wrap(x, like=None):
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=like.dtype) if isinstance(like, Tensor) else x)
+
+
+def _walked(g):
+    raise StateError("this graph was already walked; run the forward again")
 
 
 def _accumulate(t, g):

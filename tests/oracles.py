@@ -16,7 +16,8 @@ oracle_batch_norm (the two in a row are what ops.stem_bn_elu_pool and
 ops.stem_elu_pool compute); oracle_tcn_block, the TCN block's causal
 conv -> batch norm -> ELU -> dropout composition before its tails became
 ops.bn_elu_pool at pool 1; oracle_lag_prefixes, ops.lag_prefixes as it
-was before its lag products became banded tile matmuls;
+was before its lag products became banded tile matmuls; oracle_backward,
+Tensor.backward as it was before its walk released the tape;
 oracle_branch_call, a branch whose spatial-refinement conv runs through
 oracle_conv2d as it did before conv1d_dilated took it over, and whose
 eval mode runs the stem and tail compositions as the model did before its
@@ -31,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from csanet import ops
-from csanet.autodiff import Tensor, _accumulate, _make, _wrap, pad
+from csanet.autodiff import Tensor, _accumulate, _make, _reverse_topo, _wrap, pad
 from csanet.errors import ConfigurationError, DimensionError, NumericalError
 from csanet.gradcheck import ZERO_ANALYTIC, ZERO_NUMERIC, GradCheckReport
 
@@ -411,6 +412,16 @@ def oracle_lag_prefixes(x, max_kernel):
         prods[d, 1 : T + 1 - d] = np.einsum("nv,nv->v", rows[:, : T - d], rows[:, d:])
     np.cumsum(prods, axis=1, out=prods)
     return rows.size, sums, prods
+
+
+def oracle_backward(root):
+    """root.backward() from a scalar root as it ran before the walk released
+    the tape: the same reverse topological walk, but every node keeps its
+    closure, its parents and its gradient afterwards."""
+    _accumulate(root, np.ones_like(root.data))
+    for node in _reverse_topo(root):
+        if node._backward is not None:
+            node._backward(node.grad)
 
 
 def oracle_grad_check(fn, inputs, h=1e-4):

@@ -1,11 +1,18 @@
-"""Core tensor/tape behavior: broadcasting, shape ops, determinism."""
+"""Core tensor/tape behavior: broadcasting, shape ops, determinism, the
+walk that releases the tape."""
+
+import dataclasses
+import weakref
 
 import numpy as np
 import pytest
+from oracles import oracle_backward
 
 from csanet import ops
-from csanet.autodiff import Tensor, concat, narrow, no_grad, pad, precision
-from csanet.errors import DimensionError
+from csanet.autodiff import Tensor, _reverse_topo, _walked, concat, narrow, no_grad, pad, precision
+from csanet.errors import DimensionError, StateError
+from csanet.model import CsanetModel
+from csanet.verification import mini_model_config
 
 
 def test_add_broadcast_backward():
@@ -146,11 +153,6 @@ def test_model_logits_are_the_same_bits_under_either_default(dtype, ambient):
     # Attention's 1/sqrt(dk) is a bare scalar; it follows the scores'
     # dtype, so a model gives the same logits inside and outside a
     # precision() context of the other dtype, in training and in eval.
-    import dataclasses
-
-    from csanet.model import CsanetModel
-    from csanet.verification import mini_model_config
-
     cfg = dataclasses.replace(mini_model_config(), conv_dropout=0.5)
     x = np.random.default_rng(1).standard_normal((3, 1, cfg.channels, cfg.time_steps)).astype(dtype)
 
@@ -167,3 +169,81 @@ def test_model_logits_are_the_same_bits_under_either_default(dtype, ambient):
     for mode, g, w in zip(("training", "eval"), got, want):
         assert g.dtype == w.dtype == np.dtype(dtype), mode
         assert np.array_equal(g, w), mode
+
+
+def mini_training_loss(dtype):
+    """The mini model's training graph (conv dropout on) at B = 3, seeded:
+    (model, loss), before any backward."""
+    cfg = dataclasses.replace(mini_model_config(), conv_dropout=0.5)
+    with precision(dtype):
+        model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(41)))
+    x = np.random.default_rng(42).standard_normal((3, 1, cfg.channels, cfg.time_steps)).astype(dtype)
+    logits = model(Tensor(x), training=True, rng=np.random.default_rng(43))
+    return model, ops.cross_entropy(logits, np.array([0, 1, 1]))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_backward_releases_the_walked_graph(dtype):
+    model, loss = mini_training_loss(dtype)
+    nodes = _reverse_topo(loss)
+    ops_nodes = [n for n in nodes if n._backward is not None]
+    leaves = [n for n in nodes if n._backward is None]
+    assert len(ops_nodes) > 100 and loss in ops_nodes
+    loss.backward()
+    assert _reverse_topo(loss) == [loss]
+    for node in ops_nodes:
+        assert node.grad is None
+        assert node._prev == ()
+        assert node._backward is _walked
+    params = {id(p) for p in model.parameters()}
+    assert all(p.grad is not None for p in leaves if id(p) in params)
+
+
+def test_backward_frees_the_arrays_only_closures_held():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    w = Tensor(np.array([0.5, 0.25, 2.0]))
+    mid = x * x
+    held = [weakref.ref(w.data), weakref.ref(mid.data)]
+    out = (mid * w).sum()
+    del w, mid
+    assert all(ref() is not None for ref in held)
+    out.backward()
+    assert all(ref() is None for ref in held)
+    np.testing.assert_array_equal(x.grad, [1.0, -1.0, 12.0])
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_released_walk_gives_the_gradients_of_the_keeping_walk(dtype):
+    got_model, got_loss = mini_training_loss(dtype)
+    want_model, want_loss = mini_training_loss(dtype)
+    got_loss.backward()
+    oracle_backward(want_loss)
+    assert len(_reverse_topo(want_loss)) > 1  # the oracle kept its tape
+    got, want = list(got_model.named_parameters()), list(want_model.named_parameters())
+    assert [n for n, _ in got] == [n for n, _ in want]
+    compared = 0
+    for (name, g), (_, w) in zip(got, want):
+        assert (g.grad is None) == (w.grad is None), name
+        if w.grad is not None:
+            assert g.grad.dtype == w.grad.dtype == np.dtype(dtype), name
+            assert np.array_equal(g.grad, w.grad), f"{name} differs"
+            compared += 1
+    assert compared > 50
+
+
+def test_a_second_walk_of_the_same_root_raises():
+    model, loss = mini_training_loss("float64")
+    loss.backward()
+    before = [p.grad.copy() for p in model.parameters() if p.grad is not None]
+    with pytest.raises(StateError, match="already walked"):
+        loss.backward()
+    after = [p.grad for p in model.parameters() if p.grad is not None]
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+
+def test_a_new_graph_on_a_released_node_raises():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    mid = x * 3.0
+    mid.sum().backward()
+    with pytest.raises(StateError, match="run the forward again"):
+        (mid * 2.0).sum().backward()

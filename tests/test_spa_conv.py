@@ -133,11 +133,12 @@ def test_spa_conv_layer_is_bitwise_the_inline_conv1d_dilated(config, dtype, trai
                 results.append(logits.data)
                 continue
             loss = ops.cross_entropy(logits, np.array([0, 1]))
+            nodes = len(_reverse_topo(loss))  # before the walk releases the tape
             loss.backward()
         arrays = [("logits", logits.data)]
         arrays += [(f"{n} grad", p.grad) for n, p in model.named_parameters() if p.grad is not None]
         arrays += list(model.named_buffers())
-        results.append((len(_reverse_topo(loss)), arrays))
+        results.append((nodes, arrays))
     if not training:
         got, want = results
         err, top = float(np.abs(got - want).max()), float(np.abs(want).max())
