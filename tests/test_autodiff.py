@@ -6,13 +6,14 @@ import weakref
 
 import numpy as np
 import pytest
-from oracles import oracle_backward
 
 from csanet import ops
 from csanet.autodiff import Tensor, _reverse_topo, _walked, concat, narrow, no_grad, pad, precision
 from csanet.errors import DimensionError, StateError
 from csanet.model import CsanetModel
 from csanet.verification import mini_model_config
+
+from oracles import oracle_backward
 
 
 def test_add_broadcast_backward():
@@ -238,7 +239,7 @@ def test_a_second_walk_of_the_same_root_raises():
     with pytest.raises(StateError, match="already walked"):
         loss.backward()
     after = [p.grad for p in model.parameters() if p.grad is not None]
-    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+    assert len(after) == len(before) and all(np.array_equal(a, b) for a, b in zip(after, before))
 
 
 def test_a_new_graph_on_a_released_node_raises():
