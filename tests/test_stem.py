@@ -7,6 +7,8 @@ ops.stem_elu_pool, the folded stem and first tail, against the same
 composition at the numerics contract's tolerances; and ops.lag_prefixes,
 the stems' shared moment table, against its einsum oracle."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -373,6 +375,35 @@ def test_zero_temporal_weights_give_zero_variance_and_finite_outputs():
     np.testing.assert_array_equal(got[7], 0.0)
     np.testing.assert_allclose(got[8], 0.9, rtol=0, atol=1e-15)  # (1 - momentum) * 1 + momentum * 0
     assert_close(got[0], run_stem(training_oracle_stem, arrays, 4)[0], "output")
+
+
+def test_tape_keeps_one_full_size_map_and_the_mask(monkeypatch):
+    """The backward closure holds the centred Q and the dropout mask and
+    nothing of P's size; P and the ELU's slope die with the forward (the
+    backward rebuilds both)."""
+    B, C, T, F, D, K, pool = 4, 3, 64, 2, 2, 8, 4
+    made = []
+    for name in ("_stem_projection", "_elu_parts"):
+
+        def spy(*args, _fn=getattr(ops, name), **kwargs):
+            out = _fn(*args, **kwargs)
+            made.extend(map(weakref.ref, out if isinstance(out, tuple) else (out,)))
+            return out
+
+        monkeypatch.setattr(ops, name, spy)
+    x, *rest = stem_tensors(stem_arrays(73, B, C, T, F, D, K))
+    rest[0].requires_grad = True
+    keep = ops.dropout_mask((B, F * D, T // pool), 0.5, np.random.default_rng(0), np.float64)
+    out = ops.stem_bn_elu_pool(x, *rest, pool, keep)
+    assert len(made) == 3  # P, then the ELU's (negative part, output)
+    assert [ref() is None for ref in made] == [True] * 3
+    held = [c.cell_contents for c in out._backward.__closure__]
+    held = [a for h in held for a in (h if isinstance(h, tuple) else (h,))]  # affine is a pair
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    p_size = F * D * B * (-(-T // 32) * 32 + K - 1)
+    assert sorted(a.size for a in arrays if a.size >= keep.size) == [keep.size, F * D * B * T]
+    assert not [a.shape for a in arrays if a.size >= p_size]
+    assert any(a is keep for a in arrays)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
