@@ -343,6 +343,34 @@ def test_script_imports_and_prints_help(script):
     assert "usage:" in done.stdout and "--epochs" in done.stdout
 
 
+def run_bitwise_steps(*args):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    script = str(REPO / "scripts" / "bitwise_steps.py")
+    return subprocess.run([sys.executable, script, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_bitwise_steps_compare_lists_each_differing_array(tmp_path):
+    x = np.arange(4, dtype=np.float32)
+    y = x.copy()
+    y[2] = np.nextafter(y[2], np.float32(9))
+    np.savez(tmp_path / "a.npz", same=x, bits=x, shape=x)
+    np.savez(tmp_path / "b.npz", same=x, bits=y, shape=x[:3], extra=x)
+    done = run_bitwise_steps("compare", str(tmp_path / "a.npz"), str(tmp_path / "b.npz"))
+    assert done.returncode == 1, done.stderr
+    listed = {line.split(":")[0] for line in done.stdout.splitlines()[:-1]}
+    assert listed == {"bits", "shape", "extra"}
+    assert done.stdout.splitlines()[-1] == "4 arrays compared, 3 differ"
+
+
+def test_bitwise_steps_dump_matches_itself(tmp_path):
+    out = tmp_path / "steps.npz"
+    done = run_bitwise_steps("dump", str(out), "--batch", "2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("1724 arrays")
+    done = run_bitwise_steps("compare", str(out), str(out))
+    assert done.returncode == 0 and done.stdout.strip() == "1724 arrays compared, 0 differ"
+
+
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

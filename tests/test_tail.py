@@ -131,8 +131,8 @@ def test_blocked_tail_is_bitwise_the_whole_map_arithmetic(dtype, layout, pool):
     backward rebuilt the slope."""
     B, C, T = 40, 6, 1000
     rng = np.random.Generator(np.random.PCG64(9))
-    g, b, *_ = tail_params(C, dtype)
-    u, (scale, shift) = ops._bn_train(tail_input(3, B, C, T, layout, dtype).transpose(1, 0, 2), g, b)[3:]
+    gamma, beta, *_ = tail_params(C, dtype)
+    u, (scale, shift) = ops._bn_train(tail_input(3, B, C, T, layout, dtype).transpose(1, 0, 2), gamma, beta)[3:]
     assert u[0].nbytes >= 1 << 17  # more than half a block: one channel per block
     keep = ops.dropout_mask((B, C, T // pool), 0.5, rng, dtype)
     gout = rng.standard_normal((B, C, T // pool)).astype(dtype)
