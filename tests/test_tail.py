@@ -91,33 +91,27 @@ def assert_eval_tail_within_contract(x, dtype, pool):
     assert err <= (1e-9 * top if dtype == np.float64 else 256 * EPS32 * max(1.0, top)), f"error {err:.3e}"
 
 
-@pytest.mark.parametrize("p_drop", [0.0, 0.5])
-@pytest.mark.parametrize("training", [True])
+# Training at both rates; eval once, at a rate it does not read.
+@pytest.mark.parametrize("training, p_drop", [(True, 0.0), (True, 0.5), (False, 0.0)])
 @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("shape", SHAPES, ids=[f"T{s[2]}p{s[3]}" for s in SHAPES])
 def test_tail_is_bitwise_the_composition(shape, dtype, layout, training, p_drop):
-    """Training mode, with the same dropout mask, within the contract's
-    tolerance for the dtype. (Bitwise until the tail moved onto the shared
-    batch-norm kernel; the name and the one-valued training parameter keep
-    the case ids it has had since.)"""
+    """Within the contract's tolerance for the dtype, in training mode, with
+    the same dropout mask; eval mode runs the folded tail at the contract's
+    tolerances, once per (shape, dtype, layout). (Bitwise until the tail
+    moved onto the shared batch-norm kernel; the name keeps the case ids it
+    has had since.)"""
     B, C, T, pool = shape
     x = tail_input(T, B, C, T, layout, dtype)
+    if not training:
+        assert_eval_tail_within_contract(x, np.dtype(dtype), pool)
+        return
     got, want = (run_tail(tail, x, dtype, pool, p_drop) for tail in TAILS)
     names = ("output", "x grad", "gamma grad", "beta grad", "running mean", "running var")
     for name, g, w in zip(names, got, want):
         assert_within_dtype_rule(g, w, name)
     assert got[0].shape == (B, C, T // pool)
-
-
-@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-@pytest.mark.parametrize("shape", SHAPES, ids=[f"T{s[2]}p{s[3]}" for s in SHAPES])
-def test_eval_tail_is_within_the_contract(shape, dtype, layout):
-    """Eval mode runs the folded tail (no dropout rate is read) at the
-    contract's tolerances."""
-    B, C, T, pool = shape
-    assert_eval_tail_within_contract(tail_input(T, B, C, T, layout, dtype), np.dtype(dtype), pool)
 
 
 @pytest.mark.parametrize("pool", [8, 7, 1])
