@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Bitwise check of seeded training steps between two source trees.
 
-dump runs two seeded training steps, with an Adam update after each, for
-the default config and for the mini config with conv dropout 0.5 and TCN
-dropout 0.3, each in float32 and float64. It writes to an .npz, per case:
-each step's logits and loss, every parameter gradient and every running
-buffer after each step, every parameter after the second update, and the
-dropout stream's next draw. compare lists every array that differs in
-dtype, shape or bytes, or that only one dump holds, and exits 1 if any
-does.
+dump runs two seeded training steps of 16 trials, with an Adam update
+after each, for the default config and for the mini config with conv
+dropout 0.5 and TCN dropout 0.3, each in float32 and float64. It writes
+to an .npz, per case: each step's logits and loss, every parameter
+gradient and every running buffer after each step, every parameter after
+the second update, and the dropout stream's next draw. compare lists
+every array that differs in dtype, shape or bytes, or that only one dump
+holds, and exits 1 if any does.
 
 The tree under test is the csanet on the import path, so one copy of this
 script dumps any checkout:
@@ -25,6 +25,8 @@ import sys
 import numpy as np
 
 DTYPES = ("float32", "float64")
+BATCH = 16  # trials per step
+SEED = 23  # seed of the init, data and dropout streams
 
 
 def configs():
@@ -37,7 +39,7 @@ def configs():
     return [("default", ModelConfig()), ("mini", mini)]
 
 
-def run_case(cfg, dtype, batch, seed):
+def run_case(cfg, dtype):
     """{name: array} of two seeded training steps of cfg in dtype."""
     from csanet import ops
     from csanet.autodiff import Tensor, precision
@@ -47,12 +49,12 @@ def run_case(cfg, dtype, batch, seed):
 
     got = {}
     with precision(dtype):
-        model = CsanetModel(cfg, rng=substream(seed, "init"))
-        data, dropout = substream(seed, "data"), substream(seed, "dropout")
+        model = CsanetModel(cfg, rng=substream(SEED, "init"))
+        data, dropout = substream(SEED, "data"), substream(SEED, "dropout")
         optimizer, params = AdamState(), list(model.parameters())
         for step in (1, 2):
-            x = data.standard_normal((batch, 1, cfg.channels, cfg.time_steps)).astype(dtype)
-            labels = data.integers(0, cfg.n_classes, batch)
+            x = data.standard_normal((BATCH, 1, cfg.channels, cfg.time_steps)).astype(dtype)
+            labels = data.integers(0, cfg.n_classes, BATCH)
             logits = model(Tensor(x), training=True, rng=dropout)
             loss = ops.cross_entropy(logits, labels)
             model.zero_grad()
@@ -70,13 +72,13 @@ def run_case(cfg, dtype, batch, seed):
     return got
 
 
-def dump(path, batch, seed):
+def dump(path):
     import csanet
 
     arrays = {}
     for name, cfg in configs():
         for dtype in DTYPES:
-            for key, value in run_case(cfg, dtype, batch, seed).items():
+            for key, value in run_case(cfg, dtype).items():
                 arrays[f"{name}/{dtype}/{key}"] = np.asarray(value)
     np.savez(path, **arrays)
     print(f"{len(arrays)} arrays from {csanet.__file__} written to {path}")
@@ -108,14 +110,12 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
     d = sub.add_parser("dump", help="run the seeded steps and write their arrays")
     d.add_argument("out", help=".npz file to write")
-    d.add_argument("--batch", type=int, default=16, help="trials per step (default 16)")
-    d.add_argument("--seed", type=int, default=23, help="seed of the init, data and dropout streams")
     c = sub.add_parser("compare", help="list the arrays that differ between two dumps")
     c.add_argument("a")
     c.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "dump":
-        dump(args.out, args.batch, args.seed)
+        dump(args.out)
         return 0
     return 1 if compare(args.a, args.b) else 0
 
