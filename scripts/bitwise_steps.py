@@ -6,7 +6,10 @@ after each, for the default config and for the mini config with conv
 dropout 0.5 and TCN dropout 0.3, each in float32 and float64. It writes
 to an .npz, per case: each step's logits and loss, every parameter
 gradient and every running buffer after each step, every parameter after
-the second update, and the dropout stream's next draw. compare lists
+the second update, the eval-mode logits of the second step's trials after
+that update (all 16 under eval/logits_b16, and the first alone, which
+takes spa_conv's direct path, under eval/logits_b1), and the dropout
+stream's next draw. compare lists
 every array that differs in dtype, shape or bytes, or that only one dump
 holds, and exits 1 if any does.
 
@@ -66,6 +69,8 @@ def run_case(cfg, dtype):
             for name, b in model.named_buffers():
                 got[f"step{step}/buffer/{name}"] = b.copy()
             adam_step(optimizer, params)
+        for size in (BATCH, 1):
+            got[f"eval/logits_b{size}"] = model(Tensor(x[:size]), training=False).data
     for name, p in model.named_parameters():
         got[f"param/{name}"] = p.data
     got["dropout_next"] = dropout.random(4)

@@ -115,7 +115,7 @@ class BatchNorm(Layer):
     """Per-channel batch-norm parameters and running statistics, under the
     one policy of ops.BN_MOMENTUM and ops.BN_EPS. The layer has no call:
     the fused ops (ops.stem_bn_elu_pool, ops.bn_elu_pool) and the eval-mode
-    folds (ops.bn_affine) read its arrays directly."""
+    map (ops.bn_affine) read its arrays directly."""
 
     def __init__(self, channels):
         super().__init__()

@@ -4,13 +4,13 @@ Each branch pairs one temporal kernel scale with its own spatial feature
 extractor (temporal conv -> batch norm -> depthwise channel conv, run
 spatial-first, then a pooled spatial-refinement conv; each of the two
 stages ends in batch norm -> ELU -> pool -> dropout, and the first stage
-with its tail is one op; eval mode folds each batch norm into the conv
-before it and runs the branch as one tape-free pass). Branch outputs are
-fused by attention (the first branch attends to itself densely; the
-others run sparse cross-attention), passed through per-branch temporal
-convolutional networks (whose conv tails run as the branches' do:
-ops.bn_elu_pool at pool 1, folded in eval), and classified from the
-concatenated readouts.
+with its tail is one op). Branch outputs are fused by attention (the first
+branch attends to itself densely; the others run sparse
+cross-attention), passed through per-branch temporal convolutional
+networks (whose conv tails run as the branches' do, at pool 1), and
+classified from the concatenated readouts. Both modes run the convs on
+their stored weights and every tail through ops.elu_pool: training on
+batch statistics, eval mode, with no tape, on each batch norm's fixed map.
 """
 
 import dataclasses
@@ -28,10 +28,8 @@ from .layers import BatchNorm, Conv, Layer, LayerList, Linear
 
 class TcnBlock(Layer):
     """One residual block: two causal dilated convs, each followed by batch
-    norm -> ELU -> dropout by its mask of keep. Training runs each tail as
-    ops.bn_elu_pool at pool 1; eval mode folds each batch norm into its
-    conv's weight and adds the folded shift in ops.elu_pool, as
-    Branch._infer does for spa_conv."""
+    norm -> ELU -> dropout by its mask of keep, the tail run by _tail at
+    pool 1."""
 
     def __init__(self, channels, kernel, dilation, rng):
         super().__init__()
@@ -43,19 +41,14 @@ class TcnBlock(Layer):
 
     def causal(self, x, weight):
         """Length-preserving causal conv (left pad (K-1)*dilation) by a
-        (C, C, K) weight: a conv's own, or eval mode's copy with its batch
-        norm folded in."""
+        conv's (C, C, K) weight."""
         pad = ((weight.shape[-1] - 1) * self.dilation, 0)
         return ops.conv1d_dilated(x, weight, dilation=self.dilation, pad=pad)
 
     def __call__(self, x, training, keep=(None, None)):
         h = x
         for (conv, bn), mask in zip(((self.conv1, self.bn1), (self.conv2, self.bn2)), keep):
-            if training:
-                h = ops.bn_elu_pool(self.causal(h, conv.weight), *_batch_norm_args(bn), 1, mask)
-            else:
-                weight, shift = _fold(bn, conv.weight.data, x.dtype)
-                h = Tensor(ops.elu_pool(self.causal(h, weight).data, shift, 1))
+            h = _tail(self.causal(h, conv.weight), bn, 1, mask, training)
         return x + h
 
 
@@ -93,16 +86,14 @@ class Branch(Layer):
     bn_temporal.beta is dead in training: bn_depthwise's mean subtraction
     cancels its per-filter shift, so the fused op gives it an exact 0
     gradient and Adam leaves it bitwise unchanged. It stays because eval
-    mode reads it (in the folded shift, through c_f = beta_f - a_f *
-    running_mean_f) and it is a checkpoint blob.
+    mode reads it (in ops.stem_elu_pool's shift, through c_f = beta_f - a_f
+    * running_mean_f) and it is a checkpoint blob.
 
-    Eval mode (_infer) runs none of these ops and records no tape. Each
-    batch norm is then a fixed affine map, folded into the linear map
-    before it: bn_temporal and bn_depthwise into the depthwise projection
-    rows and one per-channel constant (ops.stem_elu_pool, over blocks of
-    trials), bn_spa into spa_conv's weight and a shift that ops.elu_pool
-    adds before the ELU. The result equals the ops' eval semantics in real
-    arithmetic and is held to the numerics contract
+    In eval mode each batch norm is its fixed map, ops.bn_affine: the stem
+    and first tail are ops.stem_elu_pool, and spa_conv runs its stored
+    weight before _tail hands its output and bn_spa's map to ops.elu_pool,
+    the training tails' kernel. The result equals the composition's eval
+    semantics in real arithmetic and is held to the numerics contract
     (tests/test_numerics_contract.py) in floating point.
     """
 
@@ -110,7 +101,6 @@ class Branch(Layer):
         super().__init__()
         self.index = index
         self.temporal_kernel = cfg.temporal_kernels[index]
-        self.spa_kernel = cfg.spa_kernel
         self.pools = cfg.pools
         width = cfg.spa_filters
         filters = width // cfg.depth_multiplier
@@ -119,7 +109,7 @@ class Branch(Layer):
         self.bn_temporal = BatchNorm(filters)
         self.depthwise_conv = Conv((width, 1, cfg.channels, 1), rng)
         self.bn_depthwise = BatchNorm(width)
-        self.spa_conv = Conv((width, width, 1, self.spa_kernel), rng)
+        self.spa_conv = Conv((width, width, 1, cfg.spa_kernel), rng)
         self.bn_spa = BatchNorm(width)
         self.attention = AttentionParams(width, rng)
         if cfg.tcn_enabled:
@@ -128,35 +118,18 @@ class Branch(Layer):
             self.tcn = None
 
     def __call__(self, x, training, lags=None, keep=(None, None)):
-        if not training:
-            return Tensor(self._infer(x.data))
         p1, p2 = self.pools
         weights = (self.temporal_conv.weight, self.depthwise_conv.weight)
-        bns = (_batch_norm_args(self.bn_temporal), _batch_norm_args(self.bn_depthwise))
-        h = ops.stem_bn_elu_pool(x, *weights, *bns, p1, keep[0], lags)  # (B, width, T / p1)
+        if training:
+            bns = (_batch_norm_args(self.bn_temporal), _batch_norm_args(self.bn_depthwise))
+            h = ops.stem_bn_elu_pool(x, *weights, *bns, p1, keep[0], lags)  # (B, width, T / p1)
+        else:
+            maps = (_affine(self.bn_temporal), _affine(self.bn_depthwise))
+            h = Tensor(ops.stem_elu_pool(x.data, *(w.data for w in weights), *maps, p1))
         u, width, _, k = self.spa_conv.weight.shape
         weight = self.spa_conv.weight.reshape((u, width, k))
         h = ops.conv1d_dilated(h, weight, pad=ops.same_pad(k))
-        return ops.bn_elu_pool(h, *_batch_norm_args(self.bn_spa), p2, keep[1])
-
-    def _infer(self, x):
-        """Eval-mode branch on the raw (B, 1, C, T) array x, with no tape:
-        the folded stem and first tail (ops.stem_elu_pool), then spa_conv
-        with bn_spa folded into its weight and ops.elu_pool adding the
-        folded shift. The folded weights are computed per call, because
-        training moves the parameters between evaluations."""
-        p1, p2 = self.pools
-        h = ops.stem_elu_pool(
-            x,
-            self.temporal_conv.weight.data,
-            self.depthwise_conv.weight.data,
-            _affine(self.bn_temporal),
-            _affine(self.bn_depthwise),
-            p1,
-        )  # (B, width, T / p1)
-        weight, shift = _fold(self.bn_spa, self.spa_conv.weight.data[:, :, 0], x.dtype)  # (U, width, K)
-        h = ops.conv1d_dilated(h, weight, pad=ops.same_pad(self.spa_kernel)).data
-        return ops.elu_pool(h, shift, p2)
+        return _tail(h, self.bn_spa, p2, keep[1], training)
 
 
 def _batch_norm_args(bn):
@@ -169,11 +142,14 @@ def _affine(bn):
     return ops.bn_affine(bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var)
 
 
-def _fold(bn, weight, dtype):
-    """Eval-mode bn folded into the raw (Cout, Cin, K) conv weight before it:
-    the scaled weight and the (Cout, 1) shift that elu_pool adds, in dtype."""
-    scale, shift = _affine(bn)
-    return (scale[:, None, None] * weight).astype(dtype), shift.astype(dtype)[:, None]
+def _tail(h, bn, pool, keep, training):
+    """bn -> ELU -> pool -> dropout by keep on the (B, C, T) map h: in
+    training, ops.bn_elu_pool; in eval, ops.elu_pool on h's (C, B, T) view
+    with bn's fixed map, as a Tensor off the tape."""
+    if training:
+        return ops.bn_elu_pool(h, *_batch_norm_args(bn), pool, keep)
+    affine = [m.astype(h.dtype)[:, None, None] for m in _affine(bn)]
+    return Tensor(ops.elu_pool(h.data.transpose(1, 0, 2), affine, pool))
 
 
 class CsanetModel(Layer):
@@ -260,8 +236,8 @@ class CsanetModel(Layer):
     def __call__(self, x, training=False, rng=None):
         """Logits (B, L) for a (B, 1, C, T) input of the parameters' dtype.
 
-        Eval mode records no tape: the branches run their folded inference
-        pass, and fusion, TCNs and classifier run under no_grad.
+        Eval mode runs under no_grad, so it records no tape, and passes
+        ((None, None), None) per branch as its dropout masks.
         """
         cfg = self.config
         x = x if isinstance(x, Tensor) else Tensor(x)
@@ -272,7 +248,7 @@ class CsanetModel(Layer):
         if x.dtype != self.dtype:
             raise DataError(f"input dtype {x.dtype} does not match the model's parameter dtype {self.dtype}")
         with nullcontext() if training else no_grad():
-            masks = self.dropout_masks(x.shape[0], rng) if training else [(None, None)] * 4
+            masks = self.dropout_masks(x.shape[0], rng) if training else [((None, None), None)] * 4
             # One lag table at the longest kernel serves every branch's statistics.
             lags = ops.lag_prefixes(x.data, max(cfg.temporal_kernels)) if training else None
             zs = [branch(x, training, lags, keep) for branch, (keep, _) in zip(self.branches, masks)]

@@ -22,13 +22,12 @@ off the lag table, since the fused stem never forms its map. Batch norm's
 constants are BN_MOMENTUM and BN_EPS; every ELU runs one branch-free
 kernel, _elu_parts.
 
-Eval mode has no tape and no batch statistics, so each batch norm is a
-fixed affine map (bn_affine) folded into the linear map before it:
-stem_elu_pool runs a branch's stem and first tail over blocks of
-STEM_BLOCK trials, and elu_pool the ELU and pool after spa_conv and each
-TCN conv. These folds and the fused training ops are exact in real
-arithmetic, not in floating point, and held to the numerics contract
-(tests/test_numerics_contract.py).
+Every tail in both modes runs one kernel, elu_pool. Eval mode has no tape
+and no batch statistics: each batch norm is bn_affine's fixed map, which
+elu_pool applies to the conv output, and stem_elu_pool builds the training
+stem's correlation over blocks of STEM_BLOCK trials. The fused ops and the
+eval maps are exact in real arithmetic, not in floating point, and held to
+the numerics contract (tests/test_numerics_contract.py).
 
 conv2d, batch_norm, elu, dropout and avg_pool2d (and autodiff.pad) run in
 no src path. They stay because perfbench/trace.py binds them by name, and
@@ -205,18 +204,19 @@ def _window_moments(lags, K, left):
     return mean, second
 
 
-def _stem_projection(x, rows, K):
-    """P[f, d, b] = rows[f, d] . x[b] for the raw (B, 1, C, T) array x, as
-    (F, D*B, tiles * _TILE + K - 1) rows holding P at [left, left + T) and
-    zeros around it (same_pad(K)'s left pad, whole tiles on the right)."""
+def _stem_projection(x, dw, K):
+    """P[f, d, b] = dw[f, d] . x[b] for the raw (B, 1, C, T) array x and the
+    (F, D, C) depthwise weight dw, as (F, D*B, tiles * _TILE + K - 1) rows
+    holding P at [left, left + T) and zeros around it (same_pad(K)'s left
+    pad, whole tiles on the right)."""
     B, _, C, T = x.shape
-    F, D, _ = rows.shape
+    F, D, _ = dw.shape
     left = same_pad(K)[0]
     p = np.empty((F, D * B, -(-T // _TILE) * _TILE + K - 1), dtype=x.dtype)
     p[:, :, :left] = 0.0
     p[:, :, left + T :] = 0.0
     at = p.reshape(F * D, B, -1)[:, :, left : left + T].transpose(1, 0, 2)  # (B, F*D, T) view
-    np.matmul(rows.reshape(F * D, C), x[:, 0], out=at)
+    np.matmul(dw.reshape(F * D, C), x[:, 0], out=at)
     return p
 
 
@@ -292,7 +292,7 @@ def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, keep
     aj = np.repeat(a, D)  # a_f for each channel j of filter f
     q = _tile_correlate(_stem_projection(x.data, dw, K), w).reshape(F * D, B, -1)[..., :T]
     q_mean, q_var, inv2, u, affine = _bn_train(q, gamma2.data, beta2.data, aj)
-    out = _tail_forward(u, affine, pool, keep)
+    out = elu_pool(u, affine, pool, keep)
     shift = ((beta1.data - a * mean)[:, None] * dw.sum(axis=2)).reshape(-1)  # c_f * s_j
     _update_running(mean1, var1, mean, var, B * C * T)
     _update_running(mean2, var2, aj * q_mean + shift, aj * aj * q_var, B * T)
@@ -406,11 +406,11 @@ def _mean_pool(y, pool):
 
 
 def _tail_blocks(u, affine, pool):
-    """(k, y) per block k of about 256 KB of channels of _bn_train's centred
-    (C, B, T) map u, y a new array of the batch norm output at the samples
-    pooled: the passes run in cache, 4.2 ms per stem backward at 32 trials
-    against 5.0 ms unblocked (one BLAS thread, 2-core x86). A u strided in
-    time is one block, whose pool sums keep the whole map's matmul path."""
+    """(k, y) per block k of about 256 KB of channels of the (C, B, T) map
+    u, y a new array of its affine map at the samples pooled: the passes
+    run in cache, 4.2 ms per stem backward at 32 trials against 5.0 ms
+    unblocked (one BLAS thread, 2-core x86). A u strided in time is one
+    block, whose pool sums keep the whole map's matmul path."""
     n, step = u.shape[-1] // pool * pool, max(1, (1 << 18) // (u[0].size * u.itemsize))
     step = step if u.strides[-1] == u.itemsize else len(u)
     for c in range(0, len(u), step):
@@ -418,10 +418,13 @@ def _tail_blocks(u, affine, pool):
         yield k, u[k, :, :n] * affine[0][k] + affine[1][k]
 
 
-def _tail_forward(u, affine, pool, keep):
-    """Batch norm -> ELU -> pool -> dropout of the training tails from
-    _bn_train's (u, affine), by _tail_blocks: the C-contiguous (B, C, T //
-    pool) output; keep is a dropout_mask of the output's shape or None."""
+def elu_pool(u, affine, pool, keep=None):
+    """Every tail's forward, by _tail_blocks: y = u * affine[0] + affine[1]
+    on the raw (C, B, T) array u -> ELU -> stride-pool mean pool (the last
+    T % pool samples dropped) -> dropout by keep, a dropout_mask of the
+    C-contiguous (B, C, T // pool) output or None. affine is two (C, 1, 1)
+    vectors of u's dtype: _bn_train's in training, on its centred map;
+    bn_affine's (scale, shift) in eval, on a conv's output."""
     out = np.empty((u.shape[1], u.shape[0], u.shape[2] // pool), dtype=u.dtype)
     if keep is not None and keep.shape != out.shape:
         raise DimensionError(f"dropout mask of shape {keep.shape} does not match the tail's output")
@@ -432,7 +435,7 @@ def _tail_forward(u, affine, pool, keep):
 
 
 def _tail_backward(gout, keep, u, affine, pool, gy):
-    """_tail_forward's backward from gout (B, C, T // pool): dL/dy into the
+    """elu_pool's backward from gout (B, C, T // pool): dL/dy into the
     pooled samples gy[..., :(T // pool) * pool] of the (C, B, T) array gy (the
     caller zeroes the rest), the ELU's slope rebuilt from u bit for bit."""
     g = (gout if keep is None else gout * keep).transpose(1, 0, 2) / np.array(pool, dtype=gout.dtype)
@@ -447,11 +450,12 @@ def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, keep=None):
     -> mean pool over windows of `pool` samples at stride pool -> dropout by
     the mask keep (or None), returning (B, C, T // pool). It runs after each
     branch's spa_conv and, at pool 1, after each TCN conv. Eval mode runs
-    elu_pool instead.
+    elu_pool with bn_affine's map.
 
-    Batch norm is _bn_train on x's (C, B, T) view; the last T % pool samples
-    are dropped, as a stride-pool mean pool drops them. The tape keeps the
-    centred map and the dropout mask; _tail_backward rebuilds the slope.
+    Batch norm is _bn_train on x's (C, B, T) view, then elu_pool; the last
+    T % pool samples are dropped, as a stride-pool mean pool drops them.
+    The tape keeps the centred map and the dropout mask; _tail_backward
+    rebuilds the slope.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     if x.ndim != 3:
@@ -464,7 +468,7 @@ def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, keep=None):
     if T < pool:
         raise DimensionError("pooling window larger than padded input")
     mean, var, inv, u, affine = _bn_train(x.data.transpose(1, 0, 2), gamma.data, beta.data)
-    out = _tail_forward(u, affine, pool, keep)
+    out = elu_pool(u, affine, pool, keep)
     _update_running(running_mean, running_var, mean, var, B * T)
 
     def backward(gout):
@@ -498,15 +502,6 @@ def bn_affine(gamma, beta, running_mean, running_var):
     return scale, beta - scale * running_mean
 
 
-def elu_pool(y, shift, pool):
-    """ELU(y + shift) mean-pooled over windows of `pool` samples along the
-    last axis at stride pool, the last T % pool samples dropped, for a raw
-    array y, which is overwritten; shift broadcasts against y."""
-    y += shift
-    _elu_parts(y, out=y)
-    return _mean_pool(y, pool)
-
-
 def stem_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool):
     """A branch's eval-mode stem and first tail on the raw (B, 1, C, T) array
     x: temporal conv -> batch norm -> depthwise channel conv -> batch norm ->
@@ -515,28 +510,27 @@ def stem_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool):
 
     weight: (F, 1, 1, K); depthwise: (F*D, 1, C, 1); temporal_bn (per
     filter) and depthwise_bn (per output channel) are bn_affine's (scale,
-    shift) pairs. Both batch norms fold into the projection: channel j of
-    filter f is b_j * (a_f * (w_f correlated with dw_j . x) + c_f * s_j) + e_j
-    with (a, c) and (b, e) the two affine maps and s_j the sum of depthwise
-    row j, so the projection runs with rows b_j * a_f * dw_j and elu_pool
-    adds the constant b_j * c_f * s_j + e_j. The trials run in
-    blocks of STEM_BLOCK; only the pooled block is transposed.
+    shift) pairs. Channel j of filter f is b_j * (a_f * Q_j + c_f * s_j) +
+    e_j, with Q_j the training stem's correlation of w_f with P_j = dw_j . x,
+    (a, c) and (b, e) the two affine maps and s_j the sum of depthwise row
+    j: elu_pool takes Q with the map (b_j * a_f, b_j * c_f * s_j + e_j). The
+    trials run in blocks of STEM_BLOCK.
     """
     B, _, C, T = x.shape
     F, K = weight.shape[0], weight.shape[-1]
     D = depthwise.shape[0] // F
-    dw = depthwise.reshape(F, D, C).astype(np.float64)
+    dw = depthwise.reshape(F, D, C)
     (a, c), (b, e) = temporal_bn, depthwise_bn
     b = b.reshape(F, D)
-    rows = ((b * a[:, None])[:, :, None] * dw).astype(x.dtype)
-    shift = (b * (c[:, None] * dw.sum(axis=2)) + e.reshape(F, D)).astype(x.dtype)[:, :, None, None]
+    maps = (b * a[:, None], b * (c[:, None] * dw.sum(axis=2, dtype=np.float64)) + e.reshape(F, D))
+    affine = [m.astype(x.dtype).reshape(F * D, 1, 1) for m in maps]
     w = weight.reshape(F, K)
-    out = np.empty((B, F, D, T // pool), dtype=x.dtype)
+    out = np.empty((B, F * D, T // pool), dtype=x.dtype)
     for start in range(0, B, STEM_BLOCK):
         block = x[start : start + STEM_BLOCK]
-        q = _tile_correlate(_stem_projection(block, rows, K), w).reshape(F, D, len(block), -1)
-        out[start : start + STEM_BLOCK] = elu_pool(q[..., :T], shift, pool).transpose(2, 0, 1, 3)
-    return out.reshape(B, F * D, T // pool)
+        q = _tile_correlate(_stem_projection(block, dw, K), w).reshape(F * D, len(block), -1)
+        out[start : start + STEM_BLOCK] = elu_pool(q[..., :T], affine, pool)
+    return out
 
 
 def softmax(x, axis=-1):

@@ -21,7 +21,7 @@ Tensor.backward as it was before its walk released the tape;
 oracle_branch_call, a branch whose spatial-refinement conv runs through
 oracle_conv2d as it did before conv1d_dilated took it over, and whose
 eval mode runs the stem and tail compositions as the model did before its
-eval branches were folded into one inference pass; and
+eval mode moved onto ops.stem_elu_pool and ops.elu_pool; and
 oracle_grad_check, csanet.gradcheck.grad_check as it was when every
 perturbed evaluation still recorded a tape.
 """
@@ -367,9 +367,9 @@ def oracle_tail(x, gamma, beta, running_mean, running_var, training, pool, keep=
 
 def oracle_tcn_block(block, x, training, keep=(None, None)):
     """model.TcnBlock.__call__ as it ran before its tails became
-    ops.bn_elu_pool at pool 1 and its eval mode folded each batch norm into
-    the conv: causal conv -> oracle_batch_norm -> ELU -> dropout by its mask
-    of keep, twice, plus the residual."""
+    ops.bn_elu_pool at pool 1 in training and ops.elu_pool in eval: causal
+    conv -> oracle_batch_norm -> ELU -> dropout by its mask of keep, twice,
+    plus the residual."""
     h = x
     for (conv, bn), mask in zip(((block.conv1, block.bn1), (block.conv2, block.bn2)), keep):
         h = oracle_batch_norm(block.causal(h, conv.weight), bn.gamma, bn.beta, bn.running_mean, bn.running_var, training)
@@ -383,7 +383,7 @@ def oracle_branch_call(branch, x, training, lags=None, keep=(None, None), spa_co
     Training mode runs the model's ops around spa_conv
     (ops.stem_bn_elu_pool, then ops.bn_elu_pool). Eval mode runs the
     compositions those ops replaced, oracle_branch_stem and oracle_tail:
-    the eval semantics that Branch's folded inference pass reproduces.
+    the eval semantics that Branch's eval pass reproduces.
     """
     p1, p2 = branch.pools
     bns = [(bn.gamma, bn.beta, bn.running_mean, bn.running_var) for bn in (branch.bn_temporal, branch.bn_depthwise)]

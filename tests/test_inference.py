@@ -1,7 +1,8 @@
-"""Eval-mode inference: the folded, tape-free branch pass and the model
-around it. No tape, running buffers untouched, rows independent of the
-batch they ride in (partial and multiple STEM_BLOCK blocks), folded
-weights recomputed from the current parameters, and no silent dtype mixing."""
+"""Eval-mode inference: the tape-free branch pass and the model around it.
+No tape, running buffers untouched, rows independent of the batch they
+ride in (partial and multiple STEM_BLOCK blocks), the convs run on their
+stored weights and the stem on the training stem's correlation, every
+output following the current parameters, and no silent dtype mixing."""
 
 import inspect
 
@@ -67,9 +68,51 @@ def test_rows_agree_across_batch_sizes():
             assert err <= 256 * EPS32 * max(1.0, float(np.abs(full[i]).max())), (B, i)
 
 
-def test_folded_weights_follow_the_parameters(monkeypatch):
-    # Training moves parameters between per-epoch evaluations; nothing folded
-    # may be kept from an earlier call.
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_eval_runs_the_stored_weights_and_the_training_stem(dtype, monkeypatch):
+    """An eval forward of the mini model at B = 20, more than one STEM_BLOCK:
+    every conv1d_dilated weight is a view of its parameter, and each stem's
+    correlation Q, its eval blocks concatenated, is byte-equal to the
+    training stem's Q on the same trials."""
+    B = 20
+    assert B > ops.STEM_BLOCK
+    cfg, model = contract_model("mini", dtype)
+    D = cfg.depth_multiplier
+    x = Tensor(candidate_inputs("mini")[:B].astype(dtype))
+    weights, qs = [], []
+    conv, correlate = ops.conv1d_dilated, ops._tile_correlate
+
+    def conv_spy(h, weight, *args, **kwargs):
+        weights.append(weight.data if isinstance(weight, Tensor) else weight)
+        return conv(h, weight, *args, **kwargs)
+
+    def correlate_spy(a, w):
+        out = correlate(a, w)
+        qs.append(out.reshape(len(w), D, a.shape[1] // D, -1))  # (F, D, trials, samples)
+        return out
+
+    monkeypatch.setattr(ops, "conv1d_dilated", conv_spy)
+    monkeypatch.setattr(ops, "_tile_correlate", correlate_spy)
+    model(x, training=False)
+    params = [p.data for p in model.parameters()]
+    assert len(weights) == 4 * (1 + 2 * len(cfg.tcn.dilations))
+    for weight in weights:
+        assert any(np.shares_memory(weight, p) for p in params)
+    blocks = -(-B // ops.STEM_BLOCK)
+    assert len(qs) == 4 * blocks
+    evals = [np.concatenate(qs[i : i + blocks], axis=2) for i in range(0, len(qs), blocks)]
+    del qs[:]
+    with precision(dtype):
+        model(x, training=True, rng=np.random.Generator(np.random.PCG64(8)))
+    assert len(qs) == 4
+    for got, want in zip(evals, qs):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_eval_follows_the_parameters(monkeypatch):
+    # Training moves parameters and buffers between per-epoch evaluations;
+    # eval must read them as they stand at each call.
     _, model = contract_model("mini", "float64")
     x = Tensor(candidate_inputs("mini")[:6].astype(np.float64))
     model(x, training=False)

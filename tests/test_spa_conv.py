@@ -2,8 +2,8 @@
 as one conv1d_dilated call on the (B, width, T) map: against the im2col
 conv2d path it replaced (oracles.oracle_branch_call) in float64, and
 bitwise against that call inside the oracle branch. Eval mode runs spa_conv
-with bn_spa folded into its weight, held to the oracle compositions at the
-numerics contract's tolerances."""
+on its stored weight and bn_spa as its fixed map in ops.elu_pool, held to
+the oracle compositions at the numerics contract's tolerances."""
 
 from pathlib import Path
 
@@ -115,7 +115,7 @@ def inline_branch_call(branch, x, training, lags=None, keep=(None, None)):
 def test_spa_conv_layer_is_bitwise_the_inline_conv1d_dilated(config, dtype, training, monkeypatch):
     """Training: bitwise, tape and all, the layer's tape one node per branch
     shorter (conv1d_dilated pads inside the op, where the inline composition
-    runs a pad node). Eval (no tape): the folded inference pass against the
+    runs a pad node). Eval (no tape): the eval pass against the
     inline composition, logits within the contract's tolerance for the
     dtype."""
     cfg = mini_model_config() if config == "mini" else ModelConfig()

@@ -3,8 +3,8 @@ against the temporal conv -> batch norm -> depthwise conv -> batch norm ->
 ELU -> pool -> dropout composition it replaced (oracles.oracle_branch_stem,
 then oracles.oracle_tail), in float64, and against a long-double run of
 that composition for the temporal batch norm's gradients; in eval mode,
-ops.stem_elu_pool, the folded stem and first tail, against the same
-composition at the numerics contract's tolerances; and ops.lag_prefixes,
+ops.stem_elu_pool, the stem and first tail on the batch norms' fixed
+maps, against the same composition at the numerics contract's tolerances; and ops.lag_prefixes,
 the stems' shared moment table, against its einsum oracle."""
 
 import weakref
@@ -94,7 +94,7 @@ def inference_stem(arrays, dtype, pool):
 
 
 def oracle_eval_stem(arrays, pool):
-    """The float64 eval-mode composition stem_elu_pool folds: oracle stem,
+    """The float64 eval-mode composition stem_elu_pool runs: oracle stem,
     then batch norm -> ELU -> pool through oracle_tail."""
     with precision("float64"):
         h = oracle_branch_stem(
@@ -141,7 +141,7 @@ def assert_stems_agree(arrays, training, pool=None):
     |value|; bn_temporal's beta gradient, rounding noise in the oracle, is
     exactly 0. At K = 1 the weight gradient is held to
     unit_kernel_weight_grad instead, since the oracle's is off by up to
-    3e-6 relative in float64. Eval mode: the folded stem and first tail
+    3e-6 relative in float64. Eval mode: ops.stem_elu_pool
     against the oracle composition, float64 within TOL."""
     pool = pool or pool_for(arrays["x"].shape[-1])
     if not training:
@@ -233,7 +233,7 @@ def test_model_matches_oracle_stem(config, training, monkeypatch):
 
 
 def test_reloaded_checkpoint_predicts_as_oracle_stem(tmp_path, monkeypatch):
-    # Eval mode: the folded inference pass against the oracle compositions.
+    # Eval mode: the eval pass against the oracle compositions.
     cfg = mini_model_config()
     model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(50)))
     rng = np.random.Generator(np.random.PCG64(51))
@@ -260,7 +260,7 @@ def test_float32_paper_forward_within_256_eps_of_float64_oracle(training):
     if training:
         want = run_stem(training_oracle_stem, arrays, 8)[0]
         got = run_stem(ops.stem_bn_elu_pool, arrays, 8, dtype="float32")[0]
-    else:  # the folded stem and first tail
+    else:  # the eval stem and first tail
         want = oracle_eval_stem(arrays, 8)
         got = inference_stem(arrays, np.float32, 8)
     assert got.dtype == np.float32
@@ -352,7 +352,7 @@ def test_training_batch_of_one_is_rejected_like_batch_norm():
             stem(*args, 4)
         errors.append(str(error.value))
     assert errors[0] == errors[1]
-    # Eval mode decodes one trial, through the folded inference stem.
+    # Eval mode decodes one trial, through ops.stem_elu_pool.
     assert inference_stem(arrays, np.float64, 1).shape == (1, 4, 16)
 
 

@@ -2,10 +2,10 @@
 composition it replaced (oracles.oracle_tail), in float32 and float64, at
 the numerics contract's tolerance for each dtype: the op runs the shared
 batch-norm kernel with float64 batch sums, the composition numpy's own
-sums. Eval mode folds batch norm's scale into the preceding conv and runs
-ops.elu_pool on the scaled map. The TCN block, whose tails are the op at
-pool 1 (its eval mode folded likewise), is held to the causal conv ->
-batch norm -> ELU -> dropout composition (oracles.oracle_tcn_block)."""
+sums. Eval mode runs the same tail kernel, ops.elu_pool, with batch norm's
+fixed map (ops.bn_affine) on the map as it stands. The TCN block, whose
+tails are these at pool 1, is held to the causal conv -> batch norm -> ELU
+-> dropout composition (oracles.oracle_tcn_block)."""
 
 import numpy as np
 import pytest
@@ -74,44 +74,41 @@ def run_tail(tail, x, dtype, pool, p_drop, seed=5):
     return [out.data, xt.grad, gamma.grad, beta.grad, rm, rv]
 
 
-def assert_eval_tail_within_contract(x, dtype, pool):
-    """Eval mode: batch norm's scale applied to x (as a folded conv weight
-    applies it), then ops.elu_pool with its shift, against oracle_tail in
-    float64 on the same values; float64 within 1e-9 x max |value|, float32
-    within 256 eps32 of max(1, max |value|)."""
-    g, b, rm, rv, _ = tail_params(x.shape[1], dtype)
-    scale, shift = ops.bn_affine(g, b, rm, rv)
-    shape = (1, -1, 1)
-    got = ops.elu_pool(x * scale.astype(dtype).reshape(shape), shift.astype(dtype).reshape(shape), pool)
-    with precision("float64"):
-        params = [a.astype(np.float64) for a in (x, g, b, rm, rv)]
-        want = oracle_tail(*map(Tensor, params[:3]), *params[3:], False, pool).data
-    assert got.dtype == dtype and got.shape == want.shape
-    err, top = float(np.abs(got - want).max()), float(np.abs(want).max())
-    assert err <= (1e-9 * top if dtype == np.float64 else 256 * EPS32 * max(1.0, top)), f"error {err:.3e}"
-
-
-# Training at both rates; eval once, at a rate it does not read.
-@pytest.mark.parametrize("training, p_drop", [(True, 0.0), (True, 0.5), (False, 0.0)])
+@pytest.mark.parametrize("p_drop", [0.0, 0.5])
 @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("shape", SHAPES, ids=[f"T{s[2]}p{s[3]}" for s in SHAPES])
-def test_tail_is_bitwise_the_composition(shape, dtype, layout, training, p_drop):
-    """Within the contract's tolerance for the dtype, in training mode, with
-    the same dropout mask; eval mode runs the folded tail at the contract's
-    tolerances, once per (shape, dtype, layout). (Bitwise until the tail
-    moved onto the shared batch-norm kernel; the name keeps the case ids it
-    has had since.)"""
+def test_tail_is_within_the_contract(shape, dtype, layout, p_drop):
+    """Training mode, with the same dropout mask: output, gradients and
+    running buffers within the contract's tolerance for the dtype."""
     B, C, T, pool = shape
     x = tail_input(T, B, C, T, layout, dtype)
-    if not training:
-        assert_eval_tail_within_contract(x, np.dtype(dtype), pool)
-        return
     got, want = (run_tail(tail, x, dtype, pool, p_drop) for tail in TAILS)
     names = ("output", "x grad", "gamma grad", "beta grad", "running mean", "running var")
     for name, g, w in zip(names, got, want):
         assert_within_dtype_rule(g, w, name)
     assert got[0].shape == (B, C, T // pool)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shape", SHAPES, ids=[f"T{s[2]}p{s[3]}" for s in SHAPES])
+def test_eval_tail_is_within_the_contract(shape, dtype, layout):
+    """Eval mode: ops.elu_pool on x's (C, B, T) view with bn_affine's map in
+    the dtype, against oracle_tail in float64 on the same values; float64
+    within 1e-9 x max |value|, float32 within 256 eps32 of max(1, max
+    |value|)."""
+    B, C, T, pool = shape
+    x = tail_input(T, B, C, T, layout, dtype)
+    g, b, rm, rv, _ = tail_params(C, dtype)
+    affine = [m.astype(dtype)[:, None, None] for m in ops.bn_affine(g, b, rm, rv)]
+    got = ops.elu_pool(x.transpose(1, 0, 2), affine, pool)
+    with precision("float64"):
+        params = [a.astype(np.float64) for a in (x, g, b, rm, rv)]
+        want = oracle_tail(*map(Tensor, params[:3]), *params[3:], False, pool).data
+    assert got.dtype == dtype and got.shape == want.shape == (B, C, T // pool)
+    err, top = float(np.abs(got - want).max()), float(np.abs(want).max())
+    assert err <= (1e-9 * top if dtype == "float64" else 256 * EPS32 * max(1.0, top)), f"error {err:.3e}"
 
 
 @pytest.mark.parametrize("pool", [8, 7, 1])
@@ -140,7 +137,7 @@ def test_blocked_tail_is_bitwise_the_whole_map_arithmetic(dtype, layout, pool):
     want_gy = np.zeros_like(u)
     g = (gout * keep).transpose(1, 0, 2) / np.array(pool, dtype=dtype)
     want_gy[..., :n] = (neg + 1.0)[..., :n] * np.repeat(g, pool, axis=-1)
-    got_out, got_gy = ops._tail_forward(u, (scale, shift), pool, keep), np.zeros_like(u)
+    got_out, got_gy = ops.elu_pool(u, (scale, shift), pool, keep), np.zeros_like(u)
     ops._tail_backward(gout, keep, u, (scale, shift), pool, got_gy)
     for got, want in ((got_out, want_out), (got_gy, want_gy)):
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -172,7 +169,7 @@ def model_step(cfg, dtype, training, monkeypatch, tail):
 def test_model_is_bitwise_the_oracle_tail_model(config, dtype, training, monkeypatch):
     """Training: the oracle tail in every branch and TCN tail, logits,
     gradients and buffers within the contract's tolerance for the dtype.
-    Eval (no tape): the inference pass against oracle_branch_call in the
+    Eval (no tape): the eval pass against oracle_branch_call in the
     same dtype, logits within the contract's tolerance for that dtype,
     buffers untouched."""
     cfg = mini_model_config() if config == "mini" else ModelConfig()
@@ -302,9 +299,9 @@ def tcn_block_step(block_fn, dtype, training, seed=90):
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_tcn_block_matches_the_oracle_composition(dtype, training):
-    """Training: ops.bn_elu_pool at pool 1 after each causal conv. Eval: each
-    batch norm folded into its conv's weight, then ops.elu_pool; the
-    running buffers stay untouched."""
+    """Training: ops.bn_elu_pool at pool 1 after each causal conv. Eval:
+    ops.elu_pool with each batch norm's fixed map; the running buffers stay
+    untouched."""
     got, want = (tcn_block_step(fn, dtype, training) for fn in (TcnBlock.__call__, oracle_tcn_block))
     assert got.keys() == want.keys()
     for name, w in want.items():
