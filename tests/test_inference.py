@@ -101,7 +101,7 @@ def test_eval_runs_the_stored_weights_and_the_training_stem(dtype, monkeypatch):
     blocks = -(-B // ops.STEM_BLOCK)
     assert len(qs) == 4 * blocks
     evals = [np.concatenate(qs[i : i + blocks], axis=2) for i in range(0, len(qs), blocks)]
-    del qs[:]
+    qs.clear()
     with precision(dtype):
         model(x, training=True, rng=np.random.Generator(np.random.PCG64(8)))
     assert len(qs) == 4
