@@ -6,8 +6,8 @@ average-pooled view of the source features: the sum of the stride-1 pools
 at every kernel size is one linear map along time, run as one matmul with
 a (T0, T0) band matrix. Attention rows can be sparsified by keeping only
 the top-scoring entries at two sparsity levels whose outputs are mixed by
-two learnable scalars. The top-k mask is a discrete selection and is
-treated as constant by the backward pass.
+two learnable scalars, in one tape node (topk_mix). Each top-k mask comes
+from one sort; it is treated as constant by the backward pass.
 """
 
 import math
@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import ops
-from .autodiff import Tensor, default_dtype
+from .autodiff import Tensor, _accumulate, _make, default_dtype, unbroadcast
 from .config import AttentionConfig
 from .errors import ConfigurationError, DimensionError
 from .layers import Layer, Parameter, _uniform_init
@@ -32,13 +32,37 @@ def keep_count(denominator: int, t0: int) -> int:
 def topk_mask(scores: np.ndarray, keep: int) -> np.ndarray:
     """Boolean mask of the `keep` largest entries per trailing-axis row.
 
-    Ties at the threshold keep the lowest-index entries (stable argsort of
-    descending scores), so the selection is deterministic.
+    One np.sort reads each row's threshold, its keep-th largest value.
+    Entries above it are kept, and of those equal to it the lowest-index
+    ones (a stable sort's rule); the running count of ties is taken only
+    when a tie straddles some row's threshold.
     """
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    mask = np.zeros(scores.shape, dtype=bool)
-    np.put_along_axis(mask, order[..., :keep], True, axis=-1)
-    return mask
+    t0 = scores.shape[-1]
+    if not 1 <= keep <= t0:
+        raise ConfigurationError(f"keep_count {keep} out of range [1, {t0}]")
+    ranked = np.sort(scores, axis=-1)
+    kth = ranked[..., t0 - keep, None]
+    if keep == t0 or not (ranked[..., t0 - keep - 1, None] == kth).any():
+        return scores >= kth
+    above, tied = scores > kth, scores == kth
+    room = keep - above.sum(axis=-1, keepdims=True)
+    return above | (tied & (np.cumsum(tied, axis=-1) <= room))
+
+
+def _topk_softmaxes(s, keeps):
+    """(masks, rows): each keep count's topk_mask of s and the softmax of
+    s's trailing-axis rows restricted to it, from one shared row max and
+    exp. A NaN score makes its whole row NaN."""
+    masks = [topk_mask(s, keep) for keep in keeps]
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    kept = [e * mask for mask in masks]
+    return masks, [k / k.sum(axis=-1, keepdims=True) for k in kept]
+
+
+def _masked_softmax_grad(g, p, mask):
+    """Score gradient of one masked softmax p from dL/dp; 0 off the mask."""
+    dot = (g * p).sum(axis=-1, keepdims=True)
+    return np.where(mask, p * (g - dot), np.zeros((), dtype=p.dtype))
 
 
 def topk_softmax(scores: Tensor, keep: int) -> Tensor:
@@ -47,12 +71,29 @@ def topk_softmax(scores: Tensor, keep: int) -> Tensor:
     Discarded positions become exactly 0; kept positions renormalize to
     sum 1. Gradients flow only through the kept entries.
     """
-    t0 = scores.shape[-1]
-    if not 1 <= keep <= t0:
-        raise ConfigurationError(f"keep_count {keep} out of range [1, {t0}]")
-    mask = topk_mask(scores.data, keep)
-    masked = ops.masked_fill(scores, mask, -np.inf)
-    return ops.softmax(masked, axis=-1)
+    (mask,), (out,) = _topk_softmaxes(scores.data, (keep,))
+    return _make(out, (scores,), lambda g: _accumulate(scores, _masked_softmax_grad(g, out, mask)))
+
+
+def topk_mix(scores: Tensor, v: Tensor, alpha: Tensor, beta: Tensor, keeps) -> Tensor:
+    """alpha * (topk_softmax(scores, keeps[0]) @ v) + beta * (topk_softmax(scores,
+    keeps[1]) @ v) as one tape node whose two paths share one exp. The backward
+    makes the composition's products, so values and gradients keep its bits."""
+    masks, probs = _topk_softmaxes(scores.data, keeps)
+    paths = [p @ v.data for p in probs]
+    out = alpha.data * paths[0] + beta.data * paths[1]
+
+    def backward(g):
+        for coef, mask, p, path in zip((alpha, beta), masks, probs, paths):
+            if coef.requires_grad:
+                _accumulate(coef, unbroadcast(g * path, coef.data.shape))
+            gpath = g * coef.data
+            if v.requires_grad:
+                _accumulate(v, np.swapaxes(p, -1, -2) @ gpath)
+            if scores.requires_grad:
+                _accumulate(scores, _masked_softmax_grad(gpath @ np.swapaxes(v.data, -1, -2), p, mask))
+
+    return _make(out, (scores, v, alpha, beta), backward)
 
 
 def multiscale_pool(y: Tensor, cfg: AttentionConfig) -> Tensor:
@@ -91,8 +132,8 @@ def msca_forward(x: Tensor, y: Tensor, params: AttentionParams, cfg: AttentionCo
     x, y: (B, U, T0), U divisible by cfg.heads. Steps: optionally pool y at
     multiple scales; project to Q/K/V (bias-free); split into heads of
     width U/heads; scale scores by 1/sqrt(head width); either mix two
-    top-k-sparsified softmax paths by the learnable scalars, or use the
-    dense softmax; concatenate heads. Output shape equals x's shape.
+    top-k-sparsified softmax paths by the learnable scalars (topk_mix, in
+    both modes), or use the dense softmax; concatenate heads; x's shape.
     """
     if x.shape != y.shape:
         raise DimensionError(f"query source {x.shape} and key/value source {y.shape} differ")
@@ -116,10 +157,8 @@ def msca_forward(x: Tensor, y: Tensor, params: AttentionParams, cfg: AttentionCo
 
     scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dk))
     if cfg.topk_enabled:
-        k1, k2 = cfg.keep_denominators
-        path1 = topk_softmax(scores, keep_count(k1, t0)) @ v
-        path2 = topk_softmax(scores, keep_count(k2, t0)) @ v
-        heads_out = params.alpha * path1 + params.beta * path2
+        keeps = [keep_count(k, t0) for k in cfg.keep_denominators]
+        heads_out = topk_mix(scores, v, params.alpha, params.beta, keeps)
     else:
         heads_out = ops.softmax(scores, axis=-1) @ v
 

@@ -99,7 +99,6 @@ class Branch(Layer):
 
     def __init__(self, cfg: ModelConfig, index, rng):
         super().__init__()
-        self.index = index
         self.temporal_kernel = cfg.temporal_kernels[index]
         self.pools = cfg.pools
         width = cfg.spa_filters

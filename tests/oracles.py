@@ -18,7 +18,10 @@ conv -> batch norm -> ELU -> dropout composition before its tails became
 ops.bn_elu_pool at pool 1; oracle_lag_prefixes, ops.lag_prefixes as it
 was before its lag products became banded tile matmuls; oracle_backward,
 Tensor.backward as it was before its walk released the tape;
-oracle_branch_call, a branch whose spatial-refinement conv runs through
+oracle_topk_mask and oracle_topk_softmax, the stable-argsort top-k mask
+and the masked_fill -> softmax path that csanet.attention ran twice per
+auxiliary branch before one sort set each mask and topk_mix fused both
+paths; oracle_branch_call, a branch whose spatial-refinement conv runs through
 oracle_conv2d as it did before conv1d_dilated took it over, and whose
 eval mode runs the stem and tail compositions as the model did before its
 eval mode moved onto ops.stem_elu_pool and ops.elu_pool; and
@@ -182,6 +185,23 @@ def naive_multihead_attention(x, y, wq, wk, wv, heads):
                 for d in range(dk):
                     out[bi, h * dk + d, ti] = sum(weights[tj] * vs[tj, d] for tj in range(T))
     return out
+
+
+def oracle_topk_mask(scores, keep):
+    """Boolean mask of the `keep` largest entries per trailing-axis row;
+    ties at the threshold keep the lowest-index entries (stable argsort of
+    the descending scores)."""
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    mask = np.zeros(scores.shape, dtype=bool)
+    np.put_along_axis(mask, order[..., :keep], True, axis=-1)
+    return mask
+
+
+def oracle_topk_softmax(scores, keep):
+    """Softmax of each trailing-axis row restricted to oracle_topk_mask's
+    entries, as the two tape nodes ops.masked_fill -> ops.softmax."""
+    masked = ops.masked_fill(scores, oracle_topk_mask(scores.data, keep), -np.inf)
+    return ops.softmax(masked, axis=-1)
 
 
 def _pair(v):

@@ -17,13 +17,14 @@ from csanet.attention import (
     multiscale_pool,
     residual_fuse,
     topk_mask,
+    topk_mix,
     topk_softmax,
 )
 from csanet.autodiff import Tensor, precision
 from csanet.config import AttentionConfig
 from csanet.errors import ConfigurationError, DimensionError
 
-from oracles import naive_multihead_attention
+from oracles import naive_multihead_attention, oracle_topk_mask, oracle_topk_softmax
 
 
 def make_params(width, seed=0):
@@ -77,6 +78,98 @@ class TestTopkSoftmax:
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
         assert ((out >= 0) & (out <= 1)).all()
         np.testing.assert_array_equal(np.count_nonzero(out, axis=-1), keep)
+
+
+def score_cases(shape, dtype, seed):
+    """(name, scores) rows for the top-k kernels: random, small integers
+    (ties straddling every threshold), whole rows equal, and rows of
+    +0.0 and -0.0 ties among a few other values."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    flat = rng.standard_normal(shape).astype(dtype)
+    ties = rng.integers(-2, 3, shape).astype(dtype)
+    equal = np.repeat(rng.standard_normal(shape[:-1] + (1,)), shape[-1], axis=-1).astype(dtype)
+    equal[..., ::2, :] = 0.25
+    zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0).astype(dtype)
+    zeros[rng.random(shape) < 0.2] = 1.0
+    zeros[rng.random(shape) < 0.2] = -1.0
+    return [("random", flat), ("ties", ties), ("equal rows", equal), ("signed zeros", zeros)]
+
+
+KERNEL_SHAPES = [(64, 8, 17, 17), (1, 8, 17, 17), (3, 4, 7)]
+
+
+class TestTopkKernels:
+    """The one-sort mask and the fused two-path op against the rules they
+    replaced: the stable-argsort mask and the masked_fill -> softmax ->
+    matmul -> alpha/beta composition."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_mask_is_the_stable_argsort_mask(self, shape, dtype):
+        t0 = shape[-1]
+        for name, scores in score_cases(shape, dtype, seed=t0):
+            for keep in (1, t0, keep_count(2, t0), keep_count(3, t0)):
+                got = topk_mask(scores, keep)
+                assert got.dtype == bool and np.array_equal(got, oracle_topk_mask(scores, keep)), (name, keep)
+
+    def test_mask_refuses_a_keep_out_of_range(self):
+        for keep in (0, 5):
+            with pytest.raises(ConfigurationError):
+                topk_mask(np.zeros((2, 4)), keep)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_topk_softmax_is_bytewise_the_masked_fill_path(self, dtype):
+        for name, scores in score_cases((4, 8, 17, 17), dtype, seed=1):
+            g = np.random.Generator(np.random.PCG64(2)).standard_normal(scores.shape).astype(dtype)
+            for keep in (1, 6, 9, 17):
+                got, want = (
+                    run_with_grads(lambda s: fn(s, keep), [scores], g) for fn in (topk_softmax, oracle_topk_softmax)
+                )
+                assert_bytes_equal(got, want, (name, keep))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("shape", [(4, 8, 17, 17), (3, 2, 7, 7)], ids=lambda s: "x".join(map(str, s)))
+    def test_topk_mix_is_bytewise_the_two_path_composition(self, shape, dtype):
+        t0 = shape[-1]
+        keeps = (keep_count(2, t0), keep_count(3, t0))
+        rng = np.random.Generator(np.random.PCG64(3))
+        v = rng.standard_normal(shape[:-1] + (2,)).astype(dtype)
+        g = rng.standard_normal(v.shape).astype(dtype)
+        alpha, beta = np.asarray(0.8, dtype=dtype), np.asarray(1.3, dtype=dtype)
+
+        def composition(s, v_, a, b):
+            return a * (oracle_topk_softmax(s, keeps[0]) @ v_) + b * (oracle_topk_softmax(s, keeps[1]) @ v_)
+
+        for name, scores in score_cases(shape, dtype, seed=4):
+            args = [scores, v, alpha, beta]
+            got = run_with_grads(lambda s, v_, a, b: topk_mix(s, v_, a, b, keeps), args, g)
+            want = run_with_grads(composition, args, g)
+            assert_bytes_equal(got, want, name)
+
+    def test_a_nan_score_makes_its_row_nan(self):
+        scores = np.random.Generator(np.random.PCG64(5)).standard_normal((2, 3, 7))
+        scores[1, 2, 4] = np.nan
+        v = Tensor(np.ones((2, 7, 2)))
+        one = Tensor(np.ones(()))
+        for out in (topk_softmax(Tensor(scores), 3).data, topk_mix(Tensor(scores), v, one, one, (4, 3)).data):
+            assert np.isnan(out[1, 2]).all()
+            out[1, 2] = 0.0
+            assert np.isfinite(out).all()
+
+
+def run_with_grads(fn, arrays, g):
+    """fn's output on Tensors of arrays and each input's gradient from the
+    upstream gradient g."""
+    with precision(arrays[0].dtype.name):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = fn(*inputs)
+        out.backward(g)
+    return [out.data] + [t.grad for t in inputs]
+
+
+def assert_bytes_equal(got, want, case):
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (case, i)
 
 
 class TestKeepCount:

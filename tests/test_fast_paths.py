@@ -275,10 +275,10 @@ def test_sources_call_neither_np_pad_nor_sliding_window_view():
                 assert (node.value.id, node.attr) != ("np", "pad"), f"{name}:{node.lineno}"
 
 
-# ops.conv2d, batch_norm, elu, dropout and avg_pool2d and autodiff.pad run
-# in no model path; they stay for the tests and for perfbench/trace.py, which
-# binds them by name.
-RETIRED_OPS = {"conv2d", "batch_norm", "elu", "dropout", "avg_pool2d", "pad"}
+# ops.conv2d, batch_norm, elu, dropout, avg_pool2d and masked_fill and
+# autodiff.pad run in no model path; they stay for the tests and for
+# perfbench/trace.py, which binds them by name.
+RETIRED_OPS = {"conv2d", "batch_norm", "elu", "dropout", "avg_pool2d", "masked_fill", "pad"}
 
 
 def test_sources_call_none_of_the_retired_ops():

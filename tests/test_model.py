@@ -238,13 +238,16 @@ class TestTape:
         # dropout is 0, so no dropout node) became one bn_elu_pool node: 1
         # per conv, 2 convs per block, 2 blocks per branch (16). It was 291
         # until spa_conv's conv1d_dilated padded its own input: the pad node
-        # before it goes, 1 per branch (4).
+        # before it goes, 1 per branch (4). It was 287 until each auxiliary
+        # branch's two top-k paths became one topk_mix node: its masked_fill,
+        # softmax and matmul per path and the alpha/beta mul, mul and add
+        # go, 8 per auxiliary branch (24).
         cfg = mini_model_config()
         with precision("float64"):
             model = make_model(cfg, seed=14)
             x = Tensor(np.random.default_rng(15).standard_normal((2, 1, cfg.channels, cfg.time_steps)))
             loss = ops.cross_entropy(model(x, training=True), np.array([0, 1]))
-        assert len(_reverse_topo(loss)) == 287
+        assert len(_reverse_topo(loss)) == 263
 
 
 # Per-group parameter counts, one row per branch in the order of

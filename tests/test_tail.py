@@ -166,7 +166,7 @@ def model_step(cfg, dtype, training, monkeypatch, tail):
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("config", ["mini", "default"])
-def test_model_is_bitwise_the_oracle_tail_model(config, dtype, training, monkeypatch):
+def test_model_is_within_the_contract_of_the_oracle_tail_model(config, dtype, training, monkeypatch):
     """Training: the oracle tail in every branch and TCN tail, logits,
     gradients and buffers within the contract's tolerance for the dtype.
     Eval (no tape): the eval pass against oracle_branch_call in the
