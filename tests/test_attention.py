@@ -95,6 +95,21 @@ def score_cases(shape, dtype, seed):
     return [("random", flat), ("ties", ties), ("equal rows", equal), ("signed zeros", zeros)]
 
 
+def run_with_grads(fn, arrays, g):
+    """fn's output on Tensors of arrays and each input's gradient from the
+    upstream gradient g."""
+    with precision(arrays[0].dtype.name):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = fn(*inputs)
+        out.backward(g)
+    return [out.data] + [t.grad for t in inputs]
+
+
+def assert_bytes_equal(got, want, case):
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (case, i)
+
+
 KERNEL_SHAPES = [(64, 8, 17, 17), (1, 8, 17, 17), (3, 4, 7)]
 
 
@@ -157,21 +172,6 @@ class TestTopkKernels:
             assert np.isfinite(out).all()
 
 
-def run_with_grads(fn, arrays, g):
-    """fn's output on Tensors of arrays and each input's gradient from the
-    upstream gradient g."""
-    with precision(arrays[0].dtype.name):
-        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-        out = fn(*inputs)
-        out.backward(g)
-    return [out.data] + [t.grad for t in inputs]
-
-
-def assert_bytes_equal(got, want, case):
-    for i, (a, b) in enumerate(zip(got, want)):
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (case, i)
-
-
 class TestKeepCount:
     def test_ratio_mode_is_ceil(self):
         assert keep_count(2, 17) == 9
@@ -188,15 +188,6 @@ def sum_of_avg_pools(y, kernels, pads):
         pooled = ops.avg_pool2d(y4, k, stride=1, padding=p)
         total = pooled if total is None else total + pooled
     return total.reshape((b, u, t0))
-
-
-def pool_and_input_grad(pool, y, g):
-    """pool's output on y and y's gradient from the upstream gradient g."""
-    with precision(y.dtype.name):
-        t = Tensor(y, requires_grad=True)
-        out = pool(t)
-        out.backward(g)
-    return out.data, t.grad
 
 
 class TestMultiscalePool:
@@ -227,8 +218,8 @@ class TestMultiscalePool:
                 for t0 in (1, 2, 3, 4, 7, 17):
                     rng = np.random.Generator(np.random.PCG64(t0))
                     y, g = (rng.standard_normal((2, 4, t0)).astype(dtype) for _ in range(2))
-                    got = pool_and_input_grad(lambda t: multiscale_pool(t, cfg), y, g)
-                    want = pool_and_input_grad(lambda t: sum_of_avg_pools(t, kernels, pads), y, g)
+                    got = run_with_grads(lambda t: multiscale_pool(t, cfg), [y], g)
+                    want = run_with_grads(lambda t: sum_of_avg_pools(t, kernels, pads), [y], g)
                     for what, a, b in zip(("output", "input grad"), got, want):
                         case = f"{dtype} kernels={kernels} T0={t0} {what}"
                         assert a.dtype == b.dtype == np.dtype(dtype), case
