@@ -6,6 +6,12 @@ is deterministic given a run seed.
 """
 
 import os
+import sys
+
+# OpenBLAS reads its thread count once, when numpy loads it. It is known to
+# be 1 if numpy loads after the loop below, or if the user pinned it before
+# numpy loaded; only then do eval's trial blocks run on threads (model.WORKERS).
+BLAS_ONE_THREAD = os.environ.get("OPENBLAS_NUM_THREADS", None if "numpy" in sys.modules else "1") == "1"
 
 # Set before numpy loads BLAS, keeping a value the user has set: on a 2-core
 # host the default of 2 threads spent 1.7-1.8x the CPU time for no wall-time gain.

@@ -7,8 +7,11 @@ tape's arrays are freed during the walk. Training runs in float32 by
 default; a float64 mode (used by the gradient-check and oracle suites) is
 switched globally via set_default_dtype / precision.
 
-Single-threaded semantics: forward results are immutable once produced,
-and gradient accumulation happens on one thread.
+Threads: forward results are immutable once produced, and a tape is built
+and walked on one thread. Eval-mode trial blocks may run forwards on
+several threads at once (model.fork_join); while they run, nothing may
+switch the dtype or grad globals (set_default_dtype, precision, no_grad),
+which every block reads.
 """
 
 from contextlib import contextmanager

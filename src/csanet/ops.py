@@ -486,13 +486,18 @@ def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, keep=None):
 # Trials per block of stem_elu_pool. A block's temporaries (the padded
 # projection, its tile windows, the correlation and the ELU's negative
 # part) then stay a few MB and are reused from the heap instead of being
-# faulted in fresh at every batch. Measured on a 2-core x86 host, one BLAS
-# thread, float32, default config, B = 64 eval forward, a fresh process
-# per size: blocks of 4, 8 and 16 tie within the host's drift (177-206 ms)
-# at 1-2 minor faults per batch; 32 faults about 4,800 pages per batch and
-# runs slowest (208-210 ms); 64 (one block) faults as little but peaks at
-# 90 MB RSS against 58 MB at 16.
-STEM_BLOCK = 16
+# faulted in fresh at every batch. Eval runs up to one trial block per core
+# (model.fork_join), each with its own stem blocks, so 8 keeps two blocks at
+# once within what one held at 16. Measured on a 2-core x86 host, one BLAS
+# thread, float32, default config, B = 64 eval forward, a fresh process per
+# size, 1-2 minor faults per batch at every size: serially, blocks of 4, 8,
+# 16 and 32 tie within the host's drift (98-118 ms), and 32 peaks at 57.5
+# MB RSS against 52 MB; on two workers, 4 and 8 ran 63-68 ms, 16 and 32
+# 68-74 ms, and the peak RSS read 54.3-55.2 MB at 4 and 8, 60.8-60.9 MB at
+# 16 and 64.5-67.1 MB at 32. The benchmark's paper_eval peaked at 63.8-65.6
+# MB at 8 against 70.2-71.7 MB at 16 (63.1 MB serially at 16). The B = 64
+# logits at 8 are byte-equal to those at 16.
+STEM_BLOCK = 8
 
 
 def bn_affine(gamma, beta, running_mean, running_var):

@@ -1,18 +1,26 @@
 """Eval-mode inference: the tape-free branch pass and the model around it.
 No tape, running buffers untouched, rows independent of the batch they
-ride in (partial and multiple STEM_BLOCK blocks), the convs run on their
-stored weights and the stem on the training stem's correlation, every
-output following the current parameters, and no silent dtype mixing."""
+ride in (partial and multiple STEM_BLOCK blocks), trial blocks on threads
+byte-equal to the serial forward, the convs run on their stored weights
+and the stem on the training stem's correlation, every output following
+the current parameters, and no silent dtype mixing."""
 
 import inspect
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from csanet import ops
-from csanet.autodiff import Tensor, precision
+from csanet import autodiff, ops
+from csanet import model as model_module
+from csanet.autodiff import Tensor, _reverse_topo, precision
 from csanet.errors import DataError
-from csanet.model import Branch, CsanetModel
+from csanet.model import Branch, CsanetModel, fork_join
 from csanet.verification import mini_model_config
 
 from oracles import oracle_branch_call
@@ -52,7 +60,7 @@ def test_rows_agree_across_batch_sizes():
     The batches lead with the contract's eval rows, whose top-k selections
     clear the margin; only those rows are compared, since a near tie may
     keep other entries in another batch."""
-    sizes = (1, 15, 16, 17, 33)
+    sizes = (1, 7, 8, 9, 17, 33)
     assert ops.STEM_BLOCK in sizes
     with np.load(FIXTURE) as data:
         clear = data["default/eval/rows"]
@@ -141,3 +149,151 @@ def test_input_of_another_float_dtype_is_rejected(model_dtype, input_dtype, trai
     if not training:
         with pytest.raises(DataError):
             model.predict(x)
+
+
+def spy_forward(monkeypatch):
+    """Record (thread, trials) of each CsanetModel._forward call."""
+    calls = []
+    forward = CsanetModel._forward
+
+    def spy(self, x, *args, **kwargs):
+        calls.append((threading.get_ident(), x.shape[0]))
+        return forward(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(CsanetModel, "_forward", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name, dtype", [("default", "float32"), ("mini", "float64")])
+def test_eval_blocks_on_two_workers_are_bytewise_the_serial_forward(name, dtype, monkeypatch):
+    """Two workers, forced so that a 1-core host runs the pool too: a batch
+    of 32, 33, 64 or 65 trials runs as two contiguous blocks, one on the
+    calling thread and one on a worker, and its logits are byte-equal to
+    the one-worker forward's. The tape is back on after each."""
+    _, model = contract_model(name, dtype)
+    x = candidate_inputs(name)
+    x = np.concatenate([x, np.random.default_rng(9).standard_normal(x[:1].shape)]).astype(dtype)
+    calls = spy_forward(monkeypatch)
+    with precision(dtype):
+        for B in (32, 33, 64, 65):
+            monkeypatch.setattr(model_module, "WORKERS", 1)
+            serial = model(Tensor(x[:B]), training=False).data
+            monkeypatch.setattr(model_module, "WORKERS", 2)
+            calls.clear()
+            pooled = model(Tensor(x[:B]), training=False).data
+            assert sorted(n for _, n in calls) == [B // 2, B - B // 2], B
+            assert len({thread for thread, _ in calls}) == 2, B
+            assert pooled.dtype == serial.dtype and pooled.shape == serial.shape
+            assert pooled.tobytes() == serial.tobytes(), B
+            assert autodiff._GRAD_ENABLED
+
+
+def test_eval_on_more_workers_than_cores_under_fast_thread_switching(monkeypatch):
+    # Four blocks of 16 trials on four workers, with the interpreter
+    # switching threads every microsecond: every run is byte-equal to the
+    # serial forward, off the tape, and leaves the tape switched on.
+    _, model = contract_model("mini", "float32")
+    x = Tensor(candidate_inputs("mini"))
+    monkeypatch.setattr(model_module, "WORKERS", 1)
+    serial = model(x, training=False).data
+    monkeypatch.setattr(model_module, "WORKERS", 4)
+    calls = spy_forward(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            pooled = model(x, training=False)
+            assert pooled.data.tobytes() == serial.tobytes()
+            assert pooled._backward is None and autodiff._GRAD_ENABLED
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(n for _, n in calls) == [16] * 32
+
+
+@pytest.mark.parametrize("B", [1, 16])
+def test_small_eval_batches_run_on_the_calling_thread(B, monkeypatch):
+    # Below two blocks of EVAL_MIN_BLOCK trials a batch is one serial forward.
+    monkeypatch.setattr(model_module, "WORKERS", 2)
+    _, model = contract_model("mini", "float32")
+    calls = spy_forward(monkeypatch)
+    model(Tensor(candidate_inputs("mini")[:B]), training=False)
+    assert calls == [(threading.get_ident(), B)]
+
+
+def test_pooled_eval_leaves_the_training_tape_as_it_was(monkeypatch):
+    # The mini training loss's tape, pinned in test_model.py, after an eval
+    # batch ran on two workers.
+    monkeypatch.setattr(model_module, "WORKERS", 2)
+    cfg = mini_model_config()
+    with precision("float64"):
+        model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(14)))
+        x = np.random.default_rng(15).standard_normal((32, 1, cfg.channels, cfg.time_steps))
+        model.predict(x)
+        assert autodiff._GRAD_ENABLED
+        loss = ops.cross_entropy(model(Tensor(x[:2]), training=True), np.array([0, 1]))
+    assert len(_reverse_topo(loss)) == 263
+
+
+def test_fork_join_keeps_order_and_waits_for_every_call():
+    assert fork_join(lambda a, b: a * b, [(1, 2), (3, 4), (5, 6)]) == [2, 12, 30]
+    ended = []
+
+    def call(i):
+        if i == 0:
+            raise ValueError("first")
+        time.sleep(0.05)
+        ended.append(i)
+
+    with pytest.raises(ValueError, match="first"):
+        fork_join(call, [(0,), (1,)])
+    assert ended == [1]  # the worker's call ended before the error left
+    with pytest.raises(ZeroDivisionError):
+        fork_join(lambda i: 1 // i, [(1,), (0,)])
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(code, preset=None):
+    """Run code in a fresh interpreter, the BLAS thread variables unset or
+    all set to preset; return its stdout."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["PYTHONPATH"] = SRC
+    if preset is not None:
+        env.update(dict.fromkeys(BLAS_THREADS, preset))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize(
+    "numpy_first, preset, pooled",
+    [(True, None, False), (True, "1", True), (False, None, True), (False, "2", False)],
+)
+def test_eval_uses_workers_only_while_blas_runs_one_thread(numpy_first, preset, pooled):
+    """numpy loaded before csanet with no BLAS variable set keeps OpenBLAS's
+    default thread count, and a user's count of 2 is kept: eval then stays
+    on the calling thread. With one BLAS thread, a 64-trial batch runs on a
+    worker per core, up to its four blocks of 16."""
+    code = (
+        ("import numpy; " if numpy_first else "")
+        + "import os, threading; from csanet import model; import numpy as np; "
+        "from csanet.verification import mini_model_config; cfg = mini_model_config(); "
+        "m = model.CsanetModel(cfg, np.random.default_rng(0)); "
+        "m.predict(np.zeros((64, 1, cfg.channels, cfg.time_steps), np.float32)); "
+        "print(model.WORKERS, len(os.sched_getaffinity(0)), threading.active_count())"
+    )
+    workers, cores, threads = map(int, run_python(code, preset).split())
+    if pooled:
+        assert workers == cores and threads == min(cores, 4)
+    else:
+        assert workers == 1 and threads == 1
+
+
+def test_import_leaves_the_pool_module_unloaded():
+    # The pool's module loads at the first pooled batch, not at import (nor
+    # at the eval path's; the CLI's scipy import loads it on its own).
+    code = "import sys; import csanet, csanet.checkpoint, csanet.metrics, csanet.train; "
+    code += "print('concurrent.futures' in sys.modules)"
+    assert run_python(code).strip() == "False"
