@@ -6,12 +6,18 @@ after each, for the default config and for the mini config with conv
 dropout 0.5 and TCN dropout 0.3, each in float32 and float64. It writes
 to an .npz, per case: each step's logits and loss, every parameter
 gradient and every running buffer after each step, every parameter after
-the second update, the eval-mode logits of the second step's trials after
-that update (all 16 under eval/logits_b16, and the first alone, which
-takes spa_conv's direct path, under eval/logits_b1), and the dropout
-stream's next draw. compare lists
-every array that differs in dtype, shape or bytes, or that only one dump
-holds, and exits 1 if any does.
+the second update, the eval-mode logits after that update (both steps'
+32 trials under eval/logits_b32, the second step's 16 under
+eval/logits_b16, and its first trial alone, which takes spa_conv's direct
+path, under eval/logits_b1), and the dropout stream's next draw: 1,736
+arrays. compare lists every array that differs in dtype, shape or bytes,
+or that only one dump holds, and exits 1 if any does.
+
+csanet is imported before numpy, so that BLAS runs one thread and the
+worker pool (csanet.model.WORKERS) has a worker per core: the default
+config's training steps then run their branch stage on the pool, and the
+32-trial eval batch its two trial blocks. On a 1-core host every path is
+serial.
 
 The tree under test is the csanet on the import path, so one copy of this
 script dumps any checkout:
@@ -25,6 +31,10 @@ import argparse
 import dataclasses
 import sys
 
+try:
+    import csanet  # before numpy: see the docstring
+except ImportError:  # compare reads only the dumps
+    pass
 import numpy as np
 
 DTYPES = ("float32", "float64")
@@ -54,9 +64,10 @@ def run_case(cfg, dtype):
     with precision(dtype):
         model = CsanetModel(cfg, rng=substream(SEED, "init"))
         data, dropout = substream(SEED, "data"), substream(SEED, "dropout")
-        optimizer, params = AdamState(), list(model.parameters())
+        optimizer, params, xs = AdamState(), list(model.parameters()), []
         for step in (1, 2):
             x = data.standard_normal((BATCH, 1, cfg.channels, cfg.time_steps)).astype(dtype)
+            xs.append(x)
             labels = data.integers(0, cfg.n_classes, BATCH)
             logits = model(Tensor(x), training=True, rng=dropout)
             loss = ops.cross_entropy(logits, labels)
@@ -69,6 +80,7 @@ def run_case(cfg, dtype):
             for name, b in model.named_buffers():
                 got[f"step{step}/buffer/{name}"] = b.copy()
             adam_step(optimizer, params)
+        got[f"eval/logits_b{2 * BATCH}"] = model(Tensor(np.concatenate(xs)), training=False).data
         for size in (BATCH, 1):
             got[f"eval/logits_b{size}"] = model(Tensor(x[:size]), training=False).data
     for name, p in model.named_parameters():
@@ -78,15 +90,13 @@ def run_case(cfg, dtype):
 
 
 def dump(path):
-    import csanet
-
     arrays = {}
     for name, cfg in configs():
         for dtype in DTYPES:
             for key, value in run_case(cfg, dtype).items():
                 arrays[f"{name}/{dtype}/{key}"] = np.asarray(value)
     np.savez(path, **arrays)
-    print(f"{len(arrays)} arrays from {csanet.__file__} written to {path}")
+    print(f"{len(arrays)} arrays from {csanet.__file__} (workers: {csanet.model.WORKERS}) written to {path}")
 
 
 def compare(path_a, path_b):

@@ -10,7 +10,8 @@ import sys
 
 # OpenBLAS reads its thread count once, when numpy loads it. It is known to
 # be 1 if numpy loads after the loop below, or if the user pinned it before
-# numpy loaded; only then do eval's trial blocks run on threads (model.WORKERS).
+# numpy loaded; only then do eval's trial blocks and training's branch stage
+# run on threads (model.WORKERS).
 BLAS_ONE_THREAD = os.environ.get("OPENBLAS_NUM_THREADS", None if "numpy" in sys.modules else "1") == "1"
 
 # Set before numpy loads BLAS, keeping a value the user has set: on a 2-core

@@ -7,14 +7,21 @@ tape's arrays are freed during the walk. Training runs in float32 by
 default; a float64 mode (used by the gradient-check and oracle suites) is
 switched globally via set_default_dtype / precision.
 
-Threads: forward results are immutable once produced, and a tape is built
-and walked on one thread. Eval-mode trial blocks may run forwards on
-several threads at once (model.fork_join); while they run, nothing may
-switch the dtype or grad globals (set_default_dtype, precision, no_grad),
-which every block reads.
+Threads: forward results are immutable once produced. A tape may be built
+and walked on several threads when each thread builds and walks tapes of
+its own that share no node, and no leaf that takes a gradient, with
+another thread's: the training branch stage builds its four branch tapes
+on the worker pool (model.fork_join) and join makes them one node of the
+outer tape, whose closure walks them on the pool again, each from the
+gradient the outer walk brought its root. So no two threads ever add
+into one grad. Eval-mode trial blocks run forwards off the tape on
+several threads at once. While threads run, nothing may switch the dtype
+or grad globals (set_default_dtype, precision, no_grad), which every op
+reads.
 """
 
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -214,6 +221,45 @@ def _reverse_topo(root):
                 stack.append((parent, False))
     order.reverse()
     return order
+
+
+def _walk(root, grad):
+    """Walk root's tape from the gradient grad (None: root was not reached)."""
+    if grad is not None:
+        root.backward(grad)
+
+
+def join(roots, run):
+    """The outputs roots of separate tapes as one tape node, walked by run.
+
+    Returns, per root that requires a gradient, a handle: a Tensor on the
+    root's data whose one parent is the node. The outer walk reaches every
+    handle before the node and hands each the gradient it accumulated, the
+    same array it would have handed the root. The node's closure then calls
+    run(_walk, [(root, grad), ...]), which walks each root's tape from its
+    gradient; run(fn, calls) returns [fn(*args) for args in calls], on one
+    thread or several (model.fork_join). The roots' tapes must share no
+    node, and no leaf that takes a gradient. Roots off the tape (under
+    no_grad) come back as they are, and no node is made.
+    """
+    if not any(root.requires_grad for root in roots):
+        return list(roots)
+    grads = [None] * len(roots)
+
+    def backward(_):
+        run(_walk, list(zip(roots, grads)))
+
+    node = Tensor(np.empty(0), requires_grad=True)
+    node._backward = backward
+    handles = []
+    for i, root in enumerate(roots):
+        if not root.requires_grad:
+            handles.append(root)
+            continue
+        handle = Tensor(root.data, requires_grad=True)
+        handle._prev, handle._backward = (node,), partial(grads.__setitem__, i)
+        handles.append(handle)
+    return handles
 
 
 def _make(data, parents, backward):

@@ -12,13 +12,20 @@ classified from the concatenated readouts. Both modes run the convs on
 their stored weights and every tail through ops.elu_pool: training on
 batch statistics, eval mode, with no tape, on each batch norm's fixed map.
 
-Eval mode has no batch statistics, so its trials never interact: a batch
-runs as up to one contiguous block per worker (WORKERS, the cores the
-process may use), each of at least EVAL_MIN_BLOCK trials, the first on the
-calling thread and the rest on a pool built at the first such batch
-(fork_join). The rows come out byte-equal to the serial forward's. No
-global of autodiff changes while the blocks run: the caller enters
-no_grad once, around all of them.
+Both modes use the cores the process may use (WORKERS) through one thread
+pool, built at its first use, and one call, fork_join; WORKERS is 1 unless
+BLAS is known to run one thread (csanet.BLAS_ONE_THREAD), so that a worker
+never multiplies BLAS's threads. Eval mode has no batch statistics, so its
+trials never interact: a batch runs as up to one contiguous block per
+worker, each of at least EVAL_MIN_BLOCK trials. In training the four
+branches read no other branch's output before fusion: from TRAIN_MIN_WORK
+input samples on, their forwards run by fork_join, in branch order, and
+join the tape as one node whose backward walks the four branch tapes
+by fork_join as well (autodiff.join). Each branch writes only its own
+running buffers and its own parameters' gradients, so logits, gradients
+and buffers come out byte-equal to the serial step's, as the eval rows do
+to the serial forward's. No global of autodiff changes while the threads
+run: eval enters no_grad once, around all of its blocks.
 """
 
 import dataclasses
@@ -29,13 +36,13 @@ import numpy as np
 
 from . import BLAS_ONE_THREAD, ops
 from .attention import AttentionParams, msca_forward, residual_fuse
-from .autodiff import Tensor, concat, narrow, no_grad
+from .autodiff import Tensor, concat, join, narrow, no_grad
 from .config import ModelConfig
 from .errors import DataError, DimensionError
 from .layers import BatchNorm, Conv, Layer, LayerList, Linear
 
-# Eval blocks run on threads only while BLAS runs one thread in each, so a
-# worker never multiplies BLAS's threads (see csanet.BLAS_ONE_THREAD).
+# Workers run only while BLAS runs one thread in each, so a worker never
+# multiplies BLAS's threads (see csanet.BLAS_ONE_THREAD).
 if not BLAS_ONE_THREAD:
     WORKERS = 1
 elif hasattr(os, "sched_getaffinity"):
@@ -50,14 +57,26 @@ else:
 # paper-scale training's eval pass raised its peak RSS by about 5 MB.
 EVAL_MIN_BLOCK = 16
 
+# Fewest input samples (B * C * T) of a training forward whose branch stage
+# runs on the pool. Measured on a 2-core x86 host, one BLAS thread, forward
+# and backward of a training step, serial -> two workers: 88,000 samples ran
+# 0.92-0.96x (default config at B = 4, C = 22 and T = 250 at B = 16) and the
+# mini config's 98,304 (B = 512) 0.90x, while 128,000-176,000 ran 1.23-1.56x
+# (default config at B = 6 and 8, T = 250 at B = 32, C = 8 at B = 16). The
+# mini config's B = 2 and 16 ran 0.72-0.73x.
+TRAIN_MIN_WORK = 120000
+
 _pool = None
 _pool_lock = threading.Lock()
 
 
 def fork_join(fn, calls):
-    """[fn(*args) for args in calls], the first call on the calling thread
-    and the rest on the worker pool. Returns once every call has ended, so
-    none outlives the caller's context; raises the first error in order."""
+    """[fn(*args) for args in calls] on the calling thread and the worker
+    pool at once. The caller runs call 0 and each worker one of the next,
+    then each thread takes the next call left, in order, until none is: calls
+    listed heaviest first spread evenly over the threads. Returns once every
+    call has ended, so none outlives the caller's context; raises the first
+    error in call order."""
     global _pool
     with _pool_lock:
         if _pool is None or _pool[0] != os.getpid():  # a forked child has no workers
@@ -65,13 +84,29 @@ def fork_join(fn, calls):
 
             _pool = (os.getpid(), ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="csanet"))
         pool = _pool[1]
-    futures = [pool.submit(fn, *args) for args in calls[1:]]
+    threads = min(WORKERS, len(calls))
+    results, errors = [None] * len(calls), [None] * len(calls)
+    rest, taken = iter(range(threads, len(calls))), threading.Lock()
+
+    def run(i):
+        while i is not None:
+            try:
+                results[i] = fn(*calls[i])
+            except Exception as error:  # raised below, in call order
+                errors[i] = error
+            with taken:
+                i = next(rest, None)
+
+    workers = [pool.submit(run, i) for i in range(1, threads)]
     try:
-        first = fn(*calls[0])
+        run(0)
     finally:
-        for future in futures:
-            future.exception()  # waits; the error, if any, is raised below
-    return [first] + [future.result() for future in futures]
+        for worker in workers:
+            worker.result()  # waits
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
 
 
 class TcnBlock(Layer):
@@ -315,13 +350,33 @@ class CsanetModel(Layer):
         masks = self.dropout_masks(x.shape[0], rng) if training else [((None, None), None)] * 4
         # One lag table at the longest kernel serves every branch's statistics.
         lags = ops.lag_prefixes(x.data, max(cfg.temporal_kernels)) if training else None
-        zs = [branch(x, training, lags, keep) for branch, (keep, _) in zip(self.branches, masks)]
+        if training:
+            zs = self._branch_stage(x, lags, [keep for keep, _ in masks])
+        else:
+            zs = [branch(x, False) for branch in self.branches]
         ms = self.fuse_branches(zs)
         feats = concat(
             [self.tcn_forward(m, b, training, keep) for m, b, (_, keep) in zip(ms, self.branches, masks)],
             axis=1,
         )
         return self.classifier(feats)
+
+    def _branch_stage(self, x, lags, keeps):
+        """The four branches' training forwards, in branch order (heaviest
+        first at the default kernels 64, 32, 16, 8). From TRAIN_MIN_WORK
+        input samples on, and with two or more WORKERS, they run by
+        fork_join and join the tape as one node (autodiff.join), whose
+        backward walks the four branch tapes by fork_join as well. Each
+        branch writes only its own running buffers and its own parameters'
+        gradients; x, the lag table and the masks are only read."""
+
+        def forward(branch, keep):
+            return branch(x, True, lags, keep)
+
+        calls = list(zip(self.branches, keeps))
+        if WORKERS < 2 or x.size < TRAIN_MIN_WORK:
+            return [forward(*args) for args in calls]
+        return join(fork_join(forward, calls), fork_join)
 
     def predict(self, x):
         """Class indices for a (B, 1, C, T) array, eval mode, no tape."""

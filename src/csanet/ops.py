@@ -41,6 +41,8 @@ assignment in np.pad's memory order, and _window_view builds strided
 window views with one as_strided call.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -98,22 +100,40 @@ def _bn_train(x, gamma, beta, a=1.0):
     return mean, var, inv, u, ((gamma * a * inv).astype(dtype)[:, None, None], beta.astype(dtype)[:, None, None])
 
 
-def _bn_train_grads(g, u, r, gamma, beta):
-    """_bn_train's backward from g, the gradient at y in its (C, N, T)
-    layout, with r = a inv: accumulates the gradients of the Tensors gamma
-    (r * psum) and beta (gsum) and returns (psum, (c0, c1, c2)), with gsum
-    and psum the float64 per-channel sums of g and g * u, and the
-    coefficients, of u's dtype and broadcasting over (C, N, T), of dL/dx =
-    c0 g - c1 u - c2 (the stem's dL/dQ).
-    """
-    n = u[0].size
+def _bn_grad_sums(g, u):
+    """(gsum, psum): the float64 per-channel sums of g and of g * u over
+    their (C, N, T) layout, by matrix-vector products with a vector of ones
+    and np.vecdot rows. Each channel's sums read only its own rows: the
+    stem's backward takes them a block of channels at a time."""
     gsum = (g @ np.ones(u.shape[-1], dtype=u.dtype)).sum(axis=1, dtype=np.float64)
-    psum = np.vecdot(g, u).sum(axis=1, dtype=np.float64)
+    return gsum, np.vecdot(g, u).sum(axis=1, dtype=np.float64)
+
+
+def _bn_grad_coefs(gsum, psum, r, gamma, n, dtype):
+    """(c0, c1, c2) of dL/dx = c0 g - c1 u - c2 from _bn_grad_sums over n
+    samples per channel and the raw gamma, of dtype and broadcasting over
+    (C, N, T)."""
+    scale = gamma * r
+    return [(scale * c).astype(dtype)[:, None, None] for c in (1.0, r * r * psum / n, gsum / n)]
+
+
+def _bn_affine_grads(gamma, beta, r, gsum, psum):
+    """Accumulate the gradients of the Tensors gamma (r * psum) and beta (gsum)."""
     for t, grad in ((gamma, r * psum), (beta, gsum)):
         if t.requires_grad:
             _accumulate(t, grad.astype(t.dtype))
-    scale = gamma.data * r
-    return psum, [(scale * c).astype(u.dtype)[:, None, None] for c in (1.0, r * r * psum / n, gsum / n)]
+
+
+def _bn_train_grads(g, u, r, gamma, beta):
+    """_bn_train's backward from g, the gradient at y in its (C, N, T)
+    layout, with r = a inv: accumulates the gradients of gamma and beta and
+    returns (psum, (c0, c1, c2)), with psum the float64 per-channel sum of
+    g * u and the coefficients of dL/dx = c0 g - c1 u - c2 (the stem's
+    dL/dQ), of u's dtype.
+    """
+    gsum, psum = _bn_grad_sums(g, u)
+    _bn_affine_grads(gamma, beta, r, gsum, psum)
+    return psum, _bn_grad_coefs(gsum, psum, r, gamma.data, u[0].size, u.dtype)
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, training):
@@ -144,6 +164,21 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training):
 
 
 _TILE = 32  # outputs per banded matmul in the stems' K-tap correlations
+
+# stem_bn_elu_pool's backward runs in STEM_GRAD_BLOCKS blocks of filters
+# once dL/dP has STEM_GRAD_BLOCK_FROM samples (F * D * B * T, T rounded up
+# to whole tiles): dL/dQ's padded rows, P's rebuild, the per-filter loop and
+# dL/ddw's matmul then run one block at a time, so that the two stem
+# backwards of the training branch stage on two workers (model.fork_join)
+# hold about what one unblocked backward held, some 8.6 MB of temporaries
+# at the default config and 32 trials. Measured on a 2-core x86 host, one
+# BLAS thread: the benchmark's paper_train peaked at 99.8-100.6 MB serially,
+# 112.2-112.3 MB on two workers unblocked and 103.5-104.9 MB in halves, no
+# slower. At the default config halves keep every bit from 3 trials on
+# (tests/test_stem.py); at the mini config's few rows, BLAS sums dL/ddw's
+# rows of a half in another order, so small backwards stay in one block.
+STEM_GRAD_BLOCKS = 2
+STEM_GRAD_BLOCK_FROM = 1 << 18
 
 
 def _banded(w, tile):
@@ -299,38 +334,54 @@ def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, keep
     r = aj * inv2
 
     def backward(gout):
-        # dL/dy goes into rows zero-padded for the flipped taps' correlation.
-        tiles, at = -(-T // _TILE), K - 1 - left
-        gq_pad = np.empty((F, D * B, tiles * _TILE + K - 1), dtype=dtype)
-        gq_pad[:, :, :at] = 0.0
-        gq_pad[:, :, at + (T // pool) * pool :] = 0.0
-        gq = gq_pad[:, :, at : at + T].reshape(F * D, B, T)  # a view
-        _tail_backward(gout, keep, u, affine, pool, gq)
-        psum, (c0, c1, c2) = _bn_train_grads(gq, u, r, gamma2, beta2)
+        # Per block of filters: dL/dy into rows zero-padded for the flipped
+        # taps' correlation; batch norm's sums and dL/dQ in place; then tile
+        # products with P's tiles, rebuilt here, whose diagonals are dL/dw
+        # (tap k at j = s + K-1-k), and dL/dP by the flipped taps over those
+        # tiles, whose product with x's padded transpose is dL/ddw. A block
+        # holds at most its P and either dL/dQ's rows or x's transpose.
+        tiles, at, span = -(-T // _TILE), K - 1 - left, _TILE + K - 1
+        n = min(F, STEM_GRAD_BLOCKS) if F * D * B * tiles * _TILE >= STEM_GRAD_BLOCK_FROM else 1
+        cuts = [F * i // n for i in range(n + 1)]
+        band, corr = _banded(w[:, ::-1], _TILE), np.empty((F, span, _TILE), dtype=dtype)
+        sums, gds = [], []
+        for lo, hi in zip(cuts, cuts[1:]):
+            js = slice(lo * D, hi * D)
+            gq_pad = np.empty((hi - lo, D * B, tiles * _TILE + K - 1), dtype=dtype)
+            gq_pad[:, :, :at] = 0.0
+            gq_pad[:, :, at + (T // pool) * pool :] = 0.0
+            gq = gq_pad[:, :, at : at + T].reshape(-1, B, T)  # a view
+            _tail_backward(gout, keep, u, affine, pool, gq, js)
+            ub = u[js]
+            gsum, psum = _bn_grad_sums(gq, ub)
+            c0, c1, c2 = _bn_grad_coefs(gsum, psum, r[js], gamma2.data[js], B * T, dtype)
+            sums.append((gsum, psum))
+            gp = _stem_projection(x.data, dw[lo:hi], 1).reshape(hi - lo, -1, _TILE)  # P's (tiles * _TILE)-sample rows
+            gcols = _window_view(gq_pad, tiles, span, step=_TILE)
+            for f in range(hi - lo):
+                j = slice(f * D, f * D + D)
+                gq[j] *= c0[j]
+                gq[j] -= ub[j] * c1[j]
+                gq[j] -= c2[j]
+                cols = gcols[f].reshape(-1, span)
+                np.matmul(cols.T, gp[f], out=corr[lo + f])
+                np.matmul(cols, band[lo + f], out=gp[f])
+            del gq_pad, gq, gcols, cols
+            if depthwise.requires_grad:
+                # x's padded transpose, made per block once dL/dQ's rows are
+                # freed, so that it can take their memory (0.5 ms at 32 trials).
+                xt = _zero_pad(x.data[:, 0].transpose(0, 2, 1), ((0, 0), (0, tiles * _TILE - T), (0, 0)))
+                gds.append(gp.reshape((hi - lo) * D, -1) @ xt.reshape(-1, C))
+                del xt
+            del gp
+        gsum, psum = (np.concatenate(s) for s in zip(*sums))
+        _bn_affine_grads(gamma2, beta2, r, gsum, psum)
         g_a = (gamma2.data * BN_EPS * inv2**3 * psum).reshape(F, D).sum(axis=1)  # dL/da_f
         for t, g in ((gamma1, g_a * inv1), (beta1, np.zeros(F))):
             if t.requires_grad:
                 _accumulate(t, g.astype(t.dtype))
-        # Per filter: dL/dQ in place; tile products with P's tiles, rebuilt
-        # here, whose diagonals are dL/dw (tap k at j = s + K-1-k); then dL/dP
-        # by the flipped taps over those tiles. x's padded transpose is made
-        # once dL/dQ's rows are freed, so that it can take their memory.
-        span, band = _TILE + K - 1, _banded(w[:, ::-1], _TILE)
-        gp = _stem_projection(x.data, dw, 1).reshape(F, -1, _TILE)  # P's (tiles * _TILE)-sample rows
-        corr, gcols = np.empty((F, span, _TILE), dtype=dtype), _window_view(gq_pad, tiles, span, step=_TILE)
-        for f in range(F):
-            j = slice(f * D, f * D + D)
-            gq[j] *= c0[j]
-            gq[j] -= u[j] * c1[j]
-            gq[j] -= c2[j]
-            cols = gcols[f].reshape(-1, span)
-            np.matmul(cols.T, gp[f], out=corr[f])
-            np.matmul(cols, band[f], out=gp[f])
-        del gq_pad, gq, gcols, cols
         if depthwise.requires_grad:
-            xt = _zero_pad(x.data[:, 0].transpose(0, 2, 1), ((0, 0), (0, tiles * _TILE - T), (0, 0)))
-            gd = gp.reshape(F * D, -1) @ xt.reshape(-1, C)
-            _accumulate(depthwise, gd.reshape(F * D, 1, C, 1).astype(depthwise.dtype))
+            _accumulate(depthwise, np.concatenate(gds).reshape(F * D, 1, C, 1).astype(depthwise.dtype))
         if weight.requires_grad:
             i = np.arange(_TILE)
             taps = corr[:, i + np.arange(K)[::-1, None], i].sum(axis=-1)
@@ -374,8 +425,19 @@ def elu(x):
     return _make(out, (x,), backward)
 
 
+class DropoutMask(NamedTuple):
+    """A dropout draw: the bool mask of kept entries and their scale 1/(1-p),
+    a scalar of the masked map's dtype. An op multiplies by the mask, then
+    by the scale: x * 1 * s and x * 0 * s are the bits of x times the
+    float mask of 0 and s, signed zeros, infinities and NaNs included, and
+    the mask takes a quarter of that float32 mask's bytes."""
+
+    mask: np.ndarray
+    scale: np.floating
+
+
 def dropout_mask(shape, p, rng, dtype):
-    """Per-entry dropout scale, 0 or 1/(1-p), drawn as rng.random(shape);
+    """A DropoutMask drawn as rng.random(shape) >= p, its scale in dtype;
     None (and no draw) at p = 0."""
     if not 0.0 <= p < 1.0:
         raise ConfigurationError(f"dropout probability must lie in [0, 1), got {p}")
@@ -383,14 +445,14 @@ def dropout_mask(shape, p, rng, dtype):
         return None
     if rng is None:
         raise ConfigurationError("dropout in training mode needs an explicit rng stream")
-    return (rng.random(shape) >= p).astype(dtype) / np.asarray(1.0 - p, dtype=dtype)
+    return DropoutMask(rng.random(shape) >= p, np.asarray(1.0, dtype=dtype) / np.asarray(1.0 - p, dtype=dtype))
 
 
 def dropout(x, p, training, rng=None):
     """Zero entries with probability p and rescale survivors by 1/(1-p)."""
     x = _wrap(x)
     keep = dropout_mask(x.shape, p, rng, x.dtype) if training else None
-    return x if keep is None else x * keep
+    return x if keep is None else x * keep.mask * keep.scale
 
 
 def _mean_pool(y, pool):
@@ -426,19 +488,28 @@ def elu_pool(u, affine, pool, keep=None):
     vectors of u's dtype: _bn_train's in training, on its centred map;
     bn_affine's (scale, shift) in eval, on a conv's output."""
     out = np.empty((u.shape[1], u.shape[0], u.shape[2] // pool), dtype=u.dtype)
-    if keep is not None and keep.shape != out.shape:
-        raise DimensionError(f"dropout mask of shape {keep.shape} does not match the tail's output")
+    if keep is not None and keep.mask.shape != out.shape:
+        raise DimensionError(f"dropout mask of shape {keep.mask.shape} does not match the tail's output")
     for k, y in _tail_blocks(u, affine, pool):
         _elu_parts(y, out=y)
         out[:, k] = _mean_pool(y, pool).transpose(1, 0, 2)
-    return out if keep is None else np.multiply(out, keep, out=out)
+    if keep is not None:
+        np.multiply(out, keep.mask, out=out)
+        out *= keep.scale
+    return out
 
 
-def _tail_backward(gout, keep, u, affine, pool, gy):
-    """elu_pool's backward from gout (B, C, T // pool): dL/dy into the
-    pooled samples gy[..., :(T // pool) * pool] of the (C, B, T) array gy (the
-    caller zeroes the rest), the ELU's slope rebuilt from u bit for bit."""
-    g = (gout if keep is None else gout * keep).transpose(1, 0, 2) / np.array(pool, dtype=gout.dtype)
+def _tail_backward(gout, keep, u, affine, pool, gy, chans=slice(None)):
+    """elu_pool's backward from gout (B, C, T // pool) at the channels chans:
+    dL/dy into the pooled samples gy[..., :(T // pool) * pool] of the
+    (len(chans), B, T) array gy (the caller zeroes the rest), the ELU's
+    slope rebuilt from u bit for bit."""
+    g = gout[:, chans]
+    if keep is not None:
+        g = np.multiply(g, keep.mask[:, chans])
+        g *= keep.scale
+    g = g.transpose(1, 0, 2) / np.array(pool, dtype=gout.dtype)
+    u, affine = u[chans], [a[chans] for a in affine]
     for k, slope in _tail_blocks(u, affine, pool):
         np.expm1(np.minimum(slope, 0.0, out=slope), out=slope)
         slope += 1.0

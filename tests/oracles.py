@@ -375,14 +375,15 @@ def oracle_spa_conv(h, weight):
 def oracle_tail(x, gamma, beta, running_mean, running_var, training, pool, keep=None):
     """Batch norm -> ELU -> (1, pool) mean pool -> dropout, four ops, on a
     (B, C, T) map; the pool runs on its (B, C, 1, T) view, and dropout
-    multiplies by the mask keep (an ops.dropout_mask, or None).
+    multiplies by the mask keep (an ops.dropout_mask, or None), as the
+    fused ops do: by its 0/1 entries, then by its scale.
 
     Same signature and result as ops.bn_elu_pool.
     """
     h = oracle_batch_norm(x, gamma, beta, running_mean, running_var, training)
     b, c, t = h.shape
     h = ops.avg_pool2d(ops.elu(h).reshape((b, c, 1, t)), pool).reshape((b, c, t // pool))
-    return h if keep is None else h * keep
+    return h if keep is None else h * keep.mask * keep.scale
 
 
 def oracle_tcn_block(block, x, training, keep=(None, None)):
@@ -393,7 +394,7 @@ def oracle_tcn_block(block, x, training, keep=(None, None)):
     h = x
     for (conv, bn), mask in zip(((block.conv1, block.bn1), (block.conv2, block.bn2)), keep):
         h = oracle_batch_norm(block.causal(h, conv.weight), bn.gamma, bn.beta, bn.running_mean, bn.running_var, training)
-        h = ops.elu(h) if mask is None else ops.elu(h) * mask
+        h = ops.elu(h) if mask is None else ops.elu(h) * mask.mask * mask.scale
     return x + h
 
 

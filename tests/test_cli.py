@@ -344,7 +344,9 @@ def test_script_imports_and_prints_help(script):
 
 
 def run_bitwise_steps(*args):
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    # One BLAS thread, as csanet sets it when the caller has not: so the
+    # dump has a worker per core whatever the caller's BLAS setting.
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     script = str(REPO / "scripts" / "bitwise_steps.py")
     return subprocess.run([sys.executable, script, *args], env=env, capture_output=True, text=True, timeout=300)
 
@@ -364,14 +366,16 @@ def test_bitwise_steps_compare_lists_each_differing_array(tmp_path):
 
 def test_bitwise_steps_two_dumps_of_one_tree_match(tmp_path):
     # Two dumps of the same tree, from two processes, are byte-identical:
-    # the check a bitwise change relies on.
+    # the check a bitwise change relies on. The dumps run a worker per core,
+    # so the pooled branch stage and eval blocks are among what they cover.
     outs = [tmp_path / "first.npz", tmp_path / "second.npz"]
     for out in outs:
         done = run_bitwise_steps("dump", str(out))
         assert done.returncode == 0, done.stderr
-        assert done.stdout.startswith("1732 arrays")
+        assert done.stdout.startswith("1736 arrays")
+        assert f"(workers: {len(os.sched_getaffinity(0))})" in done.stdout
     done = run_bitwise_steps("compare", *map(str, outs))
-    assert done.returncode == 0 and done.stdout.strip() == "1732 arrays compared, 0 differ"
+    assert done.returncode == 0 and done.stdout.strip() == "1736 arrays compared, 0 differ"
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

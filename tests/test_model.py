@@ -1,4 +1,10 @@
-"""Model assembly: shape propagation, fusion modes, TCN, parameter counts."""
+"""Model assembly: shape propagation, fusion modes, TCN, parameter counts,
+and the training branch stage on the worker pool."""
+
+import dataclasses
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,8 +14,10 @@ from csanet import ops
 from csanet.autodiff import Tensor, _reverse_topo, no_grad, precision
 from csanet.config import ModelConfig, SrConfig, config_from_text
 from csanet.data import synth_generate, trials_to_arrays
-from csanet.errors import ConfigurationError
-from csanet.model import CsanetModel, count_parameters
+from csanet.errors import ConfigurationError, StateError
+from csanet import model as model_module
+from csanet.model import Branch, CsanetModel, count_parameters, fork_join
+from csanet.optim import AdamState, adam_step
 from csanet.verification import mini_model_config
 
 
@@ -193,8 +201,9 @@ class TestDropoutMasks:
         assert len(order) == 4 * (2 + 2 * len(cfg.tcn.dilations))
         rng = np.random.default_rng(7)
         for mask, shape, p in order:
-            want = (rng.random(shape) >= p).astype(np.float32) / np.float32(1.0 - p)
-            assert mask.dtype == np.float32 and np.array_equal(mask, want)
+            keep = rng.random(shape) >= p
+            assert mask.mask.dtype == bool and np.array_equal(mask.mask, keep)
+            assert mask.scale.dtype == np.float32 and mask.scale == np.float32(1.0) / np.float32(1.0 - p)
         assert stream.bit_generator.state == rng.bit_generator.state  # no other draw
 
     def test_rate_zero_draws_nothing_and_needs_no_rng(self):
@@ -276,6 +285,168 @@ _PINNED_COUNTS = {
         1300,
     ),
 }
+
+
+def dropout_mini():
+    """The mini config with both dropout rates on, so the masks take part."""
+    cfg = mini_model_config()
+    return dataclasses.replace(cfg, conv_dropout=0.5, tcn=dataclasses.replace(cfg.tcn, dropout=0.3))
+
+
+def spy_stage(monkeypatch):
+    """Record each fork_join of the model as (threads that ran calls, calls)."""
+    runs = []
+
+    def spy(fn, calls):
+        threads = set()
+
+        def call(*args):
+            threads.add(threading.get_ident())
+            return fn(*args)
+
+        runs.append((threads, len(calls)))
+        return fork_join(call, calls)
+
+    monkeypatch.setattr(model_module, "fork_join", spy)
+    return runs
+
+
+def train_step(cfg, dtype, B, seed=31):
+    """One seeded training step and an Adam update: logits, loss, the
+    named gradients and buffers after the backward, the updated parameters."""
+    with precision(dtype):
+        model = make_model(cfg, seed)
+        data = np.random.default_rng(seed + 1)
+        x = Tensor(data.standard_normal((B, 1, cfg.channels, cfg.time_steps)).astype(dtype))
+        labels = data.integers(0, cfg.n_classes, B)
+        logits = model(x, training=True, rng=np.random.default_rng(seed + 2))
+        loss = ops.cross_entropy(logits, labels)
+        loss.backward()
+        got = {"logits": logits.data, "loss": loss.data}
+        got.update((f"grad/{n}", p.grad) for n, p in model.named_parameters())
+        got.update((f"buffer/{n}", b.copy()) for n, b in model.named_buffers())
+        adam_step(AdamState(), list(model.parameters()))
+        got.update((f"param/{n}", p.data) for n, p in model.named_parameters())
+    return got
+
+
+def assert_bytewise(got, want):
+    assert got.keys() == want.keys()
+    for name, w in want.items():
+        g = got[name]
+        if w is None:
+            assert g is None, name
+        else:
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+
+class TestBranchStage:
+    """The four branch forwards and their backward walks on the pool
+    (CsanetModel._branch_stage): the bits of one worker, every error on the
+    caller, and no tape where none is asked for."""
+
+    @pytest.mark.parametrize(
+        "name, dtype, B, floor, pooled",
+        [
+            ("default", "float32", 6, None, True),  # 132,000 samples: over TRAIN_MIN_WORK
+            ("mini", "float64", 4, 0, True),
+            ("mini", "float64", 4, None, False),
+        ],
+    )
+    def test_a_step_on_two_workers_is_bytewise_one_workers(self, name, dtype, B, floor, pooled, monkeypatch):
+        cfg = ModelConfig() if name == "default" else dropout_mini()
+        if floor is not None:
+            monkeypatch.setattr(model_module, "TRAIN_MIN_WORK", floor)
+        assert (B * cfg.channels * cfg.time_steps >= model_module.TRAIN_MIN_WORK) == pooled
+        monkeypatch.setattr(model_module, "WORKERS", 1)
+        serial = train_step(cfg, dtype, B)
+        monkeypatch.setattr(model_module, "WORKERS", 2)
+        runs = spy_stage(monkeypatch)
+        assert_bytewise(train_step(cfg, dtype, B), serial)
+        # A pooled stage is one fork_join of the four forwards and one of
+        # the four backward walks; under the floor no thread is asked for.
+        assert [n for _, n in runs] == ([4, 4] if pooled else [])
+
+    def test_more_workers_than_cores_under_fast_thread_switching(self, monkeypatch):
+        # The stage on four workers, the interpreter switching threads every
+        # microsecond: a lost or doubled gradient update would change bytes.
+        monkeypatch.setattr(model_module, "TRAIN_MIN_WORK", 0)
+        cfg = dropout_mini()
+        monkeypatch.setattr(model_module, "WORKERS", 1)
+        serial = train_step(cfg, "float64", 4)
+        monkeypatch.setattr(model_module, "WORKERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                assert_bytewise(train_step(cfg, "float64", 4), serial)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_unequal_calls_come_back_in_call_order(self, monkeypatch):
+        monkeypatch.setattr(model_module, "WORKERS", 2)
+        threads = []
+
+        def call(i, seconds):
+            threads.append(threading.get_ident())
+            time.sleep(seconds)
+            return i * i
+
+        assert fork_join(call, [(i, s) for i, s in enumerate((0.04, 0.03, 0.02, 0.01))]) == [0, 1, 4, 9]
+        assert len(threads) == 4 and len(set(threads)) <= 2
+
+    @pytest.mark.parametrize("where", ["forward", "backward"])
+    def test_a_branch_error_reaches_the_caller_in_call_order(self, where, monkeypatch):
+        monkeypatch.setattr(model_module, "WORKERS", 2)
+        monkeypatch.setattr(model_module, "TRAIN_MIN_WORK", 0)
+        cfg = dropout_mini()
+        call = Branch.__call__
+        errors = {2: KeyError, 3: ValueError}  # by branch number: branch2's comes first
+
+        def failing(self, *args):
+            error = errors.get(cfg.temporal_kernels.index(self.temporal_kernel) + 1)
+            if error is not None and where == "forward":
+                raise error(where)
+            out = call(self, *args)
+            if error is not None:
+
+                def boom(g):
+                    raise error(where)
+
+                out._backward = boom
+            return out
+
+        monkeypatch.setattr(Branch, "__call__", failing)
+        with pytest.raises(KeyError):
+            train_step(cfg, "float64", 4)
+        monkeypatch.setattr(Branch, "__call__", call)
+        got = train_step(cfg, "float64", 4)  # the pool still works
+        monkeypatch.setattr(model_module, "WORKERS", 1)
+        assert_bytewise(got, train_step(cfg, "float64", 4))
+
+    def test_training_forward_under_no_grad_records_no_tape(self, monkeypatch):
+        # As grad_check's perturbed evaluations run the loss.
+        monkeypatch.setattr(model_module, "WORKERS", 2)
+        cfg = bcic_config()
+        model = make_model(cfg)
+        runs = spy_stage(monkeypatch)
+        x = Tensor(np.random.default_rng(3).standard_normal((6, 1, 22, 1000)).astype(np.float32))
+        with no_grad():
+            out = model(x, training=True, rng=np.random.default_rng(4))
+        assert [n for _, n in runs] == [4]  # the forwards ran on the pool
+        assert not out.requires_grad and out._backward is None and out._prev == ()
+
+    def test_a_second_walk_still_raises(self, monkeypatch):
+        monkeypatch.setattr(model_module, "WORKERS", 2)
+        monkeypatch.setattr(model_module, "TRAIN_MIN_WORK", 0)
+        cfg = dropout_mini()
+        with precision("float64"):
+            model = make_model(cfg)
+            x = Tensor(np.random.default_rng(5).standard_normal((4, 1, cfg.channels, cfg.time_steps)))
+            loss = ops.cross_entropy(model(x, training=True, rng=np.random.default_rng(6)), np.array([0, 1, 0, 1]))
+            loss.backward()
+            with pytest.raises(StateError):
+                loss.backward()
 
 
 class TestParameterCounting:

@@ -401,9 +401,24 @@ def test_tape_keeps_one_full_size_map_and_the_mask(monkeypatch):
     held = [a for h in held for a in (h if isinstance(h, tuple) else (h,))]  # affine is a pair
     arrays = [a for a in held if isinstance(a, np.ndarray)]
     p_size = F * D * B * (-(-T // 32) * 32 + K - 1)
-    assert sorted(a.size for a in arrays if a.size >= keep.size) == [keep.size, F * D * B * T]
+    assert sorted(a.size for a in arrays if a.size >= keep.mask.size) == [keep.mask.size, F * D * B * T]
     assert not [a.shape for a in arrays if a.size >= p_size]
-    assert any(a is keep for a in arrays)
+    assert keep.mask.dtype == bool and any(a is keep.mask for a in arrays)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("B, K", [(3, 64), (8, 8), (8, 64)])
+def test_backward_in_filter_halves_is_bitwise_one_block(B, K, dtype, monkeypatch):
+    """At the default config's shapes (F = 16, D = 2, C = 22, T = 1000) the
+    backward's two filter blocks give the one block's output, gradients and
+    buffers to the bit."""
+    arrays = stem_arrays(76, B, 22, 1000, 16, 2, K)
+    runs = []
+    for start in (0, 1 << 40):  # halves at every size, then one block at every size
+        monkeypatch.setattr(ops, "STEM_GRAD_BLOCK_FROM", start)
+        runs.append(run_stem(ops.stem_bn_elu_pool, arrays, 8, dtype=dtype))
+    for got, want in zip(*runs):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -460,7 +475,7 @@ def test_lag_table_shorter_than_the_kernel_is_rejected():
     buffers = [a.copy() for a in (*args[3][2:], *args[4][2:])]
     for shape in ((1, 4, 4), (2, 4, 1), (2, 4, 16)):
         with pytest.raises(DimensionError, match="dropout mask"):
-            ops.stem_bn_elu_pool(*args, 4, np.ones(shape))
+            ops.stem_bn_elu_pool(*args, 4, ops.DropoutMask(np.ones(shape, bool), np.float64(1.0)))
     for got, want in zip((*args[3][2:], *args[4][2:]), buffers):
         assert np.array_equal(got, want)
 

@@ -132,10 +132,10 @@ def test_blocked_tail_is_bitwise_the_whole_map_arithmetic(dtype, layout, pool):
     neg = np.expm1(np.minimum(y, 0.0))
     elu = np.maximum(y, 0.0)
     elu += neg
-    want_out = ops._mean_pool(elu, pool).transpose(1, 0, 2) * keep
+    want_out = ops._mean_pool(elu, pool).transpose(1, 0, 2) * keep.mask * keep.scale
     n = (T // pool) * pool
     want_gy = np.zeros_like(u)
-    g = (gout * keep).transpose(1, 0, 2) / np.array(pool, dtype=dtype)
+    g = (gout * keep.mask * keep.scale).transpose(1, 0, 2) / np.array(pool, dtype=dtype)
     want_gy[..., :n] = (neg + 1.0)[..., :n] * np.repeat(g, pool, axis=-1)
     got_out, got_gy = ops.elu_pool(u, (scale, shift), pool, keep), np.zeros_like(u)
     ops._tail_backward(gout, keep, u, (scale, shift), pool, got_gy)
@@ -232,15 +232,17 @@ def test_training_step_runs_the_four_ops_only_outside_the_branches(tmp_path, mon
 
 
 def test_tape_keeps_one_full_size_array():
-    """The centred map and the mask; the backward rebuilds the ELU's slope."""
+    """The centred map and the bool mask; the backward rebuilds the ELU's slope."""
     B, C, T, pool = 4, 8, 64, 4
     x = Tensor(tail_input(1, B, C, T, "contiguous", "float64"), requires_grad=True)
     gamma, beta = Tensor(np.ones(C)), Tensor(np.zeros(C))
     keep = ops.dropout_mask((B, C, T // pool), 0.5, np.random.default_rng(0), np.float64)
     out = ops.bn_elu_pool(x, gamma, beta, np.zeros(C), np.ones(C), pool, keep)
     held = [c.cell_contents for c in out._backward.__closure__]
+    held = [a for h in held for a in (h if isinstance(h, tuple) else (h,))]  # the mask, affine: pairs
     arrays = [a for a in held if isinstance(a, np.ndarray)]
     assert sorted(a.size for a in arrays if a.size >= B * C * T // pool) == [B * C * T // pool, B * C * T]
+    assert keep.mask.dtype == bool and any(a is keep.mask for a in arrays)
 
 
 def test_errors_match_the_composition():
@@ -269,7 +271,7 @@ def test_errors_match_the_composition():
     rm, rv = np.zeros(3), np.ones(3)
     for shape in ((1, 3, 4), (2, 3, 1), (2, 3, 8)):
         with pytest.raises(DimensionError, match="dropout mask"):
-            ops.bn_elu_pool(x2, gamma, beta, rm, rv, 2, np.ones(shape))
+            ops.bn_elu_pool(x2, gamma, beta, rm, rv, 2, ops.DropoutMask(np.ones(shape, bool), np.float64(1.0)))
     assert not rm.any() and (rv == 1.0).all()
 
 
