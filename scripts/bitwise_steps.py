@@ -11,7 +11,10 @@ the second update, the eval-mode logits after that update (both steps'
 eval/logits_b16, and its first trial alone, which takes spa_conv's direct
 path, under eval/logits_b1), and the dropout stream's next draw: 1,736
 arrays. compare lists every array that differs in dtype, shape or bytes,
-or that only one dump holds, and exits 1 if any does.
+or that only one dump holds, and exits 1 if any does. digest prints one
+line per array of a dump, its name, dtype, shape and the SHA-256 of its
+bytes, sorted by name: tests/data/bitwise_digest.txt holds those lines,
+and tests/test_bitwise_digest.py dumps the tree under test against them.
 
 csanet is imported before numpy, so that BLAS runs one thread and the
 worker pool (csanet.model.WORKERS) has a worker per core: the default
@@ -25,10 +28,15 @@ script dumps any checkout:
     PYTHONPATH=/path/to/parent/src python scripts/bitwise_steps.py dump parent.npz
     PYTHONPATH=src python scripts/bitwise_steps.py dump change.npz
     python scripts/bitwise_steps.py compare parent.npz change.npz
+
+The committed digest is re-derived from the repository root by:
+
+    PYTHONPATH=src python scripts/bitwise_steps.py dump steps.npz && python scripts/bitwise_steps.py digest steps.npz > tests/data/bitwise_digest.txt
 """
 
 import argparse
 import dataclasses
+import hashlib
 import sys
 
 try:
@@ -120,6 +128,17 @@ def compare(path_a, path_b):
     return differ
 
 
+def digest_lines(path):
+    """'name dtype shape sha256' per array of the dump at path, by name."""
+    with np.load(path) as dumped:
+        lines = []
+        for key in sorted(dumped.files):
+            a = dumped[key]
+            sha = hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+            lines.append(f"{key} {a.dtype} {str(a.shape).replace(' ', '')} {sha}")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -128,9 +147,14 @@ def main(argv=None):
     c = sub.add_parser("compare", help="list the arrays that differ between two dumps")
     c.add_argument("a")
     c.add_argument("b")
+    g = sub.add_parser("digest", help="print each array's name, dtype, shape and SHA-256")
+    g.add_argument("dump", help=".npz file written by dump")
     args = parser.parse_args(argv)
     if args.command == "dump":
         dump(args.out)
+        return 0
+    if args.command == "digest":
+        print("\n".join(digest_lines(args.dump)))
         return 0
     return 1 if compare(args.a, args.b) else 0
 
