@@ -29,10 +29,12 @@ stem's correlation over blocks of STEM_BLOCK trials. The fused ops and the
 eval maps are exact in real arithmetic, not in floating point, and held to
 the numerics contract (tests/test_numerics_contract.py).
 
-conv2d, batch_norm, elu, dropout and avg_pool2d (and autodiff.pad) run in
-no src path. They stay because perfbench/trace.py binds them by name, and
-tests/test_gradients.py checks their gradients; avg_pool2d is also the
-reference attention.multiscale_pool's band matrix is tested against.
+conv2d, batch_norm, elu, dropout, avg_pool2d and masked_fill (and
+autodiff.pad) run in no src path. They stay because perfbench/trace.py
+binds them by name; tests/test_gradients.py checks the gradients of
+conv2d, batch_norm, elu and avg_pool2d, avg_pool2d is also the reference
+attention.multiscale_pool's band matrix is tested against, and
+masked_fill is a step of the top-k oracle (tests/oracles.py).
 
 Two raw-array helpers carry all padding and windowing, since at the small
 shapes of a gradient check each op's bookkeeping outweighs its
@@ -164,21 +166,6 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training):
 
 
 _TILE = 32  # outputs per banded matmul in the stems' K-tap correlations
-
-# stem_bn_elu_pool's backward runs in STEM_GRAD_BLOCKS blocks of filters
-# once dL/dP has STEM_GRAD_BLOCK_FROM samples (F * D * B * T, T rounded up
-# to whole tiles): dL/dQ's padded rows, P's rebuild, the per-filter loop and
-# dL/ddw's matmul then run one block at a time, so that the two stem
-# backwards of the training branch stage on two workers (model.fork_join)
-# hold about what one unblocked backward held, some 8.6 MB of temporaries
-# at the default config and 32 trials. Measured on a 2-core x86 host, one
-# BLAS thread: the benchmark's paper_train peaked at 99.8-100.6 MB serially,
-# 112.2-112.3 MB on two workers unblocked and 103.5-104.9 MB in halves, no
-# slower. At the default config halves keep every bit from 3 trials on
-# (tests/test_stem.py); at the mini config's few rows, BLAS sums dL/ddw's
-# rows of a half in another order, so small backwards stay in one block.
-STEM_GRAD_BLOCKS = 2
-STEM_GRAD_BLOCK_FROM = 1 << 18
 
 
 def _banded(w, tile):
@@ -334,54 +321,42 @@ def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, keep
     r = aj * inv2
 
     def backward(gout):
-        # Per block of filters: dL/dy into rows zero-padded for the flipped
-        # taps' correlation; batch norm's sums and dL/dQ in place; then tile
-        # products with P's tiles, rebuilt here, whose diagonals are dL/dw
-        # (tap k at j = s + K-1-k), and dL/dP by the flipped taps over those
-        # tiles, whose product with x's padded transpose is dL/ddw. A block
-        # holds at most its P and either dL/dQ's rows or x's transpose.
+        # Per filter, in one reused buffer of rows zero-padded for the flipped
+        # taps' correlation: dL/dy, batch norm's sums and dL/dQ in place; then
+        # tile products with P's tiles, rebuilt here, whose diagonals are
+        # dL/dw (tap k at j = s + K-1-k), and dL/dP by the flipped taps over
+        # those tiles. Once u is freed, dL/dP's product with x's padded
+        # transpose is dL/ddw.
+        nonlocal u
         tiles, at, span = -(-T // _TILE), K - 1 - left, _TILE + K - 1
-        n = min(F, STEM_GRAD_BLOCKS) if F * D * B * tiles * _TILE >= STEM_GRAD_BLOCK_FROM else 1
-        cuts = [F * i // n for i in range(n + 1)]
         band, corr = _banded(w[:, ::-1], _TILE), np.empty((F, span, _TILE), dtype=dtype)
-        sums, gds = [], []
-        for lo, hi in zip(cuts, cuts[1:]):
-            js = slice(lo * D, hi * D)
-            gq_pad = np.empty((hi - lo, D * B, tiles * _TILE + K - 1), dtype=dtype)
-            gq_pad[:, :, :at] = 0.0
-            gq_pad[:, :, at + (T // pool) * pool :] = 0.0
-            gq = gq_pad[:, :, at : at + T].reshape(-1, B, T)  # a view
-            _tail_backward(gout, keep, u, affine, pool, gq, js)
-            ub = u[js]
-            gsum, psum = _bn_grad_sums(gq, ub)
-            c0, c1, c2 = _bn_grad_coefs(gsum, psum, r[js], gamma2.data[js], B * T, dtype)
-            sums.append((gsum, psum))
-            gp = _stem_projection(x.data, dw[lo:hi], 1).reshape(hi - lo, -1, _TILE)  # P's (tiles * _TILE)-sample rows
-            gcols = _window_view(gq_pad, tiles, span, step=_TILE)
-            for f in range(hi - lo):
-                j = slice(f * D, f * D + D)
-                gq[j] *= c0[j]
-                gq[j] -= ub[j] * c1[j]
-                gq[j] -= c2[j]
-                cols = gcols[f].reshape(-1, span)
-                np.matmul(cols.T, gp[f], out=corr[lo + f])
-                np.matmul(cols, band[lo + f], out=gp[f])
-            del gq_pad, gq, gcols, cols
-            if depthwise.requires_grad:
-                # x's padded transpose, made per block once dL/dQ's rows are
-                # freed, so that it can take their memory (0.5 ms at 32 trials).
-                xt = _zero_pad(x.data[:, 0].transpose(0, 2, 1), ((0, 0), (0, tiles * _TILE - T), (0, 0)))
-                gds.append(gp.reshape((hi - lo) * D, -1) @ xt.reshape(-1, C))
-                del xt
-            del gp
-        gsum, psum = (np.concatenate(s) for s in zip(*sums))
+        gsum, psum = np.empty(F * D), np.empty(F * D)
+        gp = _stem_projection(x.data, dw, 1).reshape(F, -1, _TILE)  # P's (tiles * _TILE)-sample rows
+        gq_pad = np.zeros((D * B, tiles * _TILE + K - 1), dtype=dtype)
+        gq = gq_pad[:, at : at + T].reshape(D, B, T)  # a view
+        gcols = _window_view(gq_pad, tiles, span, step=_TILE)
+        for f in range(F):
+            j = slice(f * D, f * D + D)
+            gq[:, :, (T // pool) * pool :] = 0.0  # written by the last filter's passes
+            _tail_backward(gout, keep, u, affine, pool, gq, j)
+            gsum[j], psum[j] = _bn_grad_sums(gq, u[j])
+            c0, c1, c2 = _bn_grad_coefs(gsum[j], psum[j], r[j], gamma2.data[j], B * T, dtype)
+            gq *= c0
+            gq -= u[j] * c1
+            gq -= c2
+            cols = gcols.reshape(-1, span)
+            np.matmul(cols.T, gp[f], out=corr[f])
+            np.matmul(cols, band[f], out=gp[f])
+        del u, gq_pad, gq, gcols, cols  # the walk runs this closure once
         _bn_affine_grads(gamma2, beta2, r, gsum, psum)
         g_a = (gamma2.data * BN_EPS * inv2**3 * psum).reshape(F, D).sum(axis=1)  # dL/da_f
         for t, g in ((gamma1, g_a * inv1), (beta1, np.zeros(F))):
             if t.requires_grad:
                 _accumulate(t, g.astype(t.dtype))
         if depthwise.requires_grad:
-            _accumulate(depthwise, np.concatenate(gds).reshape(F * D, 1, C, 1).astype(depthwise.dtype))
+            xt = _zero_pad(x.data[:, 0].transpose(0, 2, 1), ((0, 0), (0, tiles * _TILE - T), (0, 0)))
+            gd = gp.reshape(F * D, -1) @ xt.reshape(-1, C)
+            _accumulate(depthwise, gd.reshape(F * D, 1, C, 1).astype(depthwise.dtype))
         if weight.requires_grad:
             i = np.arange(_TILE)
             taps = corr[:, i + np.arange(K)[::-1, None], i].sum(axis=-1)

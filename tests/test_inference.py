@@ -297,3 +297,41 @@ def test_import_leaves_the_pool_module_unloaded():
     code = "import sys; import csanet, csanet.checkpoint, csanet.metrics, csanet.train; "
     code += "print('concurrent.futures' in sys.modules)"
     assert run_python(code).strip() == "False"
+
+
+def test_forked_child_builds_its_own_pool():
+    """A child forked after a pooled batch inherits model._pool but none of
+    its threads: fork_join sees the pid change and builds the child's own
+    pool, and the child's pooled eval returns the parent's logits byte for
+    byte. The parent waits with a timeout, so a child stuck on the
+    inherited executor fails the test instead of hanging it."""
+    code = """
+import os, time
+from csanet import model
+import numpy as np
+from csanet.verification import mini_model_config
+
+model.WORKERS = 2
+cfg = mini_model_config()
+m = model.CsanetModel(cfg, np.random.default_rng(0))
+x = np.random.default_rng(1).standard_normal((32, 1, cfg.channels, cfg.time_steps)).astype(np.float32)
+want = m(x, training=False).data
+print(model._pool[0] == os.getpid())
+pid = os.fork()
+if pid == 0:
+    try:
+        same = m(x, training=False).data.tobytes() == want.tobytes()
+        os._exit(0 if same and model._pool[0] == os.getpid() else 3)
+    except BaseException:
+        os._exit(4)
+deadline = time.monotonic() + 20
+done, status = os.waitpid(pid, os.WNOHANG)
+while not done and time.monotonic() < deadline:
+    time.sleep(0.01)
+    done, status = os.waitpid(pid, os.WNOHANG)
+if not done:
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+print(os.waitstatus_to_exitcode(status) if done else "timed out")
+"""
+    assert run_python(code).split() == ["True", "0"]  # a pooled parent; the child's exit code

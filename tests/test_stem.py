@@ -7,6 +7,7 @@ ops.stem_elu_pool, the stem and first tail on the batch norms' fixed
 maps, against the same composition at the numerics contract's tolerances; and ops.lag_prefixes,
 the stems' shared moment table, against its einsum oracle."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -406,19 +407,37 @@ def test_tape_keeps_one_full_size_map_and_the_mask(monkeypatch):
     assert keep.mask.dtype == bool and any(a is keep.mask for a in arrays)
 
 
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-@pytest.mark.parametrize("B, K", [(3, 64), (8, 8), (8, 64)])
-def test_backward_in_filter_halves_is_bitwise_one_block(B, K, dtype, monkeypatch):
-    """At the default config's shapes (F = 16, D = 2, C = 22, T = 1000) the
-    backward's two filter blocks give the one block's output, gradients and
-    buffers to the bit."""
-    arrays = stem_arrays(76, B, 22, 1000, 16, 2, K)
-    runs = []
-    for start in (0, 1 << 40):  # halves at every size, then one block at every size
-        monkeypatch.setattr(ops, "STEM_GRAD_BLOCK_FROM", start)
-        runs.append(run_stem(ops.stem_bn_elu_pool, arrays, 8, dtype=dtype))
-    for got, want in zip(*runs):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+def test_backward_peak_is_p_and_one_filter_at_the_default_shape():
+    """One stem backward at the default config's largest kernel and 32
+    trials (F = 16, D = 2, C = 22, T = 1000, K = 64, pool 8, float32) adds
+    at its peak no more than P's rebuilt rows, x's padded transpose and one
+    filter's working set: its padded dL/dQ rows, their tile windows' copy,
+    three (D, B, T) temporaries of the tail and batch-norm passes, and the
+    (F, K + 31, 32) flipped-tap band and tile products. Traced from before
+    the forward, so that the tape's centred map, freed before dL/ddw, counts
+    as freed."""
+    B, C, T, F, D, K, pool = 32, 22, 1000, 16, 2, 64, 8
+    arrays = {k: v.astype(np.float32) for k, v in stem_arrays(77, B, C, T, F, D, K).items()}
+    params = {k: Tensor(arrays[k], requires_grad=True) for k in PARAMS}
+    bufs = [arrays[k] for k in BUFFERS]
+    temporal = (params["gamma"], params["beta"], bufs[0], bufs[1])
+    depthwise = (params["gamma2"], params["beta2"], bufs[2], bufs[3])
+    keep = ops.dropout_mask((B, F * D, T // pool), 0.5, np.random.default_rng(0), np.float32)
+    seed = np.ascontiguousarray(arrays["proj"][..., : T // pool])
+    tracemalloc.start()
+    try:
+        out = ops.stem_bn_elu_pool(Tensor(arrays["x"]), params["weight"], params["depthwise"], temporal, depthwise, pool, keep)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out.backward(seed)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    tiles, span = -(-T // 32), K + 31
+    p_rows, xt = F * D * B * tiles * 32, B * tiles * 32 * C
+    one_filter = D * B * (tiles * 32 + K - 1) + D * B * tiles * span + 3 * D * B * T
+    bound = 4 * (p_rows + xt + one_filter + 2 * F * span * 32)
+    assert peak <= bound, f"backward peak {peak / 1e6:.2f} MB above {bound / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
