@@ -128,15 +128,13 @@ def compare(path_a, path_b):
     return differ
 
 
-def digest_lines(path):
-    """'name dtype shape sha256' per array of the dump at path, by name."""
+def digest(path):
+    """'name dtype shape sha256' per array of the dump at path, by name, printed."""
     with np.load(path) as dumped:
-        lines = []
         for key in sorted(dumped.files):
             a = dumped[key]
             sha = hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-            lines.append(f"{key} {a.dtype} {str(a.shape).replace(' ', '')} {sha}")
-    return lines
+            print(f"{key} {a.dtype} {str(a.shape).replace(' ', '')} {sha}")
 
 
 def main(argv=None):
@@ -154,7 +152,7 @@ def main(argv=None):
         dump(args.out)
         return 0
     if args.command == "digest":
-        print("\n".join(digest_lines(args.dump)))
+        digest(args.dump)
         return 0
     return 1 if compare(args.a, args.b) else 0
 

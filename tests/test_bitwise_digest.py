@@ -8,25 +8,13 @@ says so, from the repository root:
     PYTHONPATH=src python scripts/bitwise_steps.py dump steps.npz && python scripts/bitwise_steps.py digest steps.npz > tests/data/bitwise_digest.txt
 """
 
-import importlib.util
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
-SCRIPT = ROOT / "scripts" / "bitwise_steps.py"
+from test_cli import run_bitwise_steps
+
 DIGEST = Path(__file__).parent / "data" / "bitwise_digest.txt"
-BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def digest_lines(path):
-    spec = importlib.util.spec_from_file_location("bitwise_steps", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script.digest_lines(path)
 
 
 def blas_build():
@@ -36,18 +24,15 @@ def blas_build():
 
 
 def test_seeded_steps_match_the_committed_digest(tmp_path):
-    """The dump runs in a fresh interpreter with the BLAS thread variables
-    unset, as the digest was derived: csanet then pins BLAS to one thread
-    and the default config's steps run their branch stage on the pool."""
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
-    env["PYTHONPATH"] = str(ROOT / "src")
-    out = tmp_path / "steps.npz"
-    done = subprocess.run(
-        [sys.executable, str(SCRIPT), "dump", str(out)], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert done.returncode == 0, done.stderr
+    """The dump runs in a fresh interpreter with one BLAS thread, as the
+    digest was derived, so the default config's steps run their branch
+    stage on the pool."""
+    out = str(tmp_path / "steps.npz")
+    for args in (("dump", out), ("digest", out)):
+        done = run_bitwise_steps(*args)
+        assert done.returncode == 0, done.stderr
     want = {line.split(" ", 1)[0]: line for line in DIGEST.read_text().splitlines()}
-    got = {line.split(" ", 1)[0]: line for line in digest_lines(out)}
+    got = {line.split(" ", 1)[0]: line for line in done.stdout.splitlines()}
     moved = sorted(k for k in want.keys() & got.keys() if want[k] != got[k])
     only = [f"{k}: only in the {'digest' if k in want else 'dump'}" for k in sorted(want.keys() ^ got.keys())]
     assert not moved and not only, (
