@@ -106,7 +106,7 @@ def _bn_grad_sums(g, u):
     """(gsum, psum): the float64 per-channel sums of g and of g * u over
     their (C, N, T) layout, by matrix-vector products with a vector of ones
     and np.vecdot rows. Each channel's sums read only its own rows: the
-    stem's backward takes them a block of channels at a time."""
+    stem's backward takes them one filter's channels at a time."""
     gsum = (g @ np.ones(u.shape[-1], dtype=u.dtype)).sum(axis=1, dtype=np.float64)
     return gsum, np.vecdot(g, u).sum(axis=1, dtype=np.float64)
 
