@@ -6,11 +6,14 @@ spatial-first, then a pooled spatial-refinement conv; each of the two
 stages ends in batch norm -> ELU -> pool -> dropout, and the first stage
 with its tail is one op). Branch outputs are fused by attention (the first
 branch attends to itself densely; the others run sparse
-cross-attention), passed through per-branch temporal convolutional
-networks (whose conv tails run as the branches' do, at pool 1), and
-classified from the concatenated readouts. Both modes run the convs on
-their stored weights and every tail through ops.elu_pool: training on
-batch statistics, eval mode, with no tape, on each batch norm's fixed map.
+cross-attention), passed through the branches' temporal convolutional
+networks as one pass over the fused maps stacked into one (B, 4U, T0) map
+(tcn_block: a grouped causal conv, a group per branch, written time-major,
+(B, T0, 4U) in memory, so each branch's batch-norm sums keep the bits of a
+branch run alone; one tail over all four branches' channels at pool 1),
+and classified from its readout. Both modes run the convs on their stored
+weights and every tail through ops.elu_pool: training on batch
+statistics, eval mode, with no tape, on each batch norm's fixed map.
 
 Both modes use the cores the process may use (WORKERS) through one thread
 pool, built at its first use, and one call, fork_join; WORKERS is 1 unless
@@ -110,9 +113,8 @@ def fork_join(fn, calls):
 
 
 class TcnBlock(Layer):
-    """One residual block: two causal dilated convs, each followed by batch
-    norm -> ELU -> dropout by its mask of keep, the tail run by _tail at
-    pool 1."""
+    """One residual block's parameters: two causal dilated convs, each with
+    its batch norm, paired in stages; tcn_block runs them."""
 
     def __init__(self, channels, kernel, dilation, rng):
         super().__init__()
@@ -121,32 +123,28 @@ class TcnBlock(Layer):
         self.bn1 = BatchNorm(channels)
         self.conv2 = Conv((channels, channels, kernel), rng)
         self.bn2 = BatchNorm(channels)
-
-    def causal(self, x, weight):
-        """Length-preserving causal conv (left pad (K-1)*dilation) by a
-        conv's (C, C, K) weight."""
-        pad = ((weight.shape[-1] - 1) * self.dilation, 0)
-        return ops.conv1d_dilated(x, weight, dilation=self.dilation, pad=pad)
-
-    def __call__(self, x, training, keep=(None, None)):
-        h = x
-        for (conv, bn), mask in zip(((self.conv1, self.bn1), (self.conv2, self.bn2)), keep):
-            h = _tail(self.causal(h, conv.weight), bn, 1, mask, training)
-        return x + h
+        self.stages = ((self.conv1, self.bn1), (self.conv2, self.bn2))
 
 
 class TcnStack(Layer):
-    """Residual blocks at increasing dilation; length-preserving."""
+    """Residual blocks' parameters at increasing dilation."""
 
     def __init__(self, cfg: ModelConfig, rng):
         super().__init__()
         tcn = cfg.tcn
         self.blocks = LayerList(TcnBlock(cfg.spa_filters, tcn.kernel, d, rng) for d in tcn.dilations)
 
-    def __call__(self, x, training, keep=None):
-        for i, block in enumerate(self.blocks):
-            x = block(x, training, keep[i] if keep else (None, None))
-        return x
+
+def tcn_block(blocks, x, training, keep=(None, None)):
+    """The residual blocks `blocks` (one per branch, one dilation) as one
+    pass over their (B, len(blocks) * U, T) maps x, side by side: grouped
+    causal conv -> _tail at pool 1 by its mask of keep, twice, plus x."""
+    h, d = x, blocks[0].dilation
+    for stage, mask in zip(zip(*(block.stages for block in blocks)), keep):
+        convs, bns = zip(*stage)
+        pad = ((convs[0].weight.shape[-1] - 1) * d, 0)
+        h = _tail(ops.conv1d_dilated(h, [conv.weight for conv in convs], dilation=d, pad=pad), bns, 1, mask, training)
+    return x + h
 
 
 class Branch(Layer):
@@ -211,7 +209,7 @@ class Branch(Layer):
         u, width, _, k = self.spa_conv.weight.shape
         weight = self.spa_conv.weight.reshape((u, width, k))
         h = ops.conv1d_dilated(h, weight, pad=ops.same_pad(k))
-        return _tail(h, self.bn_spa, p2, keep[1], training)
+        return _tail(h, [self.bn_spa], p2, keep[1], training)
 
 
 def _batch_norm_args(bn):
@@ -224,13 +222,13 @@ def _affine(bn):
     return ops.bn_affine(bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var)
 
 
-def _tail(h, bn, pool, keep, training):
-    """bn -> ELU -> pool -> dropout by keep on the (B, C, T) map h: in
-    training, ops.bn_elu_pool; in eval, ops.elu_pool on h's (C, B, T) view
-    with bn's fixed map, as a Tensor off the tape."""
+def _tail(h, bns, pool, keep, training):
+    """Batch norm (the layers bns, side by side along C) -> ELU -> pool ->
+    dropout by keep on the (B, C, T) map h: in training, ops.bn_elu_pool;
+    in eval, ops.elu_pool on h's (C, B, T) view with their fixed maps."""
     if training:
-        return ops.bn_elu_pool(h, *_batch_norm_args(bn), pool, keep)
-    affine = [m.astype(h.dtype)[:, None, None] for m in _affine(bn)]
+        return ops.bn_elu_pool(h, *zip(*map(_batch_norm_args, bns)), pool, keep)
+    affine = [np.concatenate(m).astype(h.dtype)[:, None, None] for m in zip(*map(_affine, bns))]
     return Tensor(ops.elu_pool(h.data.transpose(1, 0, 2), affine, pool))
 
 
@@ -306,14 +304,24 @@ class CsanetModel(Layer):
         tcns = [[(draw(t0, cfg.tcn.dropout), draw(t0, cfg.tcn.dropout)) for _ in blocks] for _ in range(4)]
         return list(zip(convs, tcns))
 
-    def tcn_forward(self, m, branch, training, keep=None):
-        """Per-branch temporal network plus the configured readout."""
+    def tcn_forward(self, ms, training, keeps=None):
+        """The four branches' TCNs over the fused maps ms, stacked
+        branch-major, a tcn_block per depth with the branches' masks keeps
+        (per branch, as dropout_masks gives them) joined; then the readout,
+        branch-major as the classifier reads it."""
         cfg = self.config
-        h = branch.tcn(m, training, keep) if cfg.tcn_enabled else m
-        b, u, t0 = h.shape
+        h = concat(ms, axis=1)
+        depths = zip(*(branch.tcn.blocks for branch in self.branches)) if cfg.tcn_enabled else ()
+        for j, blocks in enumerate(depths):
+            keep = (None, None)
+            if keeps and keeps[0][j][0] is not None:  # the four branches' masks, side by side
+                stage = [[k[j][i] for k in keeps] for i in (0, 1)]
+                keep = [ops.DropoutMask(np.concatenate([m.mask for m in ks], axis=1), ks[0].scale) for ks in stage]
+            h = tcn_block(blocks, h, training, keep)
+        b, c, t0 = h.shape
         if cfg.readout == "last_step":
-            return narrow(h, 2, t0 - 1, 1).reshape((b, u))
-        return h.reshape((b, u * t0))
+            return narrow(h, 2, t0 - 1, 1).reshape((b, c))
+        return h.reshape((b, c * t0))
 
     def __call__(self, x, training=False, rng=None):
         """Logits (B, L) for a (B, 1, C, T) input of the parameters' dtype.
@@ -354,11 +362,7 @@ class CsanetModel(Layer):
             zs = self._branch_stage(x, lags, [keep for keep, _ in masks])
         else:
             zs = [branch(x, False) for branch in self.branches]
-        ms = self.fuse_branches(zs)
-        feats = concat(
-            [self.tcn_forward(m, b, training, keep) for m, b, (_, keep) in zip(ms, self.branches, masks)],
-            axis=1,
-        )
+        feats = self.tcn_forward(self.fuse_branches(zs), training, [keep for _, keep in masks] if training else None)
         return self.classifier(feats)
 
     def _branch_stage(self, x, lags, keeps):

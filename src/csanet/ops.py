@@ -10,11 +10,12 @@ stride. A training forward meets, per branch:
   by banded tile matmuls (_tile_correlate), the temporal batch statistics
   read off the forward's one lag_prefixes table;
 - conv1d_dilated: the one time-axis conv (spa_conv, the TCN's causal
-  convs, the PSD report), padding its own input, by FFT correlation for
-  long kernels over a batch (_conv1d_fft) and by window matmuls otherwise;
-  FFT_MIN_TAPS, FFT_MIN_WORK and the padding's side draw the line;
-- bn_elu_pool: the same tail after spa_conv and, at pool 1, after each
-  TCN conv.
+  convs with a group per branch, the PSD report), padding its own input,
+  by FFT correlation for long kernels over a batch (_conv1d_fft) and by
+  window matmuls otherwise; FFT_MIN_TAPS, FFT_MIN_WORK and the padding's
+  side draw the line;
+- bn_elu_pool: the same tail after spa_conv and, at pool 1 over the four
+  branches' channels, after each TCN conv.
 Every batch norm of a training forward runs one kernel pair with float64
 batch sums on a channel-leading (C, N, T) map, _bn_train and
 _bn_train_grads; only the stem's temporal batch norm reads its statistics
@@ -40,9 +41,11 @@ Two raw-array helpers carry all padding and windowing, since at the small
 shapes of a gradient check each op's bookkeeping outweighs its
 arithmetic: autodiff._zero_pad pads by one np.zeros and a slice
 assignment in np.pad's memory order, and _window_view builds strided
-window views with one as_strided call.
+window views with one as_strided call, which _windows copies into the
+direct conv's window matrices.
 """
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -119,23 +122,27 @@ def _bn_grad_coefs(gsum, psum, r, gamma, n, dtype):
     return [(scale * c).astype(dtype)[:, None, None] for c in (1.0, r * r * psum / n, gsum / n)]
 
 
-def _bn_affine_grads(gamma, beta, r, gsum, psum):
-    """Accumulate the gradients of the Tensors gamma (r * psum) and beta (gsum)."""
-    for t, grad in ((gamma, r * psum), (beta, gsum)):
-        if t.requires_grad:
-            _accumulate(t, grad.astype(t.dtype))
+def _parts(p):
+    """p as a list of groups' equal parts side by side: p if a list or tuple, else [p]."""
+    return list(p) if isinstance(p, (list, tuple)) else [p]
 
 
-def _bn_train_grads(g, u, r, gamma, beta):
+def _bn_affine_grads(gammas, betas, r, gsum, psum):
+    """Accumulate the gradients of gammas (r * psum) and betas (gsum), _parts lists."""
+    for ts, grad in ((gammas, r * psum), (betas, gsum)):
+        for t, part in zip(ts, grad.reshape(len(ts), -1)):
+            if t.requires_grad:
+                _accumulate(t, part.astype(t.dtype))
+
+
+def _bn_train_grads(g, u, r, gammas, betas, gamma):
     """_bn_train's backward from g, the gradient at y in its (C, N, T)
-    layout, with r = a inv: accumulates the gradients of gamma and beta and
-    returns (psum, (c0, c1, c2)), with psum the float64 per-channel sum of
-    g * u and the coefficients of dL/dx = c0 g - c1 u - c2 (the stem's
-    dL/dQ), of u's dtype.
-    """
+    layout, with r = a inv: accumulates the gradients of gammas and betas
+    (_parts lists; gamma their joined data) and returns the coefficients
+    (c0, c1, c2) of dL/dx = c0 g - c1 u - c2, of u's dtype."""
     gsum, psum = _bn_grad_sums(g, u)
-    _bn_affine_grads(gamma, beta, r, gsum, psum)
-    return psum, _bn_grad_coefs(gsum, psum, r, gamma.data, u[0].size, u.dtype)
+    _bn_affine_grads(gammas, betas, r, gsum, psum)
+    return _bn_grad_coefs(gsum, psum, r, gamma, u[0].size, u.dtype)
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, training):
@@ -158,7 +165,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training):
 
     def backward(gout):
         g = gout.reshape(B, C, -1).transpose(1, 0, 2)
-        _, (c0, c1, c2) = _bn_train_grads(g, u, inv, gamma, beta)
+        c0, c1, c2 = _bn_train_grads(g, u, inv, [gamma], [beta], gamma.data)
         if x.requires_grad:
             _accumulate(x, (c0 * g - c1 * u - c2).transpose(1, 0, 2).reshape(x.shape))
 
@@ -206,6 +213,17 @@ def lag_prefixes(x, max_kernel):
     return x.size, sums, prods
 
 
+@functools.lru_cache(maxsize=64)
+def _moment_index(K, left, T):
+    """_window_moments' read-only index tables for (K, left, T), built once: the
+    entries' (2, K) prefix bounds, the pairs' (2, K, K) flat indices into prods."""
+    start = np.arange(K) - left  # where window entry k sits relative to t
+    first, lag = np.minimum.outer(start, start), np.abs(start[:, None] - start[None, :]) * (T + 1)
+    bounds, pairs = np.clip([start + T, start], 0, T), lag + np.clip([first + T, first], 0, T)
+    bounds.flags.writeable = pairs.flags.writeable = False
+    return bounds, pairs
+
+
 def _window_moments(lags, K, left):
     """float64 mean (K,) and second moment (K, K) of the K-sample windows
     of each row of x (..., T), zero-padded by `left` on the left and
@@ -217,13 +235,9 @@ def _window_moments(lags, K, left):
     sums those products over a shifted range of v, read off prefix sums.
     """
     n, sums, prods = lags
-    T = sums.size - 1
-    start = np.arange(K) - left  # where window entry k sits relative to t
-    mean = (sums[np.clip(start + T, 0, T)] - sums[np.clip(start, 0, T)]) / n
-    first = np.minimum.outer(start, start)
-    lag = np.abs(start[:, None] - start[None, :])
-    second = (prods[lag, np.clip(first + T, 0, T)] - prods[lag, np.clip(first, 0, T)]) / n
-    return mean, second
+    (hi, lo), (pair_hi, pair_lo) = _moment_index(K, left, sums.size - 1)
+    flat = prods.reshape(-1)
+    return (sums[hi] - sums[lo]) / n, (flat[pair_hi] - flat[pair_lo]) / n
 
 
 def _stem_projection(x, dw, K):
@@ -348,7 +362,7 @@ def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, keep
             np.matmul(cols.T, gp[f], out=corr[f])
             np.matmul(cols, band[f], out=gp[f])
         del u, gq_pad, gq, gcols, cols  # the walk runs this closure once
-        _bn_affine_grads(gamma2, beta2, r, gsum, psum)
+        _bn_affine_grads([gamma2], [beta2], r, gsum, psum)
         g_a = (gamma2.data * BN_EPS * inv2**3 * psum).reshape(F, D).sum(axis=1)  # dL/da_f
         for t, g in ((gamma1, g_a * inv1), (beta1, np.zeros(F))):
             if t.requires_grad:
@@ -495,36 +509,40 @@ def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, keep=None):
     """A training-mode tail on a (B, C, T) map as one op: batch norm -> ELU
     -> mean pool over windows of `pool` samples at stride pool -> dropout by
     the mask keep (or None), returning (B, C, T // pool). It runs after each
-    branch's spa_conv and, at pool 1, after each TCN conv. Eval mode runs
-    elu_pool with bn_affine's map.
+    branch's spa_conv and, at pool 1 over the four branches' channels (gamma,
+    beta and the buffers as _parts lists), after each TCN conv. Eval mode
+    runs elu_pool with bn_affine's map.
 
     Batch norm is _bn_train on x's (C, B, T) view, then elu_pool; the last
     T % pool samples are dropped, as a stride-pool mean pool drops them.
     The tape keeps the centred map and the dropout mask; _tail_backward
     rebuilds the slope.
     """
-    x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
+    x, gammas, betas = _wrap(x), [_wrap(t) for t in _parts(gamma)], [_wrap(t) for t in _parts(beta)]
+    g, b = (np.concatenate([t.data for t in ts]) for ts in (gammas, betas))
     if x.ndim != 3:
         raise DimensionError(f"bn_elu_pool expects a (B, C, T) input, got {x.shape}")
     B, C, T = x.shape
-    if gamma.shape != (C,) or beta.shape != (C,):
+    if g.shape != (C,) or b.shape != (C,):
         raise DimensionError("gamma/beta must have one entry per channel")
     if pool < 1:
         raise ConfigurationError("pooling kernel extents must be positive")
     if T < pool:
         raise DimensionError("pooling window larger than padded input")
-    mean, var, inv, u, affine = _bn_train(x.data.transpose(1, 0, 2), gamma.data, beta.data)
+    mean, var, inv, u, affine = _bn_train(x.data.transpose(1, 0, 2), g, b)
     out = elu_pool(u, affine, pool, keep)
-    _update_running(running_mean, running_var, mean, var, B * T)
+    stats = (mean.reshape(len(gammas), -1), var.reshape(len(gammas), -1))  # a row per group
+    for rm, rv, m, v in zip(_parts(running_mean), _parts(running_var), *stats):
+        _update_running(rm, rv, m, v, B * T)
 
     def backward(gout):
         gy = np.zeros_like(u)
         _tail_backward(gout, keep, u, affine, pool, gy)
-        _, (c0, c1, c2) = _bn_train_grads(gy, u, inv, gamma, beta)
+        c0, c1, c2 = _bn_train_grads(gy, u, inv, gammas, betas, g)
         if x.requires_grad:
             _accumulate(x, (c0 * gy - c1 * u - c2).transpose(1, 0, 2))
 
-    return _make(out, (x, gamma, beta), backward)
+    return _make(out, (x, *gammas, *betas), backward)
 
 
 # -- eval-mode inference on raw arrays -------------------------------------
@@ -714,7 +732,11 @@ def _conv1d_fft(x, weight, to, pad):
     taps, is one matmul of the weight with the DFT's cos/sin table, a
     quarter of rfft(w, n)'s time in a spa_conv training step. Real inputs
     of a dtype give that dtype's complex spectra and the same real dtype
-    back. The tape keeps no spectrum: the backward recomputes X and W.
+    back; numpy 2.4 runs a float32 rfft at norm=None on its float64 loop
+    (bit-equal to the float64 cast's rfft, cast back; at (32, 32, 156) 1.4
+    ms, 2.6 MB of temporaries and 600 page faults per transform on a 2-core
+    x86, where norm="forward" runs float32 in 0.5 ms and moves bits), irfft
+    in float32. The tape keeps no spectrum: the backward recomputes X and W.
     """
     B, cin, T = x.shape
     cout, _, K = weight.shape
@@ -747,64 +769,85 @@ def _conv1d_fft(x, weight, to, pad):
     return _make(out, (x, weight), backward)
 
 
+# _windows copies kernels under TAP_GATHER taps one tap at a time: 733 -> 245
+# us for the TCN's (32, 4 x 32, 17, K = 4), 68 -> 379 us for spa_conv's K = 32
+# at B = 1, a tie at K = 8 (2-core x86, float32).
+TAP_GATHER = 8
+
+
+def _windows(a, groups, count, taps, dilation=1, start=0, tap_major=False):
+    """C-contiguous (groups, B * count, C * taps) window matrices of the raw
+    (B, groups * C, T) array a, [g, (b, i), (c, k)] = a[b, g * C + c, start +
+    i + k * dilation]; tap_major, (groups, C * taps, B * count)."""
+    win = _window_view(a, count, taps, dilation=dilation, start=start).reshape(len(a), groups, -1, count, taps)
+    win = win.transpose((1, 2, 4, 0, 3) if tap_major else (1, 0, 3, 2, 4))
+    cols, at = np.empty(win.shape, dtype=a.dtype), (slice(None),) * (2 if tap_major else 4)
+    for cut in [at + (k,) for k in range(taps)] if taps < TAP_GATHER else [...]:  # tap by tap, or at once
+        cols[cut] = win[cut]
+    return cols.reshape(groups, win.shape[1] * win.shape[2], -1)
+
+
 def conv1d_dilated(x, weight, dilation=1, pad=(0, 0)):
     """Bias-free 1-d dilated cross-correlation over (B, C, T), x zero-padded
     by the (left, right) pair pad: the network's one time conv.
 
-    x: (B, Cin, T); weight: (Cout, Cin, K). Output t reads input
+    x: (B, G Cin, T); weight: (Cout, Cin, K), or a list of G such weights,
+    the groups (else G = 1), group g mapping x's channels [g Cin, (g + 1)
+    Cin) to the output's [g Cout, (g + 1) Cout). Output t reads input
     t - left + k * dilation for each tap k; its length is
     left + T + right - (K - 1) * dilation. spa_conv pads same_pad(K). With
-    pad = ((K-1)*dilation, 0) (the TCN) the op is causal and
-    length-preserving: output t sees inputs t, t-d, ..., t-(K-1)*d only.
+    pad = ((K-1)*dilation, 0) (the TCN, a group per branch) the op is causal
+    and length-preserving: output t sees inputs t, t-d, ..., t-(K-1)*d only.
 
-    Each shape class has one path. Undilated calls with left <= right, at
-    least FFT_MIN_TAPS taps and B * T_out * K >= FFT_MIN_WORK (spa_conv at
-    training and eval batch sizes) run by FFT correlation, _conv1d_fft.
-    Every other call runs direct: the TCN's causal convs, whose exact
-    causality an FFT would blur with rounding noise; the short kernels of
-    small configs; and B = 1 decoding, where the transforms' fixed cost is
-    three times the window matmul. On the direct path each pass is one
-    matmul over a window matrix gathered from a strided view: the forward
-    and the weight gradient over the windows of the padded input (padded
-    again in the backward, not kept), the input gradient over the windows
-    of the output gradient, zero-padded by the kernel span less one on both
-    sides, with the kernel flipped along its taps (the transposed
-    correlation), at the T positions that map back onto x.
+    Each shape class has one path. Ungrouped, undilated calls with left <=
+    right, at least FFT_MIN_TAPS taps and B * T_out * K >= FFT_MIN_WORK
+    (spa_conv at training and eval batch sizes) run by FFT correlation,
+    _conv1d_fft. Every other call runs direct: the TCN's causal convs, whose
+    exact causality an FFT would blur with rounding noise; small configs'
+    short kernels; and B = 1 decoding, where the transforms cost three times
+    the window matmul. There each pass is one matmul per group of a window
+    matrix (_windows) and the group's weight: the forward and the weight
+    gradient over the windows of the padded input (padded again in the
+    backward, not kept), the input gradient over those of the output
+    gradient padded by the span less one on both sides, by the kernel
+    flipped along its taps, at the T positions that map back onto x. Both
+    are written time-major, (B, T, C) in memory, so each group's channels
+    have an ungrouped call's strides.
     """
-    x, weight = _wrap(x), _wrap(weight)
-    if x.ndim != 3 or weight.ndim != 3:
+    x, weights = _wrap(x), [_wrap(w) for w in _parts(weight)]
+    if x.ndim != 3 or {w.ndim for w in weights} != {3}:
         raise DimensionError("conv1d_dilated expects (B, C, T) input and (Cout, Cin, K) weight")
-    B, cin, T = x.shape
-    cout, cinw, K = weight.shape
-    if cinw != cin:
-        raise DimensionError(f"weight expects {cinw} input channels, input has {cin}")
+    G, (B, cin, T), (cout, cing, K) = len(weights), x.shape, weights[0].shape
+    if G * cing != cin or any(w.shape != weights[0].shape for w in weights):
+        raise DimensionError(f"weight expects {G * cing} input channels, input has {cin}, or groups differ in shape")
     span = (K - 1) * dilation + 1
     if T + sum(pad) < span:
         raise DimensionError("dilated kernel span exceeds padded input")
     to = T + sum(pad) - span + 1
-    if dilation == 1 and pad[0] <= pad[1] and K >= FFT_MIN_TAPS and B * to * K >= FFT_MIN_WORK:
-        return _conv1d_fft(x, weight, to, pad)
+    if G == 1 and dilation == 1 and pad[0] <= pad[1] and K >= FFT_MIN_TAPS and B * to * K >= FFT_MIN_WORK:
+        return _conv1d_fft(x, weights[0], to, pad)
 
-    cols = _window_view(_pad_time(x.data, pad), to, K, dilation=dilation).transpose(0, 2, 1, 3)
-    out = cols.reshape(B * to, cin * K) @ weight.data.reshape(cout, cin * K).T
-    out = out.reshape(B, to, cout).transpose(0, 2, 1)
+    def grouped(a, w, rows, cols):  # a @ w per group into a time-major (B, rows, G * cols) array
+        out = np.empty((B, rows, G * cols), dtype=np.result_type(a, w))
+        np.matmul(a, w, out=out.reshape(B * rows, G, cols).transpose(1, 0, 2))
+        return out.transpose(0, 2, 1)
+
+    taps = np.array([w.data.reshape(cout, cing * K) for w in weights]).transpose(0, 2, 1)
+    out = grouped(_windows(_pad_time(x.data, pad), G, to, K, dilation), taps, to, cout)
 
     def backward(gout):
-        if weight.requires_grad:
-            # Windows gathered tap-major, (Cin*K, B*To): this matmul ran about
-            # twice as fast as against the transpose of the forward's matrix.
-            xwin = _window_view(_pad_time(x.data, pad), to, K, dilation=dilation)
-            g2 = gout.transpose(0, 2, 1).reshape(B * to, cout)
-            gw = xwin.transpose(1, 3, 0, 2).reshape(cin * K, B * to) @ g2
-            _accumulate(weight, gw.T.reshape(cout, cin, K))
+        if any(w.requires_grad for w in weights):
+            g = gout.transpose(0, 2, 1).reshape(B * to, G, cout).transpose(1, 0, 2)
+            gw = _windows(_pad_time(x.data, pad), G, to, K, dilation, tap_major=True) @ g
+            for t, grad in zip(weights, gw):
+                if t.requires_grad:
+                    _accumulate(t, grad.T.reshape(cout, cing, K))
         if x.requires_grad:
             gp = _zero_pad(gout, ((0, 0), (0, 0), (span - 1, span - 1)))
-            flipped = weight.data[:, :, ::-1].transpose(0, 2, 1).reshape(cout * K, cin)
-            gwin = _window_view(gp, T, K, dilation=dilation, start=pad[0])
-            gx = gwin.transpose(0, 2, 1, 3).reshape(B * T, cout * K) @ flipped
-            _accumulate(x, gx.reshape(B, T, cin).transpose(0, 2, 1))
+            flipped = np.array([w.data[:, :, ::-1].transpose(0, 2, 1).reshape(cout * K, cing) for w in weights])
+            _accumulate(x, grouped(_windows(gp, G, T, K, dilation, start=pad[0]), flipped, T, cing))
 
-    return _make(out, (x, weight), backward)
+    return _make(out, (x, *weights), backward)
 
 
 def conv2d(x, weight):

@@ -14,7 +14,7 @@ from .attention import AttentionParams, msca_forward, multiscale_pool, topk_soft
 from .autodiff import Tensor, precision
 from .config import AttentionConfig, ModelConfig, TcnConfig
 from .gradcheck import grad_check
-from .model import CsanetModel
+from .model import CsanetModel, TcnBlock, tcn_block
 
 
 def mini_model_config() -> ModelConfig:
@@ -99,13 +99,18 @@ def _check_msca():
 
 
 def _check_tcn():
+    """model.tcn_block over two branches in training: a grouped causal conv
+    at dilation 2 -> tail at pool 1, twice, each tail with one dropout mask,
+    drawn once and passed to every call, plus the residual."""
     rng = _rng(13)
-    x = Tensor(rng.standard_normal((2, 3, 8)))
-    w = Tensor(rng.standard_normal((3, 3, 2)) * 0.5)
-    return grad_check(
-        lambda x_, w_: _proj_loss(ops.conv1d_dilated(x_, w_, dilation=2, pad=(2, 0)), _rng(110)),
-        [x, w],
-    )
+    with precision("float64"):
+        blocks = [TcnBlock(3, 2, 2, rng) for _ in range(2)]
+    x = Tensor(rng.standard_normal((3, 6, 8)))
+    keep = [ops.dropout_mask((3, 6, 8), 0.5, _rng(119 + i), np.float64) for i in range(2)]
+    named = [(f"{i}.{name}", p) for i, block in enumerate(blocks) for name, p in block.named_parameters()]
+    report = grad_check(lambda *_: _proj_loss(tcn_block(blocks, x, True, keep), _rng(110)), [x] + [p for _, p in named])
+    report.labels = ["x"] + [name for name, _ in named]
+    return report
 
 
 def _check_stem():
@@ -139,9 +144,9 @@ def _check_stem():
 
 def _check_tail():
     """bn_elu_pool (training mode only) as after spa_conv, with T % pool !=
-    0, and at pool 1 on a TCN-shaped map, channels-last in memory as the
-    TCN's causal conv returns it; each with one dropout mask, drawn once and
-    passed to every call."""
+    0 and one dropout mask, drawn once and passed to every call. The tcn
+    scope checks it at pool 1 on the channels-last output of the TCN's
+    grouped convs."""
     rng = _rng(17)
     params = [
         Tensor(rng.standard_normal((3, 2, 11))),
@@ -149,18 +154,9 @@ def _check_tail():
         Tensor(0.5 * rng.standard_normal(2)),
     ]
     rm, rv = 0.1 * rng.standard_normal(2), 1.0 + rng.random(2)
-    params += [Tensor(rng.standard_normal((2, 6, 4))), Tensor(1.0 + 0.1 * rng.standard_normal(4))]
-    params.append(Tensor(0.5 * rng.standard_normal(4)))
-    rm_tcn, rv_tcn = 0.1 * rng.standard_normal(4), 1.0 + rng.random(4)
-    keep, keep_tcn = (ops.dropout_mask(s, 0.5, _rng(n), np.float64) for s, n in (((3, 2, 3), 112), ((2, 4, 6), 116)))
-
-    def closure(x_, g_, b_, xt_, gt_, bt_):
-        spa = ops.bn_elu_pool(x_, g_, b_, rm.copy(), rv.copy(), 3, keep)
-        tcn = ops.bn_elu_pool(xt_.transpose((0, 2, 1)), gt_, bt_, rm_tcn.copy(), rv_tcn.copy(), 1, keep_tcn)
-        return _proj_loss(spa, _rng(114)) + _proj_loss(tcn, _rng(118))
-
-    report = grad_check(closure, params)
-    report.labels = ["x", "gamma", "beta", "tcn.x", "tcn.gamma", "tcn.beta"]
+    keep = ops.dropout_mask((3, 2, 3), 0.5, _rng(112), np.float64)
+    report = grad_check(lambda *p: _proj_loss(ops.bn_elu_pool(*p, rm.copy(), rv.copy(), 3, keep), _rng(114)), params)
+    report.labels = ["x", "gamma", "beta"]
     return report
 
 

@@ -15,7 +15,11 @@ four-op composition that ops.bn_elu_pool replaced, through
 oracle_batch_norm (the two in a row are what ops.stem_bn_elu_pool and
 ops.stem_elu_pool compute); oracle_tcn_block, the TCN block's causal
 conv -> batch norm -> ELU -> dropout composition before its tails became
-ops.bn_elu_pool at pool 1; oracle_lag_prefixes, ops.lag_prefixes as it
+ops.bn_elu_pool at pool 1; oracle_tcn_block_call and oracle_tcn_forward,
+the per-branch TCN pass (model.TcnBlock.__call__, TcnStack.__call__ and
+the per-branch readouts) before the four branches' TCNs ran as one grouped
+pass, with oracle_conv1d_direct, the ungrouped direct conv it ran on;
+oracle_lag_prefixes, ops.lag_prefixes as it
 was before its lag products became banded tile matmuls; oracle_backward,
 Tensor.backward as it was before its walk released the tape;
 oracle_topk_mask and oracle_topk_softmax, the stable-argsort top-k mask
@@ -35,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from csanet import ops
-from csanet.autodiff import Tensor, _accumulate, _make, _reverse_topo, _wrap, pad
+from csanet.autodiff import Tensor, _accumulate, _make, _reverse_topo, _wrap, _zero_pad, concat, narrow, pad
 from csanet.errors import ConfigurationError, DimensionError, NumericalError
 from csanet.gradcheck import ZERO_ANALYTIC, ZERO_NUMERIC, GradCheckReport
 
@@ -386,6 +390,43 @@ def oracle_tail(x, gamma, beta, running_mean, running_var, training, pool, keep=
     return h if keep is None else h * keep.mask * keep.scale
 
 
+def oracle_conv1d_direct(x, weight, dilation, pad):
+    """ops.conv1d_dilated's direct path as it ran before it took a group
+    axis: one ungrouped (Cout, Cin, K) weight, window matrices reshaped out
+    of strided views, and the output and input gradient returned in the
+    (B, T, C) memory layout of the matmul."""
+    x, weight = _wrap(x), _wrap(weight)
+    B, cin, T = x.shape
+    cout, _, K = weight.shape
+    span = (K - 1) * dilation + 1
+    to = T + sum(pad) - span + 1
+    cols = ops._window_view(ops._pad_time(x.data, pad), to, K, dilation=dilation).transpose(0, 2, 1, 3)
+    out = cols.reshape(B * to, cin * K) @ weight.data.reshape(cout, cin * K).T
+    out = out.reshape(B, to, cout).transpose(0, 2, 1)
+
+    def backward(gout):
+        if weight.requires_grad:
+            xwin = ops._window_view(ops._pad_time(x.data, pad), to, K, dilation=dilation)
+            g2 = gout.transpose(0, 2, 1).reshape(B * to, cout)
+            gw = xwin.transpose(1, 3, 0, 2).reshape(cin * K, B * to) @ g2
+            _accumulate(weight, gw.T.reshape(cout, cin, K))
+        if x.requires_grad:
+            gp = _zero_pad(gout, ((0, 0), (0, 0), (span - 1, span - 1)))
+            flipped = weight.data[:, :, ::-1].transpose(0, 2, 1).reshape(cout * K, cin)
+            gwin = ops._window_view(gp, T, K, dilation=dilation, start=pad[0])
+            gx = gwin.transpose(0, 2, 1, 3).reshape(B * T, cout * K) @ flipped
+            _accumulate(x, gx.reshape(B, T, cin).transpose(0, 2, 1))
+
+    return _make(out, (x, weight), backward)
+
+
+def oracle_causal(h, weight, dilation):
+    """model.TcnBlock.causal: the length-preserving causal conv (left pad
+    (K-1)*dilation) of one branch by a (C, C, K) weight, on the direct path
+    as it ran then (oracle_conv1d_direct)."""
+    return oracle_conv1d_direct(h, weight, dilation, ((weight.shape[-1] - 1) * dilation, 0))
+
+
 def oracle_tcn_block(block, x, training, keep=(None, None)):
     """model.TcnBlock.__call__ as it ran before its tails became
     ops.bn_elu_pool at pool 1 in training and ops.elu_pool in eval: causal
@@ -393,9 +434,52 @@ def oracle_tcn_block(block, x, training, keep=(None, None)):
     plus the residual."""
     h = x
     for (conv, bn), mask in zip(((block.conv1, block.bn1), (block.conv2, block.bn2)), keep):
-        h = oracle_batch_norm(block.causal(h, conv.weight), bn.gamma, bn.beta, bn.running_mean, bn.running_var, training)
+        h = oracle_batch_norm(oracle_causal(h, conv.weight, block.dilation), bn.gamma, bn.beta, bn.running_mean, bn.running_var, training)
         h = ops.elu(h) if mask is None else ops.elu(h) * mask.mask * mask.scale
     return x + h
+
+
+def oracle_tcn_block_call(block, x, training, keep=(None, None)):
+    """model.TcnBlock.__call__ as it ran before the branches' blocks of one
+    depth became one model.tcn_block: one branch's causal convs, each tail
+    ops.bn_elu_pool at pool 1 in training and ops.elu_pool with the batch
+    norm's fixed map in eval, plus the residual."""
+    h = x
+    for (conv, bn), mask in zip(((block.conv1, block.bn1), (block.conv2, block.bn2)), keep):
+        h = oracle_causal(h, conv.weight, block.dilation)
+        if training:
+            h = ops.bn_elu_pool(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, 1, mask)
+        else:
+            maps = ops.bn_affine(bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var)
+            h = Tensor(ops.elu_pool(h.data.transpose(1, 0, 2), [m.astype(h.dtype)[:, None, None] for m in maps], 1))
+    return x + h
+
+
+def oracle_tcn_forward(model, ms, training, keeps=None):
+    """model.CsanetModel.tcn_forward as it ran branch by branch: each
+    branch's TcnStack on its own fused map of ms (oracle_tcn_block_call per
+    block, with the branch's masks of keeps, per branch as
+    CsanetModel.dropout_masks gives them, or None), its readout, and the
+    four readouts concatenated."""
+    cfg, feats = model.config, []
+    for m, branch, keep in zip(ms, model.branches, keeps or [None] * 4):
+        h = m
+        for j, block in enumerate(branch.tcn.blocks if cfg.tcn_enabled else ()):
+            h = oracle_tcn_block_call(block, h, training, keep[j] if keep else (None, None))
+        b, u, t0 = h.shape
+        feats.append(narrow(h, 2, t0 - 1, 1).reshape((b, u)) if cfg.readout == "last_step" else h.reshape((b, u * t0)))
+    return concat(feats, axis=1)
+
+
+def per_group(fn, groups, x, keep):
+    """fn(group, x part, keep part) on each group's equal share of the
+    channels of the (B, C, T) map x, with its share of each dropout mask of
+    keep (ops.DropoutMask or None), the results joined along the channels."""
+    c, parts = x.shape[1] // len(groups), []
+    for i, group in enumerate(groups):
+        share = [None if k is None else ops.DropoutMask(k.mask[:, i * c : (i + 1) * c], k.scale) for k in keep]
+        parts.append(fn(group, narrow(x, 1, i * c, c), share))
+    return concat(parts, axis=1)
 
 
 def oracle_branch_call(branch, x, training, lags=None, keep=(None, None), spa_conv=oracle_spa_conv):

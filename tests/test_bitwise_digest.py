@@ -8,6 +8,7 @@ says so, from the repository root:
     PYTHONPATH=src python scripts/bitwise_steps.py dump steps.npz && python scripts/bitwise_steps.py digest steps.npz > tests/data/bitwise_digest.txt
 """
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +27,18 @@ def blas_build():
 def test_seeded_steps_match_the_committed_digest(tmp_path):
     """The dump runs in a fresh interpreter with one BLAS thread, as the
     digest was derived, so the default config's steps run their branch
-    stage on the pool."""
+    stage and eval blocks on the pool (a worker per core, which the dump
+    reports). Any two dumps that match the digest match each other; compare
+    reads this one against itself for its count line."""
     out = str(tmp_path / "steps.npz")
-    for args in (("dump", out), ("digest", out)):
-        done = run_bitwise_steps(*args)
-        assert done.returncode == 0, done.stderr
+    done = run_bitwise_steps("dump", out)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("1736 arrays")
+    assert f"(workers: {len(os.sched_getaffinity(0))})" in done.stdout
+    done = run_bitwise_steps("compare", out, out)
+    assert done.returncode == 0 and done.stdout.strip() == "1736 arrays compared, 0 differ"
+    done = run_bitwise_steps("digest", out)
+    assert done.returncode == 0, done.stderr
     want = {line.split(" ", 1)[0]: line for line in DIGEST.read_text().splitlines()}
     got = {line.split(" ", 1)[0]: line for line in done.stdout.splitlines()}
     moved = sorted(k for k in want.keys() & got.keys() if want[k] != got[k])

@@ -364,20 +364,6 @@ def test_bitwise_steps_compare_lists_each_differing_array(tmp_path):
     assert done.stdout.splitlines()[-1] == "4 arrays compared, 3 differ"
 
 
-def test_bitwise_steps_two_dumps_of_one_tree_match(tmp_path):
-    # Two dumps of the same tree, from two processes, are byte-identical:
-    # the check a bitwise change relies on. The dumps run a worker per core,
-    # so the pooled branch stage and eval blocks are among what they cover.
-    outs = [tmp_path / "first.npz", tmp_path / "second.npz"]
-    for out in outs:
-        done = run_bitwise_steps("dump", str(out))
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.startswith("1736 arrays")
-        assert f"(workers: {len(os.sched_getaffinity(0))})" in done.stdout
-    done = run_bitwise_steps("compare", *map(str, outs))
-    assert done.returncode == 0 and done.stdout.strip() == "1736 arrays compared, 0 differ"
-
-
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

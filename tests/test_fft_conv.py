@@ -1,6 +1,7 @@
 """conv1d_dilated's FFT path (_conv1d_fft): against the naive loop oracle
 in float64, float32 against float64, its routing rule, its tape, and one
-paper-config training step against the direct path."""
+paper-config training step against the direct path; and the direct path's
+groups against the ungrouped direct conv they replaced."""
 
 import math
 
@@ -10,10 +11,11 @@ import pytest
 from csanet import ops
 from csanet.autodiff import Tensor, no_grad, precision
 from csanet.config import ModelConfig
+from csanet.errors import DimensionError
 from csanet.model import Branch, CsanetModel
 from csanet.verification import mini_model_config
 
-from oracles import naive_conv1d, oracle_branch_call
+from oracles import naive_conv1d, oracle_branch_call, oracle_conv1d_direct
 from test_gradients import MODEL_MINI_STRUCTURALLY_ZERO
 
 EPS32 = float(np.finfo(np.float32).eps)
@@ -158,7 +160,8 @@ def test_tcn_and_b1_decoding_stay_direct(fft_calls, monkeypatch):
     conv1d = ops.conv1d_dilated
 
     def spy(x, weight, dilation=1, pad=(0, 0)):
-        direct.append((x.shape[0], weight.shape[-1], dilation, pad[1] == 0 < pad[0]))
+        taps = (weight[0] if isinstance(weight, list) else weight).shape[-1]  # the TCN's groups, one per branch
+        direct.append((x.shape[0], taps, dilation, pad[1] == 0 < pad[0]))
         return conv1d(x, weight, dilation=dilation, pad=pad)
 
     monkeypatch.setattr(ops, "conv1d_dilated", spy)
@@ -240,3 +243,50 @@ def test_float32_paper_logits_within_256_eps_of_float64_oracle(training, monkeyp
     assert want.dtype == np.float64
     err = float(np.abs(got - want).max()) / max(1.0, float(np.abs(want).max()))
     assert err <= 256 * EPS32
+
+
+# (B, G, Cin, Cout, K, dilation, padding): the TCN's causal shapes, copied
+# tap by tap (K < TAP_GATHER), and same-padded ones copied at once, among
+# them spa_conv's K = 32 at B = 1 and a size whose ungrouped call would take
+# the FFT path.
+GROUPED = [
+    (32, 4, 32, 32, 4, 2, "causal"),
+    (1, 4, 32, 32, 4, 1, "causal"),
+    (3, 2, 3, 5, 3, 2, "causal"),
+    (1, 2, 32, 32, 32, 1, "same"),
+    (80, 2, 2, 3, 16, 1, "same"),
+]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shape", GROUPED, ids=["x".join(map(str, s[:5])) + s[6] for s in GROUPED])
+def test_groups_are_bitwise_the_ungrouped_direct_conv(shape, dtype, fft_calls):
+    """Each group's output, input gradient and weight gradient byte-equal
+    to the ungrouped direct conv on its channels (oracle_conv1d_direct),
+    from an output gradient laid out as a tail's backward returns it; the
+    output is time-major, and no grouped call takes the FFT path."""
+    B, G, cin, cout, K, dilation, padding = shape
+    pad = ((K - 1) * dilation, 0) if padding == "causal" else ops.same_pad(K)
+    rng = np.random.Generator(np.random.PCG64(B * K))
+    x = rng.standard_normal((B, G * cin, 17)).astype(dtype)
+    weights = [rng.standard_normal((cout, cin, K)).astype(dtype) for _ in range(G)]
+    xt, wts = Tensor(x, requires_grad=True), [Tensor(w, requires_grad=True) for w in weights]
+    out = ops.conv1d_dilated(xt, wts, dilation=dilation, pad=pad)
+    gout = rng.standard_normal((B, out.shape[2], G * cout)).astype(dtype).transpose(0, 2, 1)
+    out.backward(gout)
+    assert out.data.transpose(0, 2, 1).flags.c_contiguous and fft_calls == []
+    for g in range(G):
+        i, o = slice(g * cin, (g + 1) * cin), slice(g * cout, (g + 1) * cout)
+        xg, wg = Tensor(np.ascontiguousarray(x[:, i]), requires_grad=True), Tensor(weights[g], requires_grad=True)
+        want = oracle_conv1d_direct(xg, wg, dilation, pad)
+        want.backward(np.ascontiguousarray(gout[:, o].transpose(0, 2, 1)).transpose(0, 2, 1))
+        for got, ref in ((out.data[:, o], want.data), (xt.grad[:, i], xg.grad), (wts[g].grad, wg.grad)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_groups_of_other_shapes_or_widths_are_dimension_errors():
+    x = Tensor(np.zeros((2, 6, 9)))
+    for weights in ([np.zeros((3, 3, 2)), np.zeros((3, 3, 3))], [np.zeros((3, 2, 2))] * 2, [np.zeros((3, 3, 2, 1))] * 2):
+        with pytest.raises(DimensionError):
+            ops.conv1d_dilated(x, [Tensor(w) for w in weights], pad=(1, 0))

@@ -132,38 +132,52 @@ class TestFusion:
 
 
 class TestTcn:
+    """CsanetModel.tcn_forward: the four branches' TCNs as one pass over
+    their fused maps side by side, and the readout."""
+
     def test_zero_conv_weights_pass_skip_through(self):
         cfg = mini_model_config()
         model = make_model(cfg)
         for block in model.branch1.tcn.blocks:
             block.conv1.weight.data = np.zeros_like(block.conv1.weight.data)
             block.conv2.weight.data = np.zeros_like(block.conv2.weight.data)
-        m = Tensor(np.random.default_rng(4).standard_normal((2, 4, cfg.t0)).astype(np.float32))
+        rng = np.random.default_rng(4)
+        ms = [Tensor(rng.standard_normal((2, 4, cfg.t0)).astype(np.float32)) for _ in range(4)]
         with no_grad():
-            out = model.tcn_forward(m, model.branch1, training=False)
-        np.testing.assert_allclose(out.data, m.data[:, :, -1], atol=1e-7)
+            out = model.tcn_forward(ms, training=False)
+        np.testing.assert_allclose(out.data[:, :4], ms[0].data[:, :, -1], atol=1e-7)
 
     def test_causality_no_future_leakage(self):
+        # A bump in one branch's fused map at time t leaves that branch's
+        # outputs before t and every other branch's outputs byte-equal.
         cfg = mini_model_config()
+        cfg.readout = "flatten"
         model = make_model(cfg)
         rng = np.random.default_rng(5)
-        base = rng.standard_normal((1, 4, cfg.t0)).astype(np.float32)
-        with no_grad():
-            ref = model.branch1.tcn(Tensor(base), training=False).data
-        for t in range(cfg.t0):
-            bumped = base.copy()
-            bumped[:, :, t] += 5.0
+        base = [rng.standard_normal((1, 4, cfg.t0)).astype(np.float32) for _ in range(4)]
+
+        def run(ms):
             with no_grad():
-                out = model.branch1.tcn(Tensor(bumped), training=False).data
-            np.testing.assert_array_equal(out[:, :, :t], ref[:, :, :t])
+                return model.tcn_forward([Tensor(m) for m in ms], training=False).data.reshape(1, 4, 4, cfg.t0)
+
+        ref = run(base)
+        for branch in range(4):
+            others = [i for i in range(4) if i != branch]
+            for t in range(cfg.t0):
+                bumped = [m.copy() for m in base]
+                bumped[branch][:, :, t] += 5.0
+                out = run(bumped)
+                assert out[:, branch, :, :t].tobytes() == ref[:, branch, :, :t].tobytes(), (branch, t)
+                assert out[:, others].tobytes() == ref[:, others].tobytes(), (branch, t)
+                assert not np.array_equal(out[:, branch, :, t:], ref[:, branch, :, t:]), (branch, t)
 
     def test_last_step_readout_shape(self):
         cfg = bcic_config()
         model = make_model(cfg)
-        m = Tensor(np.zeros((3, 32, 17), dtype=np.float32))
+        ms = [Tensor(np.zeros((3, 32, 17), dtype=np.float32))] * 4
         with no_grad():
-            out = model.tcn_forward(m, model.branch1, training=False)
-        assert out.shape == (3, 32)
+            out = model.tcn_forward(ms, training=False)
+        assert out.shape == (3, 4 * 32)
 
 
 class TestDeterminism:
@@ -250,13 +264,18 @@ class TestTape:
         # before it goes, 1 per branch (4). It was 287 until each auxiliary
         # branch's two top-k paths became one topk_mix node: its masked_fill,
         # softmax and matmul per path and the alpha/beta mul, mul and add
-        # go, 8 per auxiliary branch (24).
+        # go, 8 per auxiliary branch (24). It was 263 until the four
+        # branches' TCNs ran as one pass: per TCN depth one grouped conv per
+        # stage, one tail per stage and one residual add replace four of each
+        # (4 x 5 -> 5 nodes per depth, 2 depths: 30 fewer), and one concat of
+        # the fused maps with one readout's narrow and reshape replaces four
+        # readouts and their concat (9 -> 3: 6 fewer).
         cfg = mini_model_config()
         with precision("float64"):
             model = make_model(cfg, seed=14)
             x = Tensor(np.random.default_rng(15).standard_normal((2, 1, cfg.channels, cfg.time_steps)))
             loss = ops.cross_entropy(model(x, training=True), np.array([0, 1]))
-        assert len(_reverse_topo(loss)) == 263
+        assert len(_reverse_topo(loss)) == 227
 
 
 # Per-group parameter counts, one row per branch in the order of

@@ -519,3 +519,20 @@ def test_window_moments_match_the_oracle_table(K):
     want = ops._window_moments(oracle_lag_prefixes(x, 64), K, (K - 1) // 2)
     for g, w in zip(got, want):
         assert float(np.abs(g - w).max()) <= 1e-15 * float(np.abs(w).max())
+
+
+@pytest.mark.parametrize("K", [1, 4, 5, 8, 64])
+def test_window_moments_are_the_windows_own_and_reuse_one_read_only_index(K):
+    """ops._window_moments against the mean and second moment of the
+    explicit windows, same-padded, of every row (T = 40 < 64 included);
+    the index tables of one (K, left, T) are built once, read-only."""
+    T, left = 40, ops.same_pad(K)[0]
+    x = np.random.default_rng(K).standard_normal((3, 2, T))
+    mean, second = ops._window_moments(ops.lag_prefixes(x, K), K, left)
+    rows = np.pad(x.reshape(-1, T), ((0, 0), (left, K - 1 - left)))
+    windows = np.lib.stride_tricks.sliding_window_view(rows, K, axis=1).reshape(-1, K)
+    np.testing.assert_allclose(mean, windows.mean(axis=0), rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(second, windows.T @ windows / len(windows), rtol=1e-12, atol=1e-14)
+    tables = ops._moment_index(K, left, T)
+    assert ops._moment_index(K, left, T) is tables
+    assert not any(table.flags.writeable for table in tables)

@@ -3,9 +3,12 @@ composition it replaced (oracles.oracle_tail), in float32 and float64, at
 the numerics contract's tolerance for each dtype: the op runs the shared
 batch-norm kernel with float64 batch sums, the composition numpy's own
 sums. Eval mode runs the same tail kernel, ops.elu_pool, with batch norm's
-fixed map (ops.bn_affine) on the map as it stands. The TCN block, whose
-tails are these at pool 1, is held to the causal conv -> batch norm -> ELU
--> dropout composition (oracles.oracle_tcn_block)."""
+fixed map (ops.bn_affine) on the map as it stands. The TCN, whose tails
+are these at pool 1, runs the four branches' blocks of one depth as one
+grouped pass (model.tcn_block); that pass is held to the causal conv ->
+batch norm -> ELU -> dropout composition of each block
+(oracles.oracle_tcn_block), and to the bit to the per-branch pass it
+replaced (oracles.oracle_tcn_block_call, oracles.oracle_tcn_forward)."""
 
 import numpy as np
 import pytest
@@ -14,11 +17,11 @@ from csanet import ops
 from csanet.autodiff import Tensor, precision
 from csanet.config import ModelConfig
 from csanet.errors import ConfigurationError, DimensionError
-from csanet.model import Branch, CsanetModel, TcnBlock
+from csanet.model import Branch, CsanetModel, TcnBlock, tcn_block
 from csanet.train import train_run
 from csanet.verification import mini_model_config
 
-from oracles import oracle_branch_call, oracle_tail, oracle_tcn_block
+from oracles import oracle_branch_call, oracle_tail, oracle_tcn_block, oracle_tcn_block_call, oracle_tcn_forward, per_group
 from test_numerics_contract import assert_within_dtype_rule
 from test_train import tiny_run
 
@@ -26,8 +29,16 @@ EPS32 = float(np.finfo(np.float32).eps)
 
 
 def training_oracle_tail(x, gamma, beta, running_mean, running_var, pool, keep=None):
-    """oracle_tail in training mode, with ops.bn_elu_pool's signature."""
-    return oracle_tail(x, gamma, beta, running_mean, running_var, True, pool, keep)
+    """oracle_tail in training mode, with ops.bn_elu_pool's signature; a
+    grouped call (lists of the groups' parameters and buffers, as the TCN's
+    tails make) runs it on each group's channels."""
+    if not isinstance(gamma, (list, tuple)):
+        return oracle_tail(x, gamma, beta, running_mean, running_var, True, pool, keep)
+
+    def tail(params, x, share):
+        return oracle_tail(x, *params, True, pool, share[0])
+
+    return per_group(tail, list(zip(gamma, beta, running_mean, running_var)), x, [keep])
 
 
 TAILS = (ops.bn_elu_pool, training_oracle_tail)
@@ -198,8 +209,9 @@ def test_training_step_runs_the_four_ops_only_outside_the_branches(tmp_path, mon
     """The model calls none of elu, batch_norm and dropout, in either mode.
     A training forward runs each branch's stem and first tail as one
     stem_bn_elu_pool call, and bn_elu_pool once after each spa_conv and, at
-    pool 1, once after each of the two convs of every TCN block: 4 + 8 x
-    len(dilations) calls. Eval mode runs neither fused op."""
+    pool 1 over the four branches' channels, once after each of the two
+    grouped convs of every TCN depth: 4 + 2 x len(dilations) calls. Eval
+    mode runs neither fused op."""
     run = tiny_run(tmp_path / "run", epochs=1)
     run.train.batch_size = 12  # all 12 trials: one step, plus the epoch's train-set eval
     cfg = run.model
@@ -227,8 +239,8 @@ def test_training_step_runs_the_four_ops_only_outside_the_branches(tmp_path, mon
     b = forwards[0][0]
     assert calls["stem_bn_elu_pool"] == [(b, 1, cfg.channels, cfg.time_steps)] * 4
     spa = (b, cfg.spa_filters, cfg.time_steps // cfg.pools[0])
-    tcn = [(b, cfg.spa_filters, cfg.t0)] * (2 * len(cfg.tcn.dilations))
-    assert calls["bn_elu_pool"] == [spa] * 4 + tcn * 4  # the branches run before fusion and the TCNs
+    tcn = [(b, 4 * cfg.spa_filters, cfg.t0)] * (2 * len(cfg.tcn.dilations))
+    assert calls["bn_elu_pool"] == [spa] * 4 + tcn  # the branches run before fusion and the TCN pass
 
 
 def test_tape_keeps_one_full_size_array():
@@ -275,39 +287,123 @@ def test_errors_match_the_composition():
     assert not rm.any() and (rv == 1.0).all()
 
 
-def tcn_block_step(block_fn, dtype, training, seed=90):
-    """One TCN block (filters 4, kernel 3, dilation 2, dropout 0.5 in
-    training) on a (4, 4, 13) map: its output and, in training mode, after
-    the backward of a fixed projection, the gradients of x and of every
-    parameter; then the running buffers."""
+def tcn_block_step(block_fn, dtype, training, seed=90, groups=3):
+    """One TCN depth of `groups` branches (filters 4, kernel 3, dilation 2,
+    dropout 0.5 in training) on their (4, groups x 4, 13) maps side by side,
+    run as block_fn(blocks, x, training, keep), keep the two masks of the
+    whole map: its output and, in training mode, after the backward of a
+    fixed projection, the gradients of x and of every parameter; then the
+    running buffers. Block i's arrays are named with the suffix [i]."""
     rng = np.random.Generator(np.random.PCG64(seed))
     drop = np.random.Generator(np.random.PCG64(seed + 1))
-    keep = [ops.dropout_mask((4, 4, 13), 0.5, drop, dtype) for _ in range(2)] if training else (None, None)
+    shape = (4, 4 * groups, 13)
+    keep = [ops.dropout_mask(shape, 0.5, drop, dtype) for _ in range(2)] if training else (None, None)
     with precision(dtype):
-        block = TcnBlock(4, 3, 2, rng)
-        for _, buf in block.named_buffers():
-            buf[...] = rng.uniform(0.2, 0.6, buf.shape)
-        x = Tensor(rng.standard_normal((4, 4, 13)).astype(dtype), requires_grad=training)
-        out = block_fn(block, x, training, keep)
+        blocks = [TcnBlock(4, 3, 2, rng) for _ in range(groups)]
+        for block in blocks:
+            for _, buf in block.named_buffers():
+                buf[...] = rng.uniform(0.2, 0.6, buf.shape)
+        x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=training)
+        out = block_fn(blocks, x, training, keep)
         arrays = {"output": out.data}
         if training:
             (out * Tensor(rng.standard_normal(out.shape).astype(dtype))).sum().backward()
             arrays["x grad"] = x.grad
-            arrays.update((f"{name} grad", p.grad) for name, p in block.named_parameters())
-    arrays.update(block.named_buffers())
+            for i, block in enumerate(blocks):
+                arrays.update((f"{name} grad[{i}]", p.grad) for name, p in block.named_parameters())
+    for i, block in enumerate(blocks):
+        arrays.update((f"{name}[{i}]", buf) for name, buf in block.named_buffers())
     return arrays
+
+
+def per_block(block_fn):
+    """block_fn(block, x, training, keep) of one block, run on each block's
+    channels of the stacked map: the per-branch pass, as tcn_block's
+    signature."""
+
+    def run(blocks, x, training, keep):
+        return per_group(lambda block, part, share: block_fn(block, part, training, share), blocks, x, keep)
+
+    return run
 
 
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_tcn_block_matches_the_oracle_composition(dtype, training):
-    """Training: ops.bn_elu_pool at pool 1 after each causal conv. Eval:
-    ops.elu_pool with each batch norm's fixed map; the running buffers stay
+    """The stacked pass, model.tcn_block over three blocks. Training:
+    ops.bn_elu_pool at pool 1 after each grouped causal conv. Eval:
+    ops.elu_pool with the batch norms' fixed maps; the running buffers stay
     untouched."""
-    got, want = (tcn_block_step(fn, dtype, training) for fn in (TcnBlock.__call__, oracle_tcn_block))
+    got, want = (tcn_block_step(fn, dtype, training) for fn in (tcn_block, per_block(oracle_tcn_block)))
     assert got.keys() == want.keys()
     for name, w in want.items():
         if training or not name.startswith("bn"):
             assert_within_dtype_rule(got[name], w, name)
         else:  # as seeded: the oracle's eval-mode batch norm reads them only
             assert np.array_equal(got[name], w), name
+
+
+@pytest.mark.parametrize("groups", [1, 4])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_tcn_block_is_bitwise_the_per_branch_pass(dtype, training, groups):
+    """model.tcn_block over `groups` blocks against each block run alone
+    on its channels (oracles.oracle_tcn_block_call): output, every
+    gradient and every running buffer byte-equal."""
+    got, want = (tcn_block_step(fn, dtype, training, groups=groups) for fn in (tcn_block, per_block(oracle_tcn_block_call)))
+    assert got.keys() == want.keys()
+    for name, w in want.items():
+        assert got[name].dtype == w.dtype and got[name].shape == w.shape, name
+        assert got[name].tobytes() == w.tobytes(), name
+
+
+def tcn_model_step(cfg, dtype, training, B, tcn_forward=None, monkeypatch=None):
+    """Logits, then every gradient (in training, of a fixed projection of
+    the logits) and every running buffer, by name, of one forward of B
+    trials, with CsanetModel.tcn_forward replaced by tcn_forward if given."""
+    if tcn_forward is not None:
+        monkeypatch.setattr(CsanetModel, "tcn_forward", tcn_forward)
+    with precision(dtype):
+        model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(70)))
+        rng = np.random.Generator(np.random.PCG64(71))
+        for _, buf in model.named_buffers():
+            buf[...] = rng.uniform(0.2, 0.6, buf.shape)
+        x = Tensor(rng.standard_normal((B, 1, cfg.channels, cfg.time_steps)).astype(dtype))
+        logits = model(x, training=training, rng=np.random.Generator(np.random.PCG64(72)))
+        arrays = {"logits": logits.data}
+        if training:
+            (logits * Tensor(rng.standard_normal(logits.shape).astype(dtype))).sum().backward()
+            arrays.update((f"{name} grad", p.grad) for name, p in model.named_parameters() if p.grad is not None)
+    arrays.update(model.named_buffers())
+    return arrays
+
+
+TCN_CASES = [
+    (config, dtype, training, fusion, readout, tcn)
+    for config in ("mini", "default")
+    for dtype in ("float32", "float64")
+    for training in (True, False)
+    for fusion in ("main_auxiliary", "hierarchical")
+    for readout in ("last_step", "flatten")
+    for tcn in (True, False)
+    if config == "mini" or (fusion, readout, tcn) == ("main_auxiliary", "last_step", True)
+]
+
+
+@pytest.mark.parametrize("config, dtype, training, fusion, readout, tcn", TCN_CASES)
+def test_model_tcn_pass_is_bitwise_the_per_branch_oracle(config, dtype, training, fusion, readout, tcn, monkeypatch):
+    """The whole model with its one TCN pass against the same model with
+    the per-branch TCNs and readouts (oracles.oracle_tcn_forward), dropout
+    on: logits, every gradient and every running buffer byte-equal, in
+    training at 3 trials and in eval at 1 and 5."""
+    cfg = mini_model_config() if config == "mini" else ModelConfig()
+    cfg.conv_dropout, cfg.tcn.dropout = 0.5, 0.3
+    cfg.fusion_mode, cfg.readout, cfg.tcn_enabled = fusion, readout, tcn
+    for B in (3,) if training else (1, 5):
+        got = tcn_model_step(cfg, dtype, training, B)
+        want = tcn_model_step(cfg, dtype, training, B, oracle_tcn_forward, monkeypatch)
+        monkeypatch.undo()
+        assert got.keys() == want.keys()
+        for name, w in want.items():
+            assert got[name].dtype == w.dtype and got[name].shape == w.shape, (B, name)
+            assert got[name].tobytes() == w.tobytes(), (B, name)
