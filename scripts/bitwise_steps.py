@@ -16,11 +16,10 @@ line per array of a dump, its name, dtype, shape and the SHA-256 of its
 bytes, sorted by name: tests/data/bitwise_digest.txt holds those lines,
 and tests/test_bitwise_digest.py dumps the tree under test against them.
 
-csanet is imported before numpy, so that BLAS runs one thread and the
-worker pool (csanet.model.WORKERS) has a worker per core: the default
-config's training steps then run their branch stage on the pool, and the
-32-trial eval batch its two trial blocks. On a 1-core host every path is
-serial.
+csanet is imported before numpy, so that BLAS runs one thread and
+csanet.model.WORKERS counts a worker per core: the default config's
+training steps then run their branch stage on threads, and the 32-trial
+eval batch its two trial blocks. On a 1-core host every path is serial.
 
 The tree under test is the csanet on the import path, so one copy of this
 script dumps any checkout:

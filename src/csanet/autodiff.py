@@ -11,11 +11,11 @@ Threads: forward results are immutable once produced. A tape may be built
 and walked on several threads when each thread builds and walks tapes of
 its own that share no node, and no leaf that takes a gradient, with
 another thread's: the training branch stage builds its four branch tapes
-on the worker pool (model.fork_join) and join makes them one node of the
-outer tape, whose closure walks them on the pool again, each from the
-gradient the outer walk brought its root. So no two threads ever add
-into one grad. Eval-mode trial blocks run forwards off the tape on
-several threads at once. While threads run, nothing may switch the dtype
+on threads (model.fork_join, which joins every thread it starts before it
+returns) and join makes them one node of the outer tape, whose closure
+walks them on threads again, each from the gradient the outer walk
+brought its root. So no two threads ever add into one grad. Eval-mode
+trial blocks run forwards off the tape on several threads at once. While threads run, nothing may switch the dtype
 or grad globals (set_default_dtype, precision, no_grad), which every op
 reads.
 """

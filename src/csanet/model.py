@@ -15,20 +15,22 @@ and classified from its readout. Both modes run the convs on their stored
 weights and every tail through ops.elu_pool: training on batch
 statistics, eval mode, with no tape, on each batch norm's fixed map.
 
-Both modes use the cores the process may use (WORKERS) through one thread
-pool, built at its first use, and one call, fork_join; WORKERS is 1 unless
-BLAS is known to run one thread (csanet.BLAS_ONE_THREAD), so that a worker
-never multiplies BLAS's threads. Eval mode has no batch statistics, so its
-trials never interact: a batch runs as up to one contiguous block per
-worker, each of at least EVAL_MIN_BLOCK trials. In training the four
-branches read no other branch's output before fusion: from TRAIN_MIN_WORK
-input samples on, their forwards run by fork_join, in branch order, and
-join the tape as one node whose backward walks the four branch tapes
-by fork_join as well (autodiff.join). Each branch writes only its own
-running buffers and its own parameters' gradients, so logits, gradients
-and buffers come out byte-equal to the serial step's, as the eval rows do
-to the serial forward's. No global of autodiff changes while the threads
-run: eval enters no_grad once, around all of its blocks.
+Both modes use the cores the process may use (WORKERS) through one call,
+fork_join, which runs its calls on the calling thread and on threads it
+starts for that call and joins before it returns, so no thread outlives a
+batch or a step; WORKERS is 1 unless BLAS is known to run one thread
+(csanet.BLAS_ONE_THREAD), so that a worker never multiplies BLAS's
+threads. Eval mode has no batch statistics, so its trials never interact:
+a batch runs as up to one contiguous block per worker, each of at least
+EVAL_MIN_BLOCK trials. In training the four branches read no other
+branch's output before fusion: from TRAIN_MIN_WORK input samples on,
+their forwards run by fork_join, in branch order, and join the tape as
+one node whose backward walks the four branch tapes by fork_join as well
+(autodiff.join). Each branch writes only its own running buffers and its
+own parameters' gradients, so logits, gradients and buffers come out
+byte-equal to the serial step's, as the eval rows do to the serial
+forward's. No global of autodiff changes while the threads run: eval
+enters no_grad once, around all of its blocks.
 """
 
 import dataclasses
@@ -61,7 +63,7 @@ else:
 EVAL_MIN_BLOCK = 16
 
 # Fewest input samples (B * C * T) of a training forward whose branch stage
-# runs on the pool. Measured on a 2-core x86 host, one BLAS thread, forward
+# runs on threads. Measured on a 2-core x86 host, one BLAS thread, forward
 # and backward of a training step, serial -> two workers: 88,000 samples ran
 # 0.92-0.96x (default config at B = 4, C = 22 and T = 250 at B = 16) and the
 # mini config's 98,304 (B = 512) 0.90x, while 128,000-176,000 ran 1.23-1.56x
@@ -69,24 +71,15 @@ EVAL_MIN_BLOCK = 16
 # mini config's B = 2 and 16 ran 0.72-0.73x.
 TRAIN_MIN_WORK = 120000
 
-_pool = None
-_pool_lock = threading.Lock()
-
 
 def fork_join(fn, calls):
-    """[fn(*args) for args in calls] on the calling thread and the worker
-    pool at once. The caller runs call 0 and each worker one of the next,
-    then each thread takes the next call left, in order, until none is: calls
-    listed heaviest first spread evenly over the threads. Returns once every
-    call has ended, so none outlives the caller's context; raises the first
-    error in call order."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():  # a forked child has no workers
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = (os.getpid(), ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="csanet"))
-        pool = _pool[1]
+    """[fn(*args) for args in calls] on the calling thread and the
+    min(WORKERS, len(calls)) - 1 threads started for this call. The caller
+    runs call 0 and each thread one of the next, then each takes the next
+    call left, in order, until none is: calls listed heaviest first spread
+    evenly over the threads. Every thread started is joined before this
+    returns or raises, also when a later one fails to start, so none
+    outlives the caller's context; raises the first error in call order."""
     threads = min(WORKERS, len(calls))
     results, errors = [None] * len(calls), [None] * len(calls)
     rest, taken = iter(range(threads, len(calls))), threading.Lock()
@@ -100,12 +93,16 @@ def fork_join(fn, calls):
             with taken:
                 i = next(rest, None)
 
-    workers = [pool.submit(run, i) for i in range(1, threads)]
+    started = []
     try:
+        for i in range(1, threads):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            started.append(thread)
         run(0)
     finally:
-        for worker in workers:
-            worker.result()  # waits
+        for thread in started:
+            thread.join()
     for error in errors:
         if error is not None:
             raise error
@@ -328,8 +325,8 @@ class CsanetModel(Layer):
 
         Eval mode runs under no_grad, so it records no tape, and passes
         ((None, None), None) per branch as its dropout masks. It cuts a batch
-        into min(WORKERS, B // EVAL_MIN_BLOCK) contiguous blocks, run by
-        fork_join when there are two or more.
+        into max(1, min(WORKERS, B // EVAL_MIN_BLOCK)) contiguous blocks,
+        run by fork_join; one block runs on the calling thread alone.
         """
         cfg = self.config
         x = x if isinstance(x, Tensor) else Tensor(x)
@@ -342,12 +339,10 @@ class CsanetModel(Layer):
         if training:
             return self._forward(x, True, rng)
         B = x.shape[0]
-        n = min(WORKERS, B // EVAL_MIN_BLOCK)
+        n = max(1, min(WORKERS, B // EVAL_MIN_BLOCK))
+        cuts = [B * i // n for i in range(n + 1)]
+        blocks = [(Tensor(x.data[a:b]), False) for a, b in zip(cuts, cuts[1:])]
         with no_grad():
-            if n < 2:
-                return self._forward(x, False)
-            cuts = [B * i // n for i in range(n + 1)]
-            blocks = [(Tensor(x.data[a:b]), False) for a, b in zip(cuts, cuts[1:])]
             logits = fork_join(self._forward, blocks)
         return Tensor(np.concatenate([z.data for z in logits]))
 

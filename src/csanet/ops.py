@@ -551,8 +551,8 @@ def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, keep=None):
 # projection, its tile windows, the correlation and the ELU's negative
 # part) then stay a few MB and are reused from the heap instead of being
 # faulted in fresh at every batch. Eval runs up to one trial block per core
-# (model.fork_join), each with its own stem blocks, so 8 keeps two blocks at
-# once within what one held at 16. Measured on a 2-core x86 host, one BLAS
+# at once (model.fork_join, on threads started for the batch), each with its
+# own stem blocks, so 8 keeps two blocks at once within what one held at 16. Measured on a 2-core x86 host, one BLAS
 # thread, float32, default config, B = 64 eval forward, a fresh process per
 # size, 1-2 minor faults per batch at every size: serially, blocks of 4, 8,
 # 16 and 32 tie within the host's drift (98-118 ms), and 32 peaks at 57.5

@@ -3,8 +3,11 @@
 Every scope builds small float64 inputs, a deterministic scalar-valued
 closure, and runs the finite-difference comparison. The "model-mini"
 scope checks every parameter group of a miniature end-to-end model. The
-scopes cover the ops a model path runs; the retired ops (conv2d,
-batch_norm, elu, avg_pool2d) are checked by tests/test_gradients.py.
+scopes cover the ops a model path runs, and one that none runs:
+topk_softmax, which msca_forward replaced by attention.topk_mix (checked
+by the msca scope) and which stays because perfbench/trace.py binds it by
+name. The retired ops (conv2d, batch_norm, elu, avg_pool2d) are checked
+by tests/test_gradients.py.
 """
 
 import numpy as np

@@ -27,7 +27,7 @@ def blas_build():
 def test_seeded_steps_match_the_committed_digest(tmp_path):
     """The dump runs in a fresh interpreter with one BLAS thread, as the
     digest was derived, so the default config's steps run their branch
-    stage and eval blocks on the pool (a worker per core, which the dump
+    stage and eval blocks on threads (a worker per core, which the dump
     reports). Any two dumps that match the digest match each other; compare
     reads this one against itself for its count line."""
     out = str(tmp_path / "steps.npz")

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from csanet import model as model_module
 from csanet import ops
 from csanet.autodiff import Tensor, no_grad, precision
 from csanet.config import ModelConfig
@@ -138,7 +139,10 @@ def test_routing_rule(fft_calls):
     assert len(fft_calls) == 3
 
 
-def forward_batch(cfg, B, seed=0):
+def forward_batch(cfg, B, monkeypatch, workers=1, seed=0):
+    """An eval forward of B trials on workers workers: at 1, each op call
+    is the whole batch's, whatever the host's core count."""
+    monkeypatch.setattr(model_module, "WORKERS", workers)
     model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(seed)))
     x = np.random.Generator(np.random.PCG64(seed + 1)).standard_normal((B, 1, cfg.channels, cfg.time_steps))
     with no_grad():
@@ -146,13 +150,24 @@ def forward_batch(cfg, B, seed=0):
 
 
 @pytest.mark.parametrize("B", [16, 32, 64])
-def test_paper_spa_conv_takes_the_fft_path_at_bench_batch_sizes(B, fft_calls):
+def test_paper_spa_conv_takes_the_fft_path_at_bench_batch_sizes(B, fft_calls, monkeypatch):
     # paper_train's step and train-set eval, paper_eval's evaluate batch.
     cfg = ModelConfig()
-    forward_batch(cfg, B)
+    forward_batch(cfg, B, monkeypatch)
     t1 = cfg.time_steps // cfg.pools[0] + cfg.spa_kernel - 1  # padded by same_pad
     width = cfg.spa_filters
     assert fft_calls == [(B, width, t1, width, cfg.spa_kernel)] * 4
+
+
+@pytest.mark.parametrize("B", [32, 64])
+def test_each_eval_block_on_two_workers_takes_the_fft_path(B, fft_calls, monkeypatch):
+    # paper_eval's evaluate batch on a 2-core host: two blocks of B / 2
+    # trials, each with its four spa_convs on the FFT path.
+    cfg = ModelConfig()
+    forward_batch(cfg, B, monkeypatch, workers=2)
+    t1 = cfg.time_steps // cfg.pools[0] + cfg.spa_kernel - 1
+    width = cfg.spa_filters
+    assert fft_calls == [(B // 2, width, t1, width, cfg.spa_kernel)] * 8
 
 
 def test_tcn_and_b1_decoding_stay_direct(fft_calls, monkeypatch):
@@ -166,18 +181,18 @@ def test_tcn_and_b1_decoding_stay_direct(fft_calls, monkeypatch):
 
     monkeypatch.setattr(ops, "conv1d_dilated", spy)
     cfg = ModelConfig()
-    forward_batch(cfg, 1)  # B = 1 decoding: no call qualifies
+    forward_batch(cfg, 1, monkeypatch)  # B = 1 decoding: no call qualifies
     assert fft_calls == []
     causal = [c for c in direct if c[3]]  # padded on the left only
     assert causal and all(c[1] == cfg.tcn.kernel for c in causal)
     assert len(direct) - len(causal) == 4  # the four spa_convs, direct
     direct.clear()
-    forward_batch(cfg, 32)  # the TCN's causal convs stay direct at any batch
+    forward_batch(cfg, 32, monkeypatch)  # the TCN's causal convs stay direct at any batch
     assert len(fft_calls) == 4 and len(direct) == 4 + len(causal)
 
 
-def test_model_mini_stays_direct(fft_calls):
-    forward_batch(mini_model_config(), 64)  # K = 4 at any batch
+def test_model_mini_stays_direct(fft_calls, monkeypatch):
+    forward_batch(mini_model_config(), 64, monkeypatch)  # K = 4 at any batch
     assert fft_calls == []
 
 

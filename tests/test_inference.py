@@ -24,6 +24,7 @@ from csanet.model import Branch, CsanetModel, fork_join
 from csanet.verification import mini_model_config
 
 from oracles import oracle_branch_call
+from test_model import spy_stage
 from test_numerics_contract import EPS32, FIXTURE, candidate_inputs, contract_model
 
 
@@ -153,12 +154,14 @@ def test_input_of_another_float_dtype_is_rejected(model_dtype, input_dtype, trai
 
 
 def spy_forward(monkeypatch):
-    """Record (thread, trials) of each CsanetModel._forward call."""
+    """Record (thread, trials) of each CsanetModel._forward call; a thread
+    is its Thread object, which no later thread reuses as it may an ended
+    thread's ident."""
     calls = []
     forward = CsanetModel._forward
 
     def spy(self, x, *args, **kwargs):
-        calls.append((threading.get_ident(), x.shape[0]))
+        calls.append((threading.current_thread(), x.shape[0]))
         return forward(self, x, *args, **kwargs)
 
     monkeypatch.setattr(CsanetModel, "_forward", spy)
@@ -167,10 +170,11 @@ def spy_forward(monkeypatch):
 
 @pytest.mark.parametrize("name, dtype", [("default", "float32"), ("mini", "float64")])
 def test_eval_blocks_on_two_workers_are_bytewise_the_serial_forward(name, dtype, monkeypatch):
-    """Two workers, forced so that a 1-core host runs the pool too: a batch
+    """Two workers, forced so that a 1-core host starts a thread too: a batch
     of 32, 33, 64 or 65 trials runs as two contiguous blocks, one on the
-    calling thread and one on a worker, and its logits are byte-equal to
-    the one-worker forward's. The tape is back on after each."""
+    calling thread and one on a thread started for the batch, and its
+    logits are byte-equal to the one-worker forward's. The tape is back on
+    after each."""
     _, model = contract_model(name, dtype)
     x = candidate_inputs(name)
     x = np.concatenate([x, np.random.default_rng(9).standard_normal(x[:1].shape)]).astype(dtype)
@@ -192,7 +196,8 @@ def test_eval_blocks_on_two_workers_are_bytewise_the_serial_forward(name, dtype,
 def test_eval_on_more_workers_than_cores_under_fast_thread_switching(monkeypatch):
     # Four blocks of 16 trials on four workers, with the interpreter
     # switching threads every microsecond: every run is byte-equal to the
-    # serial forward, off the tape, and leaves the tape switched on.
+    # serial forward, off the tape, leaves the tape switched on and runs
+    # its blocks on four threads.
     _, model = contract_model("mini", "float32")
     x = Tensor(candidate_inputs("mini"))
     monkeypatch.setattr(model_module, "WORKERS", 1)
@@ -209,6 +214,7 @@ def test_eval_on_more_workers_than_cores_under_fast_thread_switching(monkeypatch
     finally:
         sys.setswitchinterval(interval)
     assert sorted(n for _, n in calls) == [16] * 32
+    assert [len({thread for thread, _ in calls[i : i + 4]}) for i in range(0, 32, 4)] == [4] * 8
 
 
 @pytest.mark.parametrize("B", [1, 16])
@@ -218,7 +224,7 @@ def test_small_eval_batches_run_on_the_calling_thread(B, monkeypatch):
     _, model = contract_model("mini", "float32")
     calls = spy_forward(monkeypatch)
     model(Tensor(candidate_inputs("mini")[:B]), training=False)
-    assert calls == [(threading.get_ident(), B)]
+    assert calls == [(threading.current_thread(), B)]
 
 
 def test_pooled_eval_leaves_the_training_tape_as_it_was(monkeypatch):
@@ -233,6 +239,57 @@ def test_pooled_eval_leaves_the_training_tape_as_it_was(monkeypatch):
         assert autodiff._GRAD_ENABLED
         loss = ops.cross_entropy(model(Tensor(x[:2]), training=True), np.array([0, 1]))
     assert len(_reverse_topo(loss)) == 227
+
+
+def test_no_thread_outlives_a_pooled_eval_batch_or_training_step(monkeypatch):
+    # Two eval blocks, then a training step's branch stage and its backward
+    # walks, on two workers: every thread that ran a call has ended by the
+    # time the batch or the step returns.
+    monkeypatch.setattr(model_module, "WORKERS", 2)
+    monkeypatch.setattr(model_module, "TRAIN_MIN_WORK", 0)
+    runs = spy_stage(monkeypatch)
+    cfg = mini_model_config()
+    before = threading.active_count()
+
+    def ended():
+        threads = set().union(*(threads for threads, _ in runs)) - {threading.current_thread()}
+        return len(threads) == len(runs) and not any(t.is_alive() for t in threads)
+
+    with precision("float64"):
+        model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(16)))
+        x = np.random.default_rng(17).standard_normal((32, 1, cfg.channels, cfg.time_steps))
+        model.predict(x)
+        assert len(runs) == 1 and ended() and threading.active_count() == before
+        loss = ops.cross_entropy(model(Tensor(x[:4]), training=True), np.array([0, 1, 0, 1]))
+        loss.backward()
+    assert len(runs) == 3 and ended() and threading.active_count() == before
+
+
+def test_a_thread_that_fails_to_start_leaves_none_running(monkeypatch):
+    # Three calls on three workers; the second thread's start raises. The
+    # first thread's call ends before the error leaves fork_join, and no
+    # call runs on the caller.
+    monkeypatch.setattr(model_module, "WORKERS", 3)
+    start, starts = threading.Thread.start, []
+
+    def failing_start(thread):
+        starts.append(thread)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", failing_start)
+    ended = []
+
+    def call(i):
+        time.sleep(0.05)
+        ended.append(i)
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        fork_join(call, [(0,), (1,), (2,)])
+    assert ended == [1] and not starts[0].is_alive()
+    assert threading.active_count() == before
 
 
 def test_fork_join_keeps_order_and_waits_for_every_call():
@@ -276,38 +333,44 @@ def test_eval_uses_workers_only_while_blas_runs_one_thread(numpy_first, preset, 
     """numpy loaded before csanet with no BLAS variable set keeps OpenBLAS's
     default thread count, and a user's count of 2 is kept: eval then stays
     on the calling thread. With one BLAS thread, a 64-trial batch runs on a
-    worker per core, up to its four blocks of 16."""
+    thread per core, up to its four blocks of 16. Either way only the
+    calling thread is left once the batch returns."""
     code = (
         ("import numpy; " if numpy_first else "")
         + "import os, threading; from csanet import model; import numpy as np; "
         "from csanet.verification import mini_model_config; cfg = mini_model_config(); "
-        "m = model.CsanetModel(cfg, np.random.default_rng(0)); "
+        "m = model.CsanetModel(cfg, np.random.default_rng(0)); ran = set(); forward = m._forward; "
+        "m._forward = lambda *a: ran.add(threading.current_thread()) or forward(*a); "
         "m.predict(np.zeros((64, 1, cfg.channels, cfg.time_steps), np.float32)); "
-        "print(model.WORKERS, len(os.sched_getaffinity(0)), threading.active_count())"
+        "print(model.WORKERS, len(os.sched_getaffinity(0)), len(ran), threading.active_count())"
     )
-    workers, cores, threads = map(int, run_python(code, preset).split())
+    workers, cores, ran, alive = map(int, run_python(code, preset).split())
+    assert alive == 1
     if pooled:
-        assert workers == cores and threads == min(cores, 4)
+        assert workers == cores and ran == min(cores, 4)
     else:
-        assert workers == 1 and threads == 1
+        assert workers == 1 and ran == 1
 
 
-def test_import_leaves_the_pool_module_unloaded():
-    # The pool's module loads at the first pooled batch, not at import (nor
-    # at the eval path's; the CLI's scipy import loads it on its own).
+def test_pooled_eval_loads_no_executor_module():
+    # fork_join starts plain threads: neither the import nor a batch on two
+    # workers loads concurrent.futures (the CLI's scipy import loads it on
+    # its own).
     code = "import sys; import csanet, csanet.checkpoint, csanet.metrics, csanet.train; "
+    code += "from csanet import model; import numpy as np; from csanet.verification import mini_model_config; "
+    code += "model.WORKERS = 2; cfg = mini_model_config(); m = model.CsanetModel(cfg, np.random.default_rng(0)); "
+    code += "m.predict(np.zeros((32, 1, cfg.channels, cfg.time_steps), np.float32)); "
     code += "print('concurrent.futures' in sys.modules)"
     assert run_python(code).strip() == "False"
 
 
-def test_forked_child_builds_its_own_pool():
-    """A child forked after a pooled batch inherits model._pool but none of
-    its threads: fork_join sees the pid change and builds the child's own
-    pool, and the child's pooled eval returns the parent's logits byte for
-    byte. The parent waits with a timeout, so a child stuck on the
-    inherited executor fails the test instead of hanging it."""
+def test_forked_child_runs_pooled_eval():
+    """A child forked after a pooled batch starts its own threads, and its
+    pooled eval, on two threads, returns the parent's logits byte for byte.
+    The parent waits with a timeout, so a child stuck on a thread it never
+    got fails the test instead of hanging it."""
     code = """
-import os, time
+import os, threading, time
 from csanet import model
 import numpy as np
 from csanet.verification import mini_model_config
@@ -316,13 +379,16 @@ model.WORKERS = 2
 cfg = mini_model_config()
 m = model.CsanetModel(cfg, np.random.default_rng(0))
 x = np.random.default_rng(1).standard_normal((32, 1, cfg.channels, cfg.time_steps)).astype(np.float32)
+ran, forward = set(), m._forward
+m._forward = lambda *a: ran.add(threading.current_thread()) or forward(*a)
 want = m(x, training=False).data
-print(model._pool[0] == os.getpid())
+print(len(ran))
 pid = os.fork()
 if pid == 0:
     try:
+        ran.clear()
         same = m(x, training=False).data.tobytes() == want.tobytes()
-        os._exit(0 if same and model._pool[0] == os.getpid() else 3)
+        os._exit(0 if same and len(ran) == 2 else 3)
     except BaseException:
         os._exit(4)
 deadline = time.monotonic() + 20
@@ -335,4 +401,4 @@ if not done:
     os.waitpid(pid, 0)
 print(os.waitstatus_to_exitcode(status) if done else "timed out")
 """
-    assert run_python(code).split() == ["True", "0"]  # a pooled parent; the child's exit code
+    assert run_python(code).split() == ["2", "0"]  # the parent's threads that ran blocks; the child's exit code

@@ -1,5 +1,5 @@
 """Model assembly: shape propagation, fusion modes, TCN, parameter counts,
-and the training branch stage on the worker pool."""
+and the training branch stage on threads."""
 
 import dataclasses
 import sys
@@ -313,14 +313,16 @@ def dropout_mini():
 
 
 def spy_stage(monkeypatch):
-    """Record each fork_join of the model as (threads that ran calls, calls)."""
+    """Record each fork_join of the model as (threads that ran calls, calls);
+    a thread is its Thread object, which no later thread reuses as it may
+    an ended thread's ident."""
     runs = []
 
     def spy(fn, calls):
         threads = set()
 
         def call(*args):
-            threads.add(threading.get_ident())
+            threads.add(threading.current_thread())
             return fn(*args)
 
         runs.append((threads, len(calls)))
@@ -360,7 +362,7 @@ def assert_bytewise(got, want):
 
 
 class TestBranchStage:
-    """The four branch forwards and their backward walks on the pool
+    """The four branch forwards and their backward walks on threads
     (CsanetModel._branch_stage): the bits of one worker, every error on the
     caller, and no tape where none is asked for."""
 
@@ -383,17 +385,20 @@ class TestBranchStage:
         runs = spy_stage(monkeypatch)
         assert_bytewise(train_step(cfg, dtype, B), serial)
         # A pooled stage is one fork_join of the four forwards and one of
-        # the four backward walks; under the floor no thread is asked for.
-        assert [n for _, n in runs] == ([4, 4] if pooled else [])
+        # the four backward walks, each on two threads; under the floor no
+        # thread is asked for.
+        assert [(len(threads), n) for threads, n in runs] == ([(2, 4), (2, 4)] if pooled else [])
 
     def test_more_workers_than_cores_under_fast_thread_switching(self, monkeypatch):
         # The stage on four workers, the interpreter switching threads every
         # microsecond: a lost or doubled gradient update would change bytes.
+        # Each forward stage and backward walk runs on four threads.
         monkeypatch.setattr(model_module, "TRAIN_MIN_WORK", 0)
         cfg = dropout_mini()
         monkeypatch.setattr(model_module, "WORKERS", 1)
         serial = train_step(cfg, "float64", 4)
         monkeypatch.setattr(model_module, "WORKERS", 4)
+        runs = spy_stage(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -401,6 +406,7 @@ class TestBranchStage:
                 assert_bytewise(train_step(cfg, "float64", 4), serial)
         finally:
             sys.setswitchinterval(interval)
+        assert [(len(threads), n) for threads, n in runs] == [(4, 4)] * 8
 
     def test_unequal_calls_come_back_in_call_order(self, monkeypatch):
         monkeypatch.setattr(model_module, "WORKERS", 2)
@@ -439,7 +445,7 @@ class TestBranchStage:
         with pytest.raises(KeyError):
             train_step(cfg, "float64", 4)
         monkeypatch.setattr(Branch, "__call__", call)
-        got = train_step(cfg, "float64", 4)  # the pool still works
+        got = train_step(cfg, "float64", 4)  # a later stage still runs
         monkeypatch.setattr(model_module, "WORKERS", 1)
         assert_bytewise(got, train_step(cfg, "float64", 4))
 
@@ -452,7 +458,7 @@ class TestBranchStage:
         x = Tensor(np.random.default_rng(3).standard_normal((6, 1, 22, 1000)).astype(np.float32))
         with no_grad():
             out = model(x, training=True, rng=np.random.default_rng(4))
-        assert [n for _, n in runs] == [4]  # the forwards ran on the pool
+        assert [n for _, n in runs] == [4]  # the forwards ran on threads
         assert not out.requires_grad and out._backward is None and out._prev == ()
 
     def test_a_second_walk_still_raises(self, monkeypatch):
