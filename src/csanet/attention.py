@@ -1,20 +1,24 @@
 """Multiscale sparse cross-attention fusion.
 
 Feature maps (B, U, T0) are attended over their T0 time steps with
-U-dimensional token embeddings. Keys/values come from a multiscale
-average-pooled view of the source features: the sum of the stride-1 pools
-at every kernel size is one linear map along time, run as one matmul with
-a (T0, T0) band matrix. Attention rows can be sparsified by keeping only
-the top-scoring entries at two sparsity levels whose outputs are mixed by
-two learnable scalars, in one tape node (topk_mix). Each top-k mask comes
-from one sort; it is treated as constant by the backward pass.
+U-dimensional token embeddings. Each attention is one tape node,
+msca_forward: a raw-array kernel, _msca, whose hand-written backward makes
+the products of the Tensor composition it replaced (tests/oracles.py) in
+that composition's order, so values and gradients keep its bits. Keys and
+values come from a multiscale average-pooled view of the source features,
+one matmul with a cached (T0, T0) band matrix. Attention rows can be
+sparsified by keeping only the top-scoring entries at two sparsity levels
+whose outputs are mixed by two learnable scalars. Each top-k mask comes
+from one sort, through the module global topk_mask looked up at each call
+(a gradient check may rebind it to record the masks); the backward treats
+it as constant.
 """
 
+import functools
 import math
 
 import numpy as np
 
-from . import ops
 from .autodiff import Tensor, _accumulate, _make, default_dtype, unbroadcast
 from .config import AttentionConfig
 from .errors import ConfigurationError, DimensionError
@@ -49,20 +53,20 @@ def topk_mask(scores: np.ndarray, keep: int) -> np.ndarray:
     return above | (tied & (np.cumsum(tied, axis=-1) <= room))
 
 
-def _topk_softmaxes(s, keeps):
-    """(masks, rows): each keep count's topk_mask of s and the softmax of
-    s's trailing-axis rows restricted to it, from one shared row max and
-    exp. A NaN score makes its whole row NaN."""
-    masks = [topk_mask(s, keep) for keep in keeps]
+def _masked_softmaxes(s, masks):
+    """The softmax of s's trailing-axis rows restricted to each mask (None:
+    the whole row), from one shared row max and exp. A NaN score makes its
+    whole row NaN."""
     e = np.exp(s - s.max(axis=-1, keepdims=True))
-    kept = [e * mask for mask in masks]
-    return masks, [k / k.sum(axis=-1, keepdims=True) for k in kept]
+    kept = [e if mask is None else e * mask for mask in masks]
+    return [k / k.sum(axis=-1, keepdims=True) for k in kept]
 
 
 def _masked_softmax_grad(g, p, mask):
     """Score gradient of one masked softmax p from dL/dp; 0 off the mask."""
     dot = (g * p).sum(axis=-1, keepdims=True)
-    return np.where(mask, p * (g - dot), np.zeros((), dtype=p.dtype))
+    grad = p * (g - dot)
+    return grad if mask is None else np.where(mask, grad, np.zeros((), dtype=p.dtype))
 
 
 def topk_softmax(scores: Tensor, keep: int) -> Tensor:
@@ -71,29 +75,22 @@ def topk_softmax(scores: Tensor, keep: int) -> Tensor:
     Discarded positions become exactly 0; kept positions renormalize to
     sum 1. Gradients flow only through the kept entries.
     """
-    (mask,), (out,) = _topk_softmaxes(scores.data, (keep,))
+    mask = topk_mask(scores.data, keep)
+    (out,) = _masked_softmaxes(scores.data, [mask])
     return _make(out, (scores,), lambda g: _accumulate(scores, _masked_softmax_grad(g, out, mask)))
 
 
-def topk_mix(scores: Tensor, v: Tensor, alpha: Tensor, beta: Tensor, keeps) -> Tensor:
-    """alpha * (topk_softmax(scores, keeps[0]) @ v) + beta * (topk_softmax(scores,
-    keeps[1]) @ v) as one tape node whose two paths share one exp. The backward
-    makes the composition's products, so values and gradients keep its bits."""
-    masks, probs = _topk_softmaxes(scores.data, keeps)
-    paths = [p @ v.data for p in probs]
-    out = alpha.data * paths[0] + beta.data * paths[1]
-
-    def backward(g):
-        for coef, mask, p, path in zip((alpha, beta), masks, probs, paths):
-            if coef.requires_grad:
-                _accumulate(coef, unbroadcast(g * path, coef.data.shape))
-            gpath = g * coef.data
-            if v.requires_grad:
-                _accumulate(v, np.swapaxes(p, -1, -2) @ gpath)
-            if scores.requires_grad:
-                _accumulate(scores, _masked_softmax_grad(gpath @ np.swapaxes(v.data, -1, -2), p, mask))
-
-    return _make(out, (scores, v, alpha, beta), backward)
+@functools.lru_cache(maxsize=None)
+def band_matrix(t0: int, kernels: tuple, dtype) -> np.ndarray:
+    """multiscale_pool's (T0, T0) matrix, summed in float64 and cast to
+    dtype; built once per argument tuple and read-only."""
+    lag = np.abs(np.subtract.outer(np.arange(t0), np.arange(t0)))
+    band = np.zeros((t0, t0))
+    for k in kernels:
+        band += (lag <= (k - 1) // 2) / k
+    band = band.astype(dtype)
+    band.flags.writeable = False
+    return band
 
 
 def multiscale_pool(y: Tensor, cfg: AttentionConfig) -> Tensor:
@@ -106,12 +103,7 @@ def multiscale_pool(y: Tensor, cfg: AttentionConfig) -> Tensor:
     is the sum of inputs s with |s - t| <= p over k, so the sum of the
     pools is y @ M with M[s, t] = sum_i [|s - t| <= p_i] / k_i.
     """
-    t0 = y.shape[-1]
-    lag = np.abs(np.subtract.outer(np.arange(t0), np.arange(t0)))
-    band = np.zeros((t0, t0))
-    for k, p in zip(cfg.pool_kernels, cfg.pool_pads):
-        band += (lag <= p) / k
-    return y @ band.astype(y.dtype)
+    return y @ band_matrix(y.shape[-1], tuple(cfg.pool_kernels), y.dtype)
 
 
 class AttentionParams(Layer):
@@ -126,44 +118,86 @@ class AttentionParams(Layer):
         self.beta = Parameter(np.ones((), dtype=default_dtype()))
 
 
-def msca_forward(x: Tensor, y: Tensor, params: AttentionParams, cfg: AttentionConfig) -> Tensor:
-    """Multi-head attention of x's queries over (pooled) y's keys/values.
+def _heads(tokens, w, split):
+    """tokens (B, T0, U) @ w, split into heads: (B, heads, T0, U / heads)."""
+    return (tokens @ w).reshape(split).transpose(0, 2, 1, 3)
 
-    x, y: (B, U, T0), U divisible by cfg.heads. Steps: optionally pool y at
-    multiple scales; project to Q/K/V (bias-free); split into heads of
-    width U/heads; scale scores by 1/sqrt(head width); either mix two
-    top-k-sparsified softmax paths by the learnable scalars (topk_mix, in
-    both modes), or use the dense softmax; concatenate heads; x's shape.
+
+def _heads_grad(g, tokens, w):
+    """_heads' backward from its output's gradient g: adds w's gradient to
+    w and returns the tokens'."""
+    g = g.transpose(0, 2, 1, 3).reshape(tokens.shape)
+    if w.requires_grad:
+        _accumulate(w, unbroadcast(np.swapaxes(tokens, -1, -2) @ g, w.data.shape))
+    return g @ np.swapaxes(w.data, -1, -2)
+
+
+def _msca(x, y, w_q, w_k, w_v, coefs, band, keeps, split):
+    """msca_forward on raw arrays: (output, the arrays its backward reads).
+    coefs holds (alpha, beta) and keeps the two keep counts, or both are
+    empty for the dense softmax, one path with every entry kept; band is
+    None without the pool; split is (B, T0, heads, head width)."""
+    xt, yt = x.transpose(0, 2, 1), (y if band is None else y @ band).transpose(0, 2, 1)
+    q, k, v = _heads(xt, w_q, split), _heads(yt, w_k, split), _heads(yt, w_v, split)
+    kt = k.transpose(0, 1, 3, 2)
+    qk = q @ kt
+    scale = np.asarray(1.0 / math.sqrt(split[-1]), dtype=qk.dtype)
+    scores = qk * scale
+    masks = [topk_mask(scores, keep) for keep in keeps] or [None]
+    probs = _masked_softmaxes(scores, masks)
+    paths = [p @ v for p in probs]
+    mixed = coefs[0] * paths[0] + coefs[1] * paths[1] if coefs else paths[0]
+    out = mixed.transpose(0, 2, 1, 3).reshape(xt.shape).transpose(0, 2, 1)
+    return out, (xt, yt, q, kt, v, scale, masks, probs, paths)
+
+
+def msca_forward(x: Tensor, y: Tensor, params: AttentionParams, cfg: AttentionConfig) -> Tensor:
+    """Multi-head attention of x's queries over (pooled) y's keys/values,
+    as one tape node.
+
+    x, y: (B, U, T0), U divisible by cfg.heads; x may be y (self-attention).
+    Steps: optionally pool y at multiple scales; project to Q/K/V
+    (bias-free); split into heads of width U/heads; scale scores by
+    1/sqrt(head width); either mix two top-k-sparsified softmax paths by
+    the learnable scalars alpha and beta, or use the dense softmax, which
+    leaves alpha and beta off the tape; concatenate heads; x's shape.
     """
     if x.shape != y.shape:
         raise DimensionError(f"query source {x.shape} and key/value source {y.shape} differ")
     b, u, t0 = x.shape
     if u % cfg.heads:
         raise ConfigurationError(f"feature width {u} not divisible by heads {cfg.heads}")
-    dk = u // cfg.heads
+    band = band_matrix(t0, tuple(cfg.pool_kernels), y.dtype) if cfg.multiscale_pool_enabled else None
+    keeps = [keep_count(k, t0) for k in cfg.keep_denominators] if cfg.topk_enabled else []
+    w_q, w_k, w_v = params.w_q, params.w_k, params.w_v
+    coefs = (params.alpha, params.beta) if keeps else ()
+    split = (b, t0, cfg.heads, u // cfg.heads)
+    out, (xt, yt, q, kt, v, scale, masks, probs, paths) = _msca(
+        x.data, y.data, w_q.data, w_k.data, w_v.data, [c.data for c in coefs], band, keeps, split
+    )
 
-    if cfg.multiscale_pool_enabled:
-        y = multiscale_pool(y, cfg)
+    def backward(g):
+        # The composition's backward, step by step: head merge, the mix a
+        # path at a time, scale, scores, the three projections, the pool;
+        # x's gradient is added before y's, as the composition's walk did.
+        g = g.transpose(0, 2, 1).reshape(split).transpose(0, 2, 1, 3)
+        gs, gv = [], []
+        for coef, mask, p, path in zip(coefs or (None,), masks, probs, paths):
+            if coef is not None and coef.requires_grad:
+                _accumulate(coef, unbroadcast(g * path, coef.data.shape))
+            gpath = g if coef is None else g * coef.data
+            gv.append(np.swapaxes(p, -1, -2) @ gpath)
+            gs.append(_masked_softmax_grad(gpath @ np.swapaxes(v, -1, -2), p, mask))
+        gqk = functools.reduce(np.add, gs) * scale
+        gx = _heads_grad(gqk @ np.swapaxes(kt, -1, -2), xt, w_q)
+        gy = _heads_grad((np.swapaxes(q, -1, -2) @ gqk).transpose(0, 1, 3, 2), yt, w_k)
+        gy = (gy + _heads_grad(functools.reduce(np.add, gv), yt, w_v)).transpose(0, 2, 1)
+        if x.requires_grad:
+            _accumulate(x, gx.transpose(0, 2, 1))
+        if y.requires_grad:
+            _accumulate(y, gy if band is None else gy @ np.swapaxes(band, -1, -2))
 
-    def to_heads(tokens, w):
-        proj = tokens @ w  # (B, T0, U) x (U, U)
-        return proj.reshape((b, t0, cfg.heads, dk)).transpose(0, 2, 1, 3)
-
-    xt = x.transpose(0, 2, 1)
-    yt = y.transpose(0, 2, 1)
-    q = to_heads(xt, params.w_q)
-    k = to_heads(yt, params.w_k)
-    v = to_heads(yt, params.w_v)
-
-    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dk))
-    if cfg.topk_enabled:
-        keeps = [keep_count(k, t0) for k in cfg.keep_denominators]
-        heads_out = topk_mix(scores, v, params.alpha, params.beta, keeps)
-    else:
-        heads_out = ops.softmax(scores, axis=-1) @ v
-
-    merged = heads_out.transpose(0, 2, 1, 3).reshape((b, t0, u))
-    return merged.transpose(0, 2, 1)
+    return _make(out, (x, y, w_q, w_k, w_v) + coefs, backward)
 
 
 def residual_fuse(z: Tensor, mha_out: Tensor) -> Tensor:

@@ -6,7 +6,9 @@ spatial-first, then a pooled spatial-refinement conv; each of the two
 stages ends in batch norm -> ELU -> pool -> dropout, and the first stage
 with its tail is one op). Branch outputs are fused by attention (the first
 branch attends to itself densely; the others run sparse
-cross-attention), passed through the branches' temporal convolutional
+cross-attention; each is one op, attention.msca_forward, one tape node
+in training and its raw-array kernel alone in eval, followed by the
+residual add), passed through the branches' temporal convolutional
 networks as one pass over the fused maps stacked into one (B, 4U, T0) map
 (tcn_block: a grouped causal conv, a group per branch, written time-major,
 (B, T0, 4U) in memory, so each branch's batch-norm sums keep the bits of a

@@ -4,10 +4,11 @@ Every scope builds small float64 inputs, a deterministic scalar-valued
 closure, and runs the finite-difference comparison. The "model-mini"
 scope checks every parameter group of a miniature end-to-end model. The
 scopes cover the ops a model path runs, and one that none runs:
-topk_softmax, which msca_forward replaced by attention.topk_mix (checked
-by the msca scope) and which stays because perfbench/trace.py binds it by
-name. The retired ops (conv2d, batch_norm, elu, avg_pool2d) are checked
-by tests/test_gradients.py.
+topk_softmax, whose rows msca_forward's one op computes itself (the msca
+scope checks that op on its top-k, dense and self-attention paths) and
+which stays because perfbench/trace.py binds it by name. The retired ops
+(conv2d, batch_norm, elu, avg_pool2d) are checked by
+tests/test_gradients.py.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from . import ops
 from .attention import AttentionParams, msca_forward, multiscale_pool, topk_softmax
 from .autodiff import Tensor, precision
 from .config import AttentionConfig, ModelConfig, TcnConfig
-from .gradcheck import grad_check
+from .gradcheck import GradCheckReport, grad_check
 from .model import CsanetModel, TcnBlock, tcn_block
 
 
@@ -88,17 +89,29 @@ def _check_multiscale_pool():
 
 
 def _check_msca():
+    """msca_forward with the pool: top-k cross-attention, dense
+    cross-attention and dense x-is-y self-attention (branch 1's case), one
+    report whose labels name the case and the input."""
     rng = _rng(11)
-    cfg = AttentionConfig(heads=2)
     with precision("float64"):
         params = AttentionParams(4, _rng(12))
-    x = Tensor(rng.standard_normal((2, 4, 6)))
-    y = Tensor(rng.standard_normal((2, 4, 6)))
-    inputs = [x, y, params.w_q, params.w_k, params.w_v, params.alpha, params.beta]
-    return grad_check(
-        lambda *_: _proj_loss(msca_forward(x, y, params, cfg), _rng(109)),
-        inputs,
-    )
+    x, y = (Tensor(rng.standard_normal((2, 4, 6))) for _ in range(2))
+    tensors = dict(x=x, y=y, **{name: getattr(params, name) for name in ("w_q", "w_k", "w_v", "alpha", "beta")})
+    dense = AttentionConfig(heads=2, topk_enabled=False)
+    cases = [
+        ("topk", AttentionConfig(heads=2), y, "x y w_q w_k w_v alpha beta"),
+        ("dense", dense, y, "x y w_q w_k w_v"),
+        ("self", dense, x, "x w_q w_k w_v"),
+    ]
+    report = GradCheckReport([], 0.0, [])
+    for case, cfg, source, names in cases:
+        inputs = [tensors[name] for name in names.split()]
+        part = grad_check(lambda *_: _proj_loss(msca_forward(x, source, params, cfg), _rng(109)), inputs)
+        report.structurally_zero += [len(report.per_input) + i for i in part.structurally_zero]
+        report.per_input += part.per_input
+        report.labels += [f"{case}.{name}" for name in names.split()]
+        report.max_rel_error = max(report.max_rel_error, part.max_rel_error)
+    return report
 
 
 def _check_tcn():

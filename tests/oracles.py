@@ -25,7 +25,10 @@ Tensor.backward as it was before its walk released the tape;
 oracle_topk_mask and oracle_topk_softmax, the stable-argsort top-k mask
 and the masked_fill -> softmax path that csanet.attention ran twice per
 auxiliary branch before one sort set each mask and topk_mix fused both
-paths; oracle_branch_call, a branch whose spatial-refinement conv runs through
+paths; oracle_msca_forward, attention.msca_forward as the Tensor
+composition it was before it became one op, with oracle_topk_mix, that
+fused two-path node, and oracle_band, the band matrix built on each call;
+oracle_branch_call, a branch whose spatial-refinement conv runs through
 oracle_conv2d as it did before conv1d_dilated took it over, and whose
 eval mode runs the stem and tail compositions as the model did before its
 eval mode moved onto ops.stem_elu_pool and ops.elu_pool; and
@@ -39,7 +42,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from csanet import ops
-from csanet.autodiff import Tensor, _accumulate, _make, _reverse_topo, _wrap, _zero_pad, concat, narrow, pad
+from csanet.attention import _masked_softmax_grad, _masked_softmaxes, keep_count, topk_mask
+from csanet.autodiff import Tensor, _accumulate, _make, _reverse_topo, _wrap, _zero_pad, concat, narrow, pad, unbroadcast
 from csanet.errors import ConfigurationError, DimensionError, NumericalError
 from csanet.gradcheck import ZERO_ANALYTIC, ZERO_NUMERIC, GradCheckReport
 
@@ -206,6 +210,74 @@ def oracle_topk_softmax(scores, keep):
     entries, as the two tape nodes ops.masked_fill -> ops.softmax."""
     masked = ops.masked_fill(scores, oracle_topk_mask(scores.data, keep), -np.inf)
     return ops.softmax(masked, axis=-1)
+
+
+def oracle_band(t0, kernels, pads, dtype):
+    """multiscale_pool's (T0, T0) band matrix as it was built on each call
+    before attention.band_matrix cached it."""
+    lag = np.abs(np.subtract.outer(np.arange(t0), np.arange(t0)))
+    band = np.zeros((t0, t0))
+    for k, p in zip(kernels, pads):
+        band += (lag <= p) / k
+    return band.astype(dtype)
+
+
+def oracle_topk_mix(scores, v, alpha, beta, keeps):
+    """alpha * (topk_softmax(scores, keeps[0]) @ v) + beta * (topk_softmax(scores,
+    keeps[1]) @ v) as the one tape node whose two paths share one exp, the
+    step of oracle_msca_forward that attention.msca_forward folded in."""
+    masks = [topk_mask(scores.data, keep) for keep in keeps]
+    probs = _masked_softmaxes(scores.data, masks)
+    paths = [p @ v.data for p in probs]
+    out = alpha.data * paths[0] + beta.data * paths[1]
+
+    def backward(g):
+        for coef, mask, p, path in zip((alpha, beta), masks, probs, paths):
+            if coef.requires_grad:
+                _accumulate(coef, unbroadcast(g * path, coef.data.shape))
+            gpath = g * coef.data
+            if v.requires_grad:
+                _accumulate(v, np.swapaxes(p, -1, -2) @ gpath)
+            if scores.requires_grad:
+                _accumulate(scores, _masked_softmax_grad(gpath @ np.swapaxes(v.data, -1, -2), p, mask))
+
+    return _make(out, (scores, v, alpha, beta), backward)
+
+
+def oracle_msca_forward(x, y, params, cfg):
+    """attention.msca_forward as the Tensor composition it was, about
+    twenty tape nodes a call: the band-matrix pool (a fresh oracle_band
+    each call), the projections, head split, scaled scores, oracle_topk_mix
+    or ops.softmax -> matmul, and the head merge."""
+    if x.shape != y.shape:
+        raise DimensionError(f"query source {x.shape} and key/value source {y.shape} differ")
+    b, u, t0 = x.shape
+    if u % cfg.heads:
+        raise ConfigurationError(f"feature width {u} not divisible by heads {cfg.heads}")
+    dk = u // cfg.heads
+
+    if cfg.multiscale_pool_enabled:
+        y = y @ oracle_band(t0, cfg.pool_kernels, cfg.pool_pads, y.dtype)
+
+    def to_heads(tokens, w):
+        proj = tokens @ w  # (B, T0, U) x (U, U)
+        return proj.reshape((b, t0, cfg.heads, dk)).transpose(0, 2, 1, 3)
+
+    xt = x.transpose(0, 2, 1)
+    yt = y.transpose(0, 2, 1)
+    q = to_heads(xt, params.w_q)
+    k = to_heads(yt, params.w_k)
+    v = to_heads(yt, params.w_v)
+
+    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dk))
+    if cfg.topk_enabled:
+        keeps = [keep_count(k, t0) for k in cfg.keep_denominators]
+        heads_out = oracle_topk_mix(scores, v, params.alpha, params.beta, keeps)
+    else:
+        heads_out = ops.softmax(scores, axis=-1) @ v
+
+    merged = heads_out.transpose(0, 2, 1, 3).reshape((b, t0, u))
+    return merged.transpose(0, 2, 1)
 
 
 def _pair(v):

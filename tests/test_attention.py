@@ -9,22 +9,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from csanet import model as model_module
 from csanet import ops
 from csanet.attention import (
     AttentionParams,
+    band_matrix,
     keep_count,
     msca_forward,
     multiscale_pool,
     residual_fuse,
     topk_mask,
-    topk_mix,
     topk_softmax,
 )
-from csanet.autodiff import Tensor, precision
+from csanet.autodiff import Tensor, _reverse_topo, concat, no_grad, precision
 from csanet.config import AttentionConfig
 from csanet.errors import ConfigurationError, DimensionError
+from csanet.model import CsanetModel
+from csanet.verification import mini_model_config
 
-from oracles import naive_multihead_attention, oracle_topk_mask, oracle_topk_softmax
+from oracles import (
+    naive_multihead_attention,
+    oracle_band,
+    oracle_msca_forward,
+    oracle_topk_mask,
+    oracle_topk_mix,
+    oracle_topk_softmax,
+)
 
 
 def make_params(width, seed=0):
@@ -106,17 +116,22 @@ def run_with_grads(fn, arrays, g):
 
 
 def assert_bytes_equal(got, want, case):
+    """Each pair of arrays equal in dtype, shape and bytes, or both None."""
+    assert len(got) == len(want), case
     for i, (a, b) in enumerate(zip(got, want)):
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (case, i)
+        assert (a is None) == (b is None), (case, i)
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (case, i)
 
 
 KERNEL_SHAPES = [(64, 8, 17, 17), (1, 8, 17, 17), (3, 4, 7)]
 
 
 class TestTopkKernels:
-    """The one-sort mask and the fused two-path op against the rules they
-    replaced: the stable-argsort mask and the masked_fill -> softmax ->
-    matmul -> alpha/beta composition."""
+    """The one-sort mask and the fused two-path node (msca_forward's mix,
+    whose oracle is oracle_topk_mix) against the rules they replaced: the
+    stable-argsort mask and the masked_fill -> softmax -> matmul ->
+    alpha/beta composition."""
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: "x".join(map(str, s)))
@@ -157,7 +172,7 @@ class TestTopkKernels:
 
         for name, scores in score_cases(shape, dtype, seed=4):
             args = [scores, v, alpha, beta]
-            got = run_with_grads(lambda s, v_, a, b: topk_mix(s, v_, a, b, keeps), args, g)
+            got = run_with_grads(lambda s, v_, a, b: oracle_topk_mix(s, v_, a, b, keeps), args, g)
             want = run_with_grads(composition, args, g)
             assert_bytes_equal(got, want, name)
 
@@ -166,7 +181,7 @@ class TestTopkKernels:
         scores[1, 2, 4] = np.nan
         v = Tensor(np.ones((2, 7, 2)))
         one = Tensor(np.ones(()))
-        for out in (topk_softmax(Tensor(scores), 3).data, topk_mix(Tensor(scores), v, one, one, (4, 3)).data):
+        for out in (topk_softmax(Tensor(scores), 3).data, oracle_topk_mix(Tensor(scores), v, one, one, (4, 3)).data):
             assert np.isnan(out[1, 2]).all()
             out[1, 2] = 0.0
             assert np.isfinite(out).all()
@@ -224,6 +239,29 @@ class TestMultiscalePool:
                         case = f"{dtype} kernels={kernels} T0={t0} {what}"
                         assert a.dtype == b.dtype == np.dtype(dtype), case
                         assert float(np.abs(a - b).max()) <= tol * float(np.abs(b).max()), case
+
+    def test_band_is_built_once_read_only_and_is_the_per_call_band(self):
+        for dtype in (np.float32, np.float64):
+            band = band_matrix(17, (3, 5, 7), np.dtype(dtype))
+            assert band is band_matrix(17, (3, 5, 7), np.dtype(dtype))
+            assert not band.flags.writeable
+            with pytest.raises(ValueError):
+                band[0, 0] = 0.0
+            want = oracle_band(17, (3, 5, 7), (1, 2, 3), dtype)
+            assert band.dtype == want.dtype and band.tobytes() == want.tobytes()
+
+    def test_pool_is_bytewise_the_per_call_band_matmul(self):
+        """multiscale_pool on the cached band against y @ a band built for
+        the call, as it ran before the cache, in output and input gradient."""
+        for dtype in ("float32", "float64"):
+            for kernels in ((1,), (3, 5, 7), (7,)):
+                cfg = AttentionConfig(heads=2, pool_kernels=kernels)
+                for t0 in (1, 4, 17):
+                    rng = np.random.Generator(np.random.PCG64(t0))
+                    y, g = (rng.standard_normal((2, 4, t0)).astype(dtype) for _ in range(2))
+                    got = run_with_grads(lambda t: multiscale_pool(t, cfg), [y], g)
+                    want = run_with_grads(lambda t: t @ oracle_band(t0, kernels, cfg.pool_pads, dtype), [y], g)
+                    assert_bytes_equal(got, want, (dtype, kernels, t0))
 
     def test_bad_padding_is_config_error(self):
         # No pad keeps the token count at an even kernel, so the config refuses one.
@@ -298,6 +336,81 @@ class TestMscaForward:
         x = Tensor(np.zeros((1, 6, 4)))
         with pytest.raises(ConfigurationError):
             msca_forward(x, x, params, cfg)
+
+
+def msca_with_grads(fn, x, y, cfg, g, seed, self_attention=False):
+    """fn(x, y, params, cfg)'s output and the gradients of x, y, w_q, w_k,
+    w_v, alpha and beta (None where none reached it) from the upstream
+    gradient g; y is x itself under self_attention, and its gradient then
+    reads None."""
+    with precision(x.dtype.name):
+        params = make_params(x.shape[1], seed)
+        xt = Tensor(x.copy(), requires_grad=True)
+        yt = xt if self_attention else Tensor(y.copy(), requires_grad=True)
+        out = fn(xt, yt, params, cfg)
+        out.backward(g)
+    grads = [xt.grad, None if self_attention else yt.grad]
+    return [out.data] + grads + [getattr(params, name).grad for name in ("w_q", "w_k", "w_v", "alpha", "beta")]
+
+
+class TestMscaOp:
+    """msca_forward, one op, against the Tensor composition it replaced
+    (oracles.oracle_msca_forward): output and every input's gradient, byte
+    for byte."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("topk", [True, False], ids=["topk", "dense"])
+    @pytest.mark.parametrize("pool", [True, False], ids=["pool", "nopool"])
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_op_is_bytewise_the_composition(self, dtype, topk, pool, heads):
+        cfg = AttentionConfig(heads=heads, topk_enabled=topk, multiscale_pool_enabled=pool)
+        rng = np.random.Generator(np.random.PCG64(heads))
+        x, y, g = (rng.standard_normal((3, 8, 17)).astype(dtype) for _ in range(3))
+        for self_attention in (False, True):
+            got, want = (msca_with_grads(fn, x, y, cfg, g, 5, self_attention) for fn in (msca_forward, oracle_msca_forward))
+            assert_bytes_equal(got, want, self_attention)
+            assert (got[-1] is None) == (not topk)  # alpha and beta stay off a dense tape
+
+    def test_op_is_one_tape_node(self, f64, rng):
+        params = make_params(8, seed=6)
+        x = Tensor(rng.standard_normal((2, 8, 17)), requires_grad=True)
+        for cfg in (AttentionConfig(heads=2), AttentionConfig(heads=2, topk_enabled=False)):
+            out = msca_forward(x, x, params, cfg)
+            nodes = [node for node in _reverse_topo(out) if node._backward is not None]
+            assert nodes == [out]
+            leaves = {id(p) for p in out._prev}
+            assert (id(params.alpha) in leaves) == cfg.topk_enabled
+
+    def test_no_grad_builds_no_node(self, f64, rng):
+        params = make_params(8, seed=7)
+        x = Tensor(rng.standard_normal((2, 8, 17)), requires_grad=True)
+        with no_grad():
+            out = msca_forward(x, x, params, AttentionConfig(heads=2))
+        assert out._backward is None and not out.requires_grad
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("mode", ["main_auxiliary", "hierarchical"])
+    def test_fusion_is_bytewise_the_composition(self, monkeypatch, dtype, mode):
+        """The model's whole fusion (branch 1's dense self-attention, the
+        three cross-attentions, main_auxiliary or the hierarchical chain, and
+        the residuals) with msca_forward and with the composition: every
+        fused map and every input and parameter gradient."""
+        cfg = dataclasses.replace(mini_model_config(), fusion_mode=mode)
+        rng = np.random.Generator(np.random.PCG64(8))
+        zs = [rng.standard_normal((3, cfg.spa_filters, cfg.t0)).astype(dtype) for _ in range(4)]
+        g = rng.standard_normal((3, 4 * cfg.spa_filters, cfg.t0)).astype(dtype)
+
+        got, want = [], []
+        for fn, into in ((msca_forward, got), (oracle_msca_forward, want)):
+            monkeypatch.setattr(model_module, "msca_forward", fn)
+            with precision(dtype):
+                model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(9)))
+                inputs = [Tensor(z.copy(), requires_grad=True) for z in zs]
+                fused = concat(model.fuse_branches(inputs), axis=1)
+                fused.backward(g)
+            into += [fused.data] + [t.grad for t in inputs] + [p.grad for p in model.parameters()]
+        assert_bytes_equal(got, want, mode)
+        assert model.branch1.attention.alpha.grad is None and model.branch1.attention.beta.grad is None
 
 
 class TestResidualFuse:

@@ -238,7 +238,7 @@ def test_pooled_eval_leaves_the_training_tape_as_it_was(monkeypatch):
         model.predict(x)
         assert autodiff._GRAD_ENABLED
         loss = ops.cross_entropy(model(Tensor(x[:2]), training=True), np.array([0, 1]))
-    assert len(_reverse_topo(loss)) == 227
+    assert len(_reverse_topo(loss)) == 146
 
 
 def test_no_thread_outlives_a_pooled_eval_batch_or_training_step(monkeypatch):

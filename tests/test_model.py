@@ -269,13 +269,31 @@ class TestTape:
         # stage, one tail per stage and one residual add replace four of each
         # (4 x 5 -> 5 nodes per depth, 2 depths: 30 fewer), and one concat of
         # the fused maps with one readout's narrow and reshape replaces four
-        # readouts and their concat (9 -> 3: 6 fewer).
+        # readouts and their concat (9 -> 3: 6 fewer). It was 227 until each
+        # attention became one msca_forward node: 20 op nodes for branch 1's
+        # dense self-attention and 19 per auxiliary branch become 1 each (73
+        # fewer), and with them the constant leaves of each call's band
+        # matrix and score scale (8).
         cfg = mini_model_config()
         with precision("float64"):
             model = make_model(cfg, seed=14)
             x = Tensor(np.random.default_rng(15).standard_normal((2, 1, cfg.channels, cfg.time_steps)))
             loss = ops.cross_entropy(model(x, training=True), np.array([0, 1]))
-        assert len(_reverse_topo(loss)) == 227
+        assert len(_reverse_topo(loss)) == 146
+
+    def test_default_training_tape_op_node_count_is_pinned(self, monkeypatch):
+        # 33 op nodes outside fusion, then per branch one msca_forward node
+        # and one residual add. Fusion made 81 of the 114 while it was a
+        # composition of Tensor ops. Branch 1's dense self-attention never
+        # reads its alpha and beta, so they stay off the tape, with no grad.
+        monkeypatch.setattr(model_module, "WORKERS", 1)
+        model = make_model(ModelConfig(), seed=0)
+        x = Tensor(np.random.default_rng(1).standard_normal((4, 1, 22, 1000)).astype(np.float32))
+        loss = ops.cross_entropy(model(x, training=True, rng=np.random.default_rng(2)), np.array([0, 1, 2, 3]))
+        assert sum(node._backward is not None for node in _reverse_topo(loss)) == 41
+        loss.backward()
+        assert model.branch1.attention.alpha.grad is None and model.branch1.attention.beta.grad is None
+        assert all(b.attention.alpha.grad is not None and b.attention.beta.grad is not None for b in model.branches[1:])
 
 
 # Per-group parameter counts, one row per branch in the order of

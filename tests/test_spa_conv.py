@@ -157,7 +157,8 @@ def test_spa_conv_layer_is_bitwise_the_inline_conv1d_dilated(config, dtype, trai
 def test_training_and_eval_never_reach_the_2d_ops(tmp_path, monkeypatch):
     """Over a one-step train_run and its train-set eval pass, the model runs
     neither ops.conv2d nor ops.avg_pool2d: spa_conv is one conv1d_dilated
-    call per branch and multiscale_pool one matmul."""
+    call per branch and the attention's multiscale pool one matmul inside
+    msca_forward's kernel."""
     calls = []
     for name in ("conv2d", "avg_pool2d"):
         def spy(*args, _op=getattr(ops, name), _name=name, **kwargs):
