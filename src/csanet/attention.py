@@ -4,14 +4,15 @@ Feature maps (B, U, T0) are attended over their T0 time steps with
 U-dimensional token embeddings. Each attention is one tape node,
 msca_forward: a raw-array kernel, _msca, whose hand-written backward makes
 the products of the Tensor composition it replaced (tests/oracles.py) in
-that composition's order, so values and gradients keep its bits. Keys and
-values come from a multiscale average-pooled view of the source features,
-one matmul with a cached (T0, T0) band matrix. Attention rows can be
-sparsified by keeping only the top-scoring entries at two sparsity levels
-whose outputs are mixed by two learnable scalars. Each top-k mask comes
-from one sort, through the module global topk_mask looked up at each call
-(a gradient check may rebind it to record the masks); the backward treats
-it as constant.
+that composition's order, so values and gradients keep its bits; on raw
+maps, in a forward that records no tape, the kernel runs alone, and the
+residual add is numpy's. Keys and values come from a multiscale
+average-pooled view of the source features, one matmul with a cached
+(T0, T0) band matrix. Attention rows can be sparsified by keeping only the
+top-scoring entries at two sparsity levels whose outputs are mixed by two
+learnable scalars. Each top-k mask comes from one sort, through the module
+global topk_mask looked up at each call (a gradient check may rebind it to
+record the masks); the backward treats it as constant.
 """
 
 import functools
@@ -160,7 +161,8 @@ def msca_forward(x: Tensor, y: Tensor, params: AttentionParams, cfg: AttentionCo
     (bias-free); split into heads of width U/heads; scale scores by
     1/sqrt(head width); either mix two top-k-sparsified softmax paths by
     the learnable scalars alpha and beta, or use the dense softmax, which
-    leaves alpha and beta off the tape; concatenate heads; x's shape.
+    leaves alpha and beta off the tape; concatenate heads; x's shape. Raw
+    arrays x and y run the kernel alone and return its raw output.
     """
     if x.shape != y.shape:
         raise DimensionError(f"query source {x.shape} and key/value source {y.shape} differ")
@@ -172,9 +174,12 @@ def msca_forward(x: Tensor, y: Tensor, params: AttentionParams, cfg: AttentionCo
     w_q, w_k, w_v = params.w_q, params.w_k, params.w_v
     coefs = (params.alpha, params.beta) if keeps else ()
     split = (b, t0, cfg.heads, u // cfg.heads)
-    out, (xt, yt, q, kt, v, scale, masks, probs, paths) = _msca(
-        x.data, y.data, w_q.data, w_k.data, w_v.data, [c.data for c in coefs], band, keeps, split
-    )
+    raw = not isinstance(x, Tensor)
+    arrays = (x, y) if raw else (x.data, y.data)
+    out, saved = _msca(*arrays, w_q.data, w_k.data, w_v.data, [c.data for c in coefs], band, keeps, split)
+    if raw:
+        return out
+    xt, yt, q, kt, v, scale, masks, probs, paths = saved
 
     def backward(g):
         # The composition's backward, step by step: head merge, the mix a

@@ -14,10 +14,11 @@ another thread's: the training branch stage builds its four branch tapes
 on threads (model.fork_join, which joins every thread it starts before it
 returns) and join makes them one node of the outer tape, whose closure
 walks them on threads again, each from the gradient the outer walk
-brought its root. So no two threads ever add into one grad. Eval-mode
-trial blocks run forwards off the tape on several threads at once. While threads run, nothing may switch the dtype
-or grad globals (set_default_dtype, precision, no_grad), which every op
-reads.
+brought its root. So no two threads ever add into one grad. A forward
+that records no tape (eval, training under no_grad) builds no Tensor: the
+model runs the ops' raw-array kernels, on threads too. While threads run,
+nothing may switch the dtype or grad globals (set_default_dtype,
+precision, no_grad), which every op reads.
 """
 
 from contextlib import contextmanager
@@ -239,11 +240,9 @@ def join(roots, run):
     run(_walk, [(root, grad), ...]), which walks each root's tape from its
     gradient; run(fn, calls) returns [fn(*args) for args in calls], on one
     thread or several (model.fork_join). The roots' tapes must share no
-    node, and no leaf that takes a gradient. Roots off the tape (under
-    no_grad) come back as they are, and no node is made.
+    node, and no leaf that takes a gradient. Roots off the tape come back
+    as they are.
     """
-    if not any(root.requires_grad for root in roots):
-        return list(roots)
     grads = [None] * len(roots)
 
     def backward(_):

@@ -6,9 +6,10 @@ error for each input is max |analytic - numeric| normalized by the largest
 gradient magnitude seen for that input.
 
 Only the analytic pass records a tape. The perturbed evaluations run under
-no_grad: the forward arithmetic does not depend on the tape, so each loss,
-and with it the report, is the same bit for bit as with one, at the cost
-of the forward alone.
+no_grad, where the model's forward runs its ops' raw-array kernels and
+builds no Tensor until its logits: the arithmetic is the taped forward's,
+so each loss, and with it the report, is the same bit for bit as with a
+tape, at the cost of the forward alone.
 
 Structurally zero inputs. Some inputs have an exactly zero gradient by
 construction: a per-filter shift that a later training-mode batch norm

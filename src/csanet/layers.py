@@ -108,7 +108,10 @@ class Linear(Layer):
         self.bias = Parameter(np.zeros(out_features, dtype=default_dtype()))
 
     def __call__(self, x):
-        return ops.linear(x, self.weight, self.bias)
+        """ops.linear of a Tensor x; on a raw x, its arithmetic alone."""
+        if isinstance(x, Tensor):
+            return ops.linear(x, self.weight, self.bias)
+        return x @ self.weight.data.T + self.bias.data
 
 
 class BatchNorm(Layer):

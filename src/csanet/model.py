@@ -6,16 +6,19 @@ spatial-first, then a pooled spatial-refinement conv; each of the two
 stages ends in batch norm -> ELU -> pool -> dropout, and the first stage
 with its tail is one op). Branch outputs are fused by attention (the first
 branch attends to itself densely; the others run sparse
-cross-attention; each is one op, attention.msca_forward, one tape node
-in training and its raw-array kernel alone in eval, followed by the
+cross-attention; each is one op, attention.msca_forward, followed by the
 residual add), passed through the branches' temporal convolutional
 networks as one pass over the fused maps stacked into one (B, 4U, T0) map
 (tcn_block: a grouped causal conv, a group per branch, written time-major,
 (B, T0, 4U) in memory, so each branch's batch-norm sums keep the bits of a
 branch run alone; one tail over all four branches' channels at pool 1),
-and classified from its readout. Both modes run the convs on their stored
-weights and every tail through ops.elu_pool: training on batch
-statistics, eval mode, with no tape, on each batch norm's fixed map.
+and classified from its readout. Only a training forward with grad
+enabled records a tape, on Tensors through the ops. Every other forward
+(eval; training under no_grad, as a gradient check's perturbed losses
+run) calls the ops' raw-array kernels from the input to the logits and
+builds no Tensor; below __call__ the maps' type carries the choice. Both
+paths give a training forward the same bits and buffers; eval runs each
+batch norm as its fixed map, ops.bn_affine.
 
 Both modes use the cores the process may use (WORKERS) through one call,
 fork_join, which runs its calls on the calling thread and on threads it
@@ -26,13 +29,13 @@ threads. Eval mode has no batch statistics, so its trials never interact:
 a batch runs as up to one contiguous block per worker, each of at least
 EVAL_MIN_BLOCK trials. In training the four branches read no other
 branch's output before fusion: from TRAIN_MIN_WORK input samples on,
-their forwards run by fork_join, in branch order, and join the tape as
-one node whose backward walks the four branch tapes by fork_join as well
-(autodiff.join). Each branch writes only its own running buffers and its
-own parameters' gradients, so logits, gradients and buffers come out
+their forwards run by fork_join, in branch order; on the tape they join
+it as one node whose backward walks the four branch tapes by fork_join as
+well (autodiff.join). Each branch writes only its own running buffers and
+its own parameters' gradients, so logits, gradients and buffers come out
 byte-equal to the serial step's, as the eval rows do to the serial
-forward's. No global of autodiff changes while the threads run: eval
-enters no_grad once, around all of its blocks.
+forward's. No global of autodiff changes while the threads run: the
+kernels read none.
 """
 
 import dataclasses
@@ -41,9 +44,9 @@ import threading
 
 import numpy as np
 
-from . import BLAS_ONE_THREAD, ops
+from . import BLAS_ONE_THREAD, autodiff, ops
 from .attention import AttentionParams, msca_forward, residual_fuse
-from .autodiff import Tensor, concat, join, narrow, no_grad
+from .autodiff import Tensor, concat, default_dtype, join, narrow
 from .config import ModelConfig
 from .errors import DataError, DimensionError
 from .layers import BatchNorm, Conv, Layer, LayerList, Linear
@@ -138,12 +141,24 @@ def tcn_block(blocks, x, training, keep=(None, None)):
     """The residual blocks `blocks` (one per branch, one dilation) as one
     pass over their (B, len(blocks) * U, T) maps x, side by side: grouped
     causal conv -> _tail at pool 1 by its mask of keep, twice, plus x."""
+    x = x if training else _array(x)
     h, d = x, blocks[0].dilation
     for stage, mask in zip(zip(*(block.stages for block in blocks)), keep):
         convs, bns = zip(*stage)
         pad = ((convs[0].weight.shape[-1] - 1) * d, 0)
-        h = _tail(ops.conv1d_dilated(h, [conv.weight for conv in convs], dilation=d, pad=pad), bns, 1, mask, training)
+        h = _tail(_conv(h, [conv.weight for conv in convs], d, pad), bns, 1, mask, training)
     return x + h
+
+
+def _conv(h, weights, dilation, pad):
+    """ops.conv1d_dilated on a Tensor h; its kernel on a raw h."""
+    if isinstance(h, Tensor):
+        return ops.conv1d_dilated(h, weights, dilation=dilation, pad=pad)
+    return ops._conv1d(h, [_array(w) for w in weights], dilation, pad)[0]
+
+
+def _array(x):
+    return x.data if isinstance(x, Tensor) else x
 
 
 class Branch(Layer):
@@ -169,12 +184,11 @@ class Branch(Layer):
     mode reads it (in ops.stem_elu_pool's shift, through c_f = beta_f - a_f
     * running_mean_f) and it is a checkpoint blob.
 
-    In eval mode each batch norm is its fixed map, ops.bn_affine: the stem
-    and first tail are ops.stem_elu_pool, and spa_conv runs its stored
-    weight before _tail hands its output and bn_spa's map to ops.elu_pool,
-    the training tails' kernel. The result equals the composition's eval
-    semantics in real arithmetic and is held to the numerics contract
-    (tests/test_numerics_contract.py) in floating point.
+    Off the tape the branch runs on the raw x: in training the ops'
+    kernels; in eval ops.stem_elu_pool, spa_conv's stored weight and
+    ops.elu_pool, each batch norm its fixed map, ops.bn_affine, which equals
+    the composition's eval semantics in real arithmetic and is held to the
+    numerics contract (tests/test_numerics_contract.py) in floating point.
     """
 
     def __init__(self, cfg: ModelConfig, index, rng):
@@ -197,17 +211,20 @@ class Branch(Layer):
             self.tcn = None
 
     def __call__(self, x, training, lags=None, keep=(None, None)):
-        p1, p2 = self.pools
-        weights = (self.temporal_conv.weight, self.depthwise_conv.weight)
-        if training:
-            bns = (_batch_norm_args(self.bn_temporal), _batch_norm_args(self.bn_depthwise))
-            h = ops.stem_bn_elu_pool(x, *weights, *bns, p1, keep[0], lags)  # (B, width, T / p1)
+        (p1, p2), bns = self.pools, (self.bn_temporal, self.bn_depthwise)
+        weights, spa = (self.temporal_conv.weight, self.depthwise_conv.weight), self.spa_conv.weight
+        u, width, _, k = spa.shape
+        if training and isinstance(x, Tensor):  # the taped forward
+            h = ops.stem_bn_elu_pool(x, *weights, *map(_batch_norm_args, bns), p1, keep[0], lags)
+            spa = spa.reshape((u, width, k))
         else:
-            maps = (_affine(self.bn_temporal), _affine(self.bn_depthwise))
-            h = Tensor(ops.stem_elu_pool(x.data, *(w.data for w in weights), *maps, p1))
-        u, width, _, k = self.spa_conv.weight.shape
-        weight = self.spa_conv.weight.reshape((u, width, k))
-        h = ops.conv1d_dilated(h, weight, pad=ops.same_pad(k))
+            x, weights, spa = _array(x), [w.data for w in weights], spa.data.reshape(u, width, k)
+            if training:
+                args = [tuple(map(_array, _batch_norm_args(bn))) for bn in bns]
+                h = ops._stem_bn_elu_pool(x, *weights, *args, p1, keep[0], lags)[0]
+            else:
+                h = ops.stem_elu_pool(x, *weights, *map(_affine, bns), p1)
+        h = _conv(h, [spa], 1, ops.same_pad(k))  # (B, width, T / p1)
         return _tail(h, [self.bn_spa], p2, keep[1], training)
 
 
@@ -223,12 +240,16 @@ def _affine(bn):
 
 def _tail(h, bns, pool, keep, training):
     """Batch norm (the layers bns, side by side along C) -> ELU -> pool ->
-    dropout by keep on the (B, C, T) map h: in training, ops.bn_elu_pool;
-    in eval, ops.elu_pool on h's (C, B, T) view with their fixed maps."""
-    if training:
+    dropout by keep on the (B, C, T) map h: ops.bn_elu_pool on a Tensor h,
+    its kernel on a raw h, or in eval ops.elu_pool with their fixed maps."""
+    if isinstance(h, Tensor):
         return ops.bn_elu_pool(h, *zip(*map(_batch_norm_args, bns)), pool, keep)
+    if training:
+        gammas, betas, means, variances = zip(*map(_batch_norm_args, bns))
+        joined = [np.concatenate([t.data for t in ts]) for ts in (gammas, betas)]
+        return ops._bn_elu_pool(h, *joined, means, variances, pool, keep)[0]
     affine = [np.concatenate(m).astype(h.dtype)[:, None, None] for m in zip(*map(_affine, bns))]
-    return Tensor(ops.elu_pool(h.data.transpose(1, 0, 2), affine, pool))
+    return ops.elu_pool(h.transpose(1, 0, 2), affine, pool)
 
 
 class CsanetModel(Layer):
@@ -309,7 +330,8 @@ class CsanetModel(Layer):
         (per branch, as dropout_masks gives them) joined; then the readout,
         branch-major as the classifier reads it."""
         cfg = self.config
-        h = concat(ms, axis=1)
+        taped = training and isinstance(ms[0], Tensor)
+        h = concat(ms, axis=1) if taped else np.concatenate([_array(m) for m in ms], axis=1)
         depths = zip(*(branch.tcn.blocks for branch in self.branches)) if cfg.tcn_enabled else ()
         for j, blocks in enumerate(depths):
             keep = (None, None)
@@ -318,47 +340,48 @@ class CsanetModel(Layer):
                 keep = [ops.DropoutMask(np.concatenate([m.mask for m in ks], axis=1), ks[0].scale) for ks in stage]
             h = tcn_block(blocks, h, training, keep)
         b, c, t0 = h.shape
-        if cfg.readout == "last_step":
-            return narrow(h, 2, t0 - 1, 1).reshape((b, c))
-        return h.reshape((b, c * t0))
+        if cfg.readout == "flatten":
+            return h.reshape((b, c * t0))
+        return narrow(h, 2, t0 - 1, 1).reshape((b, c)) if taped else h[:, :, t0 - 1 :].reshape((b, c))
 
     def __call__(self, x, training=False, rng=None):
-        """Logits (B, L) for a (B, 1, C, T) input of the parameters' dtype.
+        """Logits (B, L) for a (B, 1, C, T) input of the parameters' dtype,
+        as a Tensor; off the tape, the one Tensor the forward builds.
 
-        Eval mode runs under no_grad, so it records no tape, and passes
-        ((None, None), None) per branch as its dropout masks. It cuts a batch
-        into max(1, min(WORKERS, B // EVAL_MIN_BLOCK)) contiguous blocks,
-        run by fork_join; one block runs on the calling thread alone.
+        Eval mode passes ((None, None), None) per branch as its dropout
+        masks, gives an empty batch (0, L) logits and cuts a batch into
+        max(1, min(WORKERS, B // EVAL_MIN_BLOCK)) contiguous blocks, run by
+        fork_join; one block runs on the calling thread alone.
         """
         cfg = self.config
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.ndim != 4 or x.shape[1] != 1 or x.shape[2] != cfg.channels or x.shape[3] != cfg.time_steps:
+        data = x.data if isinstance(x, Tensor) else np.asarray(x)
+        data = data if data.dtype.kind == "f" else data.astype(default_dtype())  # as a Tensor would hold it
+        if data.ndim != 4 or data.shape[1:] != (1, cfg.channels, cfg.time_steps) or training and not len(data):
             raise DimensionError(
-                f"expected input (B, 1, {cfg.channels}, {cfg.time_steps}), got {x.shape}"
+                f"expected input (B, 1, {cfg.channels}, {cfg.time_steps}), B >= 1 in training, got {data.shape}"
             )
-        if x.dtype != self.dtype:
-            raise DataError(f"input dtype {x.dtype} does not match the model's parameter dtype {self.dtype}")
+        if data.dtype != self.dtype:
+            raise DataError(f"input dtype {data.dtype} does not match the model's parameter dtype {self.dtype}")
         if training:
-            return self._forward(x, True, rng)
-        B = x.shape[0]
+            if autodiff._GRAD_ENABLED:
+                return self._forward(x if isinstance(x, Tensor) else Tensor(data), True, rng)
+            return Tensor(self._forward(data, True, rng))
+        B = len(data)
+        if not B:
+            return Tensor(np.empty((0, cfg.n_classes), dtype=self.dtype))
         n = max(1, min(WORKERS, B // EVAL_MIN_BLOCK))
         cuts = [B * i // n for i in range(n + 1)]
-        blocks = [(Tensor(x.data[a:b]), False) for a, b in zip(cuts, cuts[1:])]
-        with no_grad():
-            logits = fork_join(self._forward, blocks)
-        return Tensor(np.concatenate([z.data for z in logits]))
+        return Tensor(np.concatenate(fork_join(self._forward, [(data[a:b], False) for a, b in zip(cuts, cuts[1:])])))
 
     def _forward(self, x, training, rng=None):
-        """The forward of __call__ on a checked input; it switches no global
-        of autodiff, so eval blocks may run it on several threads at once."""
+        """The forward of __call__ on a checked input, a Tensor to record
+        the tape or a raw array for the kernels; it switches no global of
+        autodiff, so eval blocks may run it on several threads at once."""
         cfg = self.config
         masks = self.dropout_masks(x.shape[0], rng) if training else [((None, None), None)] * 4
         # One lag table at the longest kernel serves every branch's statistics.
-        lags = ops.lag_prefixes(x.data, max(cfg.temporal_kernels)) if training else None
-        if training:
-            zs = self._branch_stage(x, lags, [keep for keep, _ in masks])
-        else:
-            zs = [branch(x, False) for branch in self.branches]
+        lags = ops.lag_prefixes(_array(x), max(cfg.temporal_kernels)) if training else None
+        zs = self._branch_stage(x, lags, [k for k, _ in masks]) if training else [b(x, False) for b in self.branches]
         feats = self.tcn_forward(self.fuse_branches(zs), training, [keep for _, keep in masks] if training else None)
         return self.classifier(feats)
 
@@ -366,10 +389,10 @@ class CsanetModel(Layer):
         """The four branches' training forwards, in branch order (heaviest
         first at the default kernels 64, 32, 16, 8). From TRAIN_MIN_WORK
         input samples on, and with two or more WORKERS, they run by
-        fork_join and join the tape as one node (autodiff.join), whose
-        backward walks the four branch tapes by fork_join as well. Each
-        branch writes only its own running buffers and its own parameters'
-        gradients; x, the lag table and the masks are only read."""
+        fork_join; on the tape they join it as one node (autodiff.join),
+        whose backward walks the four branch tapes by fork_join as well.
+        Each branch writes only its own running buffers and its own
+        parameters' gradients; x, the lag table and the masks are read."""
 
         def forward(branch, keep):
             return branch(x, True, lags, keep)
@@ -377,7 +400,8 @@ class CsanetModel(Layer):
         calls = list(zip(self.branches, keeps))
         if WORKERS < 2 or x.size < TRAIN_MIN_WORK:
             return [forward(*args) for args in calls]
-        return join(fork_join(forward, calls), fork_join)
+        zs = fork_join(forward, calls)
+        return join(zs, fork_join) if isinstance(x, Tensor) else zs
 
     def predict(self, x):
         """Class indices for a (B, 1, C, T) array, eval mode, no tape."""

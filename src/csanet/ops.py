@@ -23,12 +23,15 @@ off the lag table, since the fused stem never forms its map. Batch norm's
 constants are BN_MOMENTUM and BN_EPS; every ELU runs one branch-free
 kernel, _elu_parts.
 
-Every tail in both modes runs one kernel, elu_pool. Eval mode has no tape
-and no batch statistics: each batch norm is bn_affine's fixed map, which
-elu_pool applies to the conv output, and stem_elu_pool builds the training
-stem's correlation over blocks of STEM_BLOCK trials. The fused ops and the
-eval maps are exact in real arithmetic, not in floating point, and held to
-the numerics contract (tests/test_numerics_contract.py).
+Each of the three ops wraps a raw-array forward kernel (_stem_bn_elu_pool,
+_conv1d, _bn_elu_pool; the batch-norm ones update the running buffers)
+with its hand-written backward; a forward that records no tape calls the
+kernels alone. Every tail in both modes runs one kernel, elu_pool. Eval mode has no
+batch statistics: each batch norm is bn_affine's fixed map, which elu_pool
+applies to the conv output, and stem_elu_pool builds the training stem's
+correlation over blocks of STEM_BLOCK trials. The fused ops and the eval
+maps are exact in real arithmetic, not in floating point, and held to the
+numerics contract (tests/test_numerics_contract.py).
 
 conv2d, batch_norm, elu, dropout, avg_pool2d and masked_fill (and
 autodiff.pad) run in no src path. They stay because perfbench/trace.py
@@ -182,10 +185,9 @@ def _banded(w, tile):
     the tile + K - 1 inputs it reads with this matrix.
     """
     F, K = w.shape
-    band = np.zeros((F, tile + K - 1, tile), dtype=w.dtype)
-    i = np.arange(tile)
-    band[:, i + np.arange(K)[:, None], i] = w[:, :, None]
-    return band
+    z = np.zeros((F, 2 * tile + K - 2), dtype=w.dtype)  # w between tile - 1 zeros each side
+    z[:, tile - 1 : tile - 1 + K] = w
+    return as_strided(z[:, tile - 1 :], (F, tile + K - 1, tile), (z.strides[0], z.itemsize, -z.itemsize)).copy()
 
 
 def lag_prefixes(x, max_kernel):
@@ -271,6 +273,29 @@ def _tile_correlate(a, w):
     return out
 
 
+def _stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, keep=None, lags=None):
+    """stem_bn_elu_pool's forward on raw arrays: (out, what its backward reads)."""
+    (gamma1, beta1, mean1, var1), (gamma2, beta2, mean2, var2) = temporal_bn, depthwise_bn
+    B, _, C, T = x.shape
+    F, K = weight.shape[0], weight.shape[-1]
+    D = depthwise.shape[0] // F
+    w, dw = weight.reshape(F, K), depthwise.reshape(F, D, C)
+    m, S = _window_moments(lag_prefixes(x, K) if lags is None else lags, K, same_pad(K)[0])
+    w64 = w.astype(np.float64)
+    mean, wS = w64 @ m, w64 @ S
+    var = np.maximum((wS * w64).sum(axis=1) - mean * mean, 0.0)
+    inv1 = 1.0 / np.sqrt(var + BN_EPS)
+    a = gamma1 * inv1  # (F,)
+    aj = np.repeat(a, D)  # a_f for each channel j of filter f
+    q = _tile_correlate(_stem_projection(x, dw, K), w).reshape(F * D, B, -1)[..., :T]
+    q_mean, q_var, inv2, u, affine = _bn_train(q, gamma2, beta2, aj)
+    out = elu_pool(u, affine, pool, keep)
+    shift = ((beta1 - a * mean)[:, None] * dw.sum(axis=2)).reshape(-1)  # c_f * s_j
+    _update_running(mean1, var1, mean, var, B * C * T)
+    _update_running(mean2, var2, aj * q_mean + shift, aj * aj * q_var, B * T)
+    return out, (m, wS, mean, var, inv1, u, affine, inv2)
+
+
 def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, keep=None, lags=None):
     """A branch's training-mode stem and first tail as one op, from the raw
     (B, 1, C, T) trial (B >= 2) to the (B, F*D, T // pool) map: temporal
@@ -310,29 +335,15 @@ def stem_bn_elu_pool(x, weight, depthwise, temporal_bn, depthwise_bn, pool, keep
         raise ConfigurationError("stem_bn_elu_pool does not propagate a gradient to its input")
     if not 1 <= pool <= T:
         raise ConfigurationError(f"pooling window {pool} must lie between 1 and the input length {T}")
-    D = depthwise.shape[0] // F
-    dtype = x.dtype
-    if lags is None:
-        lags = lag_prefixes(x.data, K)
-    elif lags[2].shape[0] < K or lags[1].shape != (T + 1,):
+    if lags is not None and (lags[2].shape[0] < K or lags[1].shape != (T + 1,)):
         raise DimensionError(f"lag table of shape {lags[2].shape} does not cover K={K}, T={T}")
-    left = same_pad(K)[0]
+    bns = (gamma1.data, beta1.data, mean1, var1), (gamma2.data, beta2.data, mean2, var2)
+    out, state = _stem_bn_elu_pool(x.data, weight.data, depthwise.data, *bns, pool, keep, lags)
+    m, wS, mean, var, inv1, u, affine, inv2 = state
+    D, dtype, left = depthwise.shape[0] // F, x.dtype, same_pad(K)[0]
     w, dw = weight.data.reshape(F, K), depthwise.data.reshape(F, D, C)
-
-    m, S = _window_moments(lags, K, left)
-    w64 = w.astype(np.float64)
-    mean, wS = w64 @ m, w64 @ S
-    var = np.maximum((wS * w64).sum(axis=1) - mean * mean, 0.0)
-    inv1 = 1.0 / np.sqrt(var + BN_EPS)
-    a = gamma1.data * inv1  # (F,)
-    aj = np.repeat(a, D)  # a_f for each channel j of filter f
-    q = _tile_correlate(_stem_projection(x.data, dw, K), w).reshape(F * D, B, -1)[..., :T]
-    q_mean, q_var, inv2, u, affine = _bn_train(q, gamma2.data, beta2.data, aj)
-    out = elu_pool(u, affine, pool, keep)
-    shift = ((beta1.data - a * mean)[:, None] * dw.sum(axis=2)).reshape(-1)  # c_f * s_j
-    _update_running(mean1, var1, mean, var, B * C * T)
-    _update_running(mean2, var2, aj * q_mean + shift, aj * aj * q_var, B * T)
-    r = aj * inv2
+    w64, a = w.astype(np.float64), gamma1.data * inv1
+    r = np.repeat(a, D) * inv2
 
     def backward(gout):
         # Per filter, in one reused buffer of rows zero-padded for the flipped
@@ -505,6 +516,17 @@ def _tail_backward(gout, keep, u, affine, pool, gy, chans=slice(None)):
         np.multiply(slope, np.repeat(g[k], pool, axis=-1) if pool > 1 else g[k], out=gy[k, :, : slope.shape[-1]])
 
 
+def _bn_elu_pool(x, gamma, beta, running_means, running_vars, pool, keep=None):
+    """bn_elu_pool's forward on the raw x, gamma and beta joined, the groups'
+    buffers listed: (out, what its backward reads)."""
+    mean, var, inv, u, affine = _bn_train(x.transpose(1, 0, 2), gamma, beta)
+    out = elu_pool(u, affine, pool, keep)
+    stats = (mean.reshape(len(running_means), -1), var.reshape(len(running_means), -1))  # a row per group
+    for rm, rv, m, v in zip(running_means, running_vars, *stats):
+        _update_running(rm, rv, m, v, x.shape[0] * x.shape[2])
+    return out, (inv, u, affine)
+
+
 def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, keep=None):
     """A training-mode tail on a (B, C, T) map as one op: batch norm -> ELU
     -> mean pool over windows of `pool` samples at stride pool -> dropout by
@@ -529,11 +551,7 @@ def bn_elu_pool(x, gamma, beta, running_mean, running_var, pool, keep=None):
         raise ConfigurationError("pooling kernel extents must be positive")
     if T < pool:
         raise DimensionError("pooling window larger than padded input")
-    mean, var, inv, u, affine = _bn_train(x.data.transpose(1, 0, 2), g, b)
-    out = elu_pool(u, affine, pool, keep)
-    stats = (mean.reshape(len(gammas), -1), var.reshape(len(gammas), -1))  # a row per group
-    for rm, rv, m, v in zip(_parts(running_mean), _parts(running_var), *stats):
-        _update_running(rm, rv, m, v, B * T)
+    out, (inv, u, affine) = _bn_elu_pool(x.data, g, b, _parts(running_mean), _parts(running_var), pool, keep)
 
     def backward(gout):
         gy = np.zeros_like(u)
@@ -719,54 +737,53 @@ def _smooth_length(n):
         n += 1
 
 
+@functools.lru_cache(maxsize=64)
+def _dft_table(K, n, dtype):
+    """_tap_spectrum's cos/sin table of the length-n DFT's angles at K taps,
+    in dtype; built once per argument tuple and read-only."""
+    angle = (-2.0 * np.pi / n) * (np.outer(np.arange(K), np.arange(n // 2 + 1)) % n)
+    table = np.stack([np.cos(angle), np.sin(angle)], axis=-1).reshape(K, -1).astype(dtype)
+    table.flags.writeable = False
+    return table
+
+
+def _spectrum(a, n):  # (rows, cols, length) -> (F, rows, cols)
+    return np.fft.rfft(a, n).transpose(2, 0, 1)
+
+
+def _tap_spectrum(w, n):  # _spectrum(w, n) for the (Cout, Cin, K) weight
+    s = (w.reshape(-1, w.shape[-1]) @ _dft_table(w.shape[-1], n, w.dtype)).view(np.result_type(w.dtype, np.complex64))
+    return s.reshape(w.shape[0], w.shape[1], -1).transpose(2, 0, 1)
+
+
+# (F, rows, cols) -> a C-contiguous copy (rows, cols, length): the
+# output's gradient then comes back in the layout rfft reads fastest.
+def _signal(s, n, length):
+    return np.fft.irfft(s, n, axis=0)[:length].transpose(1, 2, 0).copy()
+
+
 def _conv1d_fft(x, weight, to, pad):
-    """conv1d_dilated at dilation 1 by FFT correlation of x padded by pad.
+    """conv1d_dilated's forward at dilation 1 on the raw x and weight by FFT
+    correlation of x padded by pad to length L.
 
-    At n >= the padded length L nothing wraps around: each output,
-    input-gradient (of the padded x, sliced back onto x) and
-    weight-gradient sample is an exact circular correlation or convolution
-    of length n. Every pass is a transform -> one matmul per frequency ->
-    irfft: the forward takes X @ conj(W) over Cin, the weight gradient
-    conj(G) @ X over the batch (taps 0..K-1 of the result) and the input
-    gradient G @ W over Cout. X and G are rffts; W, the spectrum of only K
-    taps, is one matmul of the weight with the DFT's cos/sin table, a
-    quarter of rfft(w, n)'s time in a spa_conv training step. Real inputs
-    of a dtype give that dtype's complex spectra and the same real dtype
-    back; numpy 2.4 runs a float32 rfft at norm=None on its float64 loop
-    (bit-equal to the float64 cast's rfft, cast back; at (32, 32, 156) 1.4
-    ms, 2.6 MB of temporaries and 600 page faults per transform on a 2-core
-    x86, where norm="forward" runs float32 in 0.5 ms and moves bits), irfft
-    in float32. The tape keeps no spectrum: the backward recomputes X and W.
+    At n = _smooth_length(L) nothing wraps around: each output,
+    input-gradient (of the padded x, sliced back onto x) and weight-gradient
+    sample is an exact circular correlation or convolution of length n.
+    Every pass is a transform -> one matmul per frequency -> irfft: the
+    forward takes X @ conj(W) over Cin; the op's backward, conj(G) @ X over
+    the batch (taps 0..K-1 of the result) and G @ W over Cout. X and G are
+    rffts; W, the spectrum of only K taps, is one matmul of the weight with
+    the DFT's cos/sin table (_tap_spectrum), a quarter of rfft(w, n)'s time
+    in a spa_conv training step. Real inputs of a dtype give that dtype's
+    complex spectra and the same real dtype back; numpy 2.4 runs a float32
+    rfft at norm=None on its float64 loop (bit-equal to the float64 cast's
+    rfft, cast back; at (32, 32, 156) 1.4 ms, 2.6 MB of temporaries and 600
+    page faults per transform on a 2-core x86, where norm="forward" runs
+    float32 in 0.5 ms and moves bits), irfft in float32. The tape keeps no
+    spectrum: the backward recomputes X and W.
     """
-    B, cin, T = x.shape
-    cout, _, K = weight.shape
-    left, L = pad[0], pad[0] + T + pad[1]
-    n = _smooth_length(L)
-
-    def spectrum(a):  # (rows, cols, length) -> (F, rows, cols)
-        return np.fft.rfft(a, n).transpose(2, 0, 1)
-
-    def tap_spectrum(w):  # spectrum(w) for the (Cout, Cin, K) weight
-        angle = (-2.0 * np.pi / n) * (np.outer(np.arange(K), np.arange(n // 2 + 1)) % n)
-        table = np.stack([np.cos(angle), np.sin(angle)], axis=-1).reshape(K, -1).astype(w.dtype)
-        s = (w.reshape(-1, K) @ table).view(np.result_type(w.dtype, np.complex64))
-        return s.reshape(cout, cin, -1).transpose(2, 0, 1)
-
-    # (F, rows, cols) -> a C-contiguous copy (rows, cols, length): the
-    # output's gradient then comes back in the layout rfft reads fastest.
-    def signal(s, length):
-        return np.fft.irfft(s, n, axis=0)[:length].transpose(1, 2, 0).copy()
-
-    out = signal(spectrum(_pad_time(x.data, pad)) @ tap_spectrum(weight.data).transpose(0, 2, 1).conj(), to)
-
-    def backward(gout):
-        g = spectrum(gout)  # (F, B, Cout)
-        if weight.requires_grad:
-            _accumulate(weight, signal(g.transpose(0, 2, 1).conj() @ spectrum(_pad_time(x.data, pad)), K))
-        if x.requires_grad:
-            _accumulate(x, signal(g @ tap_spectrum(weight.data), L)[..., left : left + T])
-
-    return _make(out, (x, weight), backward)
+    n = _smooth_length(sum(pad) + x.shape[-1])
+    return _signal(_spectrum(_pad_time(x, pad), n) @ _tap_spectrum(weight, n).transpose(0, 2, 1).conj(), n, to)
 
 
 # _windows copies kernels under TAP_GATHER taps one tap at a time: 733 -> 245
@@ -785,6 +802,24 @@ def _windows(a, groups, count, taps, dilation=1, start=0, tap_major=False):
     for cut in [at + (k,) for k in range(taps)] if taps < TAP_GATHER else [...]:  # tap by tap, or at once
         cols[cut] = win[cut]
     return cols.reshape(groups, win.shape[1] * win.shape[2], -1)
+
+
+def _grouped(a, w, rows, cols):  # a @ w per group into a time-major (B, rows, G * cols) array
+    G, B = len(w), a.shape[1] // rows
+    out = np.empty((B, rows, G * cols), dtype=np.result_type(a, w))
+    np.matmul(a, w, out=out.reshape(B * rows, G, cols).transpose(1, 0, 2))
+    return out.transpose(0, 2, 1)
+
+
+def _conv1d(x, weights, dilation=1, pad=(0, 0)):
+    """conv1d_dilated's forward on the raw x and the list of its groups' raw
+    weights: (out, whether it took the FFT path)."""
+    G, (B, _, T), (cout, cing, K) = len(weights), x.shape, weights[0].shape
+    to = T + sum(pad) - (K - 1) * dilation
+    if G == 1 and dilation == 1 and pad[0] <= pad[1] and K >= FFT_MIN_TAPS and B * to * K >= FFT_MIN_WORK:
+        return _conv1d_fft(x, weights[0], to, pad), True
+    taps = np.array([w.reshape(cout, cing * K) for w in weights]).transpose(0, 2, 1)
+    return _grouped(_windows(_pad_time(x, pad), G, to, K, dilation), taps, to, cout), False
 
 
 def conv1d_dilated(x, weight, dilation=1, pad=(0, 0)):
@@ -812,7 +847,7 @@ def conv1d_dilated(x, weight, dilation=1, pad=(0, 0)):
     gradient padded by the span less one on both sides, by the kernel
     flipped along its taps, at the T positions that map back onto x. Both
     are written time-major, (B, T, C) in memory, so each group's channels
-    have an ungrouped call's strides.
+    have an ungrouped call's strides. Its forward is _conv1d.
     """
     x, weights = _wrap(x), [_wrap(w) for w in _parts(weight)]
     if x.ndim != 3 or {w.ndim for w in weights} != {3}:
@@ -824,18 +859,17 @@ def conv1d_dilated(x, weight, dilation=1, pad=(0, 0)):
     if T + sum(pad) < span:
         raise DimensionError("dilated kernel span exceeds padded input")
     to = T + sum(pad) - span + 1
-    if G == 1 and dilation == 1 and pad[0] <= pad[1] and K >= FFT_MIN_TAPS and B * to * K >= FFT_MIN_WORK:
-        return _conv1d_fft(x, weights[0], to, pad)
-
-    def grouped(a, w, rows, cols):  # a @ w per group into a time-major (B, rows, G * cols) array
-        out = np.empty((B, rows, G * cols), dtype=np.result_type(a, w))
-        np.matmul(a, w, out=out.reshape(B * rows, G, cols).transpose(1, 0, 2))
-        return out.transpose(0, 2, 1)
-
-    taps = np.array([w.data.reshape(cout, cing * K) for w in weights]).transpose(0, 2, 1)
-    out = grouped(_windows(_pad_time(x.data, pad), G, to, K, dilation), taps, to, cout)
+    out, fft = _conv1d(x.data, [w.data for w in weights], dilation, pad)
 
     def backward(gout):
+        if fft:  # _conv1d_fft's weight and input gradients, conj(G) @ X and G @ W
+            w, n = weights[0], _smooth_length(T + sum(pad))
+            g = _spectrum(gout, n)  # (F, B, Cout)
+            if w.requires_grad:
+                _accumulate(w, _signal(g.transpose(0, 2, 1).conj() @ _spectrum(_pad_time(x.data, pad), n), n, K))
+            if x.requires_grad:
+                _accumulate(x, _signal(g @ _tap_spectrum(w.data, n), n, T + sum(pad))[..., pad[0] : pad[0] + T])
+            return
         if any(w.requires_grad for w in weights):
             g = gout.transpose(0, 2, 1).reshape(B * to, G, cout).transpose(1, 0, 2)
             gw = _windows(_pad_time(x.data, pad), G, to, K, dilation, tap_major=True) @ g
@@ -845,7 +879,7 @@ def conv1d_dilated(x, weight, dilation=1, pad=(0, 0)):
         if x.requires_grad:
             gp = _zero_pad(gout, ((0, 0), (0, 0), (span - 1, span - 1)))
             flipped = np.array([w.data[:, :, ::-1].transpose(0, 2, 1).reshape(cout * K, cing) for w in weights])
-            _accumulate(x, grouped(_windows(gp, G, T, K, dilation, start=pad[0]), flipped, T, cing))
+            _accumulate(x, _grouped(_windows(gp, G, T, K, dilation, start=pad[0]), flipped, T, cing))
 
     return _make(out, (x, *weights), backward)
 

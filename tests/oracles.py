@@ -33,7 +33,13 @@ oracle_conv2d as it did before conv1d_dilated took it over, and whose
 eval mode runs the stem and tail compositions as the model did before its
 eval mode moved onto ops.stem_elu_pool and ops.elu_pool; and
 oracle_grad_check, csanet.gradcheck.grad_check as it was when every
-perturbed evaluation still recorded a tape.
+perturbed evaluation still recorded a tape; oracle_banded, ops._banded as
+it was built by one fancy-index assignment before it became a strided view
+of a padded copy; oracle_tap_spectrum, the FFT conv's weight spectrum with
+its DFT table built on each call; and oracle_eval_forward, the eval
+forward as it ran before every forward that records no tape ran the
+kernels on raw arrays: a Tensor around every layer's output, under
+no_grad.
 """
 
 import math
@@ -45,7 +51,9 @@ from csanet import ops
 from csanet.attention import _masked_softmax_grad, _masked_softmaxes, keep_count, topk_mask
 from csanet.autodiff import Tensor, _accumulate, _make, _reverse_topo, _wrap, _zero_pad, concat, narrow, pad, unbroadcast
 from csanet.errors import ConfigurationError, DimensionError, NumericalError
+from csanet.autodiff import no_grad
 from csanet.gradcheck import ZERO_ANALYTIC, ZERO_NUMERIC, GradCheckReport
+from csanet.model import _affine
 
 
 def same_pad_time(x, kernel):
@@ -658,3 +666,58 @@ def oracle_grad_check(fn, inputs, h=1e-4):
         worst = max(worst, err)
         t.zero_grad()
     return GradCheckReport(per_input=per_input, max_rel_error=worst, structurally_zero=structurally_zero)
+
+
+def oracle_banded(w, tile):
+    """ops._banded by one fancy-index assignment into a zeroed band."""
+    F, K = w.shape
+    band = np.zeros((F, tile + K - 1, tile), dtype=w.dtype)
+    i = np.arange(tile)
+    band[:, i + np.arange(K)[:, None], i] = w[:, :, None]
+    return band
+
+
+def oracle_tap_spectrum(w, n):
+    """ops._tap_spectrum with its cos/sin table built on each call."""
+    cout, cin, K = w.shape
+    angle = (-2.0 * np.pi / n) * (np.outer(np.arange(K), np.arange(n // 2 + 1)) % n)
+    table = np.stack([np.cos(angle), np.sin(angle)], axis=-1).reshape(K, -1).astype(w.dtype)
+    s = (w.reshape(-1, K) @ table).view(np.result_type(w.dtype, np.complex64))
+    return s.reshape(cout, cin, -1).transpose(2, 0, 1)
+
+
+def oracle_eval_tail(h, bns, pool):
+    """model._tail's eval half as it ran on a Tensor h: ops.elu_pool on h's
+    (C, B, T) view with the batch norms' fixed maps, wrapped in a Tensor."""
+    affine = [np.concatenate(m).astype(h.dtype)[:, None, None] for m in zip(*map(_affine, bns))]
+    return Tensor(ops.elu_pool(h.data.transpose(1, 0, 2), affine, pool))
+
+
+def oracle_eval_forward(model, x):
+    """CsanetModel's eval logits of the raw (B, 1, C, T) array x, as one
+    block under no_grad, by the Tensor composition eval ran before it ran
+    the kernels from input to logits: each branch as ops.stem_elu_pool,
+    ops.conv1d_dilated and oracle_eval_tail; fuse_branches on Tensors;
+    tcn_block's grouped ops.conv1d_dilated and oracle_eval_tail per stage;
+    the autodiff readout and ops.linear."""
+    cfg = model.config
+    with no_grad():
+        zs = []
+        for branch in model.branches:
+            p1, p2 = branch.pools
+            maps = (_affine(branch.bn_temporal), _affine(branch.bn_depthwise))
+            h = Tensor(ops.stem_elu_pool(x, branch.temporal_conv.weight.data, branch.depthwise_conv.weight.data, *maps, p1))
+            u, width, _, k = branch.spa_conv.weight.shape
+            h = ops.conv1d_dilated(h, branch.spa_conv.weight.reshape((u, width, k)), pad=ops.same_pad(k))
+            zs.append(oracle_eval_tail(h, [branch.bn_spa], p2))
+        h = concat(model.fuse_branches(zs), axis=1)
+        for blocks in zip(*(branch.tcn.blocks for branch in model.branches)) if cfg.tcn_enabled else ():
+            x_in, d = h, blocks[0].dilation
+            for stage in zip(*(block.stages for block in blocks)):
+                convs, bns = zip(*stage)
+                pad = ((convs[0].weight.shape[-1] - 1) * d, 0)
+                h = oracle_eval_tail(ops.conv1d_dilated(h, [c.weight for c in convs], dilation=d, pad=pad), bns, 1)
+            h = x_in + h
+        b, c, t0 = h.shape
+        feats = narrow(h, 2, t0 - 1, 1).reshape((b, c)) if cfg.readout == "last_step" else h.reshape((b, c * t0))
+        return ops.linear(feats, model.classifier.weight, model.classifier.bias).data

@@ -3,6 +3,7 @@ in float64, float32 against float64, its routing rule, its tape, and one
 paper-config training step against the direct path; and the direct path's
 groups against the ungrouped direct conv they replaced."""
 
+import functools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from csanet.errors import DimensionError
 from csanet.model import Branch, CsanetModel
 from csanet.verification import mini_model_config
 
-from oracles import naive_conv1d, oracle_branch_call, oracle_conv1d_direct
+from oracles import naive_conv1d, oracle_branch_call, oracle_conv1d_direct, oracle_tap_spectrum
 from test_gradients import MODEL_MINI_STRUCTURALLY_ZERO
 
 EPS32 = float(np.finfo(np.float32).eps)
@@ -48,6 +49,28 @@ def fft_calls(monkeypatch):
 
     monkeypatch.setattr(ops, "_conv1d_fft", spy)
     return calls
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_dft_table_is_built_once_read_only_and_keeps_the_spectra(dtype, monkeypatch):
+    # spa_conv's K = 32 at the paper's n = 160, and a small odd shape.
+    # A fresh cache of the same kind, so the counts start at 0.
+    cached = functools.lru_cache(maxsize=64)(ops._dft_table.__wrapped__)
+    monkeypatch.setattr(ops, "_dft_table", cached)
+    rng = np.random.Generator(np.random.PCG64(60))
+    for cout, cin, K, n in ((32, 32, 32, 160), (3, 2, 5, 27)):
+        w = rng.standard_normal((cout, cin, K)).astype(dtype)
+        first = ops._tap_spectrum(w, n)
+        table = cached(K, n, np.dtype(dtype))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        again = ops._tap_spectrum(w, n)
+        want = oracle_tap_spectrum(w, n)
+        for got in (first, again):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    assert cached.cache_info().misses == 2 and cached.cache_info().hits == 4
 
 
 def run_conv(x, w, gout):
@@ -101,14 +124,13 @@ def test_tape_keeps_no_spectrum_and_the_output_owns_its_memory(monkeypatch, fft_
     x, w = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
     out = ops.conv1d_dilated(x, w)
     assert fft_calls
-    # The tape keeps the parents and shape integers; the nested helpers
-    # keep only the transform length.
+    # The tape keeps the parents and shape integers (the path taken, the
+    # padding) and no array: _conv1d_fft_grads recomputes both spectra.
     kept = [cell.cell_contents for cell in out._backward.__closure__]
     assert not any(isinstance(v, np.ndarray) for v in kept)
-    helpers = [v for v in kept if callable(v) and not isinstance(v, Tensor)]
-    assert helpers
-    for fn in helpers:
-        assert all(isinstance(c.cell_contents, int) for c in fn.__closure__)
+    for v in kept:
+        parts = v if isinstance(v, (list, tuple)) else [v]
+        assert all(isinstance(p, (Tensor, int)) for p in parts), v
     # A compact copy of the first T_out samples, not a view of the irfft buffer.
     owner = out.data if out.data.base is None else out.data.base
     assert owner.nbytes == out.data.nbytes
@@ -172,14 +194,13 @@ def test_each_eval_block_on_two_workers_takes_the_fft_path(B, fft_calls, monkeyp
 
 def test_tcn_and_b1_decoding_stay_direct(fft_calls, monkeypatch):
     direct = []
-    conv1d = ops.conv1d_dilated
+    conv1d = ops._conv1d  # eval runs conv1d_dilated's kernel
 
-    def spy(x, weight, dilation=1, pad=(0, 0)):
-        taps = (weight[0] if isinstance(weight, list) else weight).shape[-1]  # the TCN's groups, one per branch
-        direct.append((x.shape[0], taps, dilation, pad[1] == 0 < pad[0]))
-        return conv1d(x, weight, dilation=dilation, pad=pad)
+    def spy(x, weights, dilation=1, pad=(0, 0)):
+        direct.append((x.shape[0], weights[0].shape[-1], dilation, pad[1] == 0 < pad[0]))  # the TCN's groups, one per branch
+        return conv1d(x, weights, dilation, pad)
 
-    monkeypatch.setattr(ops, "conv1d_dilated", spy)
+    monkeypatch.setattr(ops, "_conv1d", spy)
     cfg = ModelConfig()
     forward_batch(cfg, 1, monkeypatch)  # B = 1 decoding: no call qualifies
     assert fft_calls == []
@@ -254,7 +275,8 @@ def test_float32_paper_logits_within_256_eps_of_float64_oracle(training, monkeyp
         for (_, p64), (_, p32) in zip(model64.named_parameters(), model32.named_parameters()):
             p64.data = p32.data.astype(np.float64)  # the float32 model's values, exactly
         monkeypatch.setattr(Branch, "__call__", oracle_branch_call)
-        want = logits(model64, np.float64)
+        # oracle_branch_call runs Tensor ops, so the oracle's training forward records the tape.
+        want = model64(Tensor(x.astype(np.float64)), training, np.random.Generator(np.random.PCG64(52))).data
     assert want.dtype == np.float64
     err = float(np.abs(got - want).max()) / max(1.0, float(np.abs(want).max()))
     assert err <= 256 * EPS32

@@ -143,9 +143,8 @@ class TestTcn:
             block.conv2.weight.data = np.zeros_like(block.conv2.weight.data)
         rng = np.random.default_rng(4)
         ms = [Tensor(rng.standard_normal((2, 4, cfg.t0)).astype(np.float32)) for _ in range(4)]
-        with no_grad():
-            out = model.tcn_forward(ms, training=False)
-        np.testing.assert_allclose(out.data[:, :4], ms[0].data[:, :, -1], atol=1e-7)
+        out = model.tcn_forward(ms, training=False)  # eval runs on the raw maps
+        np.testing.assert_allclose(out[:, :4], ms[0].data[:, :, -1], atol=1e-7)
 
     def test_causality_no_future_leakage(self):
         # A bump in one branch's fused map at time t leaves that branch's
@@ -157,8 +156,7 @@ class TestTcn:
         base = [rng.standard_normal((1, 4, cfg.t0)).astype(np.float32) for _ in range(4)]
 
         def run(ms):
-            with no_grad():
-                return model.tcn_forward([Tensor(m) for m in ms], training=False).data.reshape(1, 4, 4, cfg.t0)
+            return model.tcn_forward([Tensor(m) for m in ms], training=False).reshape(1, 4, 4, cfg.t0)
 
         ref = run(base)
         for branch in range(4):

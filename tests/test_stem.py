@@ -23,7 +23,7 @@ from csanet.rng import substream
 from csanet.train import train_run
 from csanet.verification import mini_model_config
 
-from oracles import oracle_branch_call, oracle_branch_stem, oracle_lag_prefixes, oracle_tail
+from oracles import oracle_banded, oracle_branch_call, oracle_branch_stem, oracle_lag_prefixes, oracle_tail
 from test_train import tiny_run
 
 TOL = 1e-9
@@ -536,3 +536,15 @@ def test_window_moments_are_the_windows_own_and_reuse_one_read_only_index(K):
     tables = ops._moment_index(K, left, T)
     assert ops._moment_index(K, left, T) is tables
     assert not any(table.flags.writeable for table in tables)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("F", [1, 4, 16])
+@pytest.mark.parametrize("K", [1, 3, 8, 16, 32, 64])
+def test_banded_view_is_bytewise_the_fancy_index_band(K, F, dtype):
+    # Also the reversed taps' view, as the stem's backward bands them.
+    w = np.random.Generator(np.random.PCG64(K * F)).standard_normal((F, K)).astype(dtype)
+    for taps in (w, w[:, ::-1]):
+        got, want = ops._banded(taps, ops._TILE), oracle_banded(taps, ops._TILE)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()

@@ -305,7 +305,7 @@ def tcn_block_step(block_fn, dtype, training, seed=90, groups=3):
                 buf[...] = rng.uniform(0.2, 0.6, buf.shape)
         x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=training)
         out = block_fn(blocks, x, training, keep)
-        arrays = {"output": out.data}
+        arrays = {"output": out.data if isinstance(out, Tensor) else out}  # eval: tcn_block runs raw
         if training:
             (out * Tensor(rng.standard_normal(out.shape).astype(dtype))).sum().backward()
             arrays["x grad"] = x.grad
@@ -362,7 +362,13 @@ def tcn_model_step(cfg, dtype, training, B, tcn_forward=None, monkeypatch=None):
     the logits) and every running buffer, by name, of one forward of B
     trials, with CsanetModel.tcn_forward replaced by tcn_forward if given."""
     if tcn_forward is not None:
-        monkeypatch.setattr(CsanetModel, "tcn_forward", tcn_forward)
+
+        def replaced(model, ms, training, keeps=None):  # an eval forward runs on raw arrays
+            if training:
+                return tcn_forward(model, ms, training, keeps)
+            return tcn_forward(model, [Tensor(m) for m in ms], training, keeps).data
+
+        monkeypatch.setattr(CsanetModel, "tcn_forward", replaced)
     with precision(dtype):
         model = CsanetModel(cfg, rng=np.random.Generator(np.random.PCG64(70)))
         rng = np.random.Generator(np.random.PCG64(71))
